@@ -130,9 +130,9 @@ int main(int Argc, char **Argv) {
     Trace Tr = corpusTrace(I);
     std::string Path = Dir + "/pp_bench_serve_" +
                        std::to_string(::getpid()) + "_" +
-                       std::to_string(I) + ".btrace";
+                       std::to_string(I) + ".v3trace";
     std::string Err;
-    if (!saveTrace(Tr, Path, Err, TraceFormat::Binary)) {
+    if (!saveTrace(Tr, Path, Err, TraceFormat::V3)) {
       std::fprintf(stderr, "FATAL: cannot write corpus: %s\n", Err.c_str());
       return 1;
     }

@@ -1,16 +1,18 @@
 //===- bench/micro_trace_ingest.cpp - trace ingestion throughput ------------===//
 //
-// Measures binary-trace ingestion under the two loader paths:
+// Measures v3 trace ingestion along two paths:
 //
-//   stream — the legacy copying path: stdio-read the whole file into a
-//            byte vector, then parse out of the copy,
-//   mmap   — the zero-copy path: map the file and parse straight out
-//            of the page cache (support/MappedFile.h).
+//   stream — the copying path: stdio-read the whole file into a byte
+//            vector, then parse out of the copy (parseTraceBuffer) —
+//            what the loader does for pipes and unmappable files,
+//   mmap   — the zero-copy path: readTraceFile maps the file and
+//            parses straight out of the page cache
+//            (support/MappedFile.h).
 //
 // Two phases are timed per path.  "ingest" is the cost of making the
 // file's bytes addressable (the read-and-copy that mmap eliminates —
 // this is where the >= 2x zero-copy win lives, and it grows with the
-// file); "end-to-end" is the full loadTrace including the parse, whose
+// file); "end-to-end" is the full load including the parse, whose
 // event decoding dominates and is common to both paths.  The stream
 // path additionally holds a transient whole-file copy, so its peak
 // memory is file-size bytes higher — reported as peak_extra_bytes.
@@ -31,8 +33,7 @@
 //       paths run the former since the pool migration).
 //
 // A third section measures the chunked v3 format's parallel full
-// load: the same synthetic corpus re-encoded as v3 and parsed with 1
-// worker vs. 4 (parseTraceV3 decodes chunks concurrently into
+// load: the same synthetic corpus parsed with 1 worker vs. 4 (parseTraceV3 decodes chunks concurrently into
 // disjoint spans).  parallel_parse_speedup is exit-gated at >= 3.0,
 // but only on machines with >= 4 hardware threads — on smaller boxes
 // the number is reported and the gate prints a skip note.
@@ -84,10 +85,10 @@ namespace {
 /// event stream exactly like a real large recording.
 Trace makeSyntheticTrace(size_t TargetBytes) {
   const unsigned Threads = 4;
-  // One loop iteration per thread emits, on disk:
-  //   compute(9) + acquire(13) + read(17) + write(18) + release(5)
-  //   + compute(9) = 71 bytes.
-  const size_t BytesPerIteration = 71;
+  // One loop iteration per thread emits six delta-varint v3 events:
+  // compute, acquire, read, write, release, compute — measured at
+  // ~BytesPerIteration bytes on disk.
+  const size_t BytesPerIteration = 21;
   const size_t Iterations =
       TargetBytes / (BytesPerIteration * Threads) + 1;
 
@@ -151,24 +152,6 @@ double now() {
       .count();
 }
 
-/// The stream path's bytes-ready phase: stdio-read the file into an
-/// owned vector, mirroring loadTrace(TraceLoadMode::Stream).
-size_t streamIngest(const std::string &Path) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return 0;
-  std::vector<uint8_t> Bytes;
-  char Buf[1 << 16];
-  for (;;) {
-    size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-    Bytes.insert(Bytes.end(), Buf, Buf + N);
-    if (N < sizeof(Buf))
-      break;
-  }
-  std::fclose(F);
-  return Bytes.size();
-}
-
 std::string option(int Argc, char **Argv, const char *Name,
                    const char *Default) {
   std::string Prefix = std::string(Name) + "=";
@@ -206,6 +189,8 @@ uint64_t peakRssBytes() {
 #endif
 }
 
+/// The stream path's bytes-ready phase: stdio-read the file into an
+/// owned vector, mirroring the loader's stream path.
 std::vector<uint8_t> readFileBytes(const std::string &Path) {
   std::vector<uint8_t> Bytes;
   FILE *F = std::fopen(Path.c_str(), "rb");
@@ -349,7 +334,7 @@ int main(int Argc, char **Argv) {
       std::atoi(option(Argc, Argv, "--repeat", "3").c_str()));
   std::string Out = option(Argc, Argv, "--out", "BENCH_traceio.json");
   std::string Scratch =
-      option(Argc, Argv, "--file", "BENCH_traceio.scratch.btrace");
+      option(Argc, Argv, "--file", "BENCH_traceio.scratch.v3trace");
   long NamesArg = std::atol(option(Argc, Argv, "--names", "20000").c_str());
   if (Repeat == 0)
     Repeat = 1;
@@ -436,11 +421,13 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "parity corpus write failed: %s\n", Err.c_str());
       return 1;
     }
-    Trace ParityTr;
-    if (!loadTrace(ParityPath, ParityTr, Err)) {
-      std::fprintf(stderr, "parity corpus load failed: %s\n", Err.c_str());
+    Expected<Trace> ParityOr = readTraceFile(ParityPath);
+    if (!ParityOr) {
+      std::fprintf(stderr, "parity corpus load failed: %s\n",
+                   ParityOr.message().c_str());
       return 1;
     }
+    const Trace &ParityTr = *ParityOr;
     DetectOptions ParityOpts;
     ParityOpts.PairMode = PairModeKind::AdjacentCrossThread;
     DetectResult Whole =
@@ -460,10 +447,10 @@ int main(int Argc, char **Argv) {
     std::remove(ParityPath.c_str());
   }
 
-  std::printf("building ~%.0f MB synthetic binary trace...\n", SizeMb);
+  std::printf("building ~%.0f MB synthetic v3 trace...\n", SizeMb);
   Trace Tr = makeSyntheticTrace(static_cast<size_t>(SizeMb * 1e6));
   const size_t NumEvents = Tr.numEvents();
-  if (!saveTrace(Tr, Scratch, Err, TraceFormat::Binary)) {
+  if (!saveTrace(Tr, Scratch, Err, TraceFormat::V3)) {
     std::fprintf(stderr, "cannot write scratch trace: %s\n", Err.c_str());
     return 1;
   }
@@ -471,7 +458,7 @@ int main(int Argc, char **Argv) {
 
   // Warm the page cache so both paths read memory-resident bytes; the
   // comparison is copy-vs-no-copy, not disk speed.
-  size_t FileBytes = streamIngest(Scratch);
+  size_t FileBytes = readFileBytes(Scratch).size();
   std::printf("scratch file: %s (%zu bytes, %zu events)\n", Scratch.c_str(),
               FileBytes, NumEvents);
 
@@ -479,7 +466,7 @@ int main(int Argc, char **Argv) {
   Trace StreamTrace, MmapTrace;
   for (unsigned I = 0; I != Repeat; ++I) {
     double T0 = now();
-    if (streamIngest(Scratch) != FileBytes) {
+    if (readFileBytes(Scratch).size() != FileBytes) {
       std::fprintf(stderr, "stream ingest failed\n");
       return 1;
     }
@@ -506,18 +493,24 @@ int main(int Argc, char **Argv) {
     File.close();
 
     T0 = now();
-    if (!loadTrace(Scratch, StreamTrace, Err, TraceLoadMode::Stream)) {
-      std::fprintf(stderr, "stream load failed: %s\n", Err.c_str());
-      return 1;
+    {
+      std::vector<uint8_t> Bytes = readFileBytes(Scratch);
+      if (!parseTraceBuffer(Bytes.data(), Bytes.size(), StreamTrace, Err)) {
+        std::fprintf(stderr, "stream load failed: %s\n", Err.c_str());
+        return 1;
+      }
     }
     T1 = now();
     Stream.TotalSeconds += T1 - T0;
 
     T0 = now();
-    if (!loadTrace(Scratch, MmapTrace, Err, TraceLoadMode::Mmap)) {
-      std::fprintf(stderr, "mmap load failed: %s\n", Err.c_str());
+    Expected<Trace> Loaded = readTraceFile(Scratch);
+    if (!Loaded) {
+      std::fprintf(stderr, "mmap load failed: %s\n",
+                   Loaded.message().c_str());
       return 1;
     }
+    MmapTrace = std::move(*Loaded);
     T1 = now();
     Mapped.TotalSeconds += T1 - T0;
   }
@@ -528,7 +521,8 @@ int main(int Argc, char **Argv) {
 
   // Both loaders must parse the same trace; speed with different
   // results would be meaningless.
-  if (writeTraceBinary(StreamTrace) != writeTraceBinary(MmapTrace)) {
+  const std::vector<uint8_t> Reference = writeTraceV3(MmapTrace);
+  if (writeTraceV3(StreamTrace) != Reference) {
     std::fprintf(stderr, "FATAL: mmap and stream loads diverged\n");
     return 1;
   }
@@ -540,7 +534,7 @@ int main(int Argc, char **Argv) {
   double TotalSpeedup = Mapped.TotalSeconds > 0.0
                             ? Stream.TotalSeconds / Mapped.TotalSeconds
                             : 0.0;
-  std::printf("trace ingest: %.1f MB binary, %u repeat(s), mmap %s\n", Mb,
+  std::printf("trace ingest: %.1f MB v3, %u repeat(s), mmap %s\n", Mb,
               Repeat, MappedFile::supportsMapping() ? "native" : "fallback");
   std::printf("  %-8s ingest %9.3f ms (%8.0f MB/s)   end-to-end %9.3f ms\n",
               "stream", Stream.IngestSeconds * 1e3,
@@ -555,21 +549,16 @@ int main(int Argc, char **Argv) {
               IngestSpeedup, TotalSpeedup, Mb);
 
   //===--------------------------------------------------------------------===//
-  // Chunked v3 parallel full load: the same corpus re-encoded as v3,
-  // parsed fully serially vs. with 4 chunk-decode workers.  Best-of-
-  // repeat timings gate the speedup (>= 3.0) — but only on machines
-  // that actually have 4 hardware threads to decode on.
+  // Chunked v3 parallel full load: the same corpus parsed fully
+  // serially vs. with 4 chunk-decode workers.  Best-of-repeat timings
+  // gate the speedup (>= 3.0) — but only on machines that actually
+  // have 4 hardware threads to decode on.
   //===--------------------------------------------------------------------===//
 
   const unsigned ParallelWorkers = 4;
-  std::string ScratchV3 = Scratch + ".v3";
-  if (!saveTrace(MmapTrace, ScratchV3, Err, TraceFormat::V3)) {
-    std::fprintf(stderr, "cannot write v3 scratch trace: %s\n", Err.c_str());
-    return 1;
-  }
-  std::vector<uint8_t> V3Bytes = readFileBytes(ScratchV3);
+  std::vector<uint8_t> V3Bytes = readFileBytes(Scratch);
   if (V3Bytes.empty()) {
-    std::fprintf(stderr, "cannot read back %s\n", ScratchV3.c_str());
+    std::fprintf(stderr, "cannot read back %s\n", Scratch.c_str());
     return 1;
   }
   double SerialParse = 1e30, ParallelParse = 1e30;
@@ -595,11 +584,11 @@ int main(int Argc, char **Argv) {
     }
     ParallelParse = std::min(ParallelParse, now() - T0);
   }
-  // All three decodes of the corpus — binary, serial v3, parallel v3 —
+  // All three decodes of the corpus — file load, serial, parallel —
   // must agree byte for byte.
-  if (writeTraceBinary(SerialTrace) != writeTraceBinary(MmapTrace) ||
-      writeTraceBinary(ParallelTrace) != writeTraceBinary(MmapTrace)) {
-    std::fprintf(stderr, "FATAL: v3 parses diverged from the binary load\n");
+  if (writeTraceV3(SerialTrace) != Reference ||
+      writeTraceV3(ParallelTrace) != Reference) {
+    std::fprintf(stderr, "FATAL: v3 parses diverged from the file load\n");
     return 1;
   }
   SerialTrace = Trace();
@@ -608,10 +597,7 @@ int main(int Argc, char **Argv) {
       ParallelParse > 0.0 ? SerialParse / ParallelParse : 0.0;
   const unsigned HardwareThreads = std::thread::hardware_concurrency();
   const bool ParallelGateEnforced = HardwareThreads >= ParallelWorkers;
-  std::printf("v3 parallel load: %zu byte v3 file (%.2fx of binary)\n",
-              V3Bytes.size(),
-              static_cast<double>(V3Bytes.size()) /
-                  static_cast<double>(FileBytes));
+  std::printf("v3 parallel load: %zu byte file\n", V3Bytes.size());
   std::printf("  parse serial %9.3f ms   %u-worker %9.3f ms   "
               "speedup %.2fx",
               SerialParse * 1e3, ParallelWorkers, ParallelParse * 1e3,
@@ -621,7 +607,6 @@ int main(int Argc, char **Argv) {
   else
     std::printf("   (gate SKIPPED: %u hardware thread(s) < %u workers)\n",
                 HardwareThreads, ParallelWorkers);
-  std::remove(ScratchV3.c_str());
   const size_t V3FileBytes = V3Bytes.size();
   V3Bytes.clear();
   V3Bytes.shrink_to_fit();
@@ -634,7 +619,7 @@ int main(int Argc, char **Argv) {
   {
     Trace NameTrace = makeNameHeavyTrace(NumNames);
     std::string E;
-    if (!saveTrace(NameTrace, NamePath, E, TraceFormat::Binary)) {
+    if (!saveTrace(NameTrace, NamePath, E, TraceFormat::V3)) {
       std::fprintf(stderr, "cannot write name-heavy trace: %s\n", E.c_str());
       return 1;
     }
@@ -648,10 +633,12 @@ int main(int Argc, char **Argv) {
   double OwnedSeconds = 0.0, BorrowedSeconds = 0.0;
   size_t NameBytes = 0, BorrowedOwnedNameBytes = 0;
   Trace OwnedTrace, BorrowedTrace;
+  V3ParseOptions OwnedOpts, BorrowedOpts;
+  BorrowedOpts.Names = NameStorage::Borrowed;
   for (unsigned I = 0; I != Repeat; ++I) {
     double T0 = now();
-    if (!parseTraceBinary(NameFile.data(), NameFile.size(), OwnedTrace, Err,
-                          NameStorage::Owned)) {
+    if (!parseTraceV3(NameFile.data(), NameFile.size(), OwnedTrace, Err,
+                      OwnedOpts)) {
       std::fprintf(stderr, "owned name parse failed: %s\n", Err.c_str());
       return 1;
     }
@@ -659,8 +646,8 @@ int main(int Argc, char **Argv) {
     OwnedSeconds += T1 - T0;
 
     T0 = now();
-    if (!parseTraceBinary(NameFile.data(), NameFile.size(), BorrowedTrace,
-                          Err, NameStorage::Borrowed)) {
+    if (!parseTraceV3(NameFile.data(), NameFile.size(), BorrowedTrace, Err,
+                      BorrowedOpts)) {
       std::fprintf(stderr, "borrowed name parse failed: %s\n", Err.c_str());
       return 1;
     }
@@ -676,7 +663,7 @@ int main(int Argc, char **Argv) {
     BorrowedOwnedNameBytes = BorrowedStats.OwnedBytes;
   }
   // Both storage modes must resolve identical bytes when re-serialized.
-  if (writeTraceBinary(OwnedTrace) != writeTraceBinary(BorrowedTrace)) {
+  if (writeTraceV3(OwnedTrace) != writeTraceV3(BorrowedTrace)) {
     std::fprintf(stderr, "FATAL: owned and borrowed name parses diverged\n");
     return 1;
   }

@@ -190,7 +190,7 @@ public:
   /// Pins \p Mapping (the file view the session's trace was parsed out
   /// of) for the session's lifetime.  Installed by
   /// Engine::openSessionFromFile on the zero-copy load path.  The pin
-  /// is load-bearing: binary traces parsed off a real mmap intern
+  /// is load-bearing: v3 traces parsed off a real mmap intern
   /// their lock/site names as `string_view`s pointing straight into
   /// the mapping (NameStorage::Borrowed, trace/TraceIO.h), so the
   /// mapping must outlive the Trace.  A clean read-only mapping costs

@@ -3,13 +3,11 @@
 #include "core/Engine.h"
 
 #include "detect/WindowedDetect.h"
-#include "support/MappedFile.h"
 #include "support/ThreadAnnotations.h"
 #include "support/ThreadPool.h"
 #include "trace/TraceV3.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace perfplay;
 
@@ -17,37 +15,24 @@ AnalysisSession Engine::openSession(Trace Tr) const {
   return AnalysisSession(std::move(Tr), Defaults, Progress);
 }
 
-/// Loads \p Path through the shared loadTraceKeepMapping policy and
-/// builds a session over \p Opts/\p Progress, pinning the mapping when
-/// the zero-copy path served the load.
+/// Loads \p Path through openTraceFile and builds a session over
+/// \p Opts/\p Progress.  A v3 trace served by mmap borrows its names
+/// from the mapping, so the session pins the mapping for its lifetime.
 static Expected<AnalysisSession>
-openFileSession(const std::string &Path, TraceLoadMode Mode,
-                const PipelineOptions &Opts,
+openFileSession(const std::string &Path, const PipelineOptions &Opts,
                 const ProgressCallback &Progress) {
-  auto Mapping = std::make_shared<MappedFile>();
-  Trace Tr;
-  std::string Err;
-  // Borrowed name storage: a binary trace served by a real mmap interns
-  // its lock/site names as views into the mapping — zero per-name heap
-  // copies — which is safe exactly because the session pins the
-  // mapping below.  Loads that close the mapping fall back to owned
-  // names inside loadTraceKeepMapping.
-  if (!loadTraceKeepMapping(Path, Tr, Err, *Mapping, Mode,
-                            NameStorage::Borrowed))
-    return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
-  AnalysisSession Session(std::move(Tr), Opts, Progress);
-  // Pin only real mmaps: their clean pages cost nothing the kernel
-  // cannot reclaim.  A read-fallback buffer would keep a second full
-  // copy of the file alive for no benefit, so let it die here.
-  if (Mapping->isMapped())
-    Session.setBackingMapping(std::move(Mapping));
+  Expected<LoadedTrace> Loaded = openTraceFile(Path);
+  if (!Loaded)
+    return Loaded.error();
+  AnalysisSession Session(std::move(Loaded->Tr), Opts, Progress);
+  if (Loaded->Mapping)
+    Session.setBackingMapping(std::move(Loaded->Mapping));
   return Session;
 }
 
 Expected<AnalysisSession>
-Engine::openSessionFromFile(const std::string &Path,
-                            TraceLoadMode Mode) const {
-  return openFileSession(Path, Mode, Defaults, Progress);
+Engine::openSessionFromFile(const std::string &Path) const {
+  return openFileSession(Path, Defaults, Progress);
 }
 
 Expected<PipelineResult> Engine::analyzeTrace(Trace Tr) const {
@@ -213,16 +198,15 @@ Engine::analyzeBatchStreaming(std::vector<Trace> Traces,
 AggregatedReport
 Engine::analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                                    const BatchResultConsumer &Consumer,
-                                   unsigned NumThreads,
-                                   TraceLoadMode Mode) const {
+                                   unsigned NumThreads) const {
   return streamBatch(
       Paths.size(), NumThreads,
-      [&Paths, Mode](size_t I, const PipelineOptions &Opts,
-                     const ProgressCallback &Progress) {
+      [&Paths](size_t I, const PipelineOptions &Opts,
+               const ProgressCallback &Progress) {
         // Each worker loads its own file on demand — input memory is
         // one trace (and one pinned mapping) per worker, not the sum
         // of the batch.
-        return openFileSession(Paths[I], Mode, Opts, Progress);
+        return openFileSession(Paths[I], Opts, Progress);
       },
       Consumer);
 }

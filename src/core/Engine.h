@@ -47,15 +47,13 @@ public:
   /// progress callback.  No work happens until a stage is called.
   AnalysisSession openSession(Trace Tr) const;
 
-  /// Opens a session over the trace stored at \p Path (format
-  /// auto-detected).  Under TraceLoadMode::Auto/Mmap the binary parse
-  /// borrows the file mapping directly (zero-copy), and the returned
-  /// session keeps that mapping alive for its lifetime
+  /// Opens a session over the trace stored at \p Path, loaded by
+  /// openTraceFile (trace/TraceIO.h).  A v3 trace parses straight out
+  /// of the file mapping with borrowed names (zero-copy), and the
+  /// returned session keeps that mapping alive for its lifetime
   /// (AnalysisSession::setBackingMapping).  Load failures come back as
   /// ErrorCode::TraceIOFailed.
-  Expected<AnalysisSession>
-  openSessionFromFile(const std::string &Path,
-                      TraceLoadMode Mode = TraceLoadMode::Auto) const;
+  Expected<AnalysisSession> openSessionFromFile(const std::string &Path) const;
 
   /// Runs the full pipeline over an already-parsed \p Tr — the session
   /// reuse hook for callers that hold traces beyond one analysis (the
@@ -71,7 +69,7 @@ public:
   /// open-section carry, and the signature representatives — never by
   /// the trace.  The result is bit-identical to detect() over the
   /// fully-loaded trace under the same DetectOptions.  Requires a v3
-  /// file (`perfplay convert` upgrades v1/v2 traces); other formats
+  /// file (`perfplay convert` upgrades text traces); other formats
   /// fail with ErrorCode::TraceIOFailed.  Detection-only: no session
   /// is created and no recording run happens, so the per-lock pairing
   /// order is the file's recorded grant schedule when present, else
@@ -120,8 +118,8 @@ public:
                         unsigned NumThreads = 0) const;
 
   /// Fully streaming batch over trace *files*: each worker loads its
-  /// trace on demand (openSessionFromFile semantics — zero-copy mmap
-  /// under Auto/Mmap, mapping pinned for the session's lifetime) and
+  /// trace on demand (openSessionFromFile semantics — zero-copy mmap,
+  /// mapping pinned for the session's lifetime) and
   /// results stream through \p Consumer, so peak memory holds one
   /// trace + one result per worker no matter how large the batch is.
   /// A file that fails to load or parse becomes that index's
@@ -130,9 +128,7 @@ public:
   AggregatedReport
   analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                              const BatchResultConsumer &Consumer,
-                             unsigned NumThreads = 0,
-                             TraceLoadMode Mode = TraceLoadMode::Auto)
-      const;
+                             unsigned NumThreads = 0) const;
 
   /// Detection-thread budget for one of \p BatchWorkers concurrent
   /// sessions when the engine's options request \p Requested

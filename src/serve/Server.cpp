@@ -105,6 +105,13 @@ void Server::joinAll() {
   for (std::thread &T : WorkerThreads)
     if (T.joinable())
       T.join();
+  // The accept loop can queue one last connection after every worker
+  // saw the queue empty and left; close it so its client sees EOF
+  // instead of blocking forever.
+  MutexLock Lock(QueueMu);
+  for (int Fd : Queue)
+    ::close(Fd);
+  Queue.clear();
 }
 
 void Server::acceptLoop() {

@@ -132,7 +132,9 @@ private:
   /// queue.
   int popConnection() EXCLUDES(QueueMu);
 
-  void joinAll();
+  /// Joins every thread, then closes connections queued too late for
+  /// any worker to serve.
+  void joinAll() EXCLUDES(QueueMu);
 
   ServerOptions Opts;
   Engine Eng;

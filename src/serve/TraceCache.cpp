@@ -52,19 +52,14 @@ Expected<Trace> TraceCache::getTraceBytes(const uint8_t *Data, size_t Size,
   if (Bypass || BudgetBytes == 0)
     return parse();
 
+  auto hit = [&](const Trace &Cached) {
+    TraceHits.fetch_add(1, std::memory_order_relaxed);
+    FromCache = true;
+    return Trace(Cached);
+  };
   for (;;) {
-    // Hit path: shared lock only; recency goes through the atomic
-    // clock so concurrent hits never serialize on the writer path.
-    {
-      SharedMutexReadLock Lock(CacheMu);
-      auto It = Traces.find(Hash);
-      if (It != Traces.end()) {
-        It->second->LastUse.store(bumpClock(), std::memory_order_relaxed);
-        TraceHits.fetch_add(1, std::memory_order_relaxed);
-        FromCache = true;
-        return Trace(*It->second->Tr);
-      }
-    }
+    if (std::shared_ptr<const Trace> Cached = findTrace(Hash))
+      return hit(*Cached);
 
     // Miss: claim the parse, or wait for whoever already claimed it
     // and re-check the cache.  FlightMu is a leaf — CacheMu is not
@@ -77,6 +72,13 @@ Expected<Trace> TraceCache::getTraceBytes(const uint8_t *Data, size_t Size,
         continue; // The parser finished (or failed) — re-check.
       }
       InFlight.insert(Hash);
+    }
+    // Re-check after claiming: between the miss above and the claim, a
+    // parser may have inserted this hash and cleared its flight, and
+    // the same content must not be parsed twice.
+    if (std::shared_ptr<const Trace> Cached = findTrace(Hash)) {
+      releaseFlight(Hash);
+      return hit(*Cached);
     }
     break;
   }
@@ -98,12 +100,28 @@ Expected<Trace> TraceCache::getTraceBytes(const uint8_t *Data, size_t Size,
     }
   }
 
+  releaseFlight(Hash);
+  return Parsed;
+}
+
+std::shared_ptr<const Trace> TraceCache::findTrace(uint64_t Hash) {
+  // Shared lock only; recency goes through the atomic clock so
+  // concurrent hits never serialize on the writer path.  The returned
+  // pointer keeps the trace alive past a concurrent eviction.
+  SharedMutexReadLock Lock(CacheMu);
+  auto It = Traces.find(Hash);
+  if (It == Traces.end())
+    return nullptr;
+  It->second->LastUse.store(bumpClock(), std::memory_order_relaxed);
+  return It->second->Tr;
+}
+
+void TraceCache::releaseFlight(uint64_t Hash) {
   {
     MutexLock Lock(FlightMu);
     InFlight.erase(Hash);
   }
   FlightCv.notifyAll();
-  return Parsed;
 }
 
 bool TraceCache::lookupResult(uint64_t Hash, uint64_t OptionsFp,

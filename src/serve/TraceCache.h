@@ -13,7 +13,9 @@
 ///  * **Exactly-once parse per content hash.**  Concurrent misses on
 ///    the same content coordinate through an in-flight set (FlightMu +
 ///    FlightCv): one thread parses, the rest wait and take the cached
-///    copy.  tests/ConcurrencyStressTest.cpp hammers this from N
+///    copy.  A thread re-checks the cache after claiming a hash, so a
+///    parse that finished between its miss and its claim is not
+///    repeated.  tests/ConcurrencyStressTest.cpp hammers this from N
 ///    threads and asserts the parser ran once per distinct content.
 ///
 ///  * **Bounded memory.**  Every entry is charged against a byte
@@ -123,6 +125,12 @@ private:
   /// Evicts least-recently-used entries (across both maps) until the
   /// summed charge fits the budget.
   void evictToBudget() REQUIRES(CacheMu);
+
+  /// The cached trace for \p Hash (recency bumped), or null on a miss.
+  std::shared_ptr<const Trace> findTrace(uint64_t Hash) EXCLUDES(CacheMu);
+
+  /// Drops \p Hash from the in-flight set and wakes its waiters.
+  void releaseFlight(uint64_t Hash) EXCLUDES(FlightMu);
 
   uint64_t bumpClock() { return Clock.fetch_add(1) + 1; }
 

@@ -6,9 +6,7 @@
 #include "trace/TraceV3.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 using namespace perfplay;
@@ -535,427 +533,22 @@ bool perfplay::parseTraceText(const std::string &Text, Trace &Out,
 }
 
 //===----------------------------------------------------------------------===//
-// Binary format
+// Byte buffers and files
 //===----------------------------------------------------------------------===//
 
-static const char BinaryMagic[8] = {'P', 'F', 'P', 'L', 'T', 'R', 'C', '1'};
-
-namespace {
-
-class ByteWriter {
-public:
-  void u8(uint8_t V) { Bytes.push_back(V); }
-  void u32(uint32_t V) {
-    for (int I = 0; I != 4; ++I)
-      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
+/// The one format sniff: the v3 magic is not valid text-format prose,
+/// so the first eight bytes decide unambiguously.  Only a v3 parse can
+/// borrow names from \p Data.
+static bool parseSniffed(const uint8_t *Data, size_t Size, Trace &Out,
+                         std::string &Err, NameStorage Names,
+                         TraceFormat &Format) {
+  if (hasTraceV3Magic(Data, Size)) {
+    Format = TraceFormat::V3;
+    V3ParseOptions Opts;
+    Opts.Names = Names;
+    return parseTraceV3(Data, Size, Out, Err, Opts);
   }
-  void u64(uint64_t V) {
-    for (int I = 0; I != 8; ++I)
-      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void str(std::string_view S) {
-    u32(static_cast<uint32_t>(S.size()));
-    Bytes.insert(Bytes.end(), S.begin(), S.end());
-  }
-  std::vector<uint8_t> take() { return std::move(Bytes); }
-
-private:
-  std::vector<uint8_t> Bytes;
-};
-
-/// Cursor over a borrowed byte buffer — typically a read-only file
-/// mapping, so every accessor bounds-checks before touching memory and
-/// nothing here allocates.
-class ByteReader {
-public:
-  ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  size_t remaining() const { return Size - Pos; }
-
-  /// True when a table of \p N entries, each occupying at least
-  /// \p MinEntryBytes on disk, can still fit in the unread suffix.
-  /// The guard every table loop runs before trusting an on-disk count:
-  /// a hostile 12-byte file must not drive a multi-gigabyte resize.
-  bool countFits(uint64_t N, size_t MinEntryBytes) const {
-    return N <= remaining() / MinEntryBytes;
-  }
-
-  bool u8(uint8_t &V) {
-    if (remaining() < 1)
-      return false;
-    V = Data[Pos++];
-    return true;
-  }
-  bool u32(uint32_t &V) {
-    if (remaining() < 4)
-      return false;
-    V = 0;
-    for (int I = 0; I != 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return true;
-  }
-  bool u64(uint64_t &V) {
-    if (remaining() < 8)
-      return false;
-    V = 0;
-    for (int I = 0; I != 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return true;
-  }
-  /// Reads a length-prefixed string as a view into the borrowed
-  /// buffer.  The caller decides whether to copy it (owned interning)
-  /// or keep the view (borrowed interning into a pinned mapping).
-  bool str(std::string_view &S) {
-    uint32_t Len;
-    if (!u32(Len) || Len > remaining())
-      return false;
-    S = std::string_view(reinterpret_cast<const char *>(Data) + Pos, Len);
-    Pos += Len;
-    return true;
-  }
-
-private:
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-};
-
-} // namespace
-
-std::vector<uint8_t> perfplay::writeTraceBinary(const Trace &Tr) {
-  ByteWriter W;
-  for (char C : BinaryMagic)
-    W.u8(static_cast<uint8_t>(C));
-
-  W.u32(static_cast<uint32_t>(Tr.Locks.size()));
-  for (const auto &L : Tr.Locks) {
-    W.u8(L.IsSpin ? 1 : 0);
-    W.str(Tr.Names.str(L.Name));
-  }
-
-  W.u32(static_cast<uint32_t>(Tr.Sites.size()));
-  for (const auto &S : Tr.Sites) {
-    W.u32(S.BeginLine);
-    W.u32(S.EndLine);
-    W.str(Tr.Names.str(S.File));
-    W.str(Tr.Names.str(S.Function));
-  }
-
-  W.u32(static_cast<uint32_t>(Tr.Locksets.size()));
-  for (const auto &LS : Tr.Locksets) {
-    W.u32(static_cast<uint32_t>(LS.Entries.size()));
-    for (const auto &E : LS.Entries) {
-      W.u32(E.Lock);
-      W.u32(E.SourceCs);
-    }
-  }
-
-  W.u32(static_cast<uint32_t>(Tr.Constraints.size()));
-  for (const auto &C : Tr.Constraints) {
-    W.u32(C.Before);
-    W.u32(C.After);
-  }
-
-  W.u32(static_cast<uint32_t>(Tr.LockSchedule.size()));
-  for (const auto &Order : Tr.LockSchedule) {
-    W.u32(static_cast<uint32_t>(Order.size()));
-    for (const CsRef &R : Order) {
-      W.u32(R.Thread);
-      W.u32(R.Index);
-    }
-  }
-
-  W.u32(static_cast<uint32_t>(Tr.Threads.size()));
-  for (const auto &T : Tr.Threads) {
-    W.u32(static_cast<uint32_t>(T.Events.size()));
-    for (const Event &E : T.Events) {
-      W.u8(static_cast<uint8_t>(E.Kind));
-      switch (E.Kind) {
-      case EventKind::ThreadStart:
-      case EventKind::ThreadEnd:
-        break;
-      case EventKind::LockAcquire:
-        W.u32(E.Lock);
-        W.u32(E.Site);
-        W.u32(E.Lockset);
-        break;
-      case EventKind::LockRelease:
-        W.u32(E.Lock);
-        break;
-      case EventKind::Read:
-        W.u64(E.Addr);
-        W.u64(E.Value);
-        break;
-      case EventKind::Write:
-        W.u64(E.Addr);
-        W.u64(E.Value);
-        W.u8(static_cast<uint8_t>(E.Op));
-        break;
-      case EventKind::Compute:
-        W.u64(E.Cost);
-        break;
-      case EventKind::RwAcquireRead:
-      case EventKind::RwAcquireWrite:
-        W.u32(E.Lock);
-        W.u32(E.Site);
-        W.u32(E.Lockset);
-        break;
-      case EventKind::TryAcquire:
-        W.u32(E.Lock);
-        W.u32(E.Site);
-        W.u32(E.Lockset);
-        W.u8(static_cast<uint8_t>(E.Mode));
-        W.u8(E.TrySucceeded ? 1 : 0);
-        break;
-      case EventKind::CondWait:
-        W.u32(E.Lock);
-        W.u32(E.Site);
-        break;
-      case EventKind::CondSignal:
-      case EventKind::CondBroadcast:
-        W.u32(E.Lock);
-        break;
-      }
-    }
-  }
-  return W.take();
-}
-
-bool perfplay::parseTraceBinary(const uint8_t *Data, size_t Size,
-                                Trace &Out, std::string &Err,
-                                NameStorage Names) {
-  Out = Trace();
-  ByteReader R(Data, Size);
-  auto fail = [&](const char *Msg) {
-    Err = Msg;
-    return false;
-  };
-  // One funnel for every name read: owned interning copies the view
-  // into the pool's arena; borrowed interning keeps it pointing into
-  // \p Data (the mmap the caller pins), making the parse copy-free.
-  auto internName = [&](std::string_view S) {
-    return Names == NameStorage::Borrowed ? Out.Names.internBorrowed(S)
-                                          : Out.Names.intern(S);
-  };
-
-  for (char C : BinaryMagic) {
-    uint8_t B;
-    if (!R.u8(B) || B != static_cast<uint8_t>(C))
-      return fail("not a perfplay binary trace (bad magic)");
-  }
-
-  // Every table below validates its on-disk count against the unread
-  // byte budget (using each entry's minimum encoded size) before any
-  // container is sized.  Corrupt or hostile headers therefore fail
-  // with a typed "count exceeds file size" diagnostic instead of
-  // triggering an allocation proportional to the forged count — peak
-  // memory stays bounded by the real file size.
-
-  uint32_t N;
-  if (!R.u32(N))
-    return fail("truncated lock table");
-  if (!R.countFits(N, 5)) // u8 spin + u32 name length
-    return fail("lock table count exceeds file size");
-  Out.Locks.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    LockInfo L;
-    uint8_t Spin;
-    std::string_view Name;
-    if (!R.u8(Spin) || !R.str(Name))
-      return fail("truncated lock entry");
-    L.IsSpin = Spin != 0;
-    L.Name = internName(Name);
-    Out.Locks.push_back(L);
-  }
-
-  if (!R.u32(N))
-    return fail("truncated site table");
-  if (!R.countFits(N, 16)) // two u32 lines + two u32 string lengths
-    return fail("site table count exceeds file size");
-  Out.Sites.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    CodeSite S;
-    std::string_view File, Function;
-    if (!R.u32(S.BeginLine) || !R.u32(S.EndLine) || !R.str(File) ||
-        !R.str(Function))
-      return fail("truncated site entry");
-    S.File = internName(File);
-    S.Function = internName(Function);
-    Out.Sites.push_back(S);
-  }
-
-  if (!R.u32(N))
-    return fail("truncated lockset table");
-  if (!R.countFits(N, 4)) // u32 entry count per lockset
-    return fail("lockset table count exceeds file size");
-  Out.Locksets.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t K;
-    if (!R.u32(K))
-      return fail("truncated lockset");
-    if (!R.countFits(K, 8)) // u32 lock + u32 source section
-      return fail("lockset entry count exceeds file size");
-    Lockset LS;
-    LS.Entries.reserve(K);
-    for (uint32_t J = 0; J != K; ++J) {
-      LocksetEntry E;
-      if (!R.u32(E.Lock) || !R.u32(E.SourceCs))
-        return fail("truncated lockset entry");
-      LS.Entries.push_back(E);
-    }
-    Out.Locksets.push_back(std::move(LS));
-  }
-
-  if (!R.u32(N))
-    return fail("truncated constraint table");
-  if (!R.countFits(N, 8)) // u32 before + u32 after
-    return fail("constraint table count exceeds file size");
-  Out.Constraints.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    OrderConstraint C;
-    if (!R.u32(C.Before) || !R.u32(C.After))
-      return fail("truncated constraint");
-    Out.Constraints.push_back(C);
-  }
-
-  if (!R.u32(N))
-    return fail("truncated schedule");
-  if (!R.countFits(N, 4)) // u32 entry count per per-lock order
-    return fail("schedule count exceeds file size");
-  Out.LockSchedule.resize(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t K;
-    if (!R.u32(K))
-      return fail("truncated schedule order");
-    if (!R.countFits(K, 8)) // u32 thread + u32 index
-      return fail("schedule entry count exceeds file size");
-    Out.LockSchedule[I].reserve(K);
-    for (uint32_t J = 0; J != K; ++J) {
-      CsRef Ref;
-      if (!R.u32(Ref.Thread) || !R.u32(Ref.Index))
-        return fail("truncated schedule entry");
-      Out.LockSchedule[I].push_back(Ref);
-    }
-  }
-
-  if (!R.u32(N))
-    return fail("truncated thread table");
-  if (!R.countFits(N, 4)) // u32 event count per thread
-    return fail("thread table count exceeds file size");
-  Out.Threads.reserve(N);
-  for (uint32_t T = 0; T != N; ++T) {
-    uint32_t NumEvents;
-    if (!R.u32(NumEvents))
-      return fail("truncated thread header");
-    if (!R.countFits(NumEvents, 1)) // u8 kind tag per event
-      return fail("event count exceeds file size");
-    ThreadTrace TT;
-    // The count check above uses the 1-byte on-disk minimum
-    // (ThreadStart/End are bare tags), but events occupy sizeof(Event)
-    // in memory — clamp the reserve so a dense forged count cannot
-    // multiply the file size; oversized legitimate threads just grow
-    // geometrically past the hint.
-    TT.Events.reserve(std::min<size_t>(
-        NumEvents, R.remaining() / sizeof(Event) + 1));
-    for (uint32_t I = 0; I != NumEvents; ++I) {
-      uint8_t KindByte;
-      if (!R.u8(KindByte))
-        return fail("truncated event");
-      if (KindByte > static_cast<uint8_t>(EventKind::CondBroadcast))
-        return fail("unknown event kind");
-      Event E;
-      E.Kind = static_cast<EventKind>(KindByte);
-      switch (E.Kind) {
-      case EventKind::ThreadStart:
-      case EventKind::ThreadEnd:
-        break;
-      case EventKind::LockAcquire:
-        if (!R.u32(E.Lock) || !R.u32(E.Site) || !R.u32(E.Lockset))
-          return fail("truncated acquire");
-        break;
-      case EventKind::LockRelease:
-        if (!R.u32(E.Lock))
-          return fail("truncated release");
-        break;
-      case EventKind::Read:
-        if (!R.u64(E.Addr) || !R.u64(E.Value))
-          return fail("truncated read");
-        break;
-      case EventKind::Write: {
-        uint8_t Op;
-        if (!R.u64(E.Addr) || !R.u64(E.Value) || !R.u8(Op))
-          return fail("truncated write");
-        if (Op > static_cast<uint8_t>(WriteOpKind::Xor))
-          return fail("unknown write op");
-        E.Op = static_cast<WriteOpKind>(Op);
-        break;
-      }
-      case EventKind::Compute:
-        if (!R.u64(E.Cost))
-          return fail("truncated compute");
-        break;
-      case EventKind::RwAcquireRead:
-      case EventKind::RwAcquireWrite:
-        if (!R.u32(E.Lock) || !R.u32(E.Site) || !R.u32(E.Lockset))
-          return fail("truncated rwlock acquire");
-        E.Mode = E.Kind == EventKind::RwAcquireRead ? AcquireMode::Shared
-                                                    : AcquireMode::Exclusive;
-        break;
-      case EventKind::TryAcquire: {
-        uint8_t Mode, Ok;
-        if (!R.u32(E.Lock) || !R.u32(E.Site) || !R.u32(E.Lockset) ||
-            !R.u8(Mode) || !R.u8(Ok))
-          return fail("truncated trylock");
-        if (Mode > static_cast<uint8_t>(AcquireMode::Shared))
-          return fail("unknown acquire mode");
-        if (Ok > 1)
-          return fail("bad trylock flag");
-        E.Mode = static_cast<AcquireMode>(Mode);
-        E.TrySucceeded = Ok != 0;
-        break;
-      }
-      case EventKind::CondWait:
-        if (!R.u32(E.Lock) || !R.u32(E.Site))
-          return fail("truncated condition wait");
-        break;
-      case EventKind::CondSignal:
-      case EventKind::CondBroadcast:
-        if (!R.u32(E.Lock))
-          return fail("truncated condition signal");
-        break;
-      }
-      TT.Events.push_back(E);
-    }
-    Out.Threads.push_back(std::move(TT));
-  }
-
-  Out.buildCsIndex();
-  std::string Invalid = Out.validate();
-  if (!Invalid.empty()) {
-    Err = "parsed trace fails validation: " + Invalid;
-    return false;
-  }
-  return true;
-}
-
-bool perfplay::parseTraceBinary(const std::vector<uint8_t> &Bytes,
-                                Trace &Out, std::string &Err) {
-  return parseTraceBinary(Bytes.data(), Bytes.size(), Out, Err);
-}
-
-/// The binary header's magic is not valid text-format prose, so the
-/// first eight bytes decide the format unambiguously.
-static bool hasBinaryMagic(const uint8_t *Data, size_t Size) {
-  return Size >= sizeof(BinaryMagic) &&
-         std::memcmp(Data, BinaryMagic, sizeof(BinaryMagic)) == 0;
-}
-
-bool perfplay::parseTraceBuffer(const uint8_t *Data, size_t Size,
-                                Trace &Out, std::string &Err) {
-  if (hasBinaryMagic(Data, Size))
-    return parseTraceBinary(Data, Size, Out, Err);
-  if (hasTraceV3Magic(Data, Size))
-    return parseTraceV3(Data, Size, Out, Err);
+  Format = TraceFormat::Text;
   // The line parser tokenizes out of a string; one copy, text only.
   std::string Text;
   if (Size != 0)
@@ -963,197 +556,110 @@ bool perfplay::parseTraceBuffer(const uint8_t *Data, size_t Size,
   return parseTraceText(Text, Out, Err);
 }
 
-//===----------------------------------------------------------------------===//
-// File helpers
-//===----------------------------------------------------------------------===//
+bool perfplay::parseTraceBuffer(const uint8_t *Data, size_t Size,
+                                Trace &Out, std::string &Err) {
+  TraceFormat Format;
+  return parseSniffed(Data, Size, Out, Err, NameStorage::Owned, Format);
+}
 
 bool perfplay::saveTrace(const Trace &Tr, const std::string &Path,
                          std::string &Err, TraceFormat Format) {
   if (Format == TraceFormat::V3)
     return saveTraceV3(Tr, Path, Err);
-  const char *Data;
-  size_t Size;
-  std::string Text;
-  std::vector<uint8_t> Bytes;
-  if (Format == TraceFormat::Binary) {
-    Bytes = writeTraceBinary(Tr);
-    Data = reinterpret_cast<const char *>(Bytes.data());
-    Size = Bytes.size();
-  } else {
-    Text = writeTraceText(Tr);
-    Data = Text.data();
-    Size = Text.size();
-  }
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Data, 1, Size, F);
-  std::fclose(F);
-  if (Written != Size) {
-    Err = "short write to '" + Path + "'";
-    return false;
-  }
-  return true;
+  const std::string Text = writeTraceText(Tr);
+  return replaceFileAtomically(Path, Err, [&](std::FILE *F, std::string &) {
+    return std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
+  });
 }
 
-/// The legacy copying loader: stream the file through stdio into the
-/// container its parser wants.
-static bool loadTraceStream(const std::string &Path, Trace &Out,
-                            std::string &Err,
-                            TraceLoadInfo *Info = nullptr) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
+/// Why \p Path cannot be served by the mmap path; empty when it can.
+/// Pipes and FIFOs must not have their read end consumed by a doomed
+/// map attempt, so this decides from stat() alone.
+static std::string mmapDowngradeReason(const std::string &Path) {
+  if (!MappedFile::supportsMapping())
+    return "platform build has no mmap support";
+  switch (MappedFile::classifyPath(Path)) {
+  case MappedFile::PathKind::Regular:
+    return std::string();
+  case MappedFile::PathKind::Other:
+    return "not a regular file (pipe, FIFO, or device)";
+  case MappedFile::PathKind::Missing:
+    break;
+  }
+  return "file cannot be stat'ed";
+}
+
+/// Reads all of \p Path through stdio — the path for anything the
+/// mapping cannot serve.
+static bool readStream(const std::string &Path, std::vector<uint8_t> &Out,
+                       std::string &Err) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F) {
     Err = "cannot open '" + Path + "' for reading";
     return false;
   }
-  // Format sniffing: neither binary magic is valid text-format prose,
-  // so the first eight bytes decide unambiguously.  Sniffing before
-  // slurping lets each path read straight into the container its
-  // parser wants — no whole-file copy.
-  uint8_t Head[sizeof(BinaryMagic)];
-  size_t HeadLen = std::fread(Head, 1, sizeof(Head), F);
-  bool Binary = HeadLen == sizeof(BinaryMagic) &&
-                std::memcmp(Head, BinaryMagic, sizeof(BinaryMagic)) == 0;
-  bool V3 = hasTraceV3Magic(Head, HeadLen);
-
-  char Buf[1 << 16];
-  if (Binary || V3) {
-    std::vector<uint8_t> Bytes(Head, Head + HeadLen);
-    for (;;) {
-      size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-      Bytes.insert(Bytes.end(), Buf, Buf + N);
-      if (N < sizeof(Buf))
-        break;
-    }
-    std::fclose(F);
-    if (Info)
-      Info->Format = V3 ? TraceFormat::V3 : TraceFormat::Binary;
-    if (V3)
-      return parseTraceV3(Bytes.data(), Bytes.size(), Out, Err);
-    return parseTraceBinary(Bytes, Out, Err);
-  }
-  std::string Text(reinterpret_cast<const char *>(Head), HeadLen);
+  uint8_t Buf[1 << 16];
   for (;;) {
     size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-    Text.append(Buf, N);
+    Out.insert(Out.end(), Buf, Buf + N);
     if (N < sizeof(Buf))
       break;
   }
   std::fclose(F);
-  if (Info)
-    Info->Format = TraceFormat::Text;
-  return parseTraceText(Text, Out, Err);
+  return true;
 }
 
-bool perfplay::loadTraceKeepMapping(const std::string &Path, Trace &Out,
-                                    std::string &Err, MappedFile &File,
-                                    TraceLoadMode Mode, NameStorage Names,
-                                    TraceLoadInfo *Info) {
-  File.close();
-  if (Info)
-    *Info = TraceLoadInfo();
-  auto downgrade = [&](std::string Reason) {
-    if (Info)
-      Info->MmapDowngradeReason = std::move(Reason);
-    return loadTraceStream(Path, Out, Err, Info);
-  };
-  if (Mode == TraceLoadMode::Stream)
-    // Explicitly requested; not a downgrade.
-    return loadTraceStream(Path, Out, Err, Info);
-  // Auto streams anything unmappable — pipes and FIFOs must not have
-  // their read end consumed by a doomed map attempt, and platforms
-  // without mmap gain nothing from the fallback's extra copy.
-  if (Mode == TraceLoadMode::Auto && !MappedFile::isMappablePath(Path)) {
-    switch (MappedFile::classifyPath(Path)) {
-    case MappedFile::PathKind::Other:
-      return downgrade("not a regular file (pipe, FIFO, or device)");
-    case MappedFile::PathKind::Missing:
-      return downgrade("file cannot be stat'ed");
-    case MappedFile::PathKind::Regular:
-      return downgrade("platform build has no mmap support");
-    }
-  }
-  // Explicit Mmap on an existing non-regular source is rejected up
-  // front: opening a pipe can block and consumes its read end, and a
-  // misleading empty-input parse error would follow.  Missing files
-  // fall through so open() reports them.
-  if (Mode == TraceLoadMode::Mmap && MappedFile::supportsMapping() &&
-      MappedFile::classifyPath(Path) == MappedFile::PathKind::Other) {
-    Err = "cannot mmap '" + Path +
-          "': not a regular file (use the stream loader)";
-    return false;
-  }
-  // Map the file and parse in place — binary traces come straight out
-  // of the page cache with no intermediate byte-vector copy.  The
-  // Trace owns its storage; the caller decides whether the mapping
-  // outlives this call.
-  bool Opened = File.open(Path, Err);
-  if (!Opened || File.size() == 0) {
-    // Some network/FUSE mounts refuse mmap on regular files; Auto
-    // keeps those working by dropping to the stdio loader.  Explicit
-    // Mmap stays strict.
-    std::string OpenErr = Err;
-    File.close();
-    if (Mode == TraceLoadMode::Auto)
-      return downgrade(Opened ? "file is empty (nothing to map)"
-                              : "mmap open failed: " + OpenErr);
-    if (!Opened)
-      return false;
-  }
-  const bool Binary = hasBinaryMagic(File.data(), File.size());
-  const bool V3 = hasTraceV3Magic(File.data(), File.size());
-  if (Binary || V3) {
-    // Borrowed names are only safe when the bytes live past this call:
-    // a real mmap the caller pins.  The read-fallback buffer inside
-    // File would also survive, but callers (Engine::openSessionFromFile)
-    // deliberately drop non-mmap views to avoid keeping a second full
-    // copy of the file alive — so borrow only from a genuine mapping.
-    NameStorage Effective = Names == NameStorage::Borrowed && File.isMapped()
-                                ? NameStorage::Borrowed
-                                : NameStorage::Owned;
-    if (Info) {
-      Info->Format = V3 ? TraceFormat::V3 : TraceFormat::Binary;
-      Info->UsedMmap = File.isMapped();
-      Info->BorrowedNames = Effective == NameStorage::Borrowed;
-      if (!File.isMapped())
-        Info->MmapDowngradeReason =
-            "platform build has no mmap support (read fallback)";
-    }
-    if (V3) {
-      V3ParseOptions Opts;
-      Opts.Names = Effective;
-      return parseTraceV3(File.data(), File.size(), Out, Err, Opts);
-    }
-    return parseTraceBinary(File.data(), File.size(), Out, Err, Effective);
-  }
-  // Text parses out of its own string copy, so there is nothing the
-  // caller could ever borrow from the mapping — release it now rather
-  // than letting a session pin a whole text file for no benefit.
-  std::string Text;
-  if (File.size() != 0)
-    Text.assign(reinterpret_cast<const char *>(File.data()), File.size());
-  const bool WasMapped = File.isMapped();
-  File.close();
-  if (Info) {
-    Info->Format = TraceFormat::Text;
-    Info->UsedMmap = WasMapped;
-  }
-  return parseTraceText(Text, Out, Err);
-}
-
-bool perfplay::loadTrace(const std::string &Path, Trace &Out,
-                         std::string &Err, TraceLoadMode Mode) {
-  MappedFile File;
-  return loadTraceKeepMapping(Path, Out, Err, File, Mode);
-}
-
-Expected<Trace> perfplay::readTraceFile(const std::string &Path,
-                                        TraceLoadMode Mode) {
-  Trace Out;
+/// The loading policy behind openTraceFile and readTraceFile.  \p Names
+/// applies only to a v3 parse served by a real mmap; streamed bytes
+/// die with this call, so their names are always owned.
+static Expected<LoadedTrace> loadTraceFile(const std::string &Path,
+                                           NameStorage Names) {
+  LoadedTrace L;
   std::string Err;
-  if (!loadTrace(Path, Out, Err, Mode))
+  auto Mapping = std::make_shared<MappedFile>();
+  std::string Reason = mmapDowngradeReason(Path);
+  if (Reason.empty()) {
+    // Some network/FUSE mounts refuse mmap on regular files; those
+    // keep working through the stream path.
+    if (!Mapping->open(Path, Err))
+      Reason = "mmap open failed: " + Err;
+    else if (Mapping->size() == 0)
+      Reason = "file is empty (nothing to map)";
+  }
+
+  std::vector<uint8_t> Streamed;
+  const uint8_t *Data = Mapping->data();
+  size_t Size = Mapping->size();
+  if (!Reason.empty()) {
+    Mapping.reset();
+    Names = NameStorage::Owned;
+    if (!readStream(Path, Streamed, Err))
+      return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
+    Data = Streamed.data();
+    Size = Streamed.size();
+  }
+  L.Info.UsedMmap = Reason.empty();
+  L.Info.MmapDowngradeReason = std::move(Reason);
+
+  if (!parseSniffed(Data, Size, L.Tr, Err, Names, L.Info.Format))
     return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
-  return Out;
+  L.Info.BorrowedNames =
+      Names == NameStorage::Borrowed && L.Info.Format == TraceFormat::V3;
+  // Pin the mapping only when names point into it: a text parse copied
+  // everything out, and its mapping would keep the file resident for
+  // no benefit.
+  if (L.Info.BorrowedNames)
+    L.Mapping = std::move(Mapping);
+  return L;
+}
+
+Expected<LoadedTrace> perfplay::openTraceFile(const std::string &Path) {
+  return loadTraceFile(Path, NameStorage::Borrowed);
+}
+
+Expected<Trace> perfplay::readTraceFile(const std::string &Path) {
+  Expected<LoadedTrace> L = loadTraceFile(Path, NameStorage::Owned);
+  if (!L)
+    return L.error();
+  return std::move(L->Tr);
 }

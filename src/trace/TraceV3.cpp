@@ -11,8 +11,8 @@
 //                          (minor 3.1, rwlock/trylock/condvar kinds)
 //
 // Every count is validated against the byte budget that must contain
-// it before any container is sized (the v1 parser's hostile-input
-// discipline), varints are capped at 10 bytes, and the directory is
+// it before any container is sized, so a forged header cannot drive
+// an allocation beyond the file's own size; varints are capped at 10 bytes, and the directory is
 // cross-checked against the decoded streams (event counts, acquire
 // counts, first/last timestamps), which is what makes it trustworthy
 // enough to drive the parallel loader's span layout and the O(threads)
@@ -22,6 +22,7 @@
 
 #include "trace/TraceV3.h"
 
+#include "support/MappedFile.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -102,8 +103,8 @@ uint64_t uid(uint32_t Id) {
 
 enum class VarintStatus { Ok, Truncated, Overrun };
 
-/// Bounds-checked little-endian cursor over a borrowed byte range —
-/// the v3 counterpart of TraceIO.cpp's ByteReader, plus varints.
+/// Bounds-checked little-endian cursor over a borrowed byte range
+/// (typically a read-only file mapping), with LEB128 varints.
 class V3Cursor {
 public:
   V3Cursor(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
@@ -616,7 +617,7 @@ bool decodeEventStream(const uint8_t *Bytes, size_t Size,
 }
 
 /// Parses the side-table section: remainder lock/site entries, then
-/// the transformed-trace tables in the v1 order.
+/// the transformed-trace tables (locksets, constraints, schedule).
 bool parseSideTables(V3Cursor &C, detail::V3TableState &Tables,
                      std::string &Err) {
   Trace &Tr = *Tables.Tr;
@@ -1043,6 +1044,24 @@ bool TraceV3Writer::finish(std::string &Err) {
   return true;
 }
 
+/// Feeds all of \p Tr through \p W and finishes it.
+static bool writeWholeTrace(TraceV3Writer &W, const Trace &Tr,
+                            std::string &Err) {
+  for (const LockInfo &L : Tr.Locks)
+    W.addLock(L.IsSpin, Tr.Names.str(L.Name));
+  for (const CodeSite &S : Tr.Sites)
+    W.addSite(S.BeginLine, S.EndLine, Tr.Names.str(S.File),
+              Tr.Names.str(S.Function));
+  W.setSideTables(Tr.Locksets, Tr.Constraints, Tr.LockSchedule);
+  W.setNumThreads(static_cast<uint32_t>(Tr.Threads.size()));
+  for (uint32_t T = 0; T != Tr.Threads.size(); ++T) {
+    W.beginThread(T);
+    for (const Event &E : Tr.Threads[T].Events)
+      W.append(E);
+  }
+  return W.finish(Err);
+}
+
 std::vector<uint8_t> perfplay::writeTraceV3(const Trace &Tr,
                                             size_t TargetChunkBytes) {
   std::vector<uint8_t> Bytes;
@@ -1053,20 +1072,8 @@ std::vector<uint8_t> perfplay::writeTraceV3(const Trace &Tr,
         return true;
       },
       TargetChunkBytes);
-  for (const LockInfo &L : Tr.Locks)
-    W.addLock(L.IsSpin, Tr.Names.str(L.Name));
-  for (const CodeSite &S : Tr.Sites)
-    W.addSite(S.BeginLine, S.EndLine, Tr.Names.str(S.File),
-              Tr.Names.str(S.Function));
-  W.setSideTables(Tr.Locksets, Tr.Constraints, Tr.LockSchedule);
-  W.setNumThreads(static_cast<uint32_t>(Tr.Threads.size()));
-  for (uint32_t T = 0; T != Tr.Threads.size(); ++T) {
-    W.beginThread(T);
-    for (const Event &E : Tr.Threads[T].Events)
-      W.append(E);
-  }
   std::string Err;
-  bool Ok = W.finish(Err);
+  bool Ok = writeWholeTrace(W, Tr, Err);
   assert(Ok && "in-memory sink cannot fail");
   (void)Ok;
   return Bytes;
@@ -1074,36 +1081,15 @@ std::vector<uint8_t> perfplay::writeTraceV3(const Trace &Tr,
 
 bool perfplay::saveTraceV3(const Trace &Tr, const std::string &Path,
                            std::string &Err, size_t TargetChunkBytes) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  TraceV3Writer W(
-      [&](const void *Data, size_t Size) {
-        return std::fwrite(Data, 1, Size, F) == Size;
-      },
-      TargetChunkBytes);
-  for (const LockInfo &L : Tr.Locks)
-    W.addLock(L.IsSpin, Tr.Names.str(L.Name));
-  for (const CodeSite &S : Tr.Sites)
-    W.addSite(S.BeginLine, S.EndLine, Tr.Names.str(S.File),
-              Tr.Names.str(S.Function));
-  W.setSideTables(Tr.Locksets, Tr.Constraints, Tr.LockSchedule);
-  W.setNumThreads(static_cast<uint32_t>(Tr.Threads.size()));
-  for (uint32_t T = 0; T != Tr.Threads.size(); ++T) {
-    W.beginThread(T);
-    for (const Event &E : Tr.Threads[T].Events)
-      W.append(E);
-  }
-  bool Ok = W.finish(Err);
-  if (std::fclose(F) != 0 && Ok) {
-    Err = "short write to '" + Path + "'";
-    Ok = false;
-  }
-  if (!Ok && Err.empty())
-    Err = "short write to '" + Path + "'";
-  return Ok;
+  return replaceFileAtomically(
+      Path, Err, [&](std::FILE *F, std::string &WriteErr) {
+        TraceV3Writer W(
+            [&](const void *Data, size_t Size) {
+              return std::fwrite(Data, 1, Size, F) == Size;
+            },
+            TargetChunkBytes);
+        return writeWholeTrace(W, Tr, WriteErr);
+      });
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,8 +11,7 @@
 /// a chunk directory in the footer so readers can seek without
 /// scanning.  The layout is modeled on T-espresso's slot-buffered
 /// tracefile (fixed-size slots, per-slot record counts, commit
-/// counters) and exists for the two consumers the flat v1 encoding
-/// cannot serve:
+/// counters) and serves two consumers a flat encoding cannot:
 ///
 ///  - **parallel full load**: chunks decode concurrently on
 ///    support/ThreadPool into disjoint per-thread event spans stitched
@@ -190,7 +189,7 @@ std::vector<uint8_t> writeTraceV3(const Trace &Tr,
 /// Parallel-parse knobs for parseTraceV3.
 struct V3ParseOptions {
   /// String storage of the parsed trace; Borrowed requires \p Data to
-  /// outlive it (same contract as parseTraceBinary).
+  /// outlive it (trace/TraceIO.h, NameStorage).
   NameStorage Names = NameStorage::Owned;
   /// Workers decoding chunks concurrently; 0 = one per hardware
   /// thread, 1 = fully serial (no pool constructed).
@@ -293,9 +292,10 @@ private:
   std::vector<uint8_t> ChunkBuf;
 };
 
-/// Writes \p Tr to \p Path in v3 via the streaming writer.  Returns
-/// false on I/O error.  (saveTrace with TraceFormat::V3 forwards
-/// here.)
+/// Writes \p Tr to \p Path in v3 via the streaming writer, replacing
+/// the file atomically (replaceFileAtomically, support/MappedFile.h).
+/// Returns false on I/O error.  (saveTrace with TraceFormat::V3
+/// forwards here.)
 bool saveTraceV3(const Trace &Tr, const std::string &Path,
                  std::string &Err,
                  size_t TargetChunkBytes = DefaultV3ChunkBytes);

@@ -341,15 +341,14 @@ TEST(ConcurrencyStressTest, RecorderConcurrentRegistrationAndLogging) {
 
 namespace {
 
-/// Writes tinyTrace(Salt) to a temp binary file; distinct salts give
+/// Writes tinyTrace(Salt) to a temp v3 file; distinct salts give
 /// distinct contents and therefore distinct content hashes.
 std::string cacheTraceFile(unsigned Salt) {
   std::string Path = testing::TempDir() + "pp_cache_" +
                      std::to_string(::getpid()) + "_" +
-                     std::to_string(Salt) + ".btrace";
+                     std::to_string(Salt) + ".v3trace";
   std::string Err;
-  EXPECT_TRUE(
-      saveTrace(tinyTrace(Salt), Path, Err, TraceFormat::Binary))
+  EXPECT_TRUE(saveTrace(tinyTrace(Salt), Path, Err, TraceFormat::V3))
       << Err;
   return Path;
 }
@@ -418,10 +417,9 @@ TEST(ConcurrencyStressTest, TraceCacheEvictionChurn) {
   std::vector<size_t> ExpectEvents;
   for (unsigned I = 0; I != NumFiles; ++I) {
     Paths.push_back(cacheTraceFile(100 + I));
-    Trace Tr;
-    std::string Err;
-    ASSERT_TRUE(loadTrace(Paths.back(), Tr, Err)) << Err;
-    ExpectEvents.push_back(Tr.numEvents());
+    Expected<Trace> Tr = readTraceFile(Paths.back());
+    ASSERT_TRUE(Tr.ok()) << Tr.message();
+    ExpectEvents.push_back(Tr->numEvents());
   }
 
   // Budget ~ one file: every insert evicts something else.
@@ -599,11 +597,10 @@ TEST(ConcurrencyStressTest, RecordRuntimeNoDropExactCounts) {
   EXPECT_EQ(S.UnmatchedReleases, 0u);
   EXPECT_EQ(S.SynthesizedReleases, 0u);
 
-  Trace Tr;
-  std::string Err;
-  ASSERT_TRUE(loadTrace(Out, Tr, Err)) << Err;
-  EXPECT_EQ(Tr.numThreads(), NumThreads);
-  EXPECT_EQ(Tr.numCriticalSections(), NumThreads * Rounds * 2ull);
+  Expected<Trace> Tr = readTraceFile(Out);
+  ASSERT_TRUE(Tr.ok()) << Tr.message();
+  EXPECT_EQ(Tr->numThreads(), NumThreads);
+  EXPECT_EQ(Tr->numCriticalSections(), NumThreads * Rounds * 2ull);
   std::remove(Out.c_str());
 }
 
@@ -637,9 +634,8 @@ TEST(ConcurrencyStressTest, RecordRuntimeUndersizedRingCountsDrops) {
 
   // Dropped opens/releases may leave dangling state, but the fixups
   // must still deliver a loadable trace.
-  Trace Tr;
-  std::string Err;
-  ASSERT_TRUE(loadTrace(Out, Tr, Err)) << Err;
+  Expected<Trace> Tr = readTraceFile(Out);
+  ASSERT_TRUE(Tr.ok()) << Tr.message();
   std::remove(Out.c_str());
 }
 
@@ -699,10 +695,9 @@ TEST(ConcurrencyStressTest, RecordRuntimeRandomOpsAlwaysValid) {
     ASSERT_TRUE(S.Ok) << S.Error;
     EXPECT_EQ(S.Attempts, S.Records + S.Drops);
 
-    Trace Tr;
-    std::string Err;
-    ASSERT_TRUE(loadTrace(Out, Tr, Err)) << "seed " << Seed << ": " << Err;
-    EXPECT_EQ(Tr.numThreads(), NumThreads);
+    Expected<Trace> Tr = readTraceFile(Out);
+    ASSERT_TRUE(Tr.ok()) << "seed " << Seed << ": " << Tr.message();
+    EXPECT_EQ(Tr->numThreads(), NumThreads);
     std::remove(Out.c_str());
   }
 }

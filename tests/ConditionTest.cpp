@@ -15,22 +15,26 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 using namespace perfplay;
 
 namespace {
 
-/// One waiter parked on a condition; one setter flips the flag.
+/// One waiter parked on a condition; one setter flips the flag.  The
+/// waiter always registers first, so it is thread 0.
 Trace recordCondWait() {
   Recorder R;
   RecordingMutex Mu(R, "L");
   RecordingCondition Cond;
   SharedVar<uint64_t> Flag(R, "cond_flag");
   std::atomic<bool> Ready{false};
+  std::atomic<bool> WaiterRegistered{false};
 
   std::thread Waiter([&] {
     ThreadId T = R.registerThread();
+    WaiterRegistered.store(true);
     Mu.lock(T, PERFPLAY_CODE_SITE(R, 30, 40));
     Cond.wait(Mu, T, [&] { return Ready.load(); },
               PERFPLAY_CODE_SITE(R, 35, 40));
@@ -38,6 +42,8 @@ Trace recordCondWait() {
     Mu.unlock(T);
   });
   std::thread Setter([&] {
+    while (!WaiterRegistered.load())
+      std::this_thread::yield();
     ThreadId T = R.registerThread();
     // Give the waiter a chance to park first (timing is best-effort;
     // the trace shape below holds either way).
@@ -112,9 +118,11 @@ Trace recordNamedCondWait() {
   RecordingCondition Cond(R, "cv");
   SharedVar<uint64_t> Flag(R, "named_cond_flag");
   std::atomic<bool> Ready{false};
+  std::atomic<bool> WaiterRegistered{false};
 
   std::thread Waiter([&] {
     ThreadId T = R.registerThread();
+    WaiterRegistered.store(true);
     Mu.lock(T, PERFPLAY_CODE_SITE(R, 30, 40));
     Cond.wait(Mu, T, [&] { return Ready.load(); },
               PERFPLAY_CODE_SITE(R, 35, 40));
@@ -122,6 +130,8 @@ Trace recordNamedCondWait() {
     Mu.unlock(T);
   });
   std::thread Setter([&] {
+    while (!WaiterRegistered.load())
+      std::this_thread::yield();
     ThreadId T = R.registerThread();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     Mu.lock(T, PERFPLAY_CODE_SITE(R, 50, 55));

@@ -102,10 +102,9 @@ std::map<std::string, uint64_t> readStats(const std::string &Path) {
 }
 
 Trace load(const std::string &Path) {
-  Trace Tr;
-  std::string Err;
-  EXPECT_TRUE(loadTrace(Path, Tr, Err)) << Err;
-  return Tr;
+  Expected<Trace> Tr = readTraceFile(Path);
+  EXPECT_TRUE(Tr.ok()) << Tr.message();
+  return Tr.ok() ? std::move(*Tr) : Trace();
 }
 
 /// Everything two recordings of the same workload must agree on.

@@ -46,9 +46,9 @@ std::string probeTracePath() {
   }
   Trace Tr = B.finish();
   std::string Path = testing::TempDir() + "pp_proto_probe_" +
-                     std::to_string(::getpid()) + ".btrace";
+                     std::to_string(::getpid()) + ".v3trace";
   std::string Err;
-  EXPECT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::Binary)) << Err;
+  EXPECT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::V3)) << Err;
   return Path;
 }
 

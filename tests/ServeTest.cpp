@@ -55,14 +55,14 @@ Trace saltedTrace(unsigned Salt, unsigned Rounds = 6) {
   return B.finish();
 }
 
-/// Writes \p Tr to a temp file in the binary format and returns the
+/// Writes \p Tr to a temp file in the v3 format and returns the
 /// path.
 std::string writeTraceFile(const Trace &Tr, const char *Name) {
   std::string Path =
       testing::TempDir() + "pp_serve_" + Name + "_" +
-      std::to_string(::getpid()) + ".btrace";
+      std::to_string(::getpid()) + ".v3trace";
   std::string Err;
-  EXPECT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::Binary)) << Err;
+  EXPECT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::V3)) << Err;
   return Path;
 }
 
@@ -155,7 +155,7 @@ TEST(ServeTest, SecondRequestServedFromCache) {
   {
     Trace Tr = saltedTrace(2);
     std::string Err;
-    ASSERT_TRUE(saveTrace(Tr, Copy, Err, TraceFormat::Binary)) << Err;
+    ASSERT_TRUE(saveTrace(Tr, Copy, Err, TraceFormat::V3)) << Err;
   }
   Expected<ResultSummary> Aliased = Client.analyze(
       [&] { AnalyzeRequest R; R.Path = Copy; return R; }());

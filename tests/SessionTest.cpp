@@ -8,6 +8,7 @@
 #include "core/Engine.h"
 #include "core/PerfPlay.h"
 
+#include "support/MappedFile.h"
 #include "trace/TraceBuilder.h"
 #include "workloads/Apps.h"
 #include "workloads/CaseStudies.h"
@@ -632,27 +633,23 @@ TEST(SessionTest, CappedDetectThreadsBoundsTheProduct) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionTest, OpenSessionFromFileMatchesInMemorySession) {
-  std::string Path = testing::TempDir() + "perfplay_session.btrace";
+  std::string Path = testing::TempDir() + "perfplay_session.v3trace";
   std::string Err;
-  ASSERT_TRUE(
-      saveTrace(figure1Trace(), Path, Err, TraceFormat::Binary))
-      << Err;
+  ASSERT_TRUE(saveTrace(figure1Trace(), Path, Err, TraceFormat::V3)) << Err;
 
   Engine Eng;
   Expected<AnalysisSession> FromFile = Eng.openSessionFromFile(Path);
   ASSERT_TRUE(FromFile.ok()) << FromFile.message();
-  // The zero-copy load path pins the mapping for the session's life.
-  EXPECT_NE(FromFile->backingMapping(), nullptr);
+  // The zero-copy load path borrows names from the mapping and pins it
+  // for the session's life.
+  if (MappedFile::supportsMapping()) {
+    EXPECT_NE(FromFile->backingMapping(), nullptr);
+    EXPECT_EQ(FromFile->trace().Names.stats().OwnedBytes, 0u);
+  }
 
   PipelineResult FileRun = FromFile->run();
   ASSERT_TRUE(FileRun.ok()) << FileRun.Error;
   expectSameResult(FileRun, runPerfPlay(figure1Trace()));
-
-  // The explicit streaming mode carries no mapping.
-  Expected<AnalysisSession> Streamed =
-      Eng.openSessionFromFile(Path, TraceLoadMode::Stream);
-  ASSERT_TRUE(Streamed.ok()) << Streamed.message();
-  EXPECT_EQ(Streamed->backingMapping(), nullptr);
   std::remove(Path.c_str());
 
   // Text traces parse out of their own copy; nothing to pin.
@@ -671,11 +668,11 @@ TEST(SessionTest, OpenSessionFromFileMatchesInMemorySession) {
 
 TEST(SessionTest, FileStreamingBatchLoadsLazilyAndIsolatesLoadFailures) {
   std::string Dir = testing::TempDir();
-  std::string Good1 = Dir + "perfplay_batch1.btrace";
+  std::string Good1 = Dir + "perfplay_batch1.v3trace";
   std::string Good2 = Dir + "perfplay_batch2.trace";
   std::string Missing = Dir + "perfplay_batch_missing.trace";
   std::string Err;
-  ASSERT_TRUE(saveTrace(figure1Trace(), Good1, Err, TraceFormat::Binary))
+  ASSERT_TRUE(saveTrace(figure1Trace(), Good1, Err, TraceFormat::V3))
       << Err;
   ASSERT_TRUE(saveTrace(figure1Trace(), Good2, Err, TraceFormat::Text))
       << Err;
@@ -702,4 +699,45 @@ TEST(SessionTest, FileStreamingBatchLoadsLazilyAndIsolatesLoadFailures) {
   EXPECT_EQ(Agg.NumFailed, 1u);
   std::remove(Good1.c_str());
   std::remove(Good2.c_str());
+}
+
+// A session's names borrow from its file mapping, so rewriting the
+// file under it must not truncate the mapped bytes: saveTrace replaces
+// the file atomically, and the session keeps reading the old inode.
+// A writer that truncated in place would raise SIGBUS below.
+TEST(SessionTest, RewritingTheFileUnderABorrowingSessionIsSafe) {
+  TraceBuilder B;
+  // Long names spread the string tables over many pages, so most of
+  // them lie past the end of the small replacement file.
+  std::vector<std::string> Names;
+  for (unsigned I = 0; I != 64; ++I)
+    Names.push_back("lock-" + std::to_string(I) + std::string(256, 'x'));
+  ThreadId T = B.addThread();
+  for (unsigned I = 0; I != Names.size(); ++I) {
+    LockId L = B.addLock(Names[I]);
+    CodeSiteId S = B.addSite("site-" + Names[I] + ".cc", "f", I, I + 1);
+    B.beginCs(T, L, S);
+    B.endCs(T);
+  }
+  Trace Original = B.finish();
+
+  std::string Path = testing::TempDir() + "perfplay_rewritten.v3trace";
+  std::string Err;
+  ASSERT_TRUE(saveTrace(Original, Path, Err, TraceFormat::V3)) << Err;
+  Engine Eng;
+  Expected<AnalysisSession> Session = Eng.openSessionFromFile(Path);
+  ASSERT_TRUE(Session.ok()) << Session.message();
+
+  ASSERT_TRUE(saveTrace(figure1Trace(), Path, Err, TraceFormat::V3)) << Err;
+
+  const Trace &Tr = Session->trace();
+  ASSERT_EQ(Tr.Locks.size(), Original.Locks.size());
+  for (LockId L = 0; L != Tr.Locks.size(); ++L)
+    EXPECT_EQ(Tr.lockName(L), Original.lockName(L));
+  ASSERT_EQ(Tr.Sites.size(), Original.Sites.size());
+  for (CodeSiteId S = 0; S != Tr.Sites.size(); ++S) {
+    EXPECT_EQ(Tr.siteFile(S), Original.siteFile(S));
+    EXPECT_EQ(Tr.siteFunction(S), Original.siteFunction(S));
+  }
+  std::remove(Path.c_str());
 }

@@ -2,7 +2,7 @@
 
 #include "support/StringPool.h"
 #include "trace/TraceBuilder.h"
-#include "trace/TraceIO.h"
+#include "trace/TraceV3.h"
 
 #include <gtest/gtest.h>
 
@@ -177,12 +177,13 @@ TEST(StringPoolTest, BorrowedTraceNamesPointIntoTheInputBuffer) {
   ThreadId T = B.addThread();
   B.beginCs(T, 0, 0);
   B.endCs(T);
-  std::vector<uint8_t> Bytes = writeTraceBinary(B.finish());
+  std::vector<uint8_t> Bytes = writeTraceV3(B.finish());
 
   Trace Out;
   std::string Err;
-  ASSERT_TRUE(parseTraceBinary(Bytes.data(), Bytes.size(), Out, Err,
-                               NameStorage::Borrowed))
+  V3ParseOptions Opts;
+  Opts.Names = NameStorage::Borrowed;
+  ASSERT_TRUE(parseTraceV3(Bytes.data(), Bytes.size(), Out, Err, Opts))
       << Err;
   EXPECT_EQ(Out.lockName(0), "buffer-resident-lock");
   EXPECT_EQ(Out.Names.stats().OwnedBytes, 0u);

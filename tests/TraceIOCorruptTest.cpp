@@ -1,13 +1,12 @@
 //===- tests/TraceIOCorruptTest.cpp - hostile-input hardening ---------------===//
 //
-// A mutation corpus over the binary trace format (truncations, bad
-// magic, inflated table counts, oversized string lengths): every
-// corrupt input must fail with a typed diagnostic — and the inflated
-// counts specifically with "count exceeds file size" *before* any
-// allocation proportional to the forged count, so a hostile 12-byte
-// header can never OOM the loader.  Plus loader-mode parity: the
-// zero-copy mmap path and the copying stream path must parse
-// byte-identical traces from the same files.
+// A mutation corpus over the trace formats (truncations, bad magic,
+// inflated table counts, varint overruns): every corrupt input must
+// fail with a typed diagnostic — and the inflated counts specifically
+// with "count exceeds ..." *before* any allocation proportional to the
+// forged count, so a hostile header can never OOM the loader.  Plus
+// loader parity: the file loaders (mmap or stream) and the byte-buffer
+// parser must produce byte-identical traces from the same bytes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,340 +47,6 @@ void patchU32(std::vector<uint8_t> &Bytes, size_t Offset, uint32_t V) {
     Bytes[Offset + I] = static_cast<uint8_t>(V >> (8 * I));
 }
 
-const char Magic[8] = {'P', 'F', 'P', 'L', 'T', 'R', 'C', '1'};
-
-std::vector<uint8_t> magicOnly() {
-  return std::vector<uint8_t>(Magic, Magic + sizeof(Magic));
-}
-
-/// The smallest well-formed binary trace: magic plus six zero table
-/// counts (locks, sites, locksets, constraints, schedule, threads).
-std::vector<uint8_t> emptyTraceBytes() {
-  std::vector<uint8_t> Bytes = magicOnly();
-  for (int Table = 0; Table != 6; ++Table)
-    appendU32(Bytes, 0);
-  return Bytes;
-}
-
-std::vector<uint8_t> realTraceBytes() {
-  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.5));
-  recordGrantSchedule(Tr, 7);
-  return writeTraceBinary(Tr);
-}
-
-std::string tempPath(const char *Name) {
-  return testing::TempDir() + "perfplay_corrupt_" + Name;
-}
-
-bool parseBytes(const std::vector<uint8_t> &Bytes, Trace &Out,
-                std::string &Err) {
-  return parseTraceBinary(Bytes.data(), Bytes.size(), Out, Err);
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Hostile headers: counts beyond the byte budget
-//===----------------------------------------------------------------------===//
-
-// The motivating bug: a 12-byte file whose lock-table count promises
-// four billion entries.  The old loader believed it; the loops would
-// spin and the downstream tables resize multi-gigabyte vectors.
-TEST(TraceIOCorruptTest, TwelveByteHostileHeaderFailsFast) {
-  std::vector<uint8_t> Bytes = magicOnly();
-  appendU32(Bytes, 0xFFFFFFFFu);
-  ASSERT_EQ(Bytes.size(), 12u);
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseBytes(Bytes, Out, Err));
-  EXPECT_NE(Err.find("lock table count exceeds file size"),
-            std::string::npos)
-      << Err;
-}
-
-// Inflate each of the six top-level table counts in turn; every one
-// must be rejected against the remaining bytes, not trusted.
-TEST(TraceIOCorruptTest, InflatedTableCountsAreTyped) {
-  const char *Tables[] = {"lock", "site", "lockset", "constraint",
-                          "schedule", "thread"};
-  for (size_t Table = 0; Table != 6; ++Table) {
-    std::vector<uint8_t> Bytes = emptyTraceBytes();
-    patchU32(Bytes, sizeof(Magic) + 4 * Table, 0x7FFFFFFFu);
-    Trace Out;
-    std::string Err;
-    EXPECT_FALSE(parseBytes(Bytes, Out, Err)) << Tables[Table];
-    EXPECT_NE(Err.find("count exceeds file size"), std::string::npos)
-        << Tables[Table] << ": " << Err;
-  }
-}
-
-// Nested counts: a lockset's entry count, a schedule order's entry
-// count, and a thread's event count are validated the same way.  The
-// format is sequential, so each hostile stream is built table by
-// table up to the forged count.
-TEST(TraceIOCorruptTest, InflatedNestedCountsAreTyped) {
-  {
-    std::vector<uint8_t> Bytes = magicOnly();
-    appendU32(Bytes, 0);           // locks
-    appendU32(Bytes, 0);           // sites
-    appendU32(Bytes, 1);           // one lockset...
-    appendU32(Bytes, 0xFFFFFF00u); // ...with 4G entries
-    Trace Out;
-    std::string Err;
-    EXPECT_FALSE(parseBytes(Bytes, Out, Err));
-    EXPECT_NE(Err.find("lockset entry count exceeds file size"),
-              std::string::npos)
-        << Err;
-  }
-  {
-    std::vector<uint8_t> Bytes = magicOnly();
-    for (int Table = 0; Table != 4; ++Table)
-      appendU32(Bytes, 0);         // locks/sites/locksets/constraints
-    appendU32(Bytes, 1);           // one per-lock order...
-    appendU32(Bytes, 0xFFFFFF00u); // ...with 4G grant entries
-    Trace Out;
-    std::string Err;
-    EXPECT_FALSE(parseBytes(Bytes, Out, Err));
-    EXPECT_NE(Err.find("schedule entry count exceeds file size"),
-              std::string::npos)
-        << Err;
-  }
-  {
-    std::vector<uint8_t> Bytes = magicOnly();
-    for (int Table = 0; Table != 5; ++Table)
-      appendU32(Bytes, 0);        // every table up to threads
-    appendU32(Bytes, 1);          // one thread...
-    appendU32(Bytes, 0x40000000u); // ...claiming 1G events
-    Trace Out;
-    std::string Err;
-    EXPECT_FALSE(parseBytes(Bytes, Out, Err));
-    EXPECT_NE(Err.find("event count exceeds file size"),
-              std::string::npos)
-        << Err;
-  }
-}
-
-TEST(TraceIOCorruptTest, OversizedStringLengthFails) {
-  std::vector<uint8_t> Bytes = magicOnly();
-  appendU32(Bytes, 1);           // one lock entry
-  Bytes.push_back(0);            // IsSpin
-  appendU32(Bytes, 0xFFFFFF00u); // name "length"
-  Bytes.push_back('x');          // one actual byte of name
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseBytes(Bytes, Out, Err));
-  EXPECT_FALSE(Err.empty());
-}
-
-TEST(TraceIOCorruptTest, BadMagicIsTyped) {
-  std::vector<uint8_t> Bytes = realTraceBytes();
-  Bytes[3] ^= 0x20;
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseBytes(Bytes, Out, Err));
-  EXPECT_NE(Err.find("bad magic"), std::string::npos) << Err;
-}
-
-// Every truncation point of a real trace either fails with a
-// diagnostic or (never, for a proper prefix) parses valid — no crash,
-// no unbounded allocation.
-TEST(TraceIOCorruptTest, EveryTruncationFailsGracefully) {
-  const std::vector<uint8_t> Base = realTraceBytes();
-  ASSERT_GT(Base.size(), 64u);
-  for (size_t Len = 0; Len < Base.size(); Len += 7) {
-    std::vector<uint8_t> Prefix(Base.begin(),
-                                Base.begin() + static_cast<ptrdiff_t>(Len));
-    Trace Out;
-    std::string Err;
-    bool Ok = parseTraceBinary(Prefix.data(), Prefix.size(), Out, Err);
-    if (Ok)
-      EXPECT_EQ(Out.validate(), "") << "prefix " << Len;
-    else
-      EXPECT_FALSE(Err.empty()) << "prefix " << Len;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Text-format count hardening
-//===----------------------------------------------------------------------===//
-
-TEST(TraceIOCorruptTest, TextScheduleCountBeyondInputFails) {
-  std::string Text = "perfplay-trace-v1\nlocks 0\nsites 0\nlocksets 0\n"
-                     "constraints 0\nschedule 4000000000\n";
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseTraceText(Text, Out, Err));
-  EXPECT_NE(Err.find("schedule count exceeds input size"),
-            std::string::npos)
-      << Err;
-}
-
-TEST(TraceIOCorruptTest, TextEventCountBeyondInputFails) {
-  std::string Text = "perfplay-trace-v1\nlocks 0\nsites 0\nlocksets 0\n"
-                     "constraints 0\nschedule 0\nthreads 1\n"
-                     "thread 4000000000\n";
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseTraceText(Text, Out, Err));
-  EXPECT_NE(Err.find("event count exceeds input size"), std::string::npos)
-      << Err;
-}
-
-//===----------------------------------------------------------------------===//
-// Loader-mode parity and typed file errors
-//===----------------------------------------------------------------------===//
-
-// The acceptance bar for the zero-copy path: on round-tripped traces
-// of both formats, mmap and stream loads are byte-identical.
-TEST(TraceIOCorruptTest, MmapAndStreamLoadsAreByteIdentical) {
-  const size_t Apps[] = {0, 4, 9};
-  for (size_t AppIdx : Apps) {
-    const AppModel &App = allApps()[AppIdx];
-    Trace Tr = generateWorkload(App.Factory(2, 0.25));
-    recordGrantSchedule(Tr, 11);
-    const std::string Golden = writeTraceText(Tr);
-
-    for (TraceFormat Format : {TraceFormat::Text, TraceFormat::Binary}) {
-      std::string Path = tempPath(App.Name.c_str());
-      std::string Err;
-      ASSERT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
-      for (TraceLoadMode Mode : {TraceLoadMode::Auto, TraceLoadMode::Mmap,
-                                 TraceLoadMode::Stream}) {
-        Trace Back;
-        ASSERT_TRUE(loadTrace(Path, Back, Err, Mode))
-            << App.Name << ": " << Err;
-        EXPECT_EQ(writeTraceText(Back), Golden) << App.Name;
-      }
-      std::remove(Path.c_str());
-    }
-  }
-}
-
-TEST(TraceIOCorruptTest, ReadTraceFileReportsTypedErrors) {
-  Expected<Trace> Missing =
-      readTraceFile(tempPath("does_not_exist.trace"));
-  ASSERT_FALSE(Missing.ok());
-  EXPECT_EQ(Missing.code(), ErrorCode::TraceIOFailed);
-  EXPECT_STREQ(errorCodeName(Missing.code()), "trace-io-failed");
-
-  // A hostile header through the file API carries the same typed
-  // diagnostic.
-  std::string Path = tempPath("hostile.btrace");
-  std::vector<uint8_t> Bytes = magicOnly();
-  appendU32(Bytes, 0xFFFFFFFFu);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  std::fclose(F);
-  for (TraceLoadMode Mode : {TraceLoadMode::Mmap, TraceLoadMode::Stream}) {
-    Expected<Trace> Hostile = readTraceFile(Path, Mode);
-    ASSERT_FALSE(Hostile.ok());
-    EXPECT_EQ(Hostile.code(), ErrorCode::TraceIOFailed);
-    EXPECT_NE(Hostile.message().find("count exceeds file size"),
-              std::string::npos)
-        << Hostile.message();
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(TraceIOCorruptTest, ReadTraceFileRoundTrips) {
-  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
-  recordGrantSchedule(Tr, 5);
-  std::string Path = tempPath("roundtrip.btrace");
-  std::string Err;
-  ASSERT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::Binary)) << Err;
-  Expected<Trace> Back = readTraceFile(Path);
-  ASSERT_TRUE(Back.ok()) << Back.message();
-  EXPECT_EQ(writeTraceText(*Back), writeTraceText(Tr));
-  std::remove(Path.c_str());
-}
-
-// parseTraceBuffer sniffs the format from borrowed bytes — the entry
-// point callers holding raw buffers use directly.
-TEST(TraceIOCorruptTest, ParseTraceBufferDispatchesBothFormats) {
-  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
-  recordGrantSchedule(Tr, 5);
-  const std::string Golden = writeTraceText(Tr);
-
-  std::vector<uint8_t> Bin = writeTraceBinary(Tr);
-  Trace FromBin;
-  std::string Err;
-  ASSERT_TRUE(parseTraceBuffer(Bin.data(), Bin.size(), FromBin, Err))
-      << Err;
-  EXPECT_EQ(writeTraceText(FromBin), Golden);
-
-  Trace FromText;
-  ASSERT_TRUE(parseTraceBuffer(
-      reinterpret_cast<const uint8_t *>(Golden.data()), Golden.size(),
-      FromText, Err))
-      << Err;
-  EXPECT_EQ(writeTraceText(FromText), Golden);
-
-  Trace FromEmpty;
-  EXPECT_FALSE(parseTraceBuffer(nullptr, 0, FromEmpty, Err));
-  EXPECT_FALSE(Err.empty());
-}
-
-#if defined(__unix__) || defined(__APPLE__)
-// Pipes stat as size-0 and cannot be mapped; the Auto loader must
-// stream them (with a single open — a failed map attempt would eat
-// the FIFO's read end) exactly as the pre-mmap loader did.
-TEST(TraceIOCorruptTest, AutoModeStreamsFromFifos) {
-  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
-  recordGrantSchedule(Tr, 3);
-  const std::string Text = writeTraceText(Tr);
-
-  std::string Fifo = tempPath("pipe.trace");
-  std::remove(Fifo.c_str());
-  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << strerror(errno);
-  EXPECT_FALSE(MappedFile::isMappablePath(Fifo));
-  std::thread Writer([&] {
-    FILE *F = std::fopen(Fifo.c_str(), "wb");
-    if (F) {
-      std::fwrite(Text.data(), 1, Text.size(), F);
-      std::fclose(F);
-    }
-  });
-  Trace Out;
-  std::string Err;
-  EXPECT_TRUE(loadTrace(Fifo, Out, Err)) << Err; // Auto is the default
-  Writer.join();
-  EXPECT_EQ(writeTraceText(Out), Text);
-
-  // Explicit Stream mode must open the pipe exactly once too.
-  std::thread Writer2([&] {
-    FILE *F = std::fopen(Fifo.c_str(), "wb");
-    if (F) {
-      std::fwrite(Text.data(), 1, Text.size(), F);
-      std::fclose(F);
-    }
-  });
-  Trace Out2;
-  EXPECT_TRUE(loadTrace(Fifo, Out2, Err, TraceLoadMode::Stream)) << Err;
-  Writer2.join();
-  EXPECT_EQ(writeTraceText(Out2), Text);
-
-  // Explicit Mmap on a FIFO is rejected immediately (no blocking open,
-  // no consumed read end, no bogus empty-parse diagnostic).
-  Trace Out3;
-  EXPECT_FALSE(loadTrace(Fifo, Out3, Err, TraceLoadMode::Mmap));
-  EXPECT_NE(Err.find("not a regular file"), std::string::npos) << Err;
-  std::remove(Fifo.c_str());
-}
-#endif
-
-//===----------------------------------------------------------------------===//
-// v3 mutation corpus
-//
-// Same discipline as the v1 corpus: every forged count must be
-// rejected against the byte budget that would have to contain it
-// *before* any allocation, and every mutation fails with a typed
-// diagnostic.  The footer/directory offsets used for patching follow
-// the normative layout in docs/TRACE_FORMAT.md.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
 void appendU64(std::vector<uint8_t> &Bytes, uint64_t V) {
   for (int I = 0; I != 8; ++I)
     Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
@@ -420,7 +85,181 @@ bool parseV3(const std::vector<uint8_t> &Bytes, Trace &Out,
   return parseTraceV3(Bytes.data(), Bytes.size(), Out, Err);
 }
 
+std::string tempPath(const char *Name) {
+  return testing::TempDir() + "perfplay_corrupt_" + Name;
+}
+
+void writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
+  FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr);
+  std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+  std::fclose(F);
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Text-format count hardening
+//===----------------------------------------------------------------------===//
+
+TEST(TraceIOCorruptTest, TextScheduleCountBeyondInputFails) {
+  std::string Text = "perfplay-trace-v1\nlocks 0\nsites 0\nlocksets 0\n"
+                     "constraints 0\nschedule 4000000000\n";
+  Trace Out;
+  std::string Err;
+  EXPECT_FALSE(parseTraceText(Text, Out, Err));
+  EXPECT_NE(Err.find("schedule count exceeds input size"),
+            std::string::npos)
+      << Err;
+}
+
+TEST(TraceIOCorruptTest, TextEventCountBeyondInputFails) {
+  std::string Text = "perfplay-trace-v1\nlocks 0\nsites 0\nlocksets 0\n"
+                     "constraints 0\nschedule 0\nthreads 1\n"
+                     "thread 4000000000\n";
+  Trace Out;
+  std::string Err;
+  EXPECT_FALSE(parseTraceText(Text, Out, Err));
+  EXPECT_NE(Err.find("event count exceeds input size"), std::string::npos)
+      << Err;
+}
+
+//===----------------------------------------------------------------------===//
+// Loader parity and typed file errors
+//===----------------------------------------------------------------------===//
+
+// The acceptance bar for the zero-copy path: on round-tripped traces
+// of both formats, the mmap file loaders (owned and borrowed names)
+// and the byte-buffer parser produce byte-identical traces.
+TEST(TraceIOCorruptTest, FileAndBufferLoadsAreByteIdentical) {
+  const size_t Apps[] = {0, 4, 9};
+  for (size_t AppIdx : Apps) {
+    const AppModel &App = allApps()[AppIdx];
+    Trace Tr = generateWorkload(App.Factory(2, 0.25));
+    recordGrantSchedule(Tr, 11);
+    const std::string Golden = writeTraceText(Tr);
+
+    for (TraceFormat Format : {TraceFormat::Text, TraceFormat::V3}) {
+      std::string Path = tempPath(App.Name.c_str());
+      std::string Err;
+      ASSERT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
+      Expected<Trace> Owned = readTraceFile(Path);
+      ASSERT_TRUE(Owned.ok()) << App.Name << ": " << Owned.message();
+      EXPECT_EQ(writeTraceText(*Owned), Golden) << App.Name;
+      Expected<LoadedTrace> Borrowed = openTraceFile(Path);
+      ASSERT_TRUE(Borrowed.ok()) << App.Name << ": " << Borrowed.message();
+      EXPECT_EQ(writeTraceText(Borrowed->Tr), Golden) << App.Name;
+      MappedFile File;
+      ASSERT_TRUE(File.open(Path, Err)) << Err;
+      Trace FromBuffer;
+      ASSERT_TRUE(parseTraceBuffer(File.data(), File.size(), FromBuffer, Err))
+          << App.Name << ": " << Err;
+      EXPECT_EQ(writeTraceText(FromBuffer), Golden) << App.Name;
+      std::remove(Path.c_str());
+    }
+  }
+}
+
+TEST(TraceIOCorruptTest, ReadTraceFileReportsTypedErrors) {
+  Expected<Trace> Missing =
+      readTraceFile(tempPath("does_not_exist.trace"));
+  ASSERT_FALSE(Missing.ok());
+  EXPECT_EQ(Missing.code(), ErrorCode::TraceIOFailed);
+  EXPECT_STREQ(errorCodeName(Missing.code()), "trace-io-failed");
+
+  // A forged footer count through the file API carries the same typed
+  // diagnostic as through the parser.
+  std::string Path = tempPath("hostile.v3trace");
+  std::vector<uint8_t> Bytes = realV3Bytes();
+  patchU32(Bytes, Bytes.size() - V3FootNumLocks, 0xFFFFFFFFu);
+  writeFile(Path, Bytes);
+  Expected<Trace> Hostile = readTraceFile(Path);
+  ASSERT_FALSE(Hostile.ok());
+  EXPECT_EQ(Hostile.code(), ErrorCode::TraceIOFailed);
+  EXPECT_NE(Hostile.message().find("lock table count exceeds file size"),
+            std::string::npos)
+      << Hostile.message();
+  std::remove(Path.c_str());
+}
+
+TEST(TraceIOCorruptTest, ReadTraceFileRoundTrips) {
+  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
+  recordGrantSchedule(Tr, 5);
+  std::string Path = tempPath("roundtrip.v3trace");
+  std::string Err;
+  ASSERT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::V3)) << Err;
+  Expected<Trace> Back = readTraceFile(Path);
+  ASSERT_TRUE(Back.ok()) << Back.message();
+  EXPECT_EQ(writeTraceText(*Back), writeTraceText(Tr));
+  std::remove(Path.c_str());
+}
+
+// parseTraceBuffer sniffs the format from borrowed bytes — the entry
+// point callers holding raw buffers use directly.
+TEST(TraceIOCorruptTest, ParseTraceBufferDispatchesBothFormats) {
+  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
+  recordGrantSchedule(Tr, 5);
+  const std::string Golden = writeTraceText(Tr);
+
+  std::vector<uint8_t> V3 = writeTraceV3(Tr);
+  Trace FromV3;
+  std::string Err;
+  ASSERT_TRUE(parseTraceBuffer(V3.data(), V3.size(), FromV3, Err)) << Err;
+  EXPECT_EQ(writeTraceText(FromV3), Golden);
+
+  Trace FromText;
+  ASSERT_TRUE(parseTraceBuffer(
+      reinterpret_cast<const uint8_t *>(Golden.data()), Golden.size(),
+      FromText, Err))
+      << Err;
+  EXPECT_EQ(writeTraceText(FromText), Golden);
+
+  Trace FromEmpty;
+  EXPECT_FALSE(parseTraceBuffer(nullptr, 0, FromEmpty, Err));
+  EXPECT_FALSE(Err.empty());
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+// Pipes stat as size-0 and cannot be mapped; the loader must stream
+// them (with a single open — a failed map attempt would eat the FIFO's
+// read end) and say why it did not map.
+TEST(TraceIOCorruptTest, AutoModeStreamsFromFifos) {
+  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
+  recordGrantSchedule(Tr, 3);
+  const std::string Text = writeTraceText(Tr);
+
+  std::string Fifo = tempPath("pipe.trace");
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << strerror(errno);
+  EXPECT_EQ(MappedFile::classifyPath(Fifo), MappedFile::PathKind::Other);
+  std::thread Writer([&] {
+    FILE *F = std::fopen(Fifo.c_str(), "wb");
+    if (F) {
+      std::fwrite(Text.data(), 1, Text.size(), F);
+      std::fclose(F);
+    }
+  });
+  Expected<LoadedTrace> Out = openTraceFile(Fifo);
+  Writer.join();
+  ASSERT_TRUE(Out.ok()) << Out.message();
+  EXPECT_EQ(writeTraceText(Out->Tr), Text);
+  EXPECT_FALSE(Out->Info.UsedMmap);
+  EXPECT_EQ(Out->Mapping, nullptr);
+  EXPECT_NE(Out->Info.MmapDowngradeReason.find("not a regular file"),
+            std::string::npos)
+      << Out->Info.MmapDowngradeReason;
+  std::remove(Fifo.c_str());
+}
+#endif
+
+//===----------------------------------------------------------------------===//
+// v3 mutation corpus
+//
+// Every forged count must be rejected against the byte budget that
+// would have to contain it *before* any allocation, and every mutation
+// fails with a typed diagnostic.  The footer/directory offsets used
+// for patching follow the normative layout in docs/TRACE_FORMAT.md.
+//===----------------------------------------------------------------------===//
 
 TEST(TraceIOCorruptTest, V3BadFooterMagicIsTyped) {
   std::vector<uint8_t> Bytes = realV3Bytes();
@@ -449,9 +288,8 @@ TEST(TraceIOCorruptTest, V3BadDirectoryOffsetIsTyped) {
   EXPECT_NE(Err.find("bad v3 section offsets"), std::string::npos) << Err;
 }
 
-// The v3 twin of the motivating 12-byte v1 attack: forged counts in
-// the footer must be rejected against the file's byte budget before
-// any table is sized.
+// The motivating attack: forged counts in the footer must be rejected
+// against the file's byte budget before any table is sized.
 TEST(TraceIOCorruptTest, V3InflatedFooterCountsFailFast) {
   {
     std::vector<uint8_t> Bytes = realV3Bytes();
@@ -607,8 +445,8 @@ TEST(TraceIOCorruptTest, V3MissingLockDefinitionIsTyped) {
   EXPECT_NE(Err.find("missing lock definition"), std::string::npos) << Err;
 }
 
-// Same sweep as the v1 corpus: every truncation point of a real v3
-// trace fails with a diagnostic — no crash, no unbounded allocation.
+// Every truncation point of a real v3 trace fails with a diagnostic —
+// no crash, no unbounded allocation.
 TEST(TraceIOCorruptTest, V3EveryTruncationFailsGracefully) {
   const std::vector<uint8_t> Base = realV3Bytes();
   ASSERT_GT(Base.size(), 128u);
@@ -633,10 +471,7 @@ TEST(TraceIOCorruptTest, V3WindowedReaderRejectsCorruptFiles) {
   uint64_t DirOff = readU64(Bytes, Bytes.size() - V3FootDirOff);
   patchU64(Bytes, Bytes.size() - V3FootDirOff, DirOff + 4);
   std::string Path = tempPath("corrupt.v3trace");
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  std::fclose(F);
+  writeFile(Path, Bytes);
 
   WindowedReader R;
   std::string Err;
@@ -823,10 +658,9 @@ TEST(TraceIOCorruptTest, V3RecorderKilledMidFlushIsTyped) {
   }
   std::fclose(F);
 
-  Trace Tr;
-  std::string Err;
-  EXPECT_FALSE(loadTrace(Path, Tr, Err));
-  EXPECT_FALSE(Err.empty());
+  Expected<Trace> Tr = readTraceFile(Path);
+  ASSERT_FALSE(Tr.ok());
+  EXPECT_FALSE(Tr.message().empty());
 
   WindowedReader Reader;
   std::string WinErr;
@@ -849,12 +683,11 @@ TEST(TraceIOCorruptTest, RecorderZeroEventTraceRoundTrips) {
     EXPECT_EQ(S.TraceEvents, 0u);
     EXPECT_EQ(S.Sections, 0u);
   }
-  Trace Tr;
-  std::string Err;
-  ASSERT_TRUE(loadTrace(Path, Tr, Err)) << Err;
-  EXPECT_EQ(Tr.numThreads(), 0u);
-  EXPECT_EQ(Tr.numEvents(), 0u);
-  EXPECT_EQ(Tr.validate(), "");
+  Expected<Trace> Tr = readTraceFile(Path);
+  ASSERT_TRUE(Tr.ok()) << Tr.message();
+  EXPECT_EQ(Tr->numThreads(), 0u);
+  EXPECT_EQ(Tr->numEvents(), 0u);
+  EXPECT_EQ(Tr->validate(), "");
   // The temporary never survives a clean finalize.
   std::FILE *Tmp = std::fopen((Path + ".tmp").c_str(), "rb");
   EXPECT_EQ(Tmp, nullptr);

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceIO.h"
+#include "trace/TraceV3.h"
 
 #include "sim/Replayer.h"
 #include "support/Rng.h"
@@ -26,10 +27,10 @@ std::string baseText() {
   return writeTraceText(Tr);
 }
 
-std::vector<uint8_t> baseBinary() {
+std::vector<uint8_t> baseV3() {
   Trace Tr = generateWorkload(makeTransmissionBT(2, 1.0));
   recordGrantSchedule(Tr, 7);
-  return writeTraceBinary(Tr);
+  return writeTraceV3(Tr);
 }
 
 class TextFuzzTest : public testing::TestWithParam<uint64_t> {};
@@ -77,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TextFuzzTest,
                          testing::Range<uint64_t>(1, 33));
 
 TEST_P(BinaryFuzzTest, MutatedBytesNeverCrash) {
-  static const std::vector<uint8_t> Base = baseBinary();
+  static const std::vector<uint8_t> Base = baseV3();
   Rng R(GetParam() * 7919);
   std::vector<uint8_t> Mutated = Base;
   unsigned NumMutations = static_cast<unsigned>(R.nextInRange(1, 12));
@@ -99,7 +100,7 @@ TEST_P(BinaryFuzzTest, MutatedBytesNeverCrash) {
   }
   Trace Out;
   std::string Err;
-  bool Ok = parseTraceBinary(Mutated, Out, Err);
+  bool Ok = parseTraceV3(Mutated.data(), Mutated.size(), Out, Err);
   if (Ok)
     EXPECT_EQ(Out.validate(), "");
   else
@@ -126,12 +127,13 @@ TEST_P(RoundTripTest, PrintParsePrintIsAFixpoint) {
   ASSERT_TRUE(parseTraceText(First, Back, Err)) << App.Name << ": " << Err;
   EXPECT_EQ(writeTraceText(Back), First) << App.Name;
 
-  std::vector<uint8_t> Bin = writeTraceBinary(Tr);
-  Trace BinBack;
-  ASSERT_TRUE(parseTraceBinary(Bin, BinBack, Err)) << App.Name;
-  EXPECT_EQ(writeTraceBinary(BinBack), Bin) << App.Name;
-  // Cross-format: text of the binary round-trip equals the original.
-  EXPECT_EQ(writeTraceText(BinBack), First) << App.Name;
+  std::vector<uint8_t> V3 = writeTraceV3(Tr);
+  Trace V3Back;
+  ASSERT_TRUE(parseTraceV3(V3.data(), V3.size(), V3Back, Err))
+      << App.Name << ": " << Err;
+  EXPECT_EQ(writeTraceV3(V3Back), V3) << App.Name;
+  // Cross-format: text of the v3 round-trip equals the original.
+  EXPECT_EQ(writeTraceText(V3Back), First) << App.Name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, RoundTripTest,

@@ -184,15 +184,6 @@ TEST(TraceIOTest, TextRoundTrip) {
   expectTracesEqual(Tr, Back);
 }
 
-TEST(TraceIOTest, BinaryRoundTrip) {
-  Trace Tr = makeRichTrace();
-  std::vector<uint8_t> Bytes = writeTraceBinary(Tr);
-  Trace Back;
-  std::string Err;
-  ASSERT_TRUE(parseTraceBinary(Bytes, Back, Err)) << Err;
-  expectTracesEqual(Tr, Back);
-}
-
 TEST(TraceIOTest, TextRejectsBadMagic) {
   Trace Out;
   std::string Err;
@@ -222,22 +213,6 @@ TEST(TraceIOTest, TextRejectsUnknownEvent) {
   EXPECT_FALSE(parseTraceText(Text, Out, Err));
 }
 
-TEST(TraceIOTest, BinaryRejectsBadMagic) {
-  std::vector<uint8_t> Bytes = {'X', 'X', 'X', 'X', 0, 0, 0, 0};
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseTraceBinary(Bytes, Out, Err));
-}
-
-TEST(TraceIOTest, BinaryRejectsTruncated) {
-  Trace Tr = makeRichTrace();
-  std::vector<uint8_t> Bytes = writeTraceBinary(Tr);
-  Bytes.resize(Bytes.size() - 5);
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(parseTraceBinary(Bytes, Out, Err));
-}
-
 TEST(TraceIOTest, NamesWithSpacesSurvive) {
   Trace Tr = makeRichTrace();
   std::string Text = writeTraceText(Tr);
@@ -254,29 +229,16 @@ TEST(TraceIOTest, FileSaveAndLoad) {
   std::string Path = testing::TempDir() + "/perfplay_trace_io_test.trace";
   std::string Err;
   ASSERT_TRUE(saveTrace(Tr, Path, Err)) << Err;
-  Trace Back;
-  ASSERT_TRUE(loadTrace(Path, Back, Err)) << Err;
-  expectTracesEqual(Tr, Back);
-  std::remove(Path.c_str());
-}
-
-TEST(TraceIOTest, BinaryFileSaveAndAutoDetectLoad) {
-  Trace Tr = makeRichTrace();
-  std::string Path = testing::TempDir() + "/perfplay_trace_io_test.btrace";
-  std::string Err;
-  ASSERT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::Binary)) << Err;
-  // loadTrace sniffs the magic bytes: no format hint needed.
-  Trace Back;
-  ASSERT_TRUE(loadTrace(Path, Back, Err)) << Err;
-  expectTracesEqual(Tr, Back);
+  Expected<Trace> Back = readTraceFile(Path);
+  ASSERT_TRUE(Back.ok()) << Back.message();
+  expectTracesEqual(Tr, *Back);
   std::remove(Path.c_str());
 }
 
 TEST(TraceIOTest, LoadMissingFileFails) {
-  Trace Out;
-  std::string Err;
-  EXPECT_FALSE(loadTrace("/nonexistent/path/x.trace", Out, Err));
-  EXPECT_FALSE(Err.empty());
+  Expected<Trace> Out = readTraceFile("/nonexistent/path/x.trace");
+  ASSERT_FALSE(Out.ok());
+  EXPECT_FALSE(Out.message().empty());
 }
 
 // saveTrace must round-trip pooled names through EVERY format
@@ -286,25 +248,16 @@ TEST(TraceIOTest, LoadMissingFileFails) {
 TEST(TraceIOTest, GoldenRoundTripAllFormats) {
   Trace Tr = makeRichTrace();
   std::string Err;
-  for (TraceFormat Format :
-       {TraceFormat::Text, TraceFormat::Binary, TraceFormat::V3}) {
+  for (TraceFormat Format : {TraceFormat::Text, TraceFormat::V3}) {
     std::string Path = testing::TempDir() + "/perfplay_golden.trace";
     ASSERT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
-    Trace Back;
-    ASSERT_TRUE(loadTrace(Path, Back, Err)) << Err;
-    switch (Format) {
-    case TraceFormat::Text:
-      EXPECT_EQ(writeTraceText(Back), writeTraceText(Tr));
-      break;
-    case TraceFormat::Binary:
-      EXPECT_EQ(writeTraceBinary(Back), writeTraceBinary(Tr));
-      break;
-    case TraceFormat::V3:
+    Expected<Trace> BackOr = readTraceFile(Path);
+    ASSERT_TRUE(BackOr.ok()) << BackOr.message();
+    const Trace &Back = *BackOr;
+    if (Format == TraceFormat::V3)
       EXPECT_EQ(writeTraceV3(Back), writeTraceV3(Tr));
-      break;
-    }
-    // And the cross-format renderings agree too: a binary or v3
-    // reload prints the same text as the original.
+    // And the cross-format renderings agree too: a v3 reload prints
+    // the same text as the original.
     EXPECT_EQ(writeTraceText(Back), writeTraceText(Tr));
     std::remove(Path.c_str());
   }
@@ -354,51 +307,27 @@ TEST(TraceIOTest, V3ParallelParseMatchesSerial) {
   expectTracesEqual(Tr, Parallel);
 }
 
-// v2 -> v3 -> v2 is a golden identity: converting an existing binary
-// trace up to v3 and back reproduces the v2 bytes exactly.
-TEST(TraceIOTest, V2V3ConversionGolden) {
-  Trace Tr = makeRichTrace();
-  std::vector<uint8_t> V2 = writeTraceBinary(Tr);
-  Trace FromV2;
-  std::string Err;
-  ASSERT_TRUE(parseTraceBinary(V2, FromV2, Err)) << Err;
-  std::vector<uint8_t> V3 = writeTraceV3(FromV2);
-  Trace FromV3;
-  ASSERT_TRUE(parseTraceV3(V3.data(), V3.size(), FromV3, Err)) << Err;
-  EXPECT_EQ(writeTraceBinary(FromV3), V2);
-  expectTracesEqual(Tr, FromV3);
-}
-
 TEST(TraceIOTest, V3FileSaveAndAutoDetectLoad) {
   Trace Tr = makeRichTrace();
   std::string Path = testing::TempDir() + "/perfplay_trace_io_test.v3trace";
   std::string Err;
   ASSERT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::V3)) << Err;
-  // loadTrace sniffs the magic bytes: no format hint needed, in every
-  // loader mode.
-  for (TraceLoadMode Mode :
-       {TraceLoadMode::Auto, TraceLoadMode::Mmap, TraceLoadMode::Stream}) {
-    Trace Back;
-    ASSERT_TRUE(loadTrace(Path, Back, Err, Mode)) << Err;
-    expectTracesEqual(Tr, Back);
-  }
+  // The loaders sniff the magic bytes: no format hint needed.
+  Expected<Trace> Back = readTraceFile(Path);
+  ASSERT_TRUE(Back.ok()) << Back.message();
+  expectTracesEqual(Tr, *Back);
   // Borrowed names parse straight out of the pinned mapping.
-  {
-    MappedFile File;
-    Trace Borrowed;
-    TraceLoadInfo Info;
-    ASSERT_TRUE(loadTraceKeepMapping(Path, Borrowed, Err, File,
-                                     TraceLoadMode::Mmap,
-                                     NameStorage::Borrowed, &Info))
-        << Err;
-    expectTracesEqual(Tr, Borrowed);
-    EXPECT_EQ(Info.Format, TraceFormat::V3);
-    if (File.isMapped()) {
-      EXPECT_TRUE(Info.UsedMmap);
-      EXPECT_TRUE(Info.BorrowedNames);
-      EXPECT_EQ(Borrowed.Names.stats().OwnedBytes, 0u)
-          << "borrowed parse must not copy names";
-    }
+  Expected<LoadedTrace> Loaded = openTraceFile(Path);
+  ASSERT_TRUE(Loaded.ok()) << Loaded.message();
+  expectTracesEqual(Tr, Loaded->Tr);
+  EXPECT_EQ(Loaded->Info.Format, TraceFormat::V3);
+  if (MappedFile::supportsMapping()) {
+    EXPECT_TRUE(Loaded->Info.UsedMmap);
+    EXPECT_TRUE(Loaded->Info.BorrowedNames);
+    EXPECT_TRUE(Loaded->Info.MmapDowngradeReason.empty());
+    ASSERT_NE(Loaded->Mapping, nullptr);
+    EXPECT_EQ(Loaded->Tr.Names.stats().OwnedBytes, 0u)
+        << "borrowed parse must not copy names";
   }
   std::remove(Path.c_str());
 }
@@ -409,24 +338,16 @@ TEST(TraceIOTest, V3FileSaveAndAutoDetectLoad) {
 TEST(TraceIOTest, ExtendedVocabularyGoldenRoundTripAllFormats) {
   Trace Tr = makeExtendedTrace();
   std::string Err;
-  for (TraceFormat Format :
-       {TraceFormat::Text, TraceFormat::Binary, TraceFormat::V3}) {
+  for (TraceFormat Format : {TraceFormat::Text, TraceFormat::V3}) {
     std::string Path = testing::TempDir() + "/perfplay_ext_golden.trace";
     ASSERT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
-    Trace Back;
-    ASSERT_TRUE(loadTrace(Path, Back, Err)) << Err;
+    Expected<Trace> BackOr = readTraceFile(Path);
+    ASSERT_TRUE(BackOr.ok()) << BackOr.message();
+    const Trace &Back = *BackOr;
     expectTracesEqual(Tr, Back);
-    switch (Format) {
-    case TraceFormat::Text:
-      EXPECT_EQ(writeTraceText(Back), writeTraceText(Tr));
-      break;
-    case TraceFormat::Binary:
-      EXPECT_EQ(writeTraceBinary(Back), writeTraceBinary(Tr));
-      break;
-    case TraceFormat::V3:
+    EXPECT_EQ(writeTraceText(Back), writeTraceText(Tr));
+    if (Format == TraceFormat::V3)
       EXPECT_EQ(writeTraceV3(Back), writeTraceV3(Tr));
-      break;
-    }
     std::remove(Path.c_str());
   }
 }
@@ -531,16 +452,17 @@ TEST(TraceIOTest, WindowedReaderStitchesWholeTrace) {
   std::remove(Path.c_str());
 }
 
-// Every loader mode — text, binary-stream, binary-mmap (owned names),
-// and binary-mmap with borrowed names via loadTraceKeepMapping — must
-// resolve the exact same names for every lock and site.
-TEST(TraceIOTest, NameParityAcrossLoaderModes) {
+// Every loader — text and v3 through readTraceFile (owned names), v3
+// through openTraceFile (names borrowed from the mapping), and v3 bytes
+// through parseTraceBuffer — must resolve the exact same names for
+// every lock and site.
+TEST(TraceIOTest, NameParityAcrossLoaders) {
   Trace Tr = makeRichTrace();
   std::string Err;
   std::string TextPath = testing::TempDir() + "/perfplay_parity.trace";
-  std::string BinPath = testing::TempDir() + "/perfplay_parity.btrace";
+  std::string V3Path = testing::TempDir() + "/perfplay_parity.v3trace";
   ASSERT_TRUE(saveTrace(Tr, TextPath, Err, TraceFormat::Text)) << Err;
-  ASSERT_TRUE(saveTrace(Tr, BinPath, Err, TraceFormat::Binary)) << Err;
+  ASSERT_TRUE(saveTrace(Tr, V3Path, Err, TraceFormat::V3)) << Err;
 
   auto expectNamesMatch = [&](const Trace &Got, const char *Mode) {
     ASSERT_EQ(Got.Locks.size(), Tr.Locks.size()) << Mode;
@@ -559,32 +481,28 @@ TEST(TraceIOTest, NameParityAcrossLoaderModes) {
     }
   };
 
-  Trace Got;
-  ASSERT_TRUE(loadTrace(TextPath, Got, Err, TraceLoadMode::Stream)) << Err;
-  expectNamesMatch(Got, "text/stream");
-  ASSERT_TRUE(loadTrace(TextPath, Got, Err, TraceLoadMode::Mmap)) << Err;
-  expectNamesMatch(Got, "text/mmap");
-  ASSERT_TRUE(loadTrace(BinPath, Got, Err, TraceLoadMode::Stream)) << Err;
-  expectNamesMatch(Got, "binary/stream");
-  ASSERT_TRUE(loadTrace(BinPath, Got, Err, TraceLoadMode::Mmap)) << Err;
-  expectNamesMatch(Got, "binary/mmap-owned");
+  Expected<Trace> FromText = readTraceFile(TextPath);
+  ASSERT_TRUE(FromText.ok()) << FromText.message();
+  expectNamesMatch(*FromText, "text");
+  Expected<Trace> Owned = readTraceFile(V3Path);
+  ASSERT_TRUE(Owned.ok()) << Owned.message();
+  expectNamesMatch(*Owned, "v3/owned");
+  std::vector<uint8_t> Bytes = writeTraceV3(Tr);
+  Trace FromBuffer;
+  ASSERT_TRUE(parseTraceBuffer(Bytes.data(), Bytes.size(), FromBuffer, Err))
+      << Err;
+  expectNamesMatch(FromBuffer, "v3/buffer");
 
-  // Borrowed storage: names are views into the (still open) mapping.
-  {
-    MappedFile File;
-    Trace Borrowed;
-    ASSERT_TRUE(loadTraceKeepMapping(BinPath, Borrowed, Err, File,
-                                     TraceLoadMode::Mmap,
-                                     NameStorage::Borrowed))
-        << Err;
-    expectNamesMatch(Borrowed, "binary/mmap-borrowed");
-    if (File.isMapped())
-      EXPECT_EQ(Borrowed.Names.stats().OwnedBytes, 0u)
-          << "borrowed parse must not copy names";
-  }
+  // Borrowed storage: names are views into the pinned mapping.
+  Expected<LoadedTrace> Borrowed = openTraceFile(V3Path);
+  ASSERT_TRUE(Borrowed.ok()) << Borrowed.message();
+  expectNamesMatch(Borrowed->Tr, "v3/borrowed");
+  if (Borrowed->Info.BorrowedNames)
+    EXPECT_EQ(Borrowed->Tr.Names.stats().OwnedBytes, 0u)
+        << "borrowed parse must not copy names";
 
   std::remove(TextPath.c_str());
-  std::remove(BinPath.c_str());
+  std::remove(V3Path.c_str());
 }
 
 TEST(TraceIOTest, EmptyTraceRoundTrips) {

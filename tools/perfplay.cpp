@@ -6,7 +6,7 @@
 // Subcommands:
 //   perfplay list-apps
 //   perfplay generate <app> [--threads N] [--scale S] [--seed N]
-//                     [--out FILE] [--format text|binary|v3]
+//                     [--out FILE] [--format text|v3]
 //   perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]
 //                    [--races] [--threads N] [--detect-threads N]
 //                    [--no-dedup] [--set-repr auto|sorted|bitset]
@@ -36,7 +36,6 @@
 #include "sim/LockElision.h"
 #include "sim/Timeline.h"
 #include "support/Format.h"
-#include "support/MappedFile.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "debug/CsvExport.h"
@@ -149,17 +148,16 @@ int usage() {
       "  perfplay list-apps\n"
       "  perfplay generate <app> [--threads N] [--scale S] [--seed N]"
       " [--out FILE]\n"
-      "                   [--format text|binary|v3]\n"
+      "                   [--format text|v3]\n"
       "  perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]"
       " [--races]\n"
       "                  [--timeline] [--csv] [--progress] [--threads N]\n"
-      "                  [--detect-threads N] [--no-dedup]"
-      " [--mmap|--no-mmap]\n"
+      "                  [--detect-threads N] [--no-dedup]\n"
       "                  [--set-repr auto|sorted|bitset]"
       " [--window-events N]\n"
       "  perfplay replay <trace> [--scheme orig|elsc|sync|mem|sle|htm]"
       " [--seed N]\n"
-      "                 [--replays K] [--mmap|--no-mmap]\n"
+      "                 [--replays K]\n"
       "                 [--htm-capacity N] [--htm-retries N]"
       " [--abort-penalty NS]\n"
       "                 [--abort-rate R]\n"
@@ -169,8 +167,8 @@ int usage() {
       " --\n"
       "                 <program> [args...]\n"
       "  perfplay casestudy <bug1|bug2|mysql> [--threads N] [--scale S]\n"
-      "  perfplay convert <trace> [--out FILE] [--mmap|--no-mmap]\n"
-      "  perfplay stats <trace> [--verbose] [--mmap|--no-mmap]\n"
+      "  perfplay convert <trace> [--out FILE]\n"
+      "  perfplay stats <trace> [--verbose]\n"
       "  perfplay serve --socket PATH [--workers N]"
       " [--cache-budget BYTES]\n"
       "                [--max-queue N] [--idle-timeout MS]\n"
@@ -179,9 +177,9 @@ int usage() {
       "                 [--no-cache]\n"
       "  perfplay client --socket PATH stats|shutdown\n"
       "options accept both '--name value' and '--name=value';\n"
-      "trace files are memory-mapped by default (zero-copy for binary"
-      " traces),\n"
-      "--no-mmap streams them through stdio instead;\n"
+      "trace files are memory-mapped when they are regular files"
+      " (zero-copy for v3),\n"
+      "and streamed through stdio otherwise;\n"
       "analyze --window-events streams a chunked v3 trace through"
       " bounded-memory\n"
       "windowed detection (detection only; 0 = one chunk per window);\n"
@@ -219,40 +217,25 @@ const char *formatName(TraceFormat F) {
   switch (F) {
   case TraceFormat::Text:
     return "text";
-  case TraceFormat::Binary:
-    return "binary";
   case TraceFormat::V3:
     return "v3";
   }
   return "unknown";
 }
 
-/// Parses the --format value of `generate`.  --binary is kept as a
-/// deprecated alias for --format binary.
+/// Parses the --format value of `generate`.
 bool parseTraceFormat(const std::string &S, TraceFormat &Out) {
   if (S == "text")
     Out = TraceFormat::Text;
-  else if (S == "binary")
-    Out = TraceFormat::Binary;
   else if (S == "v3")
     Out = TraceFormat::V3;
   else {
-    std::fprintf(stderr, "error: --format expects text|binary|v3, "
+    std::fprintf(stderr, "error: --format expects text|v3, "
                          "got '%s'\n",
                  S.c_str());
     return false;
   }
   return true;
-}
-
-/// Consumes the loader-mode flags: the default memory-maps trace files
-/// (zero-copy for binary traces), --no-mmap forces the stdio streaming
-/// path, --mmap forces mapping even where Auto would not help.
-TraceLoadMode loadModeFromArgs(ArgList &Args) {
-  bool ForceMmap = Args.flag("--mmap");
-  if (Args.flag("--no-mmap"))
-    return TraceLoadMode::Stream;
-  return ForceMmap ? TraceLoadMode::Mmap : TraceLoadMode::Auto;
 }
 
 int cmdListApps() {
@@ -275,8 +258,7 @@ int cmdGenerate(ArgList &Args) {
   uint64_t Seed = std::strtoull(Args.option("--seed", "42").c_str(),
                                 nullptr, 10);
   std::string Out = Args.option("--out", "");
-  TraceFormat Format =
-      Args.flag("--binary") ? TraceFormat::Binary : TraceFormat::Text;
+  TraceFormat Format = TraceFormat::Text;
   std::string FormatStr = Args.option("--format", "");
   if (!FormatStr.empty() && !parseTraceFormat(FormatStr, Format))
     return 2;
@@ -327,7 +309,7 @@ int cmdGenerate(ArgList &Args) {
 /// keeping the output deterministic across runs and thread counts.
 /// An unreadable or corrupt file fails only its own line.
 int analyzeBatchMode(Engine &Eng, const std::vector<std::string> &Paths,
-                     unsigned Threads, bool Races, TraceLoadMode Mode) {
+                     unsigned Threads, bool Races) {
   struct PendingLine {
     bool Ready = false;
     bool IsError = false;
@@ -381,7 +363,7 @@ int analyzeBatchMode(Engine &Eng, const std::vector<std::string> &Paths,
   };
 
   AggregatedReport Agg =
-      Eng.analyzeBatchFilesStreaming(Paths, Consumer, Threads, Mode);
+      Eng.analyzeBatchFilesStreaming(Paths, Consumer, Threads);
   std::printf("\n%s", renderAggregatedReport(Agg).c_str());
   return Status;
 }
@@ -417,7 +399,6 @@ int cmdAnalyze(ArgList &Args) {
     }
     WindowEvents = V;
   }
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::vector<std::string> Paths;
   for (std::string P = Args.positional(); !P.empty();
        P = Args.positional())
@@ -476,17 +457,16 @@ int cmdAnalyze(ArgList &Args) {
     if (Timeline || Csv)
       std::fprintf(stderr, "warning: --timeline/--csv apply only to "
                            "single-trace analyze; ignored\n");
-    return analyzeBatchMode(Eng, Paths, Threads, Races, Mode);
+    return analyzeBatchMode(Eng, Paths, Threads, Races);
   }
   if (Threads != 0)
     std::fprintf(stderr, "warning: --threads parallelizes across traces "
                          "and is ignored for a single trace; use "
                          "--detect-threads to parallelize detection\n");
 
-  // The session pins the file mapping (zero-copy binary loads) for as
-  // long as it analyzes the trace.
-  Expected<AnalysisSession> SessionOr =
-      Eng.openSessionFromFile(Paths[0], Mode);
+  // The session pins the file mapping (zero-copy v3 loads) for as long
+  // as it analyzes the trace.
+  Expected<AnalysisSession> SessionOr = Eng.openSessionFromFile(Paths[0]);
   if (!SessionOr) {
     std::fprintf(stderr, "error: %s\n", SessionOr.message().c_str());
     return 1;
@@ -547,15 +527,15 @@ int cmdAnalyze(ArgList &Args) {
 /// through the schedule-kind replayer.  Empty knob strings keep each
 /// model's own default (sle and htm differ on every one).
 int replaySpeculation(const std::string &SchemeName, const std::string &Path,
-                      TraceLoadMode Mode, uint64_t Seed, unsigned Replays,
+                      uint64_t Seed, unsigned Replays,
                       const std::string &Capacity, const std::string &Retries,
                       const std::string &Penalty, const std::string &Rate) {
-  Trace Tr;
-  std::string Err;
-  if (!loadTrace(Path, Tr, Err, Mode)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
+  Expected<Trace> TrOr = readTraceFile(Path);
+  if (!TrOr) {
+    std::fprintf(stderr, "error: %s\n", TrOr.message().c_str());
     return 1;
   }
+  const Trace &Tr = *TrOr;
   CsIndex Index = CsIndex::build(Tr);
 
   RunningStats Stats;
@@ -628,14 +608,13 @@ int cmdReplay(ArgList &Args) {
   std::string Retries = Args.option("--htm-retries", "");
   std::string Penalty = Args.option("--abort-penalty", "");
   std::string Rate = Args.option("--abort-rate", "");
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
 
   if (SchemeName == "sle" || SchemeName == "htm")
-    return replaySpeculation(SchemeName, Path, Mode, Seed, Replays,
-                             Capacity, Retries, Penalty, Rate);
+    return replaySpeculation(SchemeName, Path, Seed, Replays, Capacity,
+                             Retries, Penalty, Rate);
 
   ScheduleKind Scheme;
   if (!parseScheduleKind(SchemeName, Scheme)) {
@@ -644,16 +623,15 @@ int cmdReplay(ArgList &Args) {
     return 1;
   }
 
-  Trace Tr;
-  std::string Err;
-  if (!loadTrace(Path, Tr, Err, Mode)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
+  Expected<Trace> TrOr = readTraceFile(Path);
+  if (!TrOr) {
+    std::fprintf(stderr, "error: %s\n", TrOr.message().c_str());
     return 1;
   }
 
   PipelineOptions Opts;
   Opts.RecordSeed = Seed;
-  AnalysisSession Session(std::move(Tr), Opts);
+  AnalysisSession Session(std::move(*TrOr), Opts);
 
   RunningStats Stats;
   const ReplayResult *Last = nullptr;
@@ -681,19 +659,16 @@ int cmdReplay(ArgList &Args) {
 
 int cmdStats(ArgList &Args) {
   bool Verbose = Args.flag("--verbose");
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
-  MappedFile File;
-  Trace Tr;
-  std::string Err;
-  TraceLoadInfo Info;
-  if (!loadTraceKeepMapping(Path, Tr, Err, File, Mode,
-                            NameStorage::Owned, &Info)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
+  Expected<LoadedTrace> Loaded = openTraceFile(Path);
+  if (!Loaded) {
+    std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
     return 1;
   }
+  const Trace &Tr = Loaded->Tr;
+  const TraceLoadInfo &Info = Loaded->Info;
   if (Verbose) {
     std::printf("load: format %s, served by %s\n", formatName(Info.Format),
                 Info.UsedMmap ? "mmap (zero-copy)" : "stream loader");
@@ -706,53 +681,37 @@ int cmdStats(ArgList &Args) {
   return 0;
 }
 
-/// `perfplay convert`: rewrites any readable trace (text, binary, or
-/// v3) as chunked v3.  Without --out the file is replaced atomically —
-/// the v3 bytes land in <path>.tmp first and rename() swaps them in,
-/// so a crash mid-write never clobbers the original.
+/// `perfplay convert`: rewrites any readable trace (text or v3) as
+/// chunked v3, in place unless --out is given.  saveTrace replaces the
+/// file atomically, so a crash mid-write never clobbers the original
+/// and the mapping the loaded trace borrows from stays valid.
 int cmdConvert(ArgList &Args) {
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::string Out = Args.option("--out", "");
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
-  bool InPlace = Out.empty();
+  const std::string &Dest = Out.empty() ? Path : Out;
 
-  MappedFile File;
-  Trace Tr;
-  std::string Err;
-  TraceLoadInfo Info;
-  // Owned names: the source mapping dies before the rename replaces
-  // the file, so nothing may borrow from it.
-  if (!loadTraceKeepMapping(Path, Tr, Err, File, Mode,
-                            NameStorage::Owned, &Info)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
+  Expected<LoadedTrace> Loaded = openTraceFile(Path);
+  if (!Loaded) {
+    std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
     return 1;
   }
-  if (InPlace && Info.Format == TraceFormat::V3) {
+  const Trace &Tr = Loaded->Tr;
+  const TraceFormat Format = Loaded->Info.Format;
+  if (Out.empty() && Format == TraceFormat::V3) {
     std::printf("%s is already chunked v3; nothing to do\n", Path.c_str());
     return 0;
   }
 
-  std::string Dest = InPlace ? Path + ".tmp" : Out;
+  std::string Err;
   if (!saveTrace(Tr, Dest, Err, TraceFormat::V3)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
-    if (InPlace)
-      std::remove(Dest.c_str());
     return 1;
-  }
-  if (InPlace) {
-    if (std::rename(Dest.c_str(), Path.c_str()) != 0) {
-      std::fprintf(stderr, "error: cannot replace %s: %s\n", Path.c_str(),
-                   std::strerror(errno));
-      std::remove(Dest.c_str());
-      return 1;
-    }
-    Dest = Path;
   }
   std::printf("converted %s (%s) -> %s (v3): %u threads, %zu events, "
               "%zu critical sections\n",
-              Path.c_str(), formatName(Info.Format), Dest.c_str(),
+              Path.c_str(), formatName(Format), Dest.c_str(),
               Tr.numThreads(), Tr.numEvents(), Tr.numCriticalSections());
   return 0;
 }
