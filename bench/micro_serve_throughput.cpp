@@ -197,7 +197,7 @@ int main(int Argc, char **Argv) {
         ColdSum += static_cast<double>(Micros);
         ++ColdN;
       }
-      // Populate the caches, then measure warm hits.
+      // Populate the cache, then measure warm hits.
       AnalyzeRequest Req;
       Req.Path = Paths[I];
       (void)Client.analyze(Req);
@@ -291,10 +291,6 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Final.P50Micros));
   std::fprintf(F, "  \"p99_micros\": %llu,\n",
                static_cast<unsigned long long>(Final.P99Micros));
-  std::fprintf(F, "  \"trace_cache_hits\": %llu,\n",
-               static_cast<unsigned long long>(Final.TraceCacheHits));
-  std::fprintf(F, "  \"trace_cache_misses\": %llu,\n",
-               static_cast<unsigned long long>(Final.TraceCacheMisses));
   std::fprintf(F, "  \"result_cache_hits\": %llu,\n",
                static_cast<unsigned long long>(Final.ResultCacheHits));
   std::fprintf(F, "  \"result_cache_misses\": %llu,\n",

@@ -55,10 +55,10 @@ public:
   /// ErrorCode::TraceIOFailed.
   Expected<AnalysisSession> openSessionFromFile(const std::string &Path) const;
 
-  /// Runs the full pipeline over an already-parsed \p Tr — the session
-  /// reuse hook for callers that hold traces beyond one analysis (the
-  /// serve daemon's TraceCache hands out copies of cached parses and
-  /// analyzes them through this).  Equivalent to
+  /// Runs the full pipeline over an already-parsed \p Tr, for callers
+  /// that parse from somewhere other than a file path (the serve
+  /// daemon parses the bytes it mapped, then caches only the summary
+  /// of this result).  Equivalent to
   /// openSession(Tr).analyze() with the engine's options.
   Expected<PipelineResult> analyzeTrace(Trace Tr) const;
 

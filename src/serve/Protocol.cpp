@@ -181,7 +181,6 @@ perfplay::serve::encodeResultSummary(const ResultSummary &Sum) {
         Sum.UlcpFreeTotalTime})
     putU64(P, V);
   P.push_back(Sum.FromResultCache);
-  P.push_back(Sum.FromTraceCache);
   return P;
 }
 
@@ -199,8 +198,7 @@ bool perfplay::serve::decodeResultSummary(const uint8_t *Data, size_t Size,
       Err = "result summary truncated";
       return false;
     }
-  if (!C.getU8(Out.FromResultCache) || !C.getU8(Out.FromTraceCache) ||
-      C.Pos != Size) {
+  if (!C.getU8(Out.FromResultCache) || C.Pos != Size) {
     Err = "result summary malformed";
     return false;
   }
@@ -212,10 +210,9 @@ perfplay::serve::encodeServeStats(const ServeStats &Stats) {
   std::vector<uint8_t> P;
   for (uint64_t V :
        {Stats.RequestsServed, Stats.RequestsFailed, Stats.ProtocolErrors,
-        Stats.RequestsRejected, Stats.TraceCacheHits,
-        Stats.TraceCacheMisses, Stats.ResultCacheHits,
-        Stats.ResultCacheMisses, Stats.CacheEvictions, Stats.CachedTraces,
-        Stats.CachedResults, Stats.CacheBytes, Stats.QueueDepth,
+        Stats.RequestsRejected, Stats.ResultCacheHits,
+        Stats.ResultCacheMisses, Stats.CacheEvictions, Stats.CachedResults,
+        Stats.CacheBytes, Stats.QueueDepth,
         Stats.P50Micros, Stats.P99Micros})
     putU64(P, V);
   return P;
@@ -226,9 +223,8 @@ bool perfplay::serve::decodeServeStats(const uint8_t *Data, size_t Size,
   Cursor C{Data, Size};
   uint64_t *Fields[] = {
       &Out.RequestsServed,   &Out.RequestsFailed, &Out.ProtocolErrors,
-      &Out.RequestsRejected, &Out.TraceCacheHits, &Out.TraceCacheMisses,
-      &Out.ResultCacheHits,  &Out.ResultCacheMisses, &Out.CacheEvictions,
-      &Out.CachedTraces,     &Out.CachedResults,  &Out.CacheBytes,
+      &Out.RequestsRejected, &Out.ResultCacheHits, &Out.ResultCacheMisses,
+      &Out.CacheEvictions,   &Out.CachedResults,  &Out.CacheBytes,
       &Out.QueueDepth,       &Out.P50Micros,      &Out.P99Micros};
   for (uint64_t *F : Fields)
     if (!C.getU64(*F)) {

@@ -88,8 +88,8 @@ struct AnalyzeRequest {
   /// Pair enumeration mode: 0 = adjacent (default), 1 = all
   /// cross-thread pairs.
   uint8_t PairMode = 0;
-  /// Skip the trace/result caches for this request (bench cold-path
-  /// control; also lets a client force re-reading a changed file).
+  /// Skip the result cache for this request (bench cold-path control;
+  /// also lets a client force re-reading a changed file).
   uint8_t NoCache = 0;
   std::string Path;
 };
@@ -113,15 +113,12 @@ struct ResultSummary {
   // Replays (both under the engine's configured scheme/seed).
   uint64_t OriginalTotalTime = 0;
   uint64_t UlcpFreeTotalTime = 0;
-  /// 1 when this response was served from the daemon's result cache
-  /// without re-running the pipeline.
+  /// 1 when this request did not run the pipeline: the answer was
+  /// cached, or another request was computing it and this one waited.
   uint8_t FromResultCache = 0;
-  /// 1 when the parsed trace was reused from the daemon's trace cache
-  /// (no re-parse; implied by FromResultCache).
-  uint8_t FromTraceCache = 0;
 
   /// Parity comparison: every pipeline-determined field, ignoring the
-  /// cache provenance flags.
+  /// cache provenance flag.
   bool sameVerdicts(const ResultSummary &O) const {
     return NullLock == O.NullLock && ReadRead == O.ReadRead &&
            DisjointWrite == O.DisjointWrite && Benign == O.Benign &&
@@ -147,12 +144,9 @@ struct ServeStats {
   uint64_t RequestsFailed = 0;
   uint64_t ProtocolErrors = 0;
   uint64_t RequestsRejected = 0; // admission control (queue full)
-  uint64_t TraceCacheHits = 0;
-  uint64_t TraceCacheMisses = 0;
   uint64_t ResultCacheHits = 0;
-  uint64_t ResultCacheMisses = 0;
+  uint64_t ResultCacheMisses = 0; // pipeline runs through the cache
   uint64_t CacheEvictions = 0;
-  uint64_t CachedTraces = 0;   // point-in-time
   uint64_t CachedResults = 0;  // point-in-time
   uint64_t CacheBytes = 0;     // point-in-time
   uint64_t QueueDepth = 0;     // point-in-time

@@ -3,6 +3,7 @@
 #include "serve/Server.h"
 
 #include "support/MappedFile.h"
+#include "trace/TraceIO.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -254,43 +255,38 @@ void Server::serveConnection(int Fd) {
 }
 
 Expected<ResultSummary> Server::handleAnalyze(const AnalyzeRequest &Req) {
-  // Map + hash once; the hash keys both caches.
   MappedFile File;
   std::string Err;
   if (!File.open(Req.Path, Err))
     return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
-  uint64_t Hash = hashBytes(File.data(), File.size());
-  // The options fingerprint is the verdict-changing option subset the
-  // wire exposes — today exactly PairMode.
-  uint64_t Fp = Req.PairMode;
-  bool Bypass = Req.NoCache != 0;
 
-  ResultSummary Sum;
-  if (!Bypass && Cache.lookupResult(Hash, Fp, Sum)) {
-    Sum.FromResultCache = 1;
-    Sum.FromTraceCache = 1;
-    return Sum;
-  }
+  // Parse the mapped bytes and run the pipeline; the trace dies with
+  // this call, only its summary is kept.
+  auto Analyze = [&]() -> Expected<ResultSummary> {
+    Trace Tr;
+    if (!parseTraceBuffer(File.data(), File.size(), Tr, Err))
+      return PipelineError(ErrorCode::TraceIOFailed, Req.Path + ": " + Err);
+    Engine E = Eng; // Cheap: options + callback.
+    E.options().Detect.PairMode = Req.PairMode
+                                      ? PairModeKind::AllCrossThread
+                                      : PairModeKind::AdjacentCrossThread;
+    Expected<PipelineResult> ResultOr = E.analyzeTrace(std::move(Tr));
+    if (!ResultOr)
+      return ResultOr.error();
+    return summarizeResult(*ResultOr);
+  };
+  if (Req.NoCache)
+    return Analyze();
 
-  bool TraceFromCache = false;
-  Expected<Trace> TrOr = Cache.getTraceBytes(
-      File.data(), File.size(), Hash, Req.Path, TraceFromCache, Bypass);
-  if (!TrOr)
-    return TrOr.error();
-
-  Engine E = Eng; // Cheap: options + callback.
-  E.options().Detect.PairMode = Req.PairMode
-                                    ? PairModeKind::AllCrossThread
-                                    : PairModeKind::AdjacentCrossThread;
-  Expected<PipelineResult> ResultOr = E.analyzeTrace(std::move(*TrOr));
-  if (!ResultOr)
-    return ResultOr.error();
-
-  Sum = summarizeResult(*ResultOr);
-  Sum.FromTraceCache = TraceFromCache ? 1 : 0;
-  if (!Bypass)
-    Cache.storeResult(Hash, Fp, Sum);
-  return Sum;
+  // The key is the content hash plus PairMode, the one verdict-changing
+  // option the wire exposes (any nonzero value means all pairs).
+  bool FromCache = false;
+  Expected<ResultSummary> SumOr = Cache.get(
+      {hashBytes(File.data(), File.size()), Req.PairMode ? 1 : 0}, Analyze,
+      FromCache);
+  if (SumOr)
+    SumOr->FromResultCache = FromCache ? 1 : 0;
+  return SumOr;
 }
 
 void Server::recordLatency(uint64_t Micros) {

@@ -7,7 +7,12 @@
 ///
 /// \file
 /// The resident analysis daemon behind `perfplay serve`: a warm Engine
-/// plus the shared TraceCache, multiplexed over a unix-domain socket.
+/// plus the shared ResultCache, multiplexed over a unix-domain socket.
+/// A request maps its trace, content-hashes it, and either takes the
+/// cached answer or parses + analyzes the bytes once (concurrent
+/// requests for the same answer wait for that one run); a --no-cache
+/// request skips the hash and the cache.  No parsed Trace outlives
+/// its request.
 ///
 /// Structure:
 ///  * one accept thread owns the listen socket and feeds accepted
@@ -27,7 +32,7 @@
 /// Locking (every serve lock is a leaf — see docs/ARCHITECTURE.md):
 ///  * QueueMu (Mutex) + QueueCv guard the connection queue;
 ///  * LatencyMu (Mutex) guards the recent-latency ring (p50/p99);
-///  * the TraceCache's own CacheMu/FlightMu guard the caches.
+///  * the ResultCache's own Mu guards the cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +41,7 @@
 
 #include "core/Engine.h"
 #include "serve/Protocol.h"
-#include "serve/TraceCache.h"
+#include "serve/ResultCache.h"
 #include "support/ThreadAnnotations.h"
 
 #include <atomic>
@@ -56,8 +61,8 @@ struct ServerOptions {
   std::string SocketPath;
   /// Worker threads serving connections (0 = one per hardware thread).
   unsigned NumWorkers = 0;
-  /// Byte budget shared by the trace + result caches (0 disables
-  /// caching; the daemon still serves correctly, just cold).
+  /// Byte budget of the result cache (0 keeps no answers; the daemon
+  /// still serves correctly, just cold).
   size_t CacheBudgetBytes = 64u << 20;
   /// Per-frame allocation bound (Protocol.h FrameLimits).
   uint32_t MaxFrameBytes = 1u << 20;
@@ -138,7 +143,7 @@ private:
 
   ServerOptions Opts;
   Engine Eng;
-  TraceCache Cache;
+  ResultCache Cache;
   FrameLimits Limits;
   unsigned Workers = 1;
   unsigned DetectThreads = 1;

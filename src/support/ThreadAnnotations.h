@@ -40,7 +40,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // -- Attribute macros --------------------------------------------------------
 //
@@ -122,33 +121,6 @@ private:
   std::mutex Mu;
 };
 
-/// An annotated std::shared_mutex (reader/writer capability).  No
-/// current subsystem needs one, but the serve daemon's shared caches
-/// (ROADMAP item 1) will; providing it here keeps "every lock is born
-/// annotated" true when they land.
-class CAPABILITY("shared_mutex") SharedMutex {
-public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex &) = delete;
-  SharedMutex &operator=(const SharedMutex &) = delete;
-
-  void lock() ACQUIRE() { Mu.lock(); }
-  void unlock() RELEASE() { Mu.unlock(); }
-  bool tryLock() TRY_ACQUIRE(true) { return Mu.try_lock(); }
-
-  void lockShared() ACQUIRE_SHARED() { Mu.lock_shared(); }
-  void unlockShared() RELEASE_SHARED() { Mu.unlock_shared(); }
-  bool tryLockShared() TRY_ACQUIRE_SHARED(true) {
-    return Mu.try_lock_shared();
-  }
-
-  void assertHeld() const ASSERT_CAPABILITY(this) {}
-  void assertReaderHeld() const ASSERT_SHARED_CAPABILITY(this) {}
-
-private:
-  std::shared_mutex Mu;
-};
-
 /// RAII exclusive lock over a Mutex — the annotated replacement for
 /// std::lock_guard<std::mutex> (which the analysis cannot see
 /// through).
@@ -162,36 +134,6 @@ public:
 
 private:
   Mutex &M;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class SCOPED_CAPABILITY SharedMutexReadLock {
-public:
-  explicit SharedMutexReadLock(SharedMutex &M) ACQUIRE_SHARED(M) : M(M) {
-    M.lockShared();
-  }
-  ~SharedMutexReadLock() RELEASE_GENERIC() { M.unlockShared(); }
-
-  SharedMutexReadLock(const SharedMutexReadLock &) = delete;
-  SharedMutexReadLock &operator=(const SharedMutexReadLock &) = delete;
-
-private:
-  SharedMutex &M;
-};
-
-/// RAII exclusive (writer) lock over a SharedMutex.
-class SCOPED_CAPABILITY SharedMutexWriteLock {
-public:
-  explicit SharedMutexWriteLock(SharedMutex &M) ACQUIRE(M) : M(M) {
-    M.lock();
-  }
-  ~SharedMutexWriteLock() RELEASE() { M.unlock(); }
-
-  SharedMutexWriteLock(const SharedMutexWriteLock &) = delete;
-  SharedMutexWriteLock &operator=(const SharedMutexWriteLock &) = delete;
-
-private:
-  SharedMutex &M;
 };
 
 /// An annotated condition variable over Mutex.

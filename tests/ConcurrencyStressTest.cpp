@@ -15,7 +15,7 @@
 #include "runtime/Instrument.h"
 #include "runtime/Recorder.h"
 #include "serve/Server.h"
-#include "serve/TraceCache.h"
+#include "serve/ResultCache.h"
 #include "support/ThreadPool.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -336,15 +337,151 @@ TEST(ConcurrencyStressTest, RecorderConcurrentRegistrationAndLogging) {
 }
 
 //===----------------------------------------------------------------------===//
-// serve::TraceCache (src/serve/TraceCache.h)
+// serve::ResultCache (src/serve/ResultCache.h)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Writes tinyTrace(Salt) to a temp v3 file; distinct salts give
-/// distinct contents and therefore distinct content hashes.
-std::string cacheTraceFile(unsigned Salt) {
-  std::string Path = testing::TempDir() + "pp_cache_" +
+/// The answer a test Compute produces for key \p K: distinct per key,
+/// so a response for the wrong key is visible.
+serve::ResultSummary keySummary(const serve::ResultCache::Key &K) {
+  serve::ResultSummary Sum;
+  Sum.NullLock = K.first;
+  Sum.ReadRead = K.second;
+  return Sum;
+}
+
+} // namespace
+
+// Exactly-once compute per key: N threads hammering the same few keys
+// must run Compute once per key, with every other call served by a
+// ready slot or by waiting on the in-flight one, never by a second run.
+TEST(ConcurrencyStressTest, ResultCacheExactlyOnceCompute) {
+  constexpr unsigned NumKeys = 4;
+  constexpr unsigned NumThreads = 8;
+  constexpr unsigned Iterations = 50;
+
+  serve::ResultCache Cache(/*BudgetBytes=*/64u << 20);
+  std::atomic<unsigned> Computes{0};
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != Iterations; ++I) {
+        serve::ResultCache::Key K{(T + I) % NumKeys, 0};
+        bool FromCache = false;
+        Expected<serve::ResultSummary> Sum = Cache.get(
+            K,
+            [&] {
+              Computes.fetch_add(1);
+              // Hold the slot in flight long enough for others to wait.
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              return Expected<serve::ResultSummary>(keySummary(K));
+            },
+            FromCache);
+        if (!Sum.ok() || !Sum->sameVerdicts(keySummary(K)))
+          Failures.fetch_add(1);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(Failures.load(), 0u);
+  EXPECT_EQ(Computes.load(), NumKeys) << "a key was computed more than once";
+
+  serve::ServeStats S;
+  Cache.fillStats(S);
+  EXPECT_EQ(S.ResultCacheMisses, NumKeys);
+  EXPECT_EQ(S.ResultCacheHits + S.ResultCacheMisses,
+            static_cast<uint64_t>(NumThreads) * Iterations);
+  EXPECT_EQ(S.CachedResults, NumKeys);
+}
+
+// Concurrent hit/miss/evict under a budget that fits about two slots:
+// every call still returns its own key's answer (or the one injected
+// error), the byte bound holds, eviction counters move, no in-flight
+// slot is evicted (two computes of one key never overlap), and a
+// Compute that fails once is retried by a waiter instead of leaving
+// the others hanging.  Under TSan this is the lock-discipline proof
+// for the cache's one mutex.
+TEST(ConcurrencyStressTest, ResultCacheEvictionChurn) {
+  constexpr unsigned NumKeys = 6;
+  constexpr unsigned NumThreads = 8;
+  constexpr unsigned Iterations = 30;
+
+  // What one ready slot costs, read off a one-entry cache.
+  size_t SlotBytes = 0;
+  {
+    serve::ResultCache Probe(/*BudgetBytes=*/1u << 20);
+    bool FromCache = false;
+    ASSERT_TRUE(Probe
+                    .get({0, 0},
+                         [] {
+                           return Expected<serve::ResultSummary>(
+                               serve::ResultSummary());
+                         },
+                         FromCache)
+                    .ok());
+    serve::ServeStats S;
+    Probe.fillStats(S);
+    SlotBytes = S.CacheBytes;
+    ASSERT_GT(SlotBytes, 0u);
+  }
+  const size_t Budget = 2 * SlotBytes + SlotBytes / 2;
+
+  serve::ResultCache Cache(Budget);
+  std::atomic<unsigned> Running[NumKeys] = {};
+  std::atomic<bool> FailNext{true};
+  std::atomic<unsigned> Errors{0};
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != Iterations; ++I) {
+        unsigned Idx = (T * 3 + I) % NumKeys;
+        serve::ResultCache::Key K{Idx, 1};
+        bool FromCache = false;
+        Expected<serve::ResultSummary> Sum = Cache.get(
+            K,
+            [&]() -> Expected<serve::ResultSummary> {
+              if (Running[Idx].fetch_add(1) != 0)
+                Failures.fetch_add(1); // An in-flight slot went missing.
+              std::this_thread::sleep_for(std::chrono::microseconds(100));
+              bool Fail = Idx == 0 && FailNext.exchange(false);
+              Running[Idx].fetch_sub(1);
+              if (Fail)
+                return PipelineError(ErrorCode::TraceIOFailed, "injected");
+              return keySummary(K);
+            },
+            FromCache);
+        if (!Sum.ok())
+          Errors.fetch_add(1);
+        else if (!Sum->sameVerdicts(keySummary(K)))
+          Failures.fetch_add(1);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(Failures.load(), 0u);
+  EXPECT_EQ(Errors.load(), 1u) << "the injected failure reached a waiter";
+  serve::ServeStats S;
+  Cache.fillStats(S);
+  EXPECT_GT(S.CacheEvictions, 0u);
+  EXPECT_LE(S.CacheBytes, Budget);
+  EXPECT_EQ(S.ResultCacheHits + S.ResultCacheMisses,
+            static_cast<uint64_t>(NumThreads) * Iterations);
+}
+
+//===----------------------------------------------------------------------===//
+// serve::Server shutdown drain
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Writes tinyTrace(Salt) to a temp v3 file.
+std::string tinyTraceFile(unsigned Salt) {
+  std::string Path = testing::TempDir() + "pp_drain_" +
                      std::to_string(::getpid()) + "_" +
                      std::to_string(Salt) + ".v3trace";
   std::string Err;
@@ -355,112 +492,6 @@ std::string cacheTraceFile(unsigned Salt) {
 
 } // namespace
 
-// Exactly-once parse per content hash: N threads hammering the same
-// few files must trigger one parse per distinct content, with every
-// other request served by a cache hit or by waiting on the in-flight
-// parse (FlightMu/FlightCv), never by a duplicate parse.
-TEST(ConcurrencyStressTest, TraceCacheExactlyOnceParse) {
-  constexpr unsigned NumFiles = 4;
-  constexpr unsigned NumThreads = 8;
-  constexpr unsigned Iterations = 50;
-  std::vector<std::string> Paths;
-  for (unsigned I = 0; I != NumFiles; ++I)
-    Paths.push_back(cacheTraceFile(I));
-
-  serve::TraceCache Cache(/*BudgetBytes=*/64u << 20);
-  std::atomic<unsigned> Parses{0};
-  Cache.setParserForTesting(
-      [&](const uint8_t *Data, size_t Size, Trace &Out, std::string &Err) {
-        Parses.fetch_add(1);
-        return parseTraceBuffer(Data, Size, Out, Err);
-      });
-
-  std::atomic<unsigned> Failures{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      for (unsigned I = 0; I != Iterations; ++I) {
-        uint64_t Hash = 0;
-        bool FromCache = false;
-        Expected<Trace> TrOr = Cache.getTrace(
-            Paths[(T + I) % NumFiles], Hash, FromCache);
-        if (!TrOr.ok() || TrOr->numEvents() == 0)
-          Failures.fetch_add(1);
-      }
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  EXPECT_EQ(Failures.load(), 0u);
-  EXPECT_EQ(Parses.load(), NumFiles)
-      << "a content hash was parsed more than once";
-
-  serve::ServeStats S;
-  Cache.fillStats(S);
-  EXPECT_EQ(S.TraceCacheMisses, NumFiles);
-  EXPECT_EQ(S.TraceCacheHits + S.TraceCacheMisses,
-            static_cast<uint64_t>(NumThreads) * Iterations);
-
-  for (const std::string &P : Paths)
-    std::remove(P.c_str());
-}
-
-// Concurrent hit/miss/evict under a budget that fits roughly one
-// entry: every lookup still returns a correct trace (or a clean
-// error), eviction counters move, and the byte bound holds — under
-// TSan this is the lock-discipline proof for CacheMu + FlightMu.
-TEST(ConcurrencyStressTest, TraceCacheEvictionChurn) {
-  constexpr unsigned NumFiles = 6;
-  constexpr unsigned NumThreads = 8;
-  constexpr unsigned Iterations = 30;
-  std::vector<std::string> Paths;
-  std::vector<size_t> ExpectEvents;
-  for (unsigned I = 0; I != NumFiles; ++I) {
-    Paths.push_back(cacheTraceFile(100 + I));
-    Expected<Trace> Tr = readTraceFile(Paths.back());
-    ASSERT_TRUE(Tr.ok()) << Tr.message();
-    ExpectEvents.push_back(Tr->numEvents());
-  }
-
-  // Budget ~ one file: every insert evicts something else.
-  serve::TraceCache Cache(/*BudgetBytes=*/600);
-  std::atomic<unsigned> Failures{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      for (unsigned I = 0; I != Iterations; ++I) {
-        unsigned F = (T * 3 + I) % NumFiles;
-        uint64_t Hash = 0;
-        bool FromCache = false;
-        Expected<Trace> TrOr = Cache.getTrace(Paths[F], Hash, FromCache);
-        if (!TrOr.ok() || TrOr->numEvents() != ExpectEvents[F])
-          Failures.fetch_add(1);
-        // The result cache churns alongside.
-        serve::ResultSummary Sum;
-        Sum.NullLock = F;
-        Cache.storeResult(Hash, 0, Sum);
-        serve::ResultSummary Got;
-        if (Cache.lookupResult(Hash, 0, Got) && Got.NullLock != F)
-          Failures.fetch_add(1);
-      }
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  EXPECT_EQ(Failures.load(), 0u);
-  serve::ServeStats S;
-  Cache.fillStats(S);
-  EXPECT_GT(S.CacheEvictions, 0u);
-  EXPECT_LE(S.CacheBytes, 600u);
-
-  for (const std::string &P : Paths)
-    std::remove(P.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// serve::Server shutdown drain
-//===----------------------------------------------------------------------===//
-
 // Shutdown while requests are in flight: clients hammer the daemon as
 // a shutdown lands in the middle.  Every response must be either a
 // complete correct result or a clean connection-level failure — never
@@ -469,7 +500,7 @@ TEST(ConcurrencyStressTest, TraceCacheEvictionChurn) {
 TEST(ConcurrencyStressTest, ServerShutdownWhileRequestsInFlight) {
   std::string Socket = testing::TempDir() + "pp_drain_" +
                        std::to_string(::getpid()) + ".sock";
-  std::string Path = cacheTraceFile(7777);
+  std::string Path = tinyTraceFile(7777);
 
   serve::ServerOptions Opts;
   Opts.SocketPath = Socket;

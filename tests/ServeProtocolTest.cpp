@@ -113,28 +113,33 @@ TEST(ServeProtocolTest, ResultSummaryRoundTrip) {
   In.UlcpFreeTotalTime = 11;
   In.FromResultCache = 1;
   std::vector<uint8_t> Bytes = encodeResultSummary(In);
+  EXPECT_EQ(Bytes.size(), 11 * 8 + 1u); // eleven counters + the cache flag
   ResultSummary Out;
   std::string Err;
   ASSERT_TRUE(decodeResultSummary(Bytes.data(), Bytes.size(), Out, Err))
       << Err;
   EXPECT_TRUE(Out.sameVerdicts(In));
   EXPECT_EQ(Out.FromResultCache, 1);
-  EXPECT_EQ(Out.FromTraceCache, 0);
 }
 
 TEST(ServeProtocolTest, ServeStatsRoundTrip) {
   ServeStats In;
   In.RequestsServed = 100;
-  In.TraceCacheHits = 42;
+  In.ResultCacheHits = 42;
+  In.ResultCacheMisses = 7;
+  In.CachedResults = 3;
   In.CacheBytes = 1 << 20;
   In.P99Micros = 12345;
   std::vector<uint8_t> Bytes = encodeServeStats(In);
+  EXPECT_EQ(Bytes.size(), 12 * 8u); // twelve u64 counters
   ServeStats Out;
   std::string Err;
   ASSERT_TRUE(decodeServeStats(Bytes.data(), Bytes.size(), Out, Err))
       << Err;
   EXPECT_EQ(Out.RequestsServed, 100u);
-  EXPECT_EQ(Out.TraceCacheHits, 42u);
+  EXPECT_EQ(Out.ResultCacheHits, 42u);
+  EXPECT_EQ(Out.ResultCacheMisses, 7u);
+  EXPECT_EQ(Out.CachedResults, 3u);
   EXPECT_EQ(Out.CacheBytes, 1u << 20);
   EXPECT_EQ(Out.P99Micros, 12345u);
 }
@@ -167,6 +172,12 @@ TEST(ServeProtocolTest, TruncationSweep) {
     ResultSummary Out;
     std::string Err;
     EXPECT_FALSE(decodeResultSummary(S.data(), Len, Out, Err)) << Len;
+  }
+  std::vector<uint8_t> St = encodeServeStats(ServeStats());
+  for (size_t Len = 0; Len != St.size(); ++Len) {
+    ServeStats Out;
+    std::string Err;
+    EXPECT_FALSE(decodeServeStats(St.data(), Len, Out, Err)) << Len;
   }
   std::vector<uint8_t> E = encodeError(ErrorCode::ProtocolError, "boom");
   for (size_t Len = 0; Len != E.size(); ++Len) {

@@ -4,8 +4,9 @@
 // daemon runs in-process, real clients speak the wire protocol over a
 // unix-domain socket, and every assertion is on observable protocol
 // behavior — response parity with Engine::analyzeTrace, cache-hit
-// provenance, eviction under a tiny budget, concurrent clients, and
-// the shutdown handshake.  Runs under the plain, ASan, and TSan lanes.
+// provenance, eviction under a tiny budget, concurrent clients sharing
+// one pipeline run, uncached errors, and the shutdown handshake.  Runs
+// under the plain, ASan, and TSan lanes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,9 +126,9 @@ TEST(ServeTest, DaemonEngineParity) {
   std::remove(Path.c_str());
 }
 
-// The second request for the same content hash must not re-parse: the
-// response is served from the result cache and the daemon's counters
-// prove no second trace-cache miss happened.
+// The second request for the same content hash must not re-run the
+// pipeline: the response is served from the result cache and the
+// daemon's counters prove no second miss happened.
 TEST(ServeTest, SecondRequestServedFromCache) {
   std::string Path = writeTraceFile(saltedTrace(2), "cachehit");
   Server Daemon(baseOptions(socketPath("cachehit")));
@@ -141,12 +142,10 @@ TEST(ServeTest, SecondRequestServedFromCache) {
   Expected<ResultSummary> Cold = Client.analyze(Req);
   ASSERT_TRUE(Cold.ok());
   EXPECT_EQ(Cold->FromResultCache, 0);
-  EXPECT_EQ(Cold->FromTraceCache, 0);
 
   Expected<ResultSummary> Warm = Client.analyze(Req);
   ASSERT_TRUE(Warm.ok());
   EXPECT_EQ(Warm->FromResultCache, 1);
-  EXPECT_EQ(Warm->FromTraceCache, 1);
   EXPECT_TRUE(Warm->sameVerdicts(*Cold));
 
   // Same content under a different path: the content hash, not the
@@ -164,7 +163,7 @@ TEST(ServeTest, SecondRequestServedFromCache) {
 
   Expected<ServeStats> Stats = Client.stats();
   ASSERT_TRUE(Stats.ok());
-  EXPECT_EQ(Stats->TraceCacheMisses, 1u); // exactly the cold parse
+  EXPECT_EQ(Stats->ResultCacheMisses, 1u); // exactly the cold run
   EXPECT_EQ(Stats->ResultCacheHits, 2u);
   EXPECT_EQ(Stats->RequestsServed, 3u);
   EXPECT_EQ(Stats->RequestsFailed, 0u);
@@ -173,8 +172,9 @@ TEST(ServeTest, SecondRequestServedFromCache) {
   std::remove(Copy.c_str());
 }
 
-// --no-cache requests bypass both caches in both directions: they are
-// served cold and leave no entries (the bench's cold-path control).
+// --no-cache requests bypass the cache in both directions: they are
+// served cold, leave no entries and move no cache counter (the bench's
+// cold-path control).
 TEST(ServeTest, NoCacheBypassesCaches) {
   std::string Path = writeTraceFile(saltedTrace(3), "nocache");
   Server Daemon(baseOptions(socketPath("nocache")));
@@ -189,25 +189,24 @@ TEST(ServeTest, NoCacheBypassesCaches) {
     Expected<ResultSummary> Sum = Client.analyze(Req);
     ASSERT_TRUE(Sum.ok());
     EXPECT_EQ(Sum->FromResultCache, 0);
-    EXPECT_EQ(Sum->FromTraceCache, 0);
   }
   Expected<ServeStats> Stats = Client.stats();
   ASSERT_TRUE(Stats.ok());
-  EXPECT_EQ(Stats->CachedTraces, 0u);
   EXPECT_EQ(Stats->CachedResults, 0u);
-  EXPECT_EQ(Stats->TraceCacheMisses, 0u); // bypass is not a miss
+  EXPECT_EQ(Stats->ResultCacheMisses, 0u); // bypass is not a miss
+  EXPECT_EQ(Stats->ResultCacheHits, 0u);
 
   std::remove(Path.c_str());
 }
 
-// Under a budget smaller than one trace the daemon still answers
+// Under a budget smaller than one result the daemon still answers
 // correctly — the cache degrades to pass-through and evicts instead of
 // blowing the bound.
 TEST(ServeTest, EvictionUnderTinyBudget) {
   std::string PathA = writeTraceFile(saltedTrace(4), "evictA");
   std::string PathB = writeTraceFile(saltedTrace(5), "evictB");
   ServerOptions Opts = baseOptions(socketPath("evict"));
-  Opts.CacheBudgetBytes = 64; // smaller than any trace
+  Opts.CacheBudgetBytes = 64; // smaller than any result
   Server Daemon(Opts);
   startOrFail(Daemon);
 
@@ -285,11 +284,96 @@ TEST(ServeTest, ConcurrentClients) {
   }();
   ASSERT_TRUE(Stats.ok());
   EXPECT_EQ(Stats->RequestsServed, NumClients * Iterations);
-  // Each distinct content parsed exactly once despite the hammering.
-  EXPECT_EQ(Stats->TraceCacheMisses, NumClients);
+  // Each distinct content analyzed exactly once despite the hammering.
+  EXPECT_EQ(Stats->ResultCacheMisses, NumClients);
 
   for (const std::string &P : Paths)
     std::remove(P.c_str());
+}
+
+// Clients that ask for the same uncached trace at the same moment
+// share one pipeline run: the first claims the answer, the rest wait
+// for it and count as hits.
+TEST(ServeTest, ConcurrentIdenticalMissesRunPipelineOnce) {
+  constexpr unsigned NumClients = 4;
+  Trace Tr = saltedTrace(20, /*Rounds=*/1500);
+  ASSERT_GT(Tr.numEvents(), 5000u);
+  std::string Path = writeTraceFile(Tr, "samemiss");
+  ServerOptions Opts = baseOptions(socketPath("samemiss"));
+  Opts.NumWorkers = NumClients; // every client is served at once
+  Server Daemon(Opts);
+  startOrFail(Daemon);
+
+  std::vector<ServeClient> Clients(NumClients);
+  for (ServeClient &C : Clients)
+    ASSERT_TRUE(C.connect(Daemon.options().SocketPath).ok());
+
+  // A spin barrier: every client sends as soon as the last one is ready.
+  std::atomic<unsigned> Arrived{0};
+  std::vector<Expected<ResultSummary>> Sums(
+      NumClients, PipelineError(ErrorCode::ProtocolError, "not sent"));
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != NumClients; ++I)
+    Threads.emplace_back([&, I] {
+      Arrived.fetch_add(1);
+      while (Arrived.load() != NumClients)
+        std::this_thread::yield();
+      AnalyzeRequest Req;
+      Req.Path = Path;
+      Sums[I] = Clients[I].analyze(Req);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (const Expected<ResultSummary> &Sum : Sums) {
+    ASSERT_TRUE(Sum.ok()) << Sum.message();
+    EXPECT_TRUE(Sum->sameVerdicts(*Sums[0]));
+  }
+  Expected<ServeStats> Stats = Clients[0].stats();
+  ASSERT_TRUE(Stats.ok());
+  EXPECT_EQ(Stats->ResultCacheMisses, 1u) << "the pipeline ran more than once";
+  EXPECT_EQ(Stats->ResultCacheHits, NumClients - 1);
+
+  std::remove(Path.c_str());
+}
+
+// A trace that maps but does not parse fails with TraceIOFailed every
+// time: errors are never cached, so the second request runs again.
+TEST(ServeTest, CorruptTraceErrorsAreNotCached) {
+  std::string Path = writeTraceFile(saltedTrace(21), "corrupt");
+  {
+    // Keep the v3 magic but cut the file in half: mappable, unparsable.
+    FILE *F = std::fopen(Path.c_str(), "rb");
+    ASSERT_NE(F, nullptr);
+    std::vector<char> Bytes(1 << 16);
+    Bytes.resize(std::fread(Bytes.data(), 1, Bytes.size(), F));
+    std::fclose(F);
+    ASSERT_GT(Bytes.size(), 16u);
+    F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Bytes.data(), 1, Bytes.size() / 2, F);
+    std::fclose(F);
+  }
+  Server Daemon(baseOptions(socketPath("corrupt")));
+  startOrFail(Daemon);
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect(Daemon.options().SocketPath).ok());
+  AnalyzeRequest Req;
+  Req.Path = Path;
+  for (int I = 0; I != 2; ++I) {
+    Expected<ResultSummary> Sum = Client.analyze(Req);
+    ASSERT_FALSE(Sum.ok());
+    EXPECT_EQ(Sum.code(), ErrorCode::TraceIOFailed) << Sum.message();
+  }
+  Expected<ServeStats> Stats = Client.stats();
+  ASSERT_TRUE(Stats.ok());
+  EXPECT_EQ(Stats->CachedResults, 0u);
+  EXPECT_EQ(Stats->ResultCacheMisses, 2u);
+  EXPECT_EQ(Stats->ResultCacheHits, 0u);
+  EXPECT_EQ(Stats->RequestsFailed, 2u);
+
+  std::remove(Path.c_str());
 }
 
 // The shutdown handshake: the daemon acks with its final counters,

@@ -1058,16 +1058,11 @@ void printServeStats(const serve::ServeStats &S) {
               static_cast<unsigned long long>(S.RequestsFailed),
               static_cast<unsigned long long>(S.ProtocolErrors),
               static_cast<unsigned long long>(S.RequestsRejected));
-  std::printf("trace cache: %llu hits, %llu misses; result cache: "
-              "%llu hits, %llu misses; %llu evictions\n",
-              static_cast<unsigned long long>(S.TraceCacheHits),
-              static_cast<unsigned long long>(S.TraceCacheMisses),
+  std::printf("result cache: %llu hits, %llu misses; %llu evictions\n",
               static_cast<unsigned long long>(S.ResultCacheHits),
               static_cast<unsigned long long>(S.ResultCacheMisses),
               static_cast<unsigned long long>(S.CacheEvictions));
-  std::printf("resident: %llu traces + %llu results (%llu bytes), queue "
-              "depth %llu\n",
-              static_cast<unsigned long long>(S.CachedTraces),
+  std::printf("resident: %llu results (%llu bytes), queue depth %llu\n",
               static_cast<unsigned long long>(S.CachedResults),
               static_cast<unsigned long long>(S.CacheBytes),
               static_cast<unsigned long long>(S.QueueDepth));
@@ -1119,9 +1114,7 @@ int cmdClient(ArgList &Args) {
                 static_cast<unsigned long long>(S.DisjointWrite),
                 static_cast<unsigned long long>(S.Benign),
                 static_cast<unsigned long long>(S.TrueContention),
-                S.FromResultCache ? " [cached]"
-                : S.FromTraceCache ? " [trace cached]"
-                                   : "");
+                S.FromResultCache ? " [cached]" : "");
     std::printf("transform: %llu causal edges, %llu auxiliary locks, "
                 "%llu standalone sections removed\n",
                 static_cast<unsigned long long>(S.TopologyEdges),
