@@ -57,23 +57,22 @@ computeHappensBefore(const Trace &Tr, const TopologyGraph &Topo) {
   return Reach;
 }
 
-/// Sorted lock ids of a section's lockset in the transformed trace.
-static std::vector<LockId> locksetLocks(const Trace &Tr, uint32_t Cs) {
+/// Sorted lock ids of a section's lockset in the transformed trace,
+/// read from its opening event: the transformation keeps every event
+/// at its original position, so \p Index (built over the original
+/// trace) locates it directly.
+static std::vector<LockId> locksetLocks(const Trace &Tr, const CsIndex &Index,
+                                        uint32_t Cs) {
   std::vector<LockId> Out;
-  CsRef Ref = Tr.csRefOf(Cs);
-  uint32_t Index = 0;
-  for (const Event &E : Tr.Threads[Ref.Thread].Events)
-    if (isSectionOpen(E)) {
-      if (Index++ != Ref.Index)
-        continue;
-      if (E.Lockset == InvalidId) {
-        Out.push_back(E.Lock);
-      } else {
-        for (const LocksetEntry &Entry : Tr.Locksets[E.Lockset].Entries)
-          Out.push_back(Entry.Lock);
-      }
-      break;
-    }
+  const CriticalSection &Section = Index.byGlobalId(Cs);
+  const Event &E = Tr.Threads[Section.Ref.Thread].Events[Section.AcquireIdx];
+  assert(isSectionOpen(E) && "section does not open at its acquire index");
+  if (E.Lockset == InvalidId) {
+    Out.push_back(E.Lock);
+  } else {
+    for (const LocksetEntry &Entry : Tr.Locksets[E.Lockset].Entries)
+      Out.push_back(Entry.Lock);
+  }
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
@@ -125,7 +124,7 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
   std::vector<bool> LocksetKnown(NumCs, false);
   auto locksOf = [&](uint32_t Cs) -> const AddrSet & {
     if (!LocksetKnown[Cs]) {
-      for (LockId L : locksetLocks(Tr, Cs))
+      for (LockId L : locksetLocks(Tr, Index, Cs))
         Locksets[Cs].insert(L);
       LocksetKnown[Cs] = true;
     }

@@ -3,9 +3,12 @@
 #include "transform/Topology.h"
 
 #include "detect/Classify.h"
+#include "detect/SectionKey.h"
+#include "support/FlatMap.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
+#include <tuple>
 
 using namespace perfplay;
 
@@ -17,31 +20,195 @@ void TopologyGraph::addEdge(uint32_t From, uint32_t To) {
   InEdges[To].push_back(From);
 }
 
-TopologyGraph perfplay::buildTopology(const Trace &Tr,
-                                      const CsIndex &Index) {
-  TopologyGraph Graph(Index.size());
-  MemoryImage Initial = MemoryImage::initialOf(Tr);
+namespace {
 
-  for (LockId L = 0; L != Index.numLocks(); ++L) {
+/// What a conflict-index posting says its section did with an id: the
+/// only facts classifyPairStatic can turn into true contention.
+enum class Access : uint8_t { Reads, Writes, WaitsOn, SignalsOn };
+
+/// One entry of a lock's conflict index: the section at lock-order
+/// position Pos, run by Thread, did Tag on Id (an address for
+/// Reads/Writes, a condvar id for WaitsOn/SignalsOn).  Sorted, the
+/// postings of one (Thread, Tag, Id) form a list ascending in Pos.
+struct Posting {
+  ThreadId Thread;
+  Access Tag;
+  uint64_t Id;
+  uint32_t Pos;
+
+  bool operator<(const Posting &RHS) const {
+    return std::tie(Thread, Tag, Id, Pos) <
+           std::tie(RHS.Thread, RHS.Tag, RHS.Id, RHS.Pos);
+  }
+  bool sameList(const Posting &RHS) const {
+    return Thread == RHS.Thread && Tag == RHS.Tag && Id == RHS.Id;
+  }
+};
+
+/// A (Tag, Id) list of another thread that may hold sections truly
+/// contending with the section being matched.
+struct Query {
+  Access Tag;
+  uint64_t Id;
+};
+
+/// Cursor of the candidate merge: the next posting of one list.
+struct Cursor {
+  uint32_t Pos;
+  size_t At;
+  // Inverted so the std heap algorithms keep the smallest Pos on top.
+  bool operator<(const Cursor &RHS) const { return Pos > RHS.Pos; }
+};
+
+/// RULE 1 over one lock's order at a time, through its conflict index.
+class TopologyBuilder {
+public:
+  TopologyBuilder(const Trace &Tr, const CsIndex &Index, TopologyGraph &Graph)
+      : Tr(Tr), Index(Index), Graph(Graph),
+        Initial(MemoryImage::initialOf(Tr)),
+        Keys(internSectionKeys(Tr, Index)) {}
+
+  void buildLock(LockId L) {
     const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
-    for (size_t I = 0; I != Order.size(); ++I) {
-      const CriticalSection &A = Index.byGlobalId(Order[I]);
-      // Sequential searching: in every other thread, the first later
-      // same-lock section that truly contends with A gets a causal
-      // edge; matching stops for that thread.
-      std::set<ThreadId> Matched;
-      for (size_t J = I + 1; J != Order.size(); ++J) {
-        const CriticalSection &B = Index.byGlobalId(Order[J]);
-        if (B.Ref.Thread == A.Ref.Thread)
-          continue;
-        if (Matched.count(B.Ref.Thread))
-          continue;
-        if (classifyPair(Tr, Initial, A, B) == UlcpKind::TrueContention) {
-          Graph.addEdge(A.GlobalId, B.GlobalId);
-          Matched.insert(B.Ref.Thread);
+    indexLock(Order);
+    for (uint32_t I = 0; I != Order.size(); ++I)
+      matchSection(Order, I);
+  }
+
+  uint64_t numClassified() const { return NumClassified; }
+
+private:
+  /// Posts every section of \p Order under the lists a later true
+  /// contender would be found in.
+  void indexLock(const std::vector<uint32_t> &Order) {
+    Postings.clear();
+    Threads.clear();
+    for (uint32_t Pos = 0; Pos != Order.size(); ++Pos) {
+      const CriticalSection &Cs = Index.byGlobalId(Order[Pos]);
+      ThreadId T = Cs.Ref.Thread;
+      Threads.push_back(T);
+      for (AddrId A : Cs.Reads)
+        Postings.push_back(Posting{T, Access::Reads, A, Pos});
+      for (AddrId A : Cs.Writes)
+        Postings.push_back(Posting{T, Access::Writes, A, Pos});
+      for (LockId C : Cs.CondWaits)
+        Postings.push_back(Posting{T, Access::WaitsOn, C, Pos});
+      for (LockId C : Cs.CondSignals)
+        Postings.push_back(Posting{T, Access::SignalsOn, C, Pos});
+    }
+    std::sort(Postings.begin(), Postings.end());
+    std::sort(Threads.begin(), Threads.end());
+    Threads.erase(std::unique(Threads.begin(), Threads.end()), Threads.end());
+  }
+
+  /// Sequential search for the section at position \p I: in every other
+  /// thread, the first later section that truly contends with it gets
+  /// a causal edge.
+  void matchSection(const std::vector<uint32_t> &Order, uint32_t I) {
+    const CriticalSection &A = Index.byGlobalId(Order[I]);
+    Queries.clear();
+    for (AddrId Addr : A.Reads)
+      Queries.push_back(Query{Access::Writes, Addr});
+    for (AddrId Addr : A.Writes) {
+      Queries.push_back(Query{Access::Reads, Addr});
+      Queries.push_back(Query{Access::Writes, Addr});
+    }
+    for (LockId C : A.CondWaits)
+      Queries.push_back(Query{Access::SignalsOn, C});
+    for (LockId C : A.CondSignals)
+      Queries.push_back(Query{Access::WaitsOn, C});
+    if (Queries.empty())
+      return;
+
+    Matches.clear();
+    for (ThreadId U : Threads) {
+      if (U == A.Ref.Thread)
+        continue;
+      uint32_t Pos = firstContender(Order, A, U, I);
+      if (Pos != InvalidId)
+        Matches.push_back(Pos);
+    }
+    std::sort(Matches.begin(), Matches.end());
+    for (uint32_t Pos : Matches)
+      Graph.addEdge(A.GlobalId, Order[Pos]);
+  }
+
+  /// Merges thread \p U's lists for the current queries past position
+  /// \p I in ascending position, and returns the first candidate that
+  /// truly contends with \p A (InvalidId when none does).
+  uint32_t firstContender(const std::vector<uint32_t> &Order,
+                          const CriticalSection &A, ThreadId U, uint32_t I) {
+    Heap.clear();
+    for (const Query &Q : Queries) {
+      Posting Probe{U, Q.Tag, Q.Id, I + 1};
+      auto It = std::lower_bound(Postings.begin(), Postings.end(), Probe);
+      if (It != Postings.end() && It->sameList(Probe))
+        Heap.push_back(
+            Cursor{It->Pos, static_cast<size_t>(It - Postings.begin())});
+    }
+    std::make_heap(Heap.begin(), Heap.end());
+    while (!Heap.empty()) {
+      uint32_t Pos = Heap.front().Pos;
+      // A section can sit in several of the merged lists; step every
+      // cursor past it so it is classified once.
+      while (!Heap.empty() && Heap.front().Pos == Pos) {
+        std::pop_heap(Heap.begin(), Heap.end());
+        Cursor &C = Heap.back();
+        size_t Next = C.At + 1;
+        if (Next != Postings.size() &&
+            Postings[Next].sameList(Postings[C.At])) {
+          C = Cursor{Postings[Next].Pos, Next};
+          std::push_heap(Heap.begin(), Heap.end());
+        } else {
+          Heap.pop_back();
         }
       }
+      if (classify(A, Index.byGlobalId(Order[Pos])) ==
+          UlcpKind::TrueContention)
+        return Pos;
     }
+    return InvalidId;
   }
+
+  /// classifyPair, memoized per section-key pair: sections with equal
+  /// keys are indistinguishable to classification (detect/SectionKey.h).
+  UlcpKind classify(const CriticalSection &A, const CriticalSection &B) {
+    uint64_t Key = SectionKeyTable::pairKey(Keys.KeyOf[A.GlobalId],
+                                            Keys.KeyOf[B.GlobalId]);
+    if (const UlcpKind *Cached = Verdicts.find(Key))
+      return *Cached;
+    UlcpKind Verdict = classifyPair(Tr, Initial, A, B);
+    Verdicts.insert(Key, Verdict);
+    ++NumClassified;
+    return Verdict;
+  }
+
+  const Trace &Tr;
+  const CsIndex &Index;
+  TopologyGraph &Graph;
+  const MemoryImage Initial;
+  const SectionKeyTable Keys;
+  FlatMap<uint64_t, UlcpKind> Verdicts;
+  uint64_t NumClassified = 0;
+
+  // Per-lock conflict index, rebuilt by indexLock.
+  std::vector<Posting> Postings;
+  std::vector<ThreadId> Threads;
+  // Per-section working buffers.
+  std::vector<Query> Queries;
+  std::vector<Cursor> Heap;
+  std::vector<uint32_t> Matches;
+};
+
+} // namespace
+
+TopologyGraph perfplay::buildTopology(const Trace &Tr, const CsIndex &Index,
+                                      uint64_t *NumClassified) {
+  TopologyGraph Graph(Index.size());
+  TopologyBuilder Builder(Tr, Index, Graph);
+  for (LockId L = 0; L != Index.numLocks(); ++L)
+    Builder.buildLock(L);
+  if (NumClassified)
+    *NumClassified = Builder.numClassified();
   return Graph;
 }

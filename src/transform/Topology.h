@@ -12,6 +12,29 @@
 /// establishes a causal edge to its *first* matched TLCP in every other
 /// thread; the ULCPs skipped over become non-causal (removable).
 ///
+/// The search is output-sensitive.  classifyPair can only return
+/// TrueContention for a pair linked by a condvar wait/signal or by a
+/// read/write, write/read or write/write address intersection, so for
+/// each lock buildTopology first posts every section, by lock-order
+/// position, under (thread, reads|writes, address) and (thread,
+/// waits|signals, condvar) lists.  For section A at position I and
+/// another thread U it merges U's lists that A could conflict with
+/// (writers of A's reads, readers and writers of A's writes, signalers
+/// of A's waits, waiters of A's signals) past I in ascending position
+/// and classifies only those candidates, stopping at U's first true
+/// contention.  Every section outside the lists would classify as a
+/// ULCP, so the edges equal those of the plain scan, in the same order.
+/// Verdicts are memoized per section-key pair (detect/SectionKey.h), so
+/// a lock whose conflicts are all benign costs one reversed replay per
+/// distinct key pair.
+///
+/// Cost per lock: sorting its P postings, O(P log P); then per section
+/// A and thread U, one binary search per query plus one heap step per
+/// candidate visited, O((|A| + candidates) log P).  Classifying every
+/// later section instead is quadratic in the lock's sections, since a
+/// thread that never matches is scanned to the end of the order.  The
+/// index lives for one lock.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERFPLAY_TRANSFORM_TOPOLOGY_H
@@ -81,11 +104,15 @@ private:
 /// RULE 1: builds the ULCP-free causal topology of \p Tr.
 ///
 /// For every critical section A (in per-lock recorded order), and for
-/// every other thread U, scan U's same-lock critical sections that
-/// follow A in the recorded order; the first that classifies as a true
+/// every other thread U, the first of U's same-lock critical sections
+/// that follow A in the recorded order and classify as a true
 /// contention pair with A receives a causal edge A -> B.  ULCPs passed
-/// over on the way carry no edge.
-TopologyGraph buildTopology(const Trace &Tr, const CsIndex &Index);
+/// over on the way carry no edge.  Each section's edges are added in
+/// recorded order.  When \p NumClassified is given it receives the
+/// number of pair classifications computed (memoized verdicts not
+/// counted).
+TopologyGraph buildTopology(const Trace &Tr, const CsIndex &Index,
+                            uint64_t *NumClassified = nullptr);
 
 } // namespace perfplay
 

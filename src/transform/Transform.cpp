@@ -2,9 +2,10 @@
 
 #include "transform/Transform.h"
 
+#include "support/FlatMap.h"
+
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <string>
 
 using namespace perfplay;
@@ -14,7 +15,7 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   TransformResult Result;
   Result.Transformed = Tr;
   Trace &Out = Result.Transformed;
-  Result.Topology = buildTopology(Tr, Index);
+  Result.Topology = buildTopology(Tr, Index, &Result.NumClassified);
   const TopologyGraph &Topo = Result.Topology;
   size_t NumCs = Index.size();
 
@@ -72,11 +73,11 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   // order must survive, and the dynamic locking strategy relies on a
   // source being granted before its targets); (b) for each original
   // lock, the chain of causal-edge nodes in the recorded grant order.
-  std::set<std::pair<uint32_t, uint32_t>> Emitted;
+  FlatMap<uint64_t, uint8_t> Emitted;
   auto addConstraint = [&](uint32_t Before, uint32_t After) {
     if (Before == After)
       return;
-    if (Emitted.insert({Before, After}).second)
+    if (Emitted.insert((static_cast<uint64_t>(Before) << 32) | After, 1))
       Out.Constraints.push_back(OrderConstraint{Before, After});
   };
   for (const TopologyEdge &E : Topo.edges())

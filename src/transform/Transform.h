@@ -48,6 +48,8 @@ struct TransformResult {
   uint64_t NumStandalone = 0;
   /// Number of auxiliary locks created.
   uint64_t NumAuxLocks = 0;
+  /// Pair classifications RULE 1 computed (buildTopology).
+  uint64_t NumClassified = 0;
 
   TransformResult() : Topology(0) {}
 };

@@ -2,11 +2,14 @@
 
 #include "transform/Transform.h"
 
+#include "core/Engine.h"
+#include "detect/Classify.h"
 #include "detect/Detector.h"
 #include "sim/Replayer.h"
 #include "support/Rng.h"
 #include "trace/TraceBuilder.h"
 #include "transform/RaceCheck.h"
+#include "workloads/Apps.h"
 
 #include <gtest/gtest.h>
 
@@ -120,6 +123,277 @@ TEST(TopologyTest, NoEdgesWithoutContention) {
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph G = buildTopology(Tr, Index);
   EXPECT_EQ(G.numEdges(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// RULE 1: the conflict-index search against the plain sequential scan
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// RULE 1 as a plain sequential scan: classify every later same-lock
+/// section until each other thread has matched.  \p Calls counts the
+/// classifyPair calls it makes.
+TopologyGraph scanTopology(const Trace &Tr, const CsIndex &Index,
+                           uint64_t &Calls) {
+  TopologyGraph Graph(Index.size());
+  MemoryImage Initial = MemoryImage::initialOf(Tr);
+  Calls = 0;
+  for (LockId L = 0; L != Index.numLocks(); ++L) {
+    const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
+    for (size_t I = 0; I != Order.size(); ++I) {
+      const CriticalSection &A = Index.byGlobalId(Order[I]);
+      std::set<ThreadId> Matched;
+      for (size_t J = I + 1; J != Order.size(); ++J) {
+        const CriticalSection &B = Index.byGlobalId(Order[J]);
+        if (B.Ref.Thread == A.Ref.Thread || Matched.count(B.Ref.Thread))
+          continue;
+        ++Calls;
+        if (classifyPair(Tr, Initial, A, B) == UlcpKind::TrueContention) {
+          Graph.addEdge(A.GlobalId, B.GlobalId);
+          Matched.insert(B.Ref.Thread);
+        }
+      }
+    }
+  }
+  return Graph;
+}
+
+/// RULE 2 and 3 outputs derived from a topology the way the
+/// transformation is specified: aux locks appended in global-id order,
+/// one lockset per section (own aux lock, then each predecessor's),
+/// constraints deduplicated in first-occurrence order.
+struct RuleOutputs {
+  std::vector<LockId> AuxLockOfCs;
+  std::vector<std::vector<std::pair<LockId, uint32_t>>> Locksets;
+  std::vector<std::pair<uint32_t, uint32_t>> Constraints;
+  uint64_t NumStandalone = 0;
+  uint64_t NumAuxLocks = 0;
+};
+
+RuleOutputs referenceRules(const Trace &Tr, const CsIndex &Index,
+                           const TopologyGraph &Topo) {
+  RuleOutputs Out;
+  size_t NumCs = Index.size();
+  Out.AuxLockOfCs.assign(NumCs, InvalidId);
+  for (uint32_t Cs = 0; Cs != NumCs; ++Cs)
+    if (Topo.outDegree(Cs) != 0)
+      Out.AuxLockOfCs[Cs] =
+          static_cast<LockId>(Tr.Locks.size() + Out.NumAuxLocks++);
+  for (const Lockset &LS : Tr.Locksets) {
+    Out.Locksets.emplace_back();
+    for (const LocksetEntry &E : LS.Entries)
+      Out.Locksets.back().push_back({E.Lock, E.SourceCs});
+  }
+  for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
+    std::vector<std::pair<LockId, uint32_t>> LS;
+    if (Out.AuxLockOfCs[Cs] != InvalidId)
+      LS.push_back({Out.AuxLockOfCs[Cs], InvalidId});
+    for (uint32_t Pred : Topo.predecessors(Cs))
+      LS.push_back({Out.AuxLockOfCs[Pred], Pred});
+    if (LS.empty())
+      ++Out.NumStandalone;
+    Out.Locksets.push_back(std::move(LS));
+  }
+  std::set<std::pair<uint32_t, uint32_t>> Emitted;
+  auto add = [&](uint32_t Before, uint32_t After) {
+    if (Before != After && Emitted.insert({Before, After}).second)
+      Out.Constraints.push_back({Before, After});
+  };
+  for (const TopologyEdge &E : Topo.edges())
+    add(E.From, E.To);
+  for (LockId L = 0; L != Index.numLocks(); ++L) {
+    uint32_t PrevCausal = InvalidId;
+    for (uint32_t Cs : Index.sectionsOfLock(L)) {
+      if (Topo.isStandalone(Cs))
+        continue;
+      if (PrevCausal != InvalidId)
+        add(PrevCausal, Cs);
+      PrevCausal = Cs;
+    }
+  }
+  return Out;
+}
+
+RuleOutputs rulesOf(const TransformResult &R) {
+  RuleOutputs Out;
+  Out.AuxLockOfCs = R.AuxLockOfCs;
+  for (const Lockset &LS : R.Transformed.Locksets) {
+    Out.Locksets.emplace_back();
+    for (const LocksetEntry &E : LS.Entries)
+      Out.Locksets.back().push_back({E.Lock, E.SourceCs});
+  }
+  for (const OrderConstraint &C : R.Transformed.Constraints)
+    Out.Constraints.push_back({C.Before, C.After});
+  Out.NumStandalone = R.NumStandalone;
+  Out.NumAuxLocks = R.NumAuxLocks;
+  return Out;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>>
+edgeList(const TopologyGraph &G) {
+  std::vector<std::pair<uint32_t, uint32_t>> Out;
+  for (const TopologyEdge &E : G.edges())
+    Out.push_back({E.From, E.To});
+  return Out;
+}
+
+} // namespace
+
+TEST(TopologyTest, IndexedSearchMatchesSequentialScan) {
+  std::vector<AppModel> Models = allApps();
+  Models.insert(Models.end(), syntheticApps().begin(),
+                syntheticApps().end());
+  Engine Eng;
+  bool SawMysql = false;
+  for (const AppModel &App : Models)
+    for (uint64_t Seed : {1, 2}) {
+      SCOPED_TRACE(App.Name + " seed " + std::to_string(Seed));
+      WorkloadSpec Spec = App.Factory(4, 8.0);
+      Spec.Seed = Seed;
+      AnalysisSession Session = Eng.openSession(generateWorkload(Spec));
+      // The grant schedule fixes the per-lock order both searches walk.
+      ASSERT_TRUE(Session.ensureRecorded().ok());
+      const Trace &Tr = Session.trace();
+      Expected<const CsIndex &> Index = Session.csIndex();
+      ASSERT_TRUE(Index.ok()) << Index.message();
+      Expected<const TransformResult &> Tx = Session.transform();
+      ASSERT_TRUE(Tx.ok()) << Tx.message();
+
+      uint64_t ScanCalls = 0;
+      TopologyGraph Scan = scanTopology(Tr, *Index, ScanCalls);
+      EXPECT_EQ(edgeList(Tx->Topology), edgeList(Scan));
+      for (uint32_t Cs = 0; Cs != Index->size(); ++Cs)
+        ASSERT_EQ(Tx->Topology.predecessors(Cs), Scan.predecessors(Cs));
+
+      RuleOutputs Want = referenceRules(Tr, *Index, Scan);
+      RuleOutputs Got = rulesOf(*Tx);
+      EXPECT_EQ(Got.AuxLockOfCs, Want.AuxLockOfCs);
+      EXPECT_EQ(Got.Locksets, Want.Locksets);
+      EXPECT_EQ(Got.Constraints, Want.Constraints);
+      EXPECT_EQ(Got.NumStandalone, Want.NumStandalone);
+      EXPECT_EQ(Got.NumAuxLocks, Want.NumAuxLocks);
+
+      EXPECT_LE(Tx->NumClassified, ScanCalls);
+      if (App.Name == "mysql") {
+        SawMysql = true;
+        EXPECT_LT(Tx->NumClassified * 100, ScanCalls)
+            << Tx->NumClassified << " of " << ScanCalls;
+      }
+    }
+  EXPECT_TRUE(SawMysql);
+}
+
+// Sections with empty read/write sets classify as null-locks unless a
+// condvar orders them; the index must still find that link, whichever
+// of the two comes first in the lock order.
+TEST(TopologyTest, CondvarLinkWithoutMemoryGetsEdge) {
+  for (bool WaitFirst : {false, true}) {
+    SCOPED_TRACE(WaitFirst ? "wait first" : "signal first");
+    TraceBuilder B;
+    LockId Mu = B.addLock("mu");
+    LockId Cv = B.addLock("cv");
+    ThreadId T0 = B.addThread();
+    ThreadId T1 = B.addThread();
+    ThreadId T2 = B.addThread();
+    B.beginCs(T0, Mu);
+    if (WaitFirst)
+      B.condWait(T0, Cv);
+    else
+      B.condSignal(T0, Cv);
+    B.endCs(T0);
+    B.beginCs(T1, Mu);
+    if (WaitFirst)
+      B.condSignal(T1, Cv);
+    else
+      B.condWait(T1, Cv);
+    B.endCs(T1);
+    B.beginCs(T2, Mu); // Null body, no condvar: stays standalone.
+    B.endCs(T2);
+    Trace Tr = B.finish();
+    CsIndex Index = CsIndex::build(Tr);
+    ASSERT_TRUE(Index.byGlobalId(0).readsEmpty() &&
+                Index.byGlobalId(0).writesEmpty());
+    uint64_t Classified = 0;
+    TopologyGraph G = buildTopology(Tr, Index, &Classified);
+    EXPECT_EQ(edgeList(G), (std::vector<std::pair<uint32_t, uint32_t>>{
+                               {0, 1}}));
+    EXPECT_TRUE(G.isStandalone(2));
+    EXPECT_EQ(Classified, 1u);
+  }
+}
+
+// U's first true contention sits behind ULCPs of U: a null-lock, two
+// disjoint sections and a benign redundant store.  The edge must skip
+// all four and stop at the first true contention.
+TEST(TopologyTest, FirstContentionBehindUlcpRun) {
+  TraceBuilder B;
+  LockId L = B.addLock("L");
+  ThreadId T0 = B.addThread();
+  ThreadId T1 = B.addThread();
+  B.beginCs(T0, L); // 0: reads 2, stores 5 to 1.
+  B.read(T0, 2, 0);
+  B.write(T0, 1, 5);
+  B.endCs(T0);
+  B.beginCs(T1, L); // 1: null-lock.
+  B.endCs(T1);
+  B.beginCs(T1, L); // 2: disjoint read.
+  B.read(T1, 3, 0);
+  B.endCs(T1);
+  B.beginCs(T1, L); // 3: disjoint write.
+  B.write(T1, 4, 1);
+  B.endCs(T1);
+  B.beginCs(T1, L); // 4: redundant store of 5 to 1: benign.
+  B.write(T1, 1, 5);
+  B.endCs(T1);
+  B.beginCs(T1, L); // 5: reads 1: true contention.
+  B.read(T1, 1, 0);
+  B.endCs(T1);
+  B.beginCs(T1, L); // 6: also true contention, but not the first.
+  B.read(T1, 1, 0);
+  B.write(T1, 2, 7);
+  B.endCs(T1);
+  Trace Tr = B.finish();
+  CsIndex Index = CsIndex::build(Tr);
+  uint64_t Calls = 0;
+  TopologyGraph Scan = scanTopology(Tr, Index, Calls);
+  uint64_t Classified = 0;
+  TopologyGraph G = buildTopology(Tr, Index, &Classified);
+  EXPECT_EQ(edgeList(G), edgeList(Scan));
+  EXPECT_TRUE(hasEdge(G, 0, 5));
+  EXPECT_FALSE(hasEdge(G, 0, 4));
+  EXPECT_FALSE(hasEdge(G, 0, 6));
+  // Only the benign store and the match share an address with 0.
+  EXPECT_EQ(Classified, 2u);
+  EXPECT_EQ(Calls, 5u);
+}
+
+// A lock whose conflicts are all benign (commutative adds from one
+// site): every cross-thread pair shares a key pair, so it is
+// classified once, where the scan replays every pair.
+TEST(TopologyTest, BenignLockClassifiesEachKeyPairOnce) {
+  TraceBuilder B;
+  LockId L = B.addLock("counter");
+  CodeSiteId Site = B.addSite("counter.cc", "bump", 1, 2);
+  std::vector<ThreadId> Ids = {B.addThread(), B.addThread(),
+                               B.addThread()};
+  for (int Round = 0; Round != 8; ++Round)
+    for (ThreadId T : Ids) {
+      B.beginCs(T, L, Site);
+      B.write(T, 1, 1, WriteOpKind::Add);
+      B.endCs(T);
+    }
+  Trace Tr = B.finish();
+  recordGrantSchedule(Tr, 1);
+  CsIndex Index = CsIndex::build(Tr);
+  uint64_t Calls = 0;
+  TopologyGraph Scan = scanTopology(Tr, Index, Calls);
+  uint64_t Classified = 0;
+  TopologyGraph G = buildTopology(Tr, Index, &Classified);
+  EXPECT_EQ(G.numEdges(), 0u);
+  EXPECT_EQ(Scan.numEdges(), 0u);
+  EXPECT_EQ(Classified, 1u);
+  EXPECT_GT(Calls, 100u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -490,13 +490,15 @@ int cmdAnalyze(ArgList &Args) {
               static_cast<unsigned long long>(C.Benign),
               static_cast<unsigned long long>(C.TrueContention));
   std::printf("transform: %llu causal edges, %llu auxiliary locks, "
-              "%llu standalone sections removed\n",
+              "%llu standalone sections removed, %llu pairs classified\n",
               static_cast<unsigned long long>(
                   R.Transformation.Topology.numEdges()),
               static_cast<unsigned long long>(
                   R.Transformation.NumAuxLocks),
               static_cast<unsigned long long>(
-                  R.Transformation.NumStandalone));
+                  R.Transformation.NumStandalone),
+              static_cast<unsigned long long>(
+                  R.Transformation.NumClassified));
   if (Csv) {
     std::printf("\n-- detection.csv --\n%s",
                 detectionToCsv(R.Detection).c_str());
