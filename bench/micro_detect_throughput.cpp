@@ -1,17 +1,19 @@
 //===- bench/micro_detect_throughput.cpp - detection throughput -------------===//
 //
 // Measures ULCP detection throughput (classified pairs per second) on a
-// lock-heavy workload under the detector's performance knobs: serial
-// baseline, parallel classification, key-pair dedup, and both combined.
-// All configurations produce bit-identical Counts (asserted here), so
-// the comparison is pure speed.  Emits BENCH_detect.json for CI
-// tracking alongside a human-readable table.
+// lock-heavy workload with key-pair dedup off (every pair classified)
+// and on (each distinct key pair classified once).  Both produce
+// bit-identical Counts (asserted here), so the comparison is pure
+// speed.  Emits BENCH_detect.json for CI tracking alongside a
+// human-readable table.
 //
 // A second corpus — wide-set sections touching 10k..1M addresses,
 // dense (interleaved, bitmap blocks) and sparse (strided, small
-// blocks) — times Algorithm 1's read/write-set intersection under
-// SetRepr::Sorted vs SetRepr::Bitset (support/AddrSet.h) and records
-// bitset_intersect_speedup.  Verdict parity across representations is
+// blocks) — times Algorithm 1's two read/write-set intersection
+// kernels directly, the sorted merge (sortedIntersects,
+// support/SetOps.h) against the chunked bitmap (AddrSet::intersects,
+// support/AddrSet.h), plus the density-routed classifyPairStatic, and
+// records bitset_intersect_speedup.  Kernel and verdict parity are
 // asserted per entry, and the run exits non-zero if the dense corpus
 // falls below --min-speedup (default 4x), so CI smoke gates the
 // word-parallel path.
@@ -26,9 +28,8 @@
 //
 // Usage:
 //   bench_micro_detect_throughput [--app NAME] [--threads N] [--scale S]
-//                                 [--detect-threads N] [--repeat K]
-//                                 [--out FILE] [--no-wide] [--no-rwlock]
-//                                 [--min-speedup X]
+//                                 [--repeat K] [--out FILE] [--no-wide]
+//                                 [--no-rwlock] [--min-speedup X]
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +37,7 @@
 #include "detect/CriticalSection.h"
 #include "detect/Detector.h"
 #include "sim/Replayer.h"
+#include "support/SetOps.h"
 #include "trace/TraceBuilder.h"
 #include "workloads/WorkloadSpec.h"
 
@@ -121,7 +123,6 @@ Trace makeLockHeavyTrace(unsigned Threads, unsigned PerThread) {
 
 struct ConfigResult {
   const char *Name;
-  unsigned Threads;
   bool Dedup;
   double Seconds = 0.0;
   double PairsPerSec = 0.0;
@@ -133,7 +134,6 @@ double runConfig(const Trace &Tr, const CsIndex &Index, ConfigResult &Cfg,
                  unsigned Repeat) {
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AllCrossThread;
-  Opts.NumThreads = Cfg.Threads;
   Opts.DedupPairs = Cfg.Dedup;
   // Counts-only keeps the O(n^2) pair vector out of the measurement:
   // the bench times classification, not vector growth.
@@ -155,7 +155,7 @@ double runConfig(const Trace &Tr, const CsIndex &Index, ConfigResult &Cfg,
 }
 
 //===----------------------------------------------------------------------===//
-// Wide-set corpus: SetRepr::Sorted vs SetRepr::Bitset intersection.
+// Wide-set corpus: sorted-merge vs chunked-bitmap intersection.
 //===----------------------------------------------------------------------===//
 
 /// Two threads, one lock, one section each, every section touching
@@ -198,26 +198,26 @@ struct WideResult {
   bool Parity = true;
 };
 
-/// Times \p Iters static classifications of the corpus pair under
-/// \p Repr.  classifyPairStatic is intersection-bound here: the
-/// sections are write-only, so the one live intersection is
-/// writes-vs-writes over the full wide sets.
-double timeStaticClassification(const CriticalSection &C1,
-                                const CriticalSection &C2, SetRepr Repr,
-                                unsigned Iters, UlcpKind &VerdictOut) {
+/// Times \p Iters runs of \p Fn, folding each result into
+/// \p ResultOut (every run must give the same answer).
+template <typename Fn>
+double timeIters(unsigned Iters, Fn &&Run, unsigned &ResultOut) {
   auto Start = std::chrono::steady_clock::now();
   unsigned Acc = 0;
   for (unsigned I = 0; I != Iters; ++I)
-    Acc += static_cast<unsigned>(classifyPairStatic(C1, C2, Repr));
+    Acc += Run();
   auto End = std::chrono::steady_clock::now();
-  VerdictOut = static_cast<UlcpKind>(Acc / Iters);
+  ResultOut = Acc / Iters;
   return std::chrono::duration<double>(End - Start).count() / Iters;
 }
 
-/// Runs one corpus entry: builds the trace, asserts end-to-end verdict
-/// parity (full detectUlcps counts identical across representations),
-/// then times the static classification under both pinned
-/// representations.
+/// Runs one corpus entry: builds the trace, times the writes-vs-writes
+/// intersection (the one live intersection of these write-only
+/// sections) under each kernel and the routed classifyPairStatic,
+/// then checks parity: both kernels give the same answer, the routed
+/// verdict follows it (TrueContention on a shared address,
+/// DisjointWrite otherwise), and full detectUlcps counts that one
+/// verdict.
 WideResult runWideEntry(const char *Name, size_t Addrs, bool Dense) {
   WideResult R;
   R.Name = Name;
@@ -234,31 +234,40 @@ WideResult runWideEntry(const char *Name, size_t Addrs, bool Dense) {
   unsigned Iters = static_cast<unsigned>(
       std::max<size_t>(3, 30 * 1000 * 1000 / std::max<size_t>(1, Addrs)));
 
-  UlcpKind SortedVerdict, BitsetVerdict, AutoVerdict;
-  R.SortedSec = timeStaticClassification(C1, C2, SetRepr::Sorted, Iters,
-                                         SortedVerdict);
-  R.BitsetSec = timeStaticClassification(C1, C2, SetRepr::Bitset, Iters,
-                                         BitsetVerdict);
-  R.AutoSec = timeStaticClassification(C1, C2, SetRepr::Auto, Iters,
-                                       AutoVerdict);
+  unsigned SortedHit, BitsetHit, AutoVerdict;
+  R.SortedSec = timeIters(
+      Iters,
+      [&] {
+        return static_cast<unsigned>(sortedIntersects(C1.Writes, C2.Writes));
+      },
+      SortedHit);
+  R.BitsetSec = timeIters(
+      Iters,
+      [&] {
+        return static_cast<unsigned>(C1.WriteSet.intersects(C2.WriteSet));
+      },
+      BitsetHit);
+  R.AutoSec = timeIters(
+      Iters,
+      [&] { return static_cast<unsigned>(classifyPairStatic(C1, C2)); },
+      AutoVerdict);
   R.Speedup = R.BitsetSec > 0.0 ? R.SortedSec / R.BitsetSec : 0.0;
-  R.Verdict = ulcpKindName(SortedVerdict);
-  R.Parity = SortedVerdict == BitsetVerdict && SortedVerdict == AutoVerdict;
+  const UlcpKind Verdict = static_cast<UlcpKind>(AutoVerdict);
+  R.Verdict = ulcpKindName(Verdict);
 
   // End-to-end parity: the whole detector, not just the static path.
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AllCrossThread;
   Opts.CountsOnly = true;
-  Opts.Repr = SetRepr::Sorted;
-  DetectResult Sorted = detectUlcps(Tr, Index, Opts);
-  Opts.Repr = SetRepr::Bitset;
-  DetectResult Bitset = detectUlcps(Tr, Index, Opts);
-  R.Parity = R.Parity &&
-             Sorted.Counts.NullLock == Bitset.Counts.NullLock &&
-             Sorted.Counts.ReadRead == Bitset.Counts.ReadRead &&
-             Sorted.Counts.DisjointWrite == Bitset.Counts.DisjointWrite &&
-             Sorted.Counts.Benign == Bitset.Counts.Benign &&
-             Sorted.Counts.TrueContention == Bitset.Counts.TrueContention;
+  DetectResult Full = detectUlcps(Tr, Index, Opts);
+  const UlcpKind Want =
+      SortedHit ? UlcpKind::TrueContention : UlcpKind::DisjointWrite;
+  UlcpCounts Expected;
+  Expected.add(Want);
+  R.Parity = SortedHit == BitsetHit && Verdict == Want &&
+             Full.Counts.total() == 1 &&
+             Full.Counts.TrueContention == Expected.TrueContention &&
+             Full.Counts.DisjointWrite == Expected.DisjointWrite;
   return R;
 }
 
@@ -288,8 +297,6 @@ int main(int Argc, char **Argv) {
   unsigned Threads = static_cast<unsigned>(
       std::atoi(option(Argc, Argv, "--threads", "4").c_str()));
   double Scale = std::atof(option(Argc, Argv, "--scale", "1.0").c_str());
-  unsigned DetectThreads = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--detect-threads", "4").c_str()));
   unsigned Repeat = static_cast<unsigned>(
       std::atoi(option(Argc, Argv, "--repeat", "3").c_str()));
   std::string Out = option(Argc, Argv, "--out", "BENCH_detect.json");
@@ -316,15 +323,14 @@ int main(int Argc, char **Argv) {
   CsIndex Index = CsIndex::build(Tr);
 
   ConfigResult Configs[] = {
-      {"serial", 1, false, 0, 0, {}, {}},
-      {"parallel", DetectThreads, false, 0, 0, {}, {}},
-      {"dedup", 1, true, 0, 0, {}, {}},
-      {"parallel_dedup", DetectThreads, true, 0, 0, {}, {}},
+      {"serial", false, 0, 0, {}, {}},
+      {"dedup", true, 0, 0, {}, {}},
   };
+  const ConfigResult &Dedup = Configs[1];
   for (ConfigResult &Cfg : Configs)
     runConfig(Tr, Index, Cfg, Repeat);
 
-  // Every configuration must agree with the serial baseline; a
+  // Dedup must agree with the classify-every-pair baseline; a
   // mismatch means the optimization changed results, not just speed.
   const UlcpCounts &Base = Configs[0].Counts;
   for (const ConfigResult &Cfg : Configs)
@@ -342,8 +348,7 @@ int main(int Argc, char **Argv) {
               "sections, %llu pairs, %llu distinct keys\n",
               AppName.c_str(), Threads, Scale, Index.size(),
               static_cast<unsigned long long>(Base.total()),
-              static_cast<unsigned long long>(
-                  Configs[3].Stats.NumSectionKeys));
+              static_cast<unsigned long long>(Dedup.Stats.NumSectionKeys));
   for (const ConfigResult &Cfg : Configs)
     std::printf("  %-14s %8.3f ms  %12.0f pairs/s  (%.2fx)\n", Cfg.Name,
                 Cfg.Seconds * 1e3, Cfg.PairsPerSec,
@@ -360,7 +365,7 @@ int main(int Argc, char **Argv) {
     Wide.push_back(runWideEntry("sparse_10k", 10 * 1000, false));
     Wide.push_back(runWideEntry("sparse_100k", 100 * 1000, false));
 
-    std::printf("wide-set intersection: sorted vs bitset "
+    std::printf("wide-set intersection: sorted merge vs bitmap "
                 "(DisjointWrite pairs)\n");
     for (const WideResult &W : Wide) {
       std::printf("  %-12s %7zu addrs  sorted %9.3f us  bitset %9.3f us"
@@ -445,25 +450,24 @@ int main(int Argc, char **Argv) {
                "  \"sections\": %zu,\n"
                "  \"pairs\": %llu,\n"
                "  \"distinct_section_keys\": %llu,\n"
-               "  \"detect_threads\": %u,\n"
                "  \"repeat\": %u,\n"
                "  \"configs\": [\n",
                AppName.c_str(), Threads, Scale, Index.size(),
                static_cast<unsigned long long>(Base.total()),
-               static_cast<unsigned long long>(
-                   Configs[3].Stats.NumSectionKeys),
-               DetectThreads, Repeat);
-  for (size_t I = 0; I != 4; ++I) {
+               static_cast<unsigned long long>(Dedup.Stats.NumSectionKeys),
+               Repeat);
+  const size_t NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
+  for (size_t I = 0; I != NumConfigs; ++I) {
     const ConfigResult &Cfg = Configs[I];
     std::fprintf(F,
-                 "    {\"name\": \"%s\", \"threads\": %u, \"dedup\": %s, "
+                 "    {\"name\": \"%s\", \"dedup\": %s, "
                  "\"seconds\": %.6f, \"pairs_per_sec\": %.1f, "
                  "\"classified\": %llu, \"speedup\": %.3f}%s\n",
-                 Cfg.Name, Cfg.Threads, Cfg.Dedup ? "true" : "false",
-                 Cfg.Seconds, Cfg.PairsPerSec,
+                 Cfg.Name, Cfg.Dedup ? "true" : "false", Cfg.Seconds,
+                 Cfg.PairsPerSec,
                  static_cast<unsigned long long>(Cfg.Stats.NumClassified),
                  Cfg.PairsPerSec / Configs[0].PairsPerSec,
-                 I + 1 != 4 ? "," : "");
+                 I + 1 != NumConfigs ? "," : "");
   }
   std::fprintf(F, "  ]");
   if (!Wide.empty()) {
@@ -507,8 +511,8 @@ int main(int Argc, char **Argv) {
 
   if (!Wide.empty()) {
     if (!WideParityOk) {
-      std::fprintf(stderr, "FATAL: wide-set corpus verdicts diverged "
-                           "between SetRepr::Sorted and SetRepr::Bitset\n");
+      std::fprintf(stderr, "FATAL: wide-set corpus answers diverged "
+                           "between the sorted merge and the bitmap\n");
       return 1;
     }
     if (DenseMinSpeedup < MinSpeedup) {

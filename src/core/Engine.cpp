@@ -73,16 +73,6 @@ Engine::detectWindowed(const std::string &Path) const {
   return Result;
 }
 
-unsigned Engine::cappedDetectThreads(unsigned Requested,
-                                     unsigned BatchWorkers) {
-  unsigned Hardware =
-      ThreadPool::resolveThreadCount(0, static_cast<size_t>(-1));
-  unsigned Resolved =
-      ThreadPool::resolveThreadCount(Requested, static_cast<size_t>(-1));
-  unsigned Budget = std::max(1u, Hardware / std::max(BatchWorkers, 1u));
-  return std::min(Resolved, Budget);
-}
-
 void Engine::runBatch(
     size_t NumItems, unsigned NumThreads, const SessionSource &Open,
     const std::function<void(size_t, Expected<PipelineResult> &&)> &Deliver)
@@ -91,12 +81,9 @@ void Engine::runBatch(
     return;
 
   // Progress callbacks and result delivery funnel through one mutex so
-  // user callbacks need no locking of their own.  BatchMu is above the
-  // detector's verdict-cache stripes in the lock hierarchy only in the
-  // trivial sense that both are never held together: user callbacks
-  // run under BatchMu but never re-enter the engine (documented on
-  // BatchResultConsumer), and detection runs lock-free with respect to
-  // BatchMu.
+  // user callbacks need no locking of their own.  User callbacks run
+  // under BatchMu but never re-enter the engine (documented on
+  // BatchResultConsumer), and analysis itself takes no engine lock.
   Mutex BatchMu;
   ProgressCallback SharedProgress;
   if (Progress)
@@ -106,14 +93,8 @@ void Engine::runBatch(
     };
 
   ThreadPool Pool(ThreadPool::resolveThreadCount(NumThreads, NumItems));
-  // Nested-pool guard: each session's detection stage spins up its own
-  // pool, so cap its width such that batch-workers x detect-threads
-  // stays within the machine instead of oversubscribing to the product.
-  PipelineOptions BatchOpts = Defaults;
-  BatchOpts.Detect.NumThreads =
-      cappedDetectThreads(Defaults.Detect.NumThreads, Pool.size());
   Pool.parallelFor(NumItems, [&](size_t I) {
-    Expected<AnalysisSession> SessionOr = Open(I, BatchOpts, SharedProgress);
+    Expected<AnalysisSession> SessionOr = Open(I, SharedProgress);
     Expected<PipelineResult> Item = [&]() -> Expected<PipelineResult> {
       if (!SessionOr)
         return SessionOr.error();
@@ -165,9 +146,9 @@ AggregatedReport Engine::streamBatch(size_t NumItems, unsigned NumThreads,
 }
 
 /// Session source over a pre-loaded trace vector.
-static auto traceSource(std::vector<Trace> &Traces) {
-  return [&Traces](size_t I, const PipelineOptions &Opts,
-                   const ProgressCallback &Progress)
+static auto traceSource(std::vector<Trace> &Traces,
+                        const PipelineOptions &Opts) {
+  return [&Traces, &Opts](size_t I, const ProgressCallback &Progress)
              -> Expected<AnalysisSession> {
     return AnalysisSession(std::move(Traces[I]), Opts, Progress);
   };
@@ -180,7 +161,7 @@ Engine::analyzeBatch(std::vector<Trace> Traces, unsigned NumThreads) const {
   for (size_t I = 0; I != Traces.size(); ++I)
     Results.emplace_back(
         PipelineError(ErrorCode::BatchItemFailed, "not analyzed"));
-  runBatch(Traces.size(), NumThreads, traceSource(Traces),
+  runBatch(Traces.size(), NumThreads, traceSource(Traces, Defaults),
            [&](size_t I, Expected<PipelineResult> &&Item) {
              Results[I] = std::move(Item);
            });
@@ -191,7 +172,7 @@ AggregatedReport
 Engine::analyzeBatchStreaming(std::vector<Trace> Traces,
                               const BatchResultConsumer &Consumer,
                               unsigned NumThreads) const {
-  return streamBatch(Traces.size(), NumThreads, traceSource(Traces),
+  return streamBatch(Traces.size(), NumThreads, traceSource(Traces, Defaults),
                      Consumer);
 }
 
@@ -201,12 +182,11 @@ Engine::analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                                    unsigned NumThreads) const {
   return streamBatch(
       Paths.size(), NumThreads,
-      [&Paths](size_t I, const PipelineOptions &Opts,
-               const ProgressCallback &Progress) {
+      [&](size_t I, const ProgressCallback &Progress) {
         // Each worker loads its own file on demand — input memory is
         // one trace (and one pinned mapping) per worker, not the sum
         // of the batch.
-        return openFileSession(Paths[I], Opts, Progress);
+        return openFileSession(Paths[I], Defaults, Progress);
       },
       Consumer);
 }

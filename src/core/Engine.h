@@ -81,12 +81,8 @@ public:
   /// batch size).  The result vector parallels the input: each element
   /// is the trace's complete PipelineResult or the typed error of its
   /// first failing stage.  One trace's failure never aborts the rest.
-  ///
-  /// Thread budgets do not multiply: each worker session's detection
-  /// runs with options().Detect.NumThreads capped so that
-  /// batch-workers x detect-threads never exceeds the machine
-  /// (cappedDetectThreads).  With the defaults (Detect.NumThreads = 1)
-  /// parallelism is purely across traces.
+  /// Parallelism is purely across traces: each session detects on its
+  /// worker's thread.
   std::vector<Expected<PipelineResult>>
   analyzeBatch(std::vector<Trace> Traces, unsigned NumThreads = 0) const;
 
@@ -130,20 +126,12 @@ public:
                              const BatchResultConsumer &Consumer,
                              unsigned NumThreads = 0) const;
 
-  /// Detection-thread budget for one of \p BatchWorkers concurrent
-  /// sessions when the engine's options request \p Requested
-  /// (0 = one per hardware thread): the largest count that keeps
-  /// BatchWorkers x result <= hardware threads, floored at 1.
-  static unsigned cappedDetectThreads(unsigned Requested,
-                                      unsigned BatchWorkers);
-
 private:
   /// Produces item \p Index's session for a batch run, built with the
-  /// batch's capped options and shared progress callback — from a
-  /// pre-loaded Trace or by loading a file on the worker.
+  /// engine's options and the batch's shared progress callback — from
+  /// a pre-loaded Trace or by loading a file on the worker.
   using SessionSource = std::function<Expected<AnalysisSession>(
-      size_t Index, const PipelineOptions &BatchOpts,
-      const ProgressCallback &SharedProgress)>;
+      size_t Index, const ProgressCallback &SharedProgress)>;
 
   /// Shared fan-out of every batch entry point: analyzes \p NumItems
   /// sessions from \p Open on the pool and hands each finished result

@@ -8,46 +8,33 @@ using namespace perfplay;
 
 namespace {
 
-/// Both sets small enough that the sorted-vector merge's constant
-/// factor beats the chunk-header walk.  Either path is correct; Auto
-/// uses this threshold to pick.  Kept equal to the CsIndex gate that
-/// decides whether a section derives AddrSet mirrors at all, so every
-/// intersection Auto routes to the bitmap path has built sets.
-constexpr size_t AutoSortedMax = CriticalSection::TinySetMax;
-
 /// Mean chunk occupancy at which the bitmap walk pays for its
 /// per-chunk overhead.  Benchmarked on the wide-set corpus: dense
 /// interleaved sets (512/chunk) run >100x faster word-parallel, while
 /// strided sparse sets (8/chunk) are ~1.4x slower than the plain
-/// merge, so Auto routes on density.
-constexpr size_t AutoDenseOccupancy = 16;
+/// merge, so the kernel is chosen on density.
+constexpr size_t DenseOccupancy = 16;
 
 bool isDense(const AddrSet &S) {
-  return S.size() >= AutoDenseOccupancy * S.chunkCount();
+  return S.size() >= DenseOccupancy * S.chunkCount();
 }
 
-/// One read/write-set intersection in the representation \p Repr
-/// selects.  \p AV/\p BV are the sorted vectors, \p AS/\p BS their
-/// AddrSet mirrors.
-bool reprIntersects(const std::vector<AddrId> &AV, const AddrSet &AS,
-                    const std::vector<AddrId> &BV, const AddrSet &BS,
-                    SetRepr Repr) {
-  switch (Repr) {
-  case SetRepr::Sorted:
+/// One read/write-set intersection.  \p AV/\p BV are the sorted
+/// vectors, \p AS/\p BS their AddrSet mirrors (valid when
+/// \p Mirrors).  Tiny sets take the merge, whose constant factor wins
+/// (and sortedIntersects already early-exits on disjoint value
+/// ranges); otherwise the word-parallel path runs when at least one
+/// side is chunk-dense, and two genuinely sparse wide sets merge
+/// fastest as vectors.  The tiny bound equals the gate below which
+/// sections never derive mirrors (CriticalSection::TinySetMax).
+bool setsIntersect(const std::vector<AddrId> &AV, const AddrSet &AS,
+                   const std::vector<AddrId> &BV, const AddrSet &BS,
+                   bool Mirrors) {
+  if (!Mirrors || (AV.size() <= CriticalSection::TinySetMax &&
+                   BV.size() <= CriticalSection::TinySetMax))
     return sortedIntersects(AV, BV);
-  case SetRepr::Bitset:
+  if (isDense(AS) || isDense(BS))
     return AS.intersects(BS);
-  case SetRepr::Auto:
-    // Tiny sets: the merge's constant factor wins (and sortedIntersects
-    // already early-exits on disjoint value ranges).  Otherwise take
-    // the word-parallel path when at least one side is chunk-dense;
-    // two genuinely sparse wide sets merge fastest as vectors.
-    if (AV.size() <= AutoSortedMax && BV.size() <= AutoSortedMax)
-      return sortedIntersects(AV, BV);
-    if (isDense(AS) || isDense(BS))
-      return AS.intersects(BS);
-    return sortedIntersects(AV, BV);
-  }
   return sortedIntersects(AV, BV);
 }
 
@@ -75,8 +62,7 @@ bool condOrdered(const CriticalSection &C1, const CriticalSection &C2) {
 } // namespace
 
 UlcpKind perfplay::classifyPairStatic(const CriticalSection &C1,
-                                      const CriticalSection &C2,
-                                      SetRepr Repr) {
+                                      const CriticalSection &C2) {
   // A wait/signal edge between the sections means their ordering is
   // semantically required; report true contention without looking at
   // memory (and classifyPair skips the reversed replay, which would
@@ -100,16 +86,18 @@ UlcpKind perfplay::classifyPairStatic(const CriticalSection &C1,
   if (C1.writesEmpty() && C2.writesEmpty())
     return UlcpKind::ReadRead;
 
-  // A hand-built section without derived AddrSets cannot take the
-  // bitset path; results are identical either way.
-  if (Repr != SetRepr::Sorted && !(C1.setsBuilt() && C2.setsBuilt()))
-    Repr = SetRepr::Sorted;
+  // A section without derived AddrSets (tiny or hand-built) cannot
+  // take the bitset path; results are identical either way.
+  const bool Mirrors = C1.setsBuilt() && C2.setsBuilt();
 
   // Line 5: disjoint-write when no read-write, write-read or
   // write-write intersection exists.
-  if (!reprIntersects(C1.Reads, C1.ReadSet, C2.Writes, C2.WriteSet, Repr) &&
-      !reprIntersects(C1.Writes, C1.WriteSet, C2.Reads, C2.ReadSet, Repr) &&
-      !reprIntersects(C1.Writes, C1.WriteSet, C2.Writes, C2.WriteSet, Repr))
+  if (!setsIntersect(C1.Reads, C1.ReadSet, C2.Writes, C2.WriteSet,
+                     Mirrors) &&
+      !setsIntersect(C1.Writes, C1.WriteSet, C2.Reads, C2.ReadSet,
+                     Mirrors) &&
+      !setsIntersect(C1.Writes, C1.WriteSet, C2.Writes, C2.WriteSet,
+                     Mirrors))
     return UlcpKind::DisjointWrite;
 
   // Line 8: statically conflicting; the reversed replay decides whether
@@ -119,8 +107,8 @@ UlcpKind perfplay::classifyPairStatic(const CriticalSection &C1,
 
 UlcpKind perfplay::classifyPair(const Trace &Tr, const MemoryImage &Initial,
                                 const CriticalSection &C1,
-                                const CriticalSection &C2, SetRepr Repr) {
-  UlcpKind Static = classifyPairStatic(C1, C2, Repr);
+                                const CriticalSection &C2) {
+  UlcpKind Static = classifyPairStatic(C1, C2);
   if (Static != UlcpKind::TrueContention)
     return Static;
   // A condvar wait/signal edge is a semantic ordering: the reversed

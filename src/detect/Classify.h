@@ -22,40 +22,21 @@
 
 namespace perfplay {
 
-/// Which read/write-set representation Algorithm 1 intersects.  Every
-/// representation produces byte-identical verdicts (asserted by tests
-/// and the detection benchmark); the choice is purely a speed lever.
-enum class SetRepr {
-  /// Pick per pair: the chunked bitmap for wide sets, the sorted
-  /// vectors when both sets are tiny (where the galloping merge's
-  /// constant factor wins).  The default.
-  Auto,
-  /// Always intersect the sorted vectors (support/SetOps.h): linear
-  /// merge, galloping on skewed sizes.  The PR 2 path, kept selectable
-  /// for parity testing and as the fallback for hand-built sections.
-  Sorted,
-  /// Always intersect the chunked bitmaps (support/AddrSet.h):
-  /// O(1) digest rejection, then word-parallel uint64 AND loops.
-  /// Falls back to Sorted for sections whose AddrSets were never
-  /// built (CriticalSection::setsBuilt() is false).
-  Bitset,
-};
-
 /// Algorithm 1, lines 1-8: classification by read/write set
 /// intersection only.  Returns TrueContention for statically
 /// conflicting pairs (which a caller may refine with isBenignPair).
-/// \p Repr selects the set representation intersected; verdicts do
-/// not depend on it.
+/// Each read/write-set intersection picks its kernel from what it can
+/// observe: the sorted merge (support/SetOps.h) for tiny or sparse
+/// sets, the word-parallel chunked bitmap (support/AddrSet.h) when
+/// either side is chunk-dense.  Both kernels give the same answer.
 UlcpKind classifyPairStatic(const CriticalSection &C1,
-                            const CriticalSection &C2,
-                            SetRepr Repr = SetRepr::Auto);
+                            const CriticalSection &C2);
 
 /// Full classification: Algorithm 1 plus the reversed-replay
 /// refinement of conflicting pairs into Benign / TrueContention.
 UlcpKind classifyPair(const Trace &Tr, const MemoryImage &Initial,
                       const CriticalSection &C1,
-                      const CriticalSection &C2,
-                      SetRepr Repr = SetRepr::Auto);
+                      const CriticalSection &C2);
 
 } // namespace perfplay
 

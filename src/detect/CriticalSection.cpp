@@ -12,6 +12,19 @@ template <typename T> static void sortUnique(std::vector<T> &V) {
   V.erase(std::unique(V.begin(), V.end()), V.end());
 }
 
+void CriticalSection::finalizeSets() {
+  sortUnique(Reads);
+  sortUnique(Writes);
+  sortUnique(CondWaits);
+  sortUnique(CondSignals);
+  // The bitset form is derived once here so every downstream
+  // intersection (classification, restricted replay images) can take
+  // the word-parallel path without re-canonicalizing.  Tiny sections
+  // skip it: Algorithm 1 routes them to the sorted merge anyway.
+  if (Reads.size() > TinySetMax || Writes.size() > TinySetMax)
+    buildSets();
+}
+
 CsIndex CsIndex::build(const Trace &Tr) {
   CsIndex Index;
   Index.TryFailPerLock.assign(Tr.Locks.size(), 0);
@@ -93,18 +106,7 @@ CsIndex CsIndex::build(const Trace &Tr) {
     CriticalSection &Cs = Index.Sections[I];
     Cs.GlobalId = Tr.globalCsId(Cs.Ref);
     assert(Cs.GlobalId == I && "global-id enumeration mismatch");
-    sortUnique(Cs.Reads);
-    sortUnique(Cs.Writes);
-    sortUnique(Cs.CondWaits);
-    sortUnique(Cs.CondSignals);
-    // The bitset form is derived once here so every downstream
-    // intersection (classification, restricted replay images) can take
-    // the word-parallel path without re-canonicalizing.  Tiny sections
-    // skip it: SetRepr::Auto routes them to the sorted merge anyway,
-    // and the bitset path falls back per pair via setsBuilt().
-    if (Cs.Reads.size() > CriticalSection::TinySetMax ||
-        Cs.Writes.size() > CriticalSection::TinySetMax)
-      Cs.buildSets();
+    Cs.finalizeSets();
   }
 
   // Per-lock pairing order.

@@ -27,9 +27,9 @@ namespace perfplay {
 /// One critical section with its shadow-memory summary.
 struct CriticalSection {
   /// Sections whose read and write sets are both at most this wide
-  /// are never intersected through AddrSet — SetRepr::Auto routes
-  /// them to the sorted merge, whose constant factor wins — so
-  /// CsIndex::build skips deriving their bitmap mirrors entirely
+  /// are never intersected through AddrSet — Algorithm 1 routes them
+  /// to the sorted merge, whose constant factor wins — so
+  /// \ref finalizeSets skips deriving their bitmap mirrors entirely
   /// (saving two allocations and ~300 bytes per tiny section on
   /// lock-heavy traces with millions of small sections).
   static constexpr size_t TinySetMax = 32;
@@ -60,11 +60,11 @@ struct CriticalSection {
   std::vector<AddrId> Reads;
   std::vector<AddrId> Writes;
   /// Chunked-bitmap form of Reads/Writes (support/AddrSet.h), built
-  /// once per section by CsIndex::build (or \ref buildSets) and used
-  /// by the word-parallel intersection path of Algorithm 1
-  /// (`SetRepr::Bitset`/`Auto`).  The sorted vectors above stay the
-  /// canonical representation the frozen PipelineResult surface and
-  /// `SetRepr::Sorted` consume.
+  /// once per wide section by \ref finalizeSets (or \ref buildSets)
+  /// and used by the word-parallel intersection path of Algorithm 1
+  /// when either side is chunk-dense.  The sorted vectors above stay
+  /// the canonical representation the frozen PipelineResult surface
+  /// and the sorted merge consume.
   AddrSet ReadSet;
   AddrSet WriteSet;
   /// Total Compute cost between acquire and release.
@@ -73,9 +73,16 @@ struct CriticalSection {
   bool readsEmpty() const { return Reads.empty(); }
   bool writesEmpty() const { return Writes.empty(); }
 
+  /// Canonicalizes the accumulated Reads/Writes/CondWaits/CondSignals
+  /// (sort + de-duplicate) and derives the bitmap mirrors when either
+  /// set is wider than \ref TinySetMax.  The one set finalizer of
+  /// detection: CsIndex::build and the windowed detector's
+  /// representatives both end with it.
+  void finalizeSets();
+
   /// (Re)derives ReadSet/WriteSet from the sorted Reads/Writes
   /// vectors.  Call after populating the vectors on a hand-built
-  /// section; CsIndex::build does it for every section wider than
+  /// section; \ref finalizeSets does it for every section wider than
   /// \ref TinySetMax.  Invariant: any later mutation of Reads/Writes
   /// stales the mirrors — re-call buildSets() (or clear the sets)
   /// afterwards, since \ref setsBuilt can only compare sizes.
@@ -117,6 +124,11 @@ public:
   /// Global CS ids protected by \p Lock, in pairing order.
   const std::vector<uint32_t> &sectionsOfLock(LockId Lock) const {
     return PerLock[Lock];
+  }
+
+  /// Every lock's pairing order, indexed by lock id.
+  const std::vector<std::vector<uint32_t>> &lockOrders() const {
+    return PerLock;
   }
 
   unsigned numLocks() const {

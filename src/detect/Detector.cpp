@@ -1,32 +1,25 @@
 //===- detect/Detector.cpp - Whole-trace ULCP detection --------------------===//
 //
-// The hot path of the pipeline.  Three independent accelerations over
-// the straightforward nested loop, all preserving the serial pair
-// order and verdicts bit-for-bit:
+// The hot path of the pipeline.  Two accelerations over the
+// straightforward nested loop, both preserving the pair order and
+// verdicts bit-for-bit:
 //
 //  * Dedup: sections are interned into canonical keys (SectionKey.h)
 //    and each distinct key pair is classified once — the paper's
 //    Table 2 observation that dynamic pairs massively duplicate a few
 //    static patterns, turned into a verdict cache.
-//  * Parallelism: the outer (lock, first-section) iterations are
-//    classified by a ThreadPool in blocks; each block's pairs are then
-//    emitted serially in task order, so output order and Counts match
-//    the single-threaded loop exactly.
 //  * Streaming: with a Sink (or CountsOnly) the O(n^2) Pairs vector is
-//    never materialized; memory is bounded by one block of pairs.
+//    never materialized.
+//
+// The enumeration itself lives in detect/PairEnumerator.h, shared with
+// the windowed detector.
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/Detector.h"
 
+#include "detect/PairEnumerator.h"
 #include "detect/SectionKey.h"
-#include "support/FlatMap.h"
-#include "support/ThreadAnnotations.h"
-#include "support/ThreadPool.h"
-
-#include <array>
-#include <atomic>
-#include <cassert>
 
 using namespace perfplay;
 
@@ -38,227 +31,31 @@ std::vector<UlcpPair> DetectResult::unnecessaryPairs() const {
   return Out;
 }
 
-namespace {
-
-/// One outer iteration of the pair loop: all pairs whose first section
-/// is at position I of lock L's per-lock order.
-struct PairTask {
-  LockId Lock = InvalidId;
-  uint32_t First = 0;
-};
-
-/// Verdict cache keyed by SectionKeyTable::pairKey, striped over 64
-/// mutex shards so concurrent workers rarely contend (cache hits are
-/// the dedup hot path).  The classification itself (the expensive
-/// reversed replay) runs outside any lock; two workers may race to
-/// classify the same key pair — both compute the same verdict, so the
-/// cache stays deterministic.  Serial runs skip the mutexes entirely.
-class VerdictCache {
-public:
-  explicit VerdictCache(bool Concurrent) : Concurrent(Concurrent) {}
-
-  bool lookup(uint64_t Key, UlcpKind &Out) const {
-    const Shard &S = shardOf(Key);
-    if (!Concurrent)
-      return findSerial(S, Key, Out);
-    MutexLock Guard(S.Mu);
-    return find(S, Key, Out);
-  }
-
-  void insert(uint64_t Key, UlcpKind Verdict) {
-    Shard &S = shardOf(Key);
-    if (!Concurrent) {
-      insertSerial(S, Key, Verdict);
-      return;
-    }
-    MutexLock Guard(S.Mu);
-    S.Map.insert(Key, Verdict);
-  }
-
-private:
-  struct Shard {
-    mutable Mutex Mu;
-    FlatMap<uint64_t, UlcpKind> Map GUARDED_BY(Mu);
-  };
-
-  static bool find(const Shard &S, uint64_t Key, UlcpKind &Out)
-      REQUIRES(S.Mu) {
-    const UlcpKind *V = S.Map.find(Key);
-    if (!V)
-      return false;
-    Out = *V;
-    return true;
-  }
-
-  // Serial fast path: detectUlcps resolved to one thread, so no other
-  // thread can ever observe the shard and taking the (uncontended)
-  // mutex would only tax the dedup hot loop.  This is the one
-  // deliberate thread-safety-analysis exemption in the detector; it is
-  // sound exactly because Concurrent is immutable after construction
-  // and false means the whole cache is confined to the calling thread.
-  bool findSerial(const Shard &S, uint64_t Key,
-                  UlcpKind &Out) const NO_THREAD_SAFETY_ANALYSIS {
-    assert(!Concurrent && "serial path used by a concurrent cache");
-    const UlcpKind *V = S.Map.find(Key);
-    if (!V)
-      return false;
-    Out = *V;
-    return true;
-  }
-
-  void insertSerial(Shard &S, uint64_t Key,
-                    UlcpKind Verdict) NO_THREAD_SAFETY_ANALYSIS {
-    assert(!Concurrent && "serial path used by a concurrent cache");
-    S.Map.insert(Key, Verdict);
-  }
-
-  const Shard &shardOf(uint64_t Key) const {
-    return Shards[hashInteger(Key) & (Shards.size() - 1)];
-  }
-  Shard &shardOf(uint64_t Key) {
-    return Shards[hashInteger(Key) & (Shards.size() - 1)];
-  }
-
-  const bool Concurrent;
-  std::array<Shard, 64> Shards;
-};
-
-/// Shared, read-only classification context plus the dedup cache.
-struct DetectContext {
-  const Trace &Tr;
-  const CsIndex &Index;
-  const DetectOptions &Opts;
-  const MemoryImage Initial;
-  SectionKeyTable Keys;
-  VerdictCache Cache;
-  std::atomic<uint64_t> NumClassified{0};
-
-  DetectContext(const Trace &Tr, const CsIndex &Index,
-                const DetectOptions &Opts, bool Concurrent)
-      : Tr(Tr), Index(Index), Opts(Opts),
-        // Static-only runs never replay, so skip the O(trace events)
-        // initial-image scan entirely.
-        Initial(Opts.UseReversedReplay ? MemoryImage::initialOf(Tr)
-                                       : MemoryImage()),
-        Cache(Concurrent) {
-    if (Opts.DedupPairs)
-      Keys = internSectionKeys(Tr, Index);
-  }
-
-  UlcpKind classify(const CriticalSection &C1, const CriticalSection &C2) {
-    if (!Opts.DedupPairs)
-      return classifyUncached(C1, C2);
-    uint64_t Key = SectionKeyTable::pairKey(Keys.KeyOf[C1.GlobalId],
-                                            Keys.KeyOf[C2.GlobalId]);
-    UlcpKind Verdict;
-    if (Cache.lookup(Key, Verdict))
-      return Verdict;
-    Verdict = classifyUncached(C1, C2);
-    Cache.insert(Key, Verdict);
-    return Verdict;
-  }
-
-  /// Upper bound (exclusive) of the inner pair loop for first-section
-  /// position \p I of a lock with \p OrderSize sections.
-  size_t pairLimit(size_t I, size_t OrderSize) const {
-    size_t Limit = OrderSize;
-    if (Opts.PairMode == PairModeKind::AdjacentCrossThread)
-      Limit = std::min(Limit, I + 2);
-    else if (Opts.MaxPairDistance != 0)
-      Limit = std::min(Limit, I + 1 + Opts.MaxPairDistance);
-    return Limit;
-  }
-
-  /// Classifies every pair of \p Task, appending to \p Out.
-  void runTask(const PairTask &Task, std::vector<UlcpPair> &Out) {
-    const std::vector<uint32_t> &Order = Index.sectionsOfLock(Task.Lock);
-    const size_t I = Task.First;
-    const CriticalSection &C1 = Index.byGlobalId(Order[I]);
-    const size_t Limit = pairLimit(I, Order.size());
-    for (size_t J = I + 1; J < Limit; ++J) {
-      const CriticalSection &C2 = Index.byGlobalId(Order[J]);
-      if (C1.Ref.Thread == C2.Ref.Thread)
-        continue;
-      UlcpPair Pair;
-      Pair.First = C1.GlobalId;
-      Pair.Second = C2.GlobalId;
-      Pair.Kind = classify(C1, C2);
-      Out.push_back(Pair);
-    }
-  }
-
-private:
-  UlcpKind classifyUncached(const CriticalSection &C1,
-                            const CriticalSection &C2) {
-    NumClassified.fetch_add(1, std::memory_order_relaxed);
-    return Opts.UseReversedReplay
-               ? classifyPair(Tr, Initial, C1, C2, Opts.Repr)
-               : classifyPairStatic(C1, C2, Opts.Repr);
-  }
-};
-
-} // namespace
-
 DetectResult perfplay::detectUlcps(const Trace &Tr, const CsIndex &Index,
                                    const DetectOptions &Opts) {
+  // Static-only runs never replay, so skip the O(trace events) initial
+  // image scan entirely.
+  const MemoryImage Initial = Opts.UseReversedReplay
+                                  ? MemoryImage::initialOf(Tr)
+                                  : MemoryImage();
+  SectionKeyTable Keys;
+  if (Opts.DedupPairs)
+    Keys = internSectionKeys(Tr, Index);
+  std::vector<uint32_t> ThreadOf(Index.size());
+  for (const CriticalSection &Cs : Index.all())
+    ThreadOf[Cs.GlobalId] = Cs.Ref.Thread;
+
   DetectResult Result;
-
-  // Outer iterations in serial order; each is one unit of parallel work.
-  std::vector<PairTask> Tasks;
-  for (LockId L = 0; L != Index.numLocks(); ++L) {
-    size_t OrderSize = Index.sectionsOfLock(L).size();
-    for (size_t I = 0; I + 1 < OrderSize; ++I)
-      Tasks.push_back(PairTask{L, static_cast<uint32_t>(I)});
-  }
-
-  unsigned NumThreads =
-      ThreadPool::resolveThreadCount(Opts.NumThreads, Tasks.size());
-  DetectContext Ctx(Tr, Index, Opts, /*Concurrent=*/NumThreads > 1);
-
-  // Pairs flow through one serial emission point regardless of how
-  // they were classified, so ordering, Counts, Sink invocations and
-  // the Pairs vector are identical across thread counts.
-  auto Emit = [&](const UlcpPair &Pair) {
-    Result.Counts.add(Pair.Kind);
-    if (Opts.Sink)
-      Opts.Sink(Pair);
-    if (!Opts.Sink && !Opts.CountsOnly)
-      Result.Pairs.push_back(Pair);
-  };
-  if (NumThreads <= 1) {
-    std::vector<UlcpPair> Scratch;
-    for (const PairTask &Task : Tasks) {
-      Scratch.clear();
-      Ctx.runTask(Task, Scratch);
-      for (const UlcpPair &Pair : Scratch)
-        Emit(Pair);
-    }
-  } else {
-    ThreadPool Pool(NumThreads);
-    // Classify in blocks of tasks: workers fill per-task buffers, then
-    // the calling thread drains the block in task order.  Block-sized
-    // buffering keeps streaming (Sink/CountsOnly) memory bounded while
-    // preserving the serial emission order.
-    const size_t BlockTasks = std::max<size_t>(64, 16 * NumThreads);
-    // Task buffers persist across blocks so their capacity is reused.
-    std::vector<std::vector<UlcpPair>> Block(
-        std::min(BlockTasks, Tasks.size()));
-    for (size_t Begin = 0; Begin < Tasks.size(); Begin += BlockTasks) {
-      const size_t End = std::min(Tasks.size(), Begin + BlockTasks);
-      for (size_t K = 0; K != End - Begin; ++K)
-        Block[K].clear();
-      Pool.parallelFor(End - Begin, [&](size_t K) {
-        Ctx.runTask(Tasks[Begin + K], Block[K]);
-      });
-      for (size_t K = 0; K != End - Begin; ++K)
-        for (const UlcpPair &Pair : Block[K])
-          Emit(Pair);
-    }
-  }
-
-  Result.Stats.NumSectionKeys = Ctx.Keys.NumKeys;
-  Result.Stats.NumClassified =
-      Ctx.NumClassified.load(std::memory_order_relaxed);
+  enumeratePairs(
+      Opts, Index.lockOrders(), ThreadOf, Keys.KeyOf,
+      [&](uint32_t G1, uint32_t G2) {
+        const CriticalSection &C1 = Index.byGlobalId(G1);
+        const CriticalSection &C2 = Index.byGlobalId(G2);
+        return Opts.UseReversedReplay ? classifyPair(Tr, Initial, C1, C2)
+                                      : classifyPairStatic(C1, C2);
+      },
+      Result);
+  Result.Stats.NumSectionKeys = Keys.NumKeys;
   Result.TryFailPerLock = Index.tryFailPerLock();
   Result.TryFailEdges = Index.tryFailEdges();
   return Result;

@@ -52,24 +52,13 @@ struct DetectOptions {
   /// order are skipped in AllCrossThread mode (0 = unlimited).  Bounds
   /// the quadratic blow-up on lock-intensive traces.
   unsigned MaxPairDistance = 0;
-  /// Worker threads for pair classification: 1 = serial, 0 = one per
-  /// hardware thread.  Any value produces Pairs/Counts bit-identical
-  /// to the serial enumeration (pairs are merged back in serial order).
-  unsigned NumThreads = 1;
   /// Classify each distinct canonical key pair (detect/SectionKey.h:
   /// lock, site, value signature) once and reuse the verdict for every
   /// dynamic pair with the same keys — the Table 2 grouping applied to
   /// detection cost.  Verdicts are per-pair deterministic, so results
   /// are identical with or without dedup.
   bool DedupPairs = true;
-  /// Read/write-set representation Algorithm 1 intersects (see
-  /// detect/Classify.h).  Auto picks the chunked bitmap
-  /// (support/AddrSet.h: digest rejection + word-parallel AND) for
-  /// wide sets and the sorted vectors for tiny ones; Sorted pins the
-  /// PR 2 galloping path, Bitset pins the bitmap path.  Verdicts are
-  /// byte-identical across all three — this knob only moves time.
-  SetRepr Repr = SetRepr::Auto;
-  /// When set, every classified pair is delivered here — in the serial
+  /// When set, every classified pair is delivered here — in the
   /// enumeration order, from the thread that called detectUlcps —
   /// instead of being materialized in DetectResult::Pairs.  Lets
   /// AllCrossThread detection over lock-heavy traces run in O(1) pair
@@ -82,14 +71,13 @@ struct DetectOptions {
   bool CountsOnly = false;
 };
 
-/// Side statistics of one detection run (for benchmarks and tuning;
-/// not part of the bit-identical result surface).
+/// Side statistics of one detection run (for benchmarks and tuning):
+/// deterministic, but not verdicts.
 struct DetectStats {
   /// Distinct canonical section keys (0 when dedup was off).
   uint64_t NumSectionKeys = 0;
-  /// Pair classifications actually computed.  With dedup this is at
-  /// most the number of distinct key pairs (parallel racing may
-  /// recompute a key pair; the verdict is identical either way).
+  /// Pair classifications actually computed: with dedup, exactly the
+  /// number of distinct key pairs enumerated; without, every pair.
   uint64_t NumClassified = 0;
 };
 

@@ -4,77 +4,66 @@
 
 #include "support/FlatMap.h"
 
-#include <unordered_map>
-
 using namespace perfplay;
 
-namespace {
+size_t SignatureInterner::WordsHash::operator()(
+    const std::vector<uint64_t> &Words) const {
+  uint64_t H = 0x2545f4914f6cdd1dULL;
+  for (uint64_t W : Words)
+    H = hashInteger(H ^ W);
+  return static_cast<size_t>(H);
+}
 
-/// Full signature of one section, compared verbatim on hash collision.
-struct Signature {
+std::pair<uint32_t, bool>
+SignatureInterner::intern(LockId Lock, CodeSiteId Site, AcquireMode Mode,
+                          const Event *Begin, const Event *End) {
   std::vector<uint64_t> Words;
-
-  bool operator==(const Signature &RHS) const { return Words == RHS.Words; }
-};
-
-struct SignatureHash {
-  size_t operator()(const Signature &S) const {
-    uint64_t H = 0x2545f4914f6cdd1dULL;
-    for (uint64_t W : S.Words)
-      H = hashInteger(H ^ W);
-    return static_cast<size_t>(H);
-  }
-};
-
-Signature signatureOf(const Trace &Tr, const CriticalSection &Cs) {
-  Signature Sig;
-  const auto &Events = Tr.Threads[Cs.Ref.Thread].Events;
-  Sig.Words.reserve(2 + (Cs.ReleaseIdx - Cs.AcquireIdx) * 2);
-  Sig.Words.push_back(Cs.Lock);
-  Sig.Words.push_back(Cs.Site);
+  Words.reserve(2 + static_cast<size_t>(End - Begin) * 2);
+  Words.push_back(Lock);
+  Words.push_back(Site);
   // Shared-mode (rwlock reader) sections classify differently from
   // exclusive ones at identical bodies, so the mode is part of the
   // key.  The marker is emitted only for Shared so mutex-only
   // signatures stay word-identical to the pre-rwlock format.
-  if (Cs.Mode == AcquireMode::Shared)
-    Sig.Words.push_back(5);
-  for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
-    const Event &E = Events[I];
-    if (E.Kind == EventKind::Read) {
-      Sig.Words.push_back(1);
-      Sig.Words.push_back(E.Addr);
-    } else if (E.Kind == EventKind::Write) {
-      Sig.Words.push_back(2 | (static_cast<uint64_t>(E.Op) << 8));
-      Sig.Words.push_back(E.Addr);
-      Sig.Words.push_back(E.Value);
-    } else if (E.Kind == EventKind::CondWait) {
-      Sig.Words.push_back(3);
-      Sig.Words.push_back(E.Lock);
-    } else if (E.Kind == EventKind::CondSignal ||
-               E.Kind == EventKind::CondBroadcast) {
-      Sig.Words.push_back(4);
-      Sig.Words.push_back(E.Lock);
+  if (Mode == AcquireMode::Shared)
+    Words.push_back(5);
+  for (const Event *E = Begin; E != End; ++E) {
+    if (E->Kind == EventKind::Read) {
+      Words.push_back(1);
+      Words.push_back(E->Addr);
+    } else if (E->Kind == EventKind::Write) {
+      Words.push_back(2 | (static_cast<uint64_t>(E->Op) << 8));
+      Words.push_back(E->Addr);
+      Words.push_back(E->Value);
+    } else if (E->Kind == EventKind::CondWait) {
+      Words.push_back(3);
+      Words.push_back(E->Lock);
+    } else if (E->Kind == EventKind::CondSignal ||
+               E->Kind == EventKind::CondBroadcast) {
+      Words.push_back(4);
+      Words.push_back(E->Lock);
     }
     // Nested acquire/release and Compute events are invisible to both
     // Algorithm 1 and the reversed replay.
   }
-  return Sig;
+  auto It = Interned.emplace(std::move(Words), numKeys());
+  return {It.first->second, It.second};
 }
-
-} // namespace
 
 SectionKeyTable perfplay::internSectionKeys(const Trace &Tr,
                                             const CsIndex &Index) {
   SectionKeyTable Table;
   Table.KeyOf.resize(Index.size());
-  std::unordered_map<Signature, uint32_t, SignatureHash> Interned;
-  Interned.reserve(Index.size());
+  SignatureInterner Interner;
+  Interner.reserve(Index.size());
   for (const CriticalSection &Cs : Index.all()) {
-    Signature Sig = signatureOf(Tr, Cs);
-    auto It = Interned.emplace(std::move(Sig), Table.NumKeys);
-    if (It.second)
-      ++Table.NumKeys;
-    Table.KeyOf[Cs.GlobalId] = It.first->second;
+    const Event *Events = Tr.Threads[Cs.Ref.Thread].Events.data();
+    Table.KeyOf[Cs.GlobalId] =
+        Interner
+            .intern(Cs.Lock, Cs.Site, Cs.Mode, Events + Cs.AcquireIdx + 1,
+                    Events + Cs.ReleaseIdx)
+            .first;
   }
+  Table.NumKeys = Interner.numKeys();
   return Table;
 }

@@ -31,6 +31,7 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,13 +52,38 @@ struct SectionKeyTable {
   }
 };
 
-/// Interns every critical section of \p Index.
+/// Maps section signatures to dense key ids in first-seen order.  The
+/// one signature scheme of the detector: the whole-trace interning
+/// below and the windowed detector's representatives both go through
+/// it, so the two paths partition sections identically.
 ///
-/// The signature covers (Lock, Site) plus each Read's address and each
-/// Write's (address, operand, operator).  Read *values* are excluded on
-/// purpose: the reversed replay feeds reads from the memory image, not
-/// from the recorded value, so they cannot influence a verdict — and
-/// excluding them merges more dynamic sections into one key.
+/// The signature covers (Lock, Site, Mode) plus each Read's address,
+/// each Write's (address, operand, operator) and each condvar
+/// wait/signal.  Read *values* are excluded on purpose: the reversed
+/// replay feeds reads from the memory image, not from the recorded
+/// value, so they cannot influence a verdict — and excluding them
+/// merges more dynamic sections into one key.
+class SignatureInterner {
+public:
+  void reserve(size_t N) { Interned.reserve(N); }
+
+  /// Interns the section of \p Lock / \p Site / \p Mode whose interior
+  /// events (strictly between acquire and release) are [Begin, End).
+  /// Returns the key id and whether this call created it.
+  std::pair<uint32_t, bool> intern(LockId Lock, CodeSiteId Site,
+                                   AcquireMode Mode, const Event *Begin,
+                                   const Event *End);
+
+  uint32_t numKeys() const { return static_cast<uint32_t>(Interned.size()); }
+
+private:
+  struct WordsHash {
+    size_t operator()(const std::vector<uint64_t> &Words) const;
+  };
+  std::unordered_map<std::vector<uint64_t>, uint32_t, WordsHash> Interned;
+};
+
+/// Interns every critical section of \p Index.
 SectionKeyTable internSectionKeys(const Trace &Tr, const CsIndex &Index);
 
 } // namespace perfplay

@@ -1,102 +1,32 @@
 //===- detect/WindowedDetect.cpp - Bounded-memory ULCP detection ----------===//
 //
-// Parity with detectUlcps is the whole contract, so every piece of
-// this file mirrors a specific piece of the whole-trace path:
+// Parity with detectUlcps is the whole contract.  The parts that
+// decide verdicts are the whole-trace path's own code: signatures go
+// through SignatureInterner (detect/SectionKey.h), representatives
+// through CriticalSection::finalizeSets, and finish() through
+// enumeratePairs (detect/PairEnumerator.h).  What this file adds
+// mirrors a specific piece of the whole-trace path:
 //
-//  - signatures reproduce detect/SectionKey.cpp's word scheme, so the
-//    signature partition (and with it Stats.NumSectionKeys) matches
-//    internSectionKeys exactly,
 //  - the incremental first-access fold reproduces the thread-major
 //    scan of MemoryImage::initialOf (lowest accessing thread wins;
 //    within a thread, program order),
 //  - global ids are derived from per-thread acquire ordinals exactly
 //    as Trace::globalCsId numbers them, and the per-lock order follows
 //    CsIndex::build (grant schedule when present, global-id order
-//    otherwise),
-//  - finish() replays detectUlcps' serial enumeration: locks
-//    ascending, first position ascending, second position ascending,
-//    same-thread pairs skipped, the same pairLimit cut, and the same
-//    Counts / Sink / Pairs emission rules.
+//    otherwise).
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/WindowedDetect.h"
 
 #include "detect/Classify.h"
+#include "detect/PairEnumerator.h"
 #include "detect/ReversedReplay.h"
-#include "detect/SectionKey.h"
-
-#include <algorithm>
-#include <unordered_map>
 
 using namespace perfplay;
 
-namespace {
-
-/// Full signature of one section; must stay word-for-word identical to
-/// the anonymous Signature of detect/SectionKey.cpp so the two paths
-/// intern the same partition.
-struct Signature {
-  std::vector<uint64_t> Words;
-
-  bool operator==(const Signature &RHS) const { return Words == RHS.Words; }
-};
-
-struct SignatureHash {
-  size_t operator()(const Signature &S) const {
-    uint64_t H = 0x2545f4914f6cdd1dULL;
-    for (uint64_t W : S.Words)
-      H = hashInteger(H ^ W);
-    return static_cast<size_t>(H);
-  }
-};
-
-/// Signature over a buffered section: \p Buf holds the verbatim event
-/// stream [acquire .. release]; the walk covers the exclusive interior,
-/// mirroring signatureOf's (AcquireIdx, ReleaseIdx) range.
-Signature signatureOfBuffer(LockId Lock, CodeSiteId Site,
-                            AcquireMode Mode,
-                            const std::vector<Event> &Buf) {
-  Signature Sig;
-  Sig.Words.reserve(2 + (Buf.size() - 2) * 2);
-  Sig.Words.push_back(Lock);
-  Sig.Words.push_back(Site);
-  if (Mode == AcquireMode::Shared)
-    Sig.Words.push_back(5);
-  for (size_t I = 1; I + 1 < Buf.size(); ++I) {
-    const Event &E = Buf[I];
-    if (E.Kind == EventKind::Read) {
-      Sig.Words.push_back(1);
-      Sig.Words.push_back(E.Addr);
-    } else if (E.Kind == EventKind::Write) {
-      Sig.Words.push_back(2 | (static_cast<uint64_t>(E.Op) << 8));
-      Sig.Words.push_back(E.Addr);
-      Sig.Words.push_back(E.Value);
-    } else if (E.Kind == EventKind::CondWait) {
-      Sig.Words.push_back(3);
-      Sig.Words.push_back(E.Lock);
-    } else if (E.Kind == EventKind::CondSignal ||
-               E.Kind == EventKind::CondBroadcast) {
-      Sig.Words.push_back(4);
-      Sig.Words.push_back(E.Lock);
-    }
-  }
-  return Sig;
-}
-
-template <typename T> void sortUnique(std::vector<T> &V) {
-  std::sort(V.begin(), V.end());
-  V.erase(std::unique(V.begin(), V.end()), V.end());
-}
-
-} // namespace
-
-struct WindowedDetector::SignatureMap {
-  std::unordered_map<Signature, uint32_t, SignatureHash> Interned;
-};
-
 WindowedDetector::WindowedDetector(DetectOptions Opts)
-    : Opts(std::move(Opts)), Signatures(std::make_unique<SignatureMap>()) {
+    : Opts(std::move(Opts)) {
   ArenaTr.Threads.resize(1);
 }
 
@@ -126,11 +56,13 @@ void WindowedDetector::noteAccess(ThreadId T, const Event &E) {
 uint32_t WindowedDetector::closeSection(OpenSection &&Top) {
   ++TotalSections;
   OpenEvents -= Top.Buf.size();
-  Signature Sig = signatureOfBuffer(Top.Lock, Top.Site, Top.Mode, Top.Buf);
-  auto It = Signatures->Interned.emplace(std::move(Sig), NumKeys);
-  uint32_t Key = It.first->second;
-  if (It.second) {
-    ++NumKeys;
+  // Top.Buf is the verbatim [acquire .. release] range; the signature
+  // covers its exclusive interior.
+  const Event *Interior = Top.Buf.data() + 1;
+  const Event *InteriorEnd = Top.Buf.data() + Top.Buf.size() - 1;
+  auto [Key, IsNew] = Signatures.intern(Top.Lock, Top.Site, Top.Mode,
+                                        Interior, InteriorEnd);
+  if (IsNew) {
     // New signature: retain this section as the class representative.
     // Its events move into the arena verbatim, so the replay walks the
     // exact recorded access sequence (nested sections included).
@@ -145,27 +77,18 @@ uint32_t WindowedDetector::closeSection(OpenSection &&Top) {
     Rep.Mode = Top.Mode;
     Rep.AcquireIdx = Start;
     Rep.ReleaseIdx = Start + Top.Buf.size() - 1;
-    for (size_t I = Rep.AcquireIdx + 1; I != Rep.ReleaseIdx; ++I) {
-      const Event &E = Arena[I];
-      if (E.Kind == EventKind::Read)
-        Rep.Reads.push_back(E.Addr);
-      else if (E.Kind == EventKind::Write)
-        Rep.Writes.push_back(E.Addr);
-      else if (E.Kind == EventKind::CondWait)
-        Rep.CondWaits.push_back(E.Lock);
-      else if (E.Kind == EventKind::CondSignal ||
-               E.Kind == EventKind::CondBroadcast)
-        Rep.CondSignals.push_back(E.Lock);
+    for (const Event *E = Interior; E != InteriorEnd; ++E) {
+      if (E->Kind == EventKind::Read)
+        Rep.Reads.push_back(E->Addr);
+      else if (E->Kind == EventKind::Write)
+        Rep.Writes.push_back(E->Addr);
+      else if (E->Kind == EventKind::CondWait)
+        Rep.CondWaits.push_back(E->Lock);
+      else if (E->Kind == EventKind::CondSignal ||
+               E->Kind == EventKind::CondBroadcast)
+        Rep.CondSignals.push_back(E->Lock);
     }
-    sortUnique(Rep.Reads);
-    sortUnique(Rep.Writes);
-    sortUnique(Rep.CondWaits);
-    sortUnique(Rep.CondSignals);
-    // Same gate as CsIndex::build: only sections wide enough for the
-    // word-parallel intersection path carry bitmap mirrors.
-    if (Rep.Reads.size() > CriticalSection::TinySetMax ||
-        Rep.Writes.size() > CriticalSection::TinySetMax)
-      Rep.buildSets();
+    Rep.finalizeSets();
     Reps.push_back(std::move(Rep));
   }
   return Key;
@@ -327,64 +250,20 @@ bool WindowedDetector::finish(const Trace &Tables, DetectResult &Out,
         Initial.apply(Addr, FA.Value, WriteOpKind::Store);
     });
 
-  // Serial pair enumeration, emission, and dedup — detectUlcps' exact
-  // order with representatives standing in for the dynamic sections.
-  uint64_t NumClassified = 0;
-  FlatMap<uint64_t, UlcpKind> Cache;
-  auto classifyKeys = [&](uint32_t KA, uint32_t KB) {
-    uint64_t Key = SectionKeyTable::pairKey(KA, KB);
-    if (Opts.DedupPairs) {
-      if (const UlcpKind *V = Cache.find(Key))
-        return *V;
-    }
-    ++NumClassified;
-    const CriticalSection &C1 = Reps[KA];
-    const CriticalSection &C2 = Reps[KB];
-    UlcpKind Verdict =
-        Opts.UseReversedReplay
-            ? classifyPair(ArenaTr, Initial, C1, C2, Opts.Repr)
-            : classifyPairStatic(C1, C2, Opts.Repr);
-    if (Opts.DedupPairs)
-      Cache.insert(Key, Verdict);
-    return Verdict;
-  };
-  auto pairLimit = [&](size_t I, size_t OrderSize) {
-    size_t Limit = OrderSize;
-    if (Opts.PairMode == PairModeKind::AdjacentCrossThread)
-      Limit = std::min(Limit, I + 2);
-    else if (Opts.MaxPairDistance != 0)
-      Limit = std::min(Limit, I + 1 + Opts.MaxPairDistance);
-    return Limit;
-  };
-  auto emit = [&](const UlcpPair &Pair) {
-    Out.Counts.add(Pair.Kind);
-    if (Opts.Sink)
-      Opts.Sink(Pair);
-    if (!Opts.Sink && !Opts.CountsOnly)
-      Out.Pairs.push_back(Pair);
-  };
-
+  // detectUlcps' enumeration with representatives standing in for the
+  // dynamic sections.
   Out = DetectResult();
-  for (LockId L = 0; L != NumLocks; ++L) {
-    const std::vector<uint32_t> &Order = PerLock[L];
-    for (size_t I = 0; I + 1 < Order.size(); ++I) {
-      const uint32_t G1 = Order[I];
-      const size_t Limit = pairLimit(I, Order.size());
-      for (size_t J = I + 1; J < Limit; ++J) {
-        const uint32_t G2 = Order[J];
-        if (SecThread[G1] == SecThread[G2])
-          continue;
-        UlcpPair Pair;
-        Pair.First = G1;
-        Pair.Second = G2;
-        Pair.Kind = classifyKeys(SecKey[G1], SecKey[G2]);
-        emit(Pair);
-      }
-    }
-  }
-
-  Out.Stats.NumSectionKeys = Opts.DedupPairs ? NumKeys : 0;
-  Out.Stats.NumClassified = NumClassified;
+  enumeratePairs(
+      Opts, PerLock, SecThread, SecKey,
+      [&](uint32_t G1, uint32_t G2) {
+        const CriticalSection &C1 = Reps[SecKey[G1]];
+        const CriticalSection &C2 = Reps[SecKey[G2]];
+        return Opts.UseReversedReplay
+                   ? classifyPair(ArenaTr, Initial, C1, C2)
+                   : classifyPairStatic(C1, C2);
+      },
+      Out);
+  Out.Stats.NumSectionKeys = Opts.DedupPairs ? Signatures.numKeys() : 0;
   Out.TryFailPerLock.assign(NumLocks, 0);
   Out.TryFailEdges = 0;
   TryFails.forEach([&](LockId L, const uint64_t &N) {

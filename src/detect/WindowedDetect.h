@@ -36,8 +36,9 @@
 ///    scan,
 ///  - finish() rebuilds the per-lock pairing order (grant schedule when
 ///    present, global-id order otherwise) from the metadata alone and
-///    replays detectUlcps' serial pair enumeration, classifying each
-///    distinct signature pair once against the representatives.
+///    runs detectUlcps' pair enumerator (detect/PairEnumerator.h),
+///    classifying each distinct signature pair once against the
+///    representatives.
 ///
 /// Peak memory is O(open sections + distinct signatures + addresses +
 /// 12 bytes per dynamic section) — the out-of-core ingest bench gates
@@ -50,11 +51,11 @@
 
 #include "detect/CriticalSection.h"
 #include "detect/Detector.h"
+#include "detect/SectionKey.h"
 #include "support/FlatMap.h"
 #include "trace/Trace.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,10 +67,7 @@ namespace perfplay {
 /// event stream through addEvents() in program order (windows of
 /// different threads may interleave arbitrarily; a window may split a
 /// critical section — it stays open on the thread's stack), then call
-/// finish() with the trace's side tables.  Single-threaded; options
-/// requesting detection workers (DetectOptions::NumThreads) are
-/// accepted but classification runs serially — the result is identical
-/// by detectUlcps' determinism guarantee.
+/// finish() with the trace's side tables.  Single-threaded.
 class WindowedDetector {
 public:
   explicit WindowedDetector(DetectOptions Opts);
@@ -99,7 +97,7 @@ public:
 
   /// Distinct section signatures interned so far (== representative
   /// sections retained in the arena).
-  uint32_t numSignatures() const { return NumKeys; }
+  uint32_t numSignatures() const { return Signatures.numKeys(); }
 
   /// Events currently buffered on open-section stacks — the carry
   /// across the active window boundary.
@@ -109,8 +107,6 @@ public:
   uint64_t peakOpenEvents() const { return PeakOpenEvents; }
 
 private:
-  struct SignatureMap;
-
   /// One still-open critical section on a thread's stack, buffering its
   /// events (acquire through release, nested sections included
   /// verbatim) until the close decides whether they become a
@@ -155,9 +151,8 @@ private:
   uint64_t OpenEvents = 0;
   uint64_t PeakOpenEvents = 0;
 
-  /// Signature -> dense key id (pimpl: the map's key type is internal).
-  std::unique_ptr<SignatureMap> Signatures;
-  uint32_t NumKeys = 0;
+  /// Signature -> dense key id, the same scheme internSectionKeys uses.
+  SignatureInterner Signatures;
   /// One representative CriticalSection per key, with its events in
   /// ArenaTr.Threads[0].
   Trace ArenaTr;

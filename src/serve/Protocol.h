@@ -81,9 +81,9 @@ struct Frame {
 
 /// An analysis request: the trace path (the daemon mmaps it — admission
 /// is near-free) and the option subset that changes verdicts.  Thread
-/// counts are deliberately absent: the daemon owns its fair-share
-/// budget (Engine::cappedDetectThreads over the worker count) and a
-/// client must not be able to oversubscribe the machine.
+/// counts are deliberately absent: the daemon's worker count is its
+/// whole CPU budget and a client must not be able to oversubscribe
+/// the machine.
 struct AnalyzeRequest {
   /// Pair enumeration mode: 0 = adjacent (default), 1 = all
   /// cross-thread pairs.
@@ -95,8 +95,8 @@ struct AnalyzeRequest {
 };
 
 /// The response summary of one analysis: exactly the counters that are
-/// bit-identical for a given trace + options no matter how detection
-/// was parallelized, so daemon-vs-Engine parity is a field-for-field
+/// bit-identical for a given trace + options no matter which process
+/// ran the pipeline, so daemon-vs-Engine parity is a field-for-field
 /// comparison (asserted by tests/ServeTest.cpp and the serve bench).
 struct ResultSummary {
   // Detection (Table 1 columns + extended-vocabulary edges).

@@ -41,11 +41,6 @@ Server::Server(ServerOptions O)
   Limits.MaxFrameBytes = Opts.MaxFrameBytes;
   Workers = Opts.NumWorkers ? Opts.NumWorkers
                             : std::max(1u, std::thread::hardware_concurrency());
-  // Fair share: workers x per-request detect threads never exceeds the
-  // machine — the same budget rule the batch fan-out applies.
-  DetectThreads =
-      Engine::cappedDetectThreads(Opts.Pipeline.Detect.NumThreads, Workers);
-  Eng.options().Detect.NumThreads = DetectThreads;
   LatencyRing.resize(LatencyRingSize, 0);
 }
 

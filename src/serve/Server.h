@@ -24,10 +24,8 @@
 ///    closes (or misbehaves: an unframable stream drops the
 ///    connection, a merely malformed request gets a typed Error frame
 ///    and the connection lives on);
-///  * fair-share scheduling reuses the batch math — every request's
-///    detection runs with Engine::cappedDetectThreads(requested,
-///    NumWorkers) threads, so workers x detect-threads never exceeds
-///    the machine and one huge trace can't starve the rest.
+///  * each request analyzes on its worker's thread, so the worker
+///    count is the daemon's whole CPU budget.
 ///
 /// Locking (every serve lock is a leaf — see docs/ARCHITECTURE.md):
 ///  * QueueMu (Mutex) + QueueCv guard the connection queue;
@@ -72,9 +70,7 @@ struct ServerOptions {
   /// Drop a connection idle for this long between frames
   /// (milliseconds; 0 = never).
   int IdleTimeoutMs = 0;
-  /// Pipeline defaults for every analysis.  Detect.NumThreads is the
-  /// *requested* budget; the daemon caps it per-worker
-  /// (cappedDetectThreads) at start.
+  /// Pipeline defaults for every analysis.
   PipelineOptions Pipeline;
 };
 
@@ -115,10 +111,6 @@ public:
   /// thread when 0 was requested).
   unsigned workers() const { return Workers; }
 
-  /// The per-request detection thread budget the daemon resolved at
-  /// construction (cappedDetectThreads over the worker count).
-  unsigned detectThreadsPerRequest() const { return DetectThreads; }
-
 private:
   void acceptLoop() EXCLUDES(QueueMu);
   void workerLoop() EXCLUDES(QueueMu);
@@ -146,7 +138,6 @@ private:
   ResultCache Cache;
   FrameLimits Limits;
   unsigned Workers = 1;
-  unsigned DetectThreads = 1;
   int ListenFd = -1;
   std::atomic<bool> Stopping{false};
   std::atomic<bool> Started{false};

@@ -41,9 +41,9 @@ namespace perfplay {
 /// Determinism: the set is a pure value container.  Iteration
 /// (\ref forEach, \ref toSorted) is always in ascending value order,
 /// and \ref intersects / \ref intersectCount agree exactly with the
-/// sorted-vector ground truth (`sortedIntersects`), which the
-/// detection pipeline exploits to keep `SetRepr::Sorted` and
-/// `SetRepr::Bitset` verdicts byte-identical.
+/// sorted-vector ground truth (`sortedIntersects`), which lets
+/// Algorithm 1 pick either kernel per intersection without changing a
+/// verdict.
 class AddrSet {
 public:
   /// Element type.  AddrId and LockId both convert losslessly.
@@ -94,7 +94,7 @@ public:
   bool empty() const { return NumValues == 0; }
 
   /// Number of populated chunks.  `size() / chunkCount()` is the mean
-  /// chunk occupancy — the density signal SetRepr::Auto uses to decide
+  /// chunk occupancy — the density signal Algorithm 1 uses to decide
   /// whether the word-parallel walk beats the sorted-vector merge.
   size_t chunkCount() const { return Keys.size(); }
 

@@ -11,8 +11,8 @@
 /// rest of the codebase uses to declare its locking contracts.
 ///
 /// Every mutex, condition variable and lock guard in the concurrent
-/// layers (support/ThreadPool, the detect verdict cache, core/Engine
-/// batch fan-out, runtime/Recorder) goes through these wrappers so the
+/// layers (support/ThreadPool, core/Engine batch fan-out, the serve
+/// daemon, runtime/Recorder) goes through these wrappers so the
 /// clang CI lane can prove, at compile time, that
 ///
 ///  * every GUARDED_BY member is only touched with its mutex held,
@@ -28,8 +28,9 @@
 ///  * Functions expecting a lock held carry REQUIRES(TheMutex).
 ///  * Public entry points that take a lock internally carry
 ///    EXCLUDES(TheMutex) so self-deadlock is a compile error.
-///  * The rare deliberate exemptions (e.g. a serial-mode fast path
-///    that provably has no second thread) are marked
+///  * The rare deliberate exemptions (e.g. the recorder's fork
+///    handlers, which hold a lock across prepare/parent/child
+///    callbacks the analysis cannot pair) are marked
 ///    NO_THREAD_SAFETY_ANALYSIS with a comment justifying them.
 ///
 //===----------------------------------------------------------------------===//

@@ -1,9 +1,9 @@
 //===- tests/AddrSetTest.cpp - chunked bitmap address sets ------------------===//
 //
 // Coverage for support/AddrSet.h, the word-parallel set engine behind
-// SetRepr::Bitset detection: membership/iteration round-trips, block
-// promotion and demotion exactly at the SmallMax threshold, digest
-// soundness, and property tests asserting that intersects /
+// Algorithm 1's dense-set intersections: membership/iteration
+// round-trips, block promotion and demotion exactly at the SmallMax
+// threshold, digest soundness, and property tests asserting that intersects /
 // intersectCount agree with the sorted-vector ground truth across
 // block densities straddling the promotion boundary.
 //

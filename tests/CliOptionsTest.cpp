@@ -1,0 +1,90 @@
+//===- tests/CliOptionsTest.cpp - perfplay option parsing ---------------===//
+//
+// Drives the built perfplay binary: every subcommand must reject an
+// option it does not know with exit code 2 and name it on stderr,
+// instead of silently ignoring it (or, worse, reading its value as a
+// trace path).
+//
+//===----------------------------------------------------------------------===//
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <sys/wait.h>
+
+namespace {
+
+struct CliRun {
+  int Status = -1;
+  std::string Stderr;
+};
+
+/// Runs `perfplay <Args>` through the shell, capturing stderr.
+CliRun runCli(const std::string &Args) {
+  CliRun R;
+  std::string Cmd =
+      std::string(PERFPLAY_CLI) + " " + Args + " 2>&1 >/dev/null";
+  FILE *P = popen(Cmd.c_str(), "r");
+  if (!P)
+    return R;
+  char Buf[256];
+  while (std::fgets(Buf, sizeof(Buf), P))
+    R.Stderr += Buf;
+  int Raw = pclose(P);
+  if (WIFEXITED(Raw))
+    R.Status = WEXITSTATUS(Raw);
+  return R;
+}
+
+std::string tracePath() {
+  static const std::string Path = [] {
+    std::string P = testing::TempDir() + "/perfplay_cli_options.trace";
+    CliRun Gen = runCli("generate mysql --threads 2 --scale 0.1 --out " + P);
+    EXPECT_EQ(Gen.Status, 0) << Gen.Stderr;
+    return P;
+  }();
+  return Path;
+}
+
+void expectUnknown(const std::string &Args, const std::string &Flag) {
+  CliRun R = runCli(Args);
+  EXPECT_EQ(R.Status, 2) << Args;
+  EXPECT_NE(R.Stderr.find("unknown option '" + Flag + "'"),
+            std::string::npos)
+      << Args << " -> " << R.Stderr;
+}
+
+} // namespace
+
+TEST(CliOptionsTest, RemovedDetectOptionsAreRejected) {
+  expectUnknown("analyze " + tracePath() + " --detect-threads 2",
+                "--detect-threads");
+  expectUnknown("analyze " + tracePath() + " --set-repr=bitset",
+                "--set-repr");
+}
+
+TEST(CliOptionsTest, MisspelledOptionsAreRejected) {
+  expectUnknown("replay " + tracePath() + " --replay 3", "--replay");
+  expectUnknown("stats " + tracePath() + " --verbos", "--verbos");
+  expectUnknown("convert " + tracePath() + " --output x", "--output");
+  expectUnknown("generate mysql --thread 2", "--thread");
+  expectUnknown("casestudy bug1 --scales 0.1", "--scales");
+  expectUnknown("list-apps --all", "--all");
+  expectUnknown("serve --socket /nonexistent/s --worker 2", "--worker");
+  expectUnknown("client --socket /nonexistent/s stats --json", "--json");
+}
+
+TEST(CliOptionsTest, MissingValueIsAnError) {
+  CliRun R = runCli("generate mysql --out");
+  EXPECT_EQ(R.Status, 2);
+  EXPECT_NE(R.Stderr.find("'--out' expects a value"), std::string::npos)
+      << R.Stderr;
+}
+
+TEST(CliOptionsTest, KnownOptionsStillWork) {
+  CliRun R = runCli("replay " + tracePath() + " --replays 2 --seed 3");
+  EXPECT_EQ(R.Status, 0) << R.Stderr;
+  R = runCli("analyze " + tracePath() + " --pairs=all --no-dedup");
+  EXPECT_EQ(R.Status, 0) << R.Stderr;
+}

@@ -1,16 +1,17 @@
-//===- tests/DetectParallelTest.cpp - parallel/dedup detection parity -------===//
+//===- tests/DetectParallelTest.cpp - detection performance-mode parity -----===//
 //
-// The detector's performance modes (worker threads, key-pair dedup,
-// streaming sinks, counts-only) must be invisible in the results:
-// Pairs and Counts bit-identical to the serial baseline on every
-// workload shape — nested locks, MaxPairDistance, AdjacentCrossThread,
-// generated applications.
+// The detector's performance modes (key-pair dedup, streaming sinks,
+// counts-only, the density-routed set-intersection kernels) must be
+// invisible in the results: Pairs and Counts bit-identical to the
+// dedup-off baseline on every workload shape — nested locks,
+// MaxPairDistance, AdjacentCrossThread, generated applications.
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/Detector.h"
 #include "detect/SectionKey.h"
 #include "sim/Replayer.h"
+#include "support/SetOps.h"
 #include "trace/TraceBuilder.h"
 #include "workloads/Apps.h"
 #include "workloads/WorkloadSpec.h"
@@ -94,25 +95,52 @@ Trace generatedTrace() {
   return Tr;
 }
 
-DetectResult detectWith(const Trace &Tr, const CsIndex &Index,
-                        DetectOptions Opts, unsigned Threads,
-                        bool Dedup) {
-  Opts.NumThreads = Threads;
-  Opts.DedupPairs = Dedup;
-  return detectUlcps(Tr, Index, Opts);
+/// The dedup-off run classifies every pair on its own and is the
+/// oracle; dedup must reproduce it and classify no more pairs.
+void checkAllConfigs(const Trace &Tr, DetectOptions Opts) {
+  CsIndex Index = CsIndex::build(Tr);
+  Opts.DedupPairs = false;
+  DetectResult Oracle = detectUlcps(Tr, Index, Opts);
+  ASSERT_GT(Oracle.Counts.total(), 0u);
+  Opts.DedupPairs = true;
+  DetectResult Dedup = detectUlcps(Tr, Index, Opts);
+  expectSameResult(Oracle, Dedup, "dedup");
+  EXPECT_EQ(Oracle.Stats.NumClassified, Oracle.Counts.total());
+  EXPECT_LE(Dedup.Stats.NumClassified, Oracle.Stats.NumClassified);
 }
 
-void checkAllConfigs(const Trace &Tr, const DetectOptions &Base) {
-  CsIndex Index = CsIndex::build(Tr);
-  DetectResult Serial = detectWith(Tr, Index, Base, 1, false);
-  ASSERT_GT(Serial.Counts.total(), 0u);
-  expectSameResult(Serial, detectWith(Tr, Index, Base, 4, false),
-                   "parallel");
-  expectSameResult(Serial, detectWith(Tr, Index, Base, 1, true), "dedup");
-  expectSameResult(Serial, detectWith(Tr, Index, Base, 4, true),
-                   "parallel+dedup");
-  expectSameResult(Serial, detectWith(Tr, Index, Base, 0, true),
-                   "hw-threads+dedup");
+/// Kernel-level parity of Algorithm 1's set intersections: for every
+/// ordered section pair of \p Index, the sorted merge and the chunked
+/// bitmap answer each read/write intersection alike, and
+/// classifyPairStatic gives the same verdict with bitmap mirrors as
+/// without them (where only the sorted merge can run).  Returns the
+/// number of pairs checked.
+size_t checkSetKernels(const CsIndex &Index) {
+  std::vector<CriticalSection> Mirrored, Plain;
+  for (const CriticalSection &Cs : Index.all()) {
+    Mirrored.push_back(Cs);
+    Mirrored.back().buildSets();
+    Plain.push_back(Cs);
+    Plain.back().ReadSet = AddrSet();
+    Plain.back().WriteSet = AddrSet();
+  }
+  size_t Checked = 0;
+  for (size_t I = 0; I != Mirrored.size(); ++I)
+    for (size_t J = 0; J != Mirrored.size(); ++J) {
+      const CriticalSection &A = Mirrored[I];
+      const CriticalSection &B = Mirrored[J];
+      EXPECT_EQ(sortedIntersects(A.Reads, B.Writes),
+                A.ReadSet.intersects(B.WriteSet))
+          << I << " reads vs " << J << " writes";
+      EXPECT_EQ(sortedIntersects(A.Writes, B.Writes),
+                A.WriteSet.intersects(B.WriteSet))
+          << I << " writes vs " << J << " writes";
+      EXPECT_EQ(classifyPairStatic(A, B),
+                classifyPairStatic(Plain[I], Plain[J]))
+          << I << " vs " << J;
+      ++Checked;
+    }
+  return Checked;
 }
 
 } // namespace
@@ -151,10 +179,7 @@ TEST(DetectParallelTest, GeneratedWorkloadParity) {
 
 TEST(DetectParallelTest, TinySectionsSkipBitmapMirrors) {
   // Sections at or below TinySetMax in both dimensions never derive
-  // AddrSets (Auto routes them to the sorted merge anyway); the
-  // pinned Bitset representation falls back per pair and stays
-  // correct, which the SetReprBitsetMatchesSorted parity runs over
-  // mixedTrace() — all-tiny sections — rely on.
+  // AddrSets (Algorithm 1 routes them to the sorted merge anyway).
   CsIndex Index = CsIndex::build(mixedTrace());
   size_t WithMirrors = 0;
   for (uint32_t I = 0; I != Index.size(); ++I) {
@@ -167,39 +192,20 @@ TEST(DetectParallelTest, TinySectionsSkipBitmapMirrors) {
   EXPECT_EQ(WithMirrors, 0u);
 }
 
-TEST(DetectParallelTest, SetReprBitsetMatchesSorted) {
-  // The word-parallel AddrSet intersection path must be invisible in
-  // the results: identical Pairs and Counts for Sorted, Bitset and
-  // Auto on the lock-heavy mixed workload, with and without the other
-  // performance knobs stacked on top.
-  for (const Trace &Tr : {mixedTrace(), generatedTrace()}) {
-    CsIndex Index = CsIndex::build(Tr);
-    DetectOptions Base;
-    Base.PairMode = PairModeKind::AllCrossThread;
-    Base.Repr = SetRepr::Sorted;
-    DetectResult Sorted = detectWith(Tr, Index, Base, 1, false);
-    ASSERT_GT(Sorted.Counts.total(), 0u);
-
-    DetectOptions Bitset = Base;
-    Bitset.Repr = SetRepr::Bitset;
-    expectSameResult(Sorted, detectWith(Tr, Index, Bitset, 1, false),
-                     "bitset");
-    expectSameResult(Sorted, detectWith(Tr, Index, Bitset, 4, true),
-                     "bitset+parallel+dedup");
-
-    DetectOptions Auto = Base;
-    Auto.Repr = SetRepr::Auto;
-    expectSameResult(Sorted, detectWith(Tr, Index, Auto, 1, false),
-                     "auto");
-    expectSameResult(Sorted, detectWith(Tr, Index, Auto, 4, true),
-                     "auto+parallel+dedup");
-  }
+TEST(DetectParallelTest, SetKernelsAgreeOnMixedAndGenerated) {
+  // The word-parallel AddrSet intersection must be invisible in the
+  // results: with mirrors forced onto every section (tiny ones
+  // included), the bitmap and the sorted merge agree on every pair of
+  // the lock-heavy mixed workload and of a generated application.
+  for (const Trace &Tr : {mixedTrace(), generatedTrace()})
+    EXPECT_GT(checkSetKernels(CsIndex::build(Tr)), 0u);
 }
 
-TEST(DetectParallelTest, SetReprBitsetOnWideSections) {
+TEST(DetectParallelTest, SetKernelsAgreeOnWideSections) {
   // Wide sections (past any small-block threshold) with every static
   // verdict represented: interleaved disjoint writes, overlapping
-  // writes, read-only scans.  Bitset and Sorted must agree per pair.
+  // writes, read-only scans.  Bitmap and sorted merge must agree per
+  // pair.
   TraceBuilder B;
   LockId Mu = B.addLock("wide");
   CodeSiteId Site = B.addSite("w.cc", "wide", 1, 9);
@@ -232,18 +238,14 @@ TEST(DetectParallelTest, SetReprBitsetOnWideSections) {
   // so all of them carry bitmap mirrors.
   for (uint32_t I = 0; I != Index.size(); ++I)
     EXPECT_TRUE(Index.byGlobalId(I).setsBuilt()) << I;
+  EXPECT_EQ(checkSetKernels(Index), Index.size() * Index.size());
 
+  // The corpus really exercises both outcomes.
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AllCrossThread;
-  Opts.Repr = SetRepr::Sorted;
-  DetectResult Sorted = detectUlcps(Tr, Index, Opts);
-  Opts.Repr = SetRepr::Bitset;
-  expectSameResult(Sorted, detectUlcps(Tr, Index, Opts), "wide-bitset");
-  Opts.Repr = SetRepr::Auto;
-  expectSameResult(Sorted, detectUlcps(Tr, Index, Opts), "wide-auto");
-  // The corpus really exercises both outcomes.
-  EXPECT_GT(Sorted.Counts.DisjointWrite, 0u);
-  EXPECT_GT(Sorted.Counts.TrueContention, 0u);
+  DetectResult R = detectUlcps(Tr, Index, Opts);
+  EXPECT_GT(R.Counts.DisjointWrite, 0u);
+  EXPECT_GT(R.Counts.TrueContention, 0u);
 }
 
 TEST(DetectParallelTest, SinkStreamsPairsInSerialOrder) {
@@ -253,21 +255,18 @@ TEST(DetectParallelTest, SinkStreamsPairsInSerialOrder) {
   Base.PairMode = PairModeKind::AllCrossThread;
   DetectResult Serial = detectUlcps(Tr, Index, Base);
 
-  for (unsigned Threads : {1u, 4u}) {
-    DetectOptions Opts = Base;
-    Opts.NumThreads = Threads;
-    std::vector<UlcpPair> Streamed;
-    Opts.Sink = [&](const UlcpPair &P) { Streamed.push_back(P); };
-    DetectResult R = detectUlcps(Tr, Index, Opts);
-    EXPECT_TRUE(R.Pairs.empty()) << "sink mode must not materialize";
-    ASSERT_EQ(Streamed.size(), Serial.Pairs.size());
-    for (size_t I = 0; I != Streamed.size(); ++I) {
-      EXPECT_EQ(Streamed[I].First, Serial.Pairs[I].First) << I;
-      EXPECT_EQ(Streamed[I].Second, Serial.Pairs[I].Second) << I;
-      EXPECT_EQ(Streamed[I].Kind, Serial.Pairs[I].Kind) << I;
-    }
-    EXPECT_EQ(R.Counts.total(), Serial.Counts.total());
+  DetectOptions Opts = Base;
+  std::vector<UlcpPair> Streamed;
+  Opts.Sink = [&](const UlcpPair &P) { Streamed.push_back(P); };
+  DetectResult R = detectUlcps(Tr, Index, Opts);
+  EXPECT_TRUE(R.Pairs.empty()) << "sink mode must not materialize";
+  ASSERT_EQ(Streamed.size(), Serial.Pairs.size());
+  for (size_t I = 0; I != Streamed.size(); ++I) {
+    EXPECT_EQ(Streamed[I].First, Serial.Pairs[I].First) << I;
+    EXPECT_EQ(Streamed[I].Second, Serial.Pairs[I].Second) << I;
+    EXPECT_EQ(Streamed[I].Kind, Serial.Pairs[I].Kind) << I;
   }
+  EXPECT_EQ(R.Counts.total(), Serial.Counts.total());
 }
 
 TEST(DetectParallelTest, CountsOnlySkipsPairVector) {

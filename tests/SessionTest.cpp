@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
-#include <thread>
 
 using namespace perfplay;
 
@@ -235,10 +234,9 @@ TEST(SessionTest, TinyReplayCacheStillRunsFullPipeline) {
 }
 
 TEST(SessionTest, DetectKnobsPreserveSessionResults) {
-  // Parallel + dedup detection inside a session matches the default.
+  // Dedup-off detection inside a session matches the default.
   PipelineOptions Fast;
-  Fast.Detect.NumThreads = 4;
-  Fast.Detect.DedupPairs = true;
+  Fast.Detect.DedupPairs = false;
   PipelineResult Base = runPerfPlay(figure1Trace(), PipelineOptions());
   AnalysisSession Session{figure1Trace(), Fast};
   PipelineResult Tuned = Session.run();
@@ -605,27 +603,6 @@ TEST(SessionTest, StreamingBatchToleratesNullConsumerAndEmptyBatch) {
       std::move(One), Engine::BatchResultConsumer(), 1);
   EXPECT_EQ(Agg.NumRuns, 1u);
   EXPECT_EQ(Agg.NumFailed, 0u);
-}
-
-// Batch workers multiplied by per-session detection threads must never
-// oversubscribe the machine (the nested-pool fix).
-TEST(SessionTest, CappedDetectThreadsBoundsTheProduct) {
-  unsigned Hardware = std::thread::hardware_concurrency();
-  if (Hardware == 0)
-    Hardware = 1;
-  Hardware = std::min(Hardware, 256u);
-  for (unsigned Requested : {0u, 1u, 2u, 8u, 64u})
-    for (unsigned Workers : {1u, 2u, 4u, 16u, 300u}) {
-      unsigned Capped = Engine::cappedDetectThreads(Requested, Workers);
-      EXPECT_GE(Capped, 1u);
-      EXPECT_LE(static_cast<uint64_t>(Capped) * Workers,
-                static_cast<uint64_t>(std::max(Hardware, Workers)))
-          << "req " << Requested << " workers " << Workers;
-      if (Requested == 1)
-        EXPECT_EQ(Capped, 1u);
-    }
-  // A lone session keeps its full requested width.
-  EXPECT_EQ(Engine::cappedDetectThreads(0, 1), Hardware);
 }
 
 //===----------------------------------------------------------------------===//

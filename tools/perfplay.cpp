@@ -8,9 +8,8 @@
 //   perfplay generate <app> [--threads N] [--scale S] [--seed N]
 //                     [--out FILE] [--format text|v3]
 //   perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]
-//                    [--races] [--threads N] [--detect-threads N]
-//                    [--no-dedup] [--set-repr auto|sorted|bitset]
-//                    [--window-events N]
+//                    [--races] [--timeline] [--csv] [--progress]
+//                    [--threads N] [--no-dedup] [--window-events N]
 //   perfplay replay <trace> [--scheme orig|elsc|sync|mem|sle|htm]
 //                   [--seed N] [--replays K] [--htm-capacity N]
 //                   [--htm-retries N] [--abort-penalty NS]
@@ -26,6 +25,8 @@
 //   perfplay client --socket PATH analyze <trace> [--pairs adjacent|all]
 //                   [--no-cache]
 //   perfplay client --socket PATH stats|shutdown
+//
+// Every subcommand rejects an option it does not know with exit code 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +66,8 @@ namespace {
 /// Minimal flag cursor over argv.  Commands consume their options
 /// (option()/flag()) before positionals so option values — including
 /// negative numbers like "--seed -1" — are never mistaken for
-/// positional arguments.
+/// positional arguments, then call unknownOption() so a flag nothing
+/// consumed is an error instead of silently ignored.
 class ArgList {
 public:
   ArgList(int Argc, char **Argv) : Args(Argv + 1, Argv + Argc) {}
@@ -94,7 +96,12 @@ public:
   std::string option(const char *Name, std::string Default) {
     std::string Prefix = std::string(Name) + "=";
     for (size_t I = 0; I != Args.size(); ++I) {
-      if (Args[I] == Name && I + 1 < Args.size()) {
+      if (Args[I] == Name && I + 1 == Args.size()) {
+        MissingValue = Name;
+        Args.pop_back();
+        return Default;
+      }
+      if (Args[I] == Name) {
         std::string Out = Args[I + 1];
         Args.erase(Args.begin() + static_cast<ptrdiff_t>(I),
                    Args.begin() + static_cast<ptrdiff_t>(I) + 2);
@@ -119,8 +126,28 @@ public:
     return false;
   }
 
+  /// Call once every option() and flag() of the command has run.
+  /// Reports a known option given without its value, or else the
+  /// first flag left over — an option the command does not know — and
+  /// returns true when there was one (the command then exits 2).
+  bool unknownOption() const {
+    if (!MissingValue.empty()) {
+      std::fprintf(stderr, "error: option '%s' expects a value\n",
+                   MissingValue.c_str());
+      return true;
+    }
+    for (const std::string &Arg : Args)
+      if (isFlag(Arg)) {
+        std::fprintf(stderr, "error: unknown option '%s'\n",
+                     Arg.substr(0, Arg.find('=')).c_str());
+        return true;
+      }
+    return false;
+  }
+
 private:
   std::vector<std::string> Args;
+  std::string MissingValue;
 };
 
 /// Parses a non-negative thread-count option value; rejects negatives
@@ -152,9 +179,7 @@ int usage() {
       "  perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]"
       " [--races]\n"
       "                  [--timeline] [--csv] [--progress] [--threads N]\n"
-      "                  [--detect-threads N] [--no-dedup]\n"
-      "                  [--set-repr auto|sorted|bitset]"
-      " [--window-events N]\n"
+      "                  [--no-dedup] [--window-events N]\n"
       "  perfplay replay <trace> [--scheme orig|elsc|sync|mem|sle|htm]"
       " [--seed N]\n"
       "                 [--replays K]\n"
@@ -191,26 +216,6 @@ int usage() {
       "capacity aborts above --htm-capacity addresses, straight to lock"
       " fallback)\n");
   return 2;
-}
-
-/// Parses the --set-repr value: which read/write-set representation
-/// detection intersects (detect/Classify.h).  All three produce
-/// identical verdicts; sorted/bitset pin one path for parity or
-/// benchmarking runs.
-bool parseSetRepr(const std::string &S, SetRepr &Out) {
-  if (S == "auto")
-    Out = SetRepr::Auto;
-  else if (S == "sorted")
-    Out = SetRepr::Sorted;
-  else if (S == "bitset")
-    Out = SetRepr::Bitset;
-  else {
-    std::fprintf(stderr, "error: --set-repr expects auto|sorted|bitset, "
-                         "got '%s'\n",
-                 S.c_str());
-    return false;
-  }
-  return true;
 }
 
 const char *formatName(TraceFormat F) {
@@ -260,6 +265,8 @@ int cmdGenerate(ArgList &Args) {
   std::string Out = Args.option("--out", "");
   TraceFormat Format = TraceFormat::Text;
   std::string FormatStr = Args.option("--format", "");
+  if (Args.unknownOption())
+    return 2;
   if (!FormatStr.empty() && !parseTraceFormat(FormatStr, Format))
     return 2;
   std::string Name = Args.positional();
@@ -374,17 +381,14 @@ int cmdAnalyze(ArgList &Args) {
   bool Timeline = Args.flag("--timeline");
   bool Csv = Args.flag("--csv");
   bool Progress = Args.flag("--progress");
-  unsigned Threads, DetectThreads;
+  unsigned Threads;
   if (!parseThreadCount(Args.option("--threads", "0"), "--threads",
-                        Threads) ||
-      !parseThreadCount(Args.option("--detect-threads", "1"),
-                        "--detect-threads", DetectThreads))
+                        Threads))
     return 2;
   bool NoDedup = Args.flag("--no-dedup");
-  SetRepr Repr;
-  if (!parseSetRepr(Args.option("--set-repr", "auto"), Repr))
-    return 2;
   std::string WindowStr = Args.option("--window-events", "");
+  if (Args.unknownOption())
+    return 2;
   bool Windowed = !WindowStr.empty();
   uint64_t WindowEvents = 0;
   if (Windowed) {
@@ -410,9 +414,7 @@ int cmdAnalyze(ArgList &Args) {
   Eng.options().Detect.PairMode = PairMode == "all"
                                       ? PairModeKind::AllCrossThread
                                       : PairModeKind::AdjacentCrossThread;
-  Eng.options().Detect.NumThreads = DetectThreads;
   Eng.options().Detect.DedupPairs = !NoDedup;
-  Eng.options().Detect.Repr = Repr;
   Eng.options().CheckRaces = Races;
   if (Progress)
     Eng.setProgressCallback([](const StageEvent &Event) {
@@ -461,8 +463,7 @@ int cmdAnalyze(ArgList &Args) {
   }
   if (Threads != 0)
     std::fprintf(stderr, "warning: --threads parallelizes across traces "
-                         "and is ignored for a single trace; use "
-                         "--detect-threads to parallelize detection\n");
+                         "and is ignored for a single trace\n");
 
   // The session pins the file mapping (zero-copy v3 loads) for as long
   // as it analyzes the trace.
@@ -610,6 +611,8 @@ int cmdReplay(ArgList &Args) {
   std::string Retries = Args.option("--htm-retries", "");
   std::string Penalty = Args.option("--abort-penalty", "");
   std::string Rate = Args.option("--abort-rate", "");
+  if (Args.unknownOption())
+    return 2;
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
@@ -661,6 +664,8 @@ int cmdReplay(ArgList &Args) {
 
 int cmdStats(ArgList &Args) {
   bool Verbose = Args.flag("--verbose");
+  if (Args.unknownOption())
+    return 2;
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
@@ -689,6 +694,8 @@ int cmdStats(ArgList &Args) {
 /// and the mapping the loaded trace borrows from stays valid.
 int cmdConvert(ArgList &Args) {
   std::string Out = Args.option("--out", "");
+  if (Args.unknownOption())
+    return 2;
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
@@ -961,6 +968,8 @@ int cmdCaseStudy(ArgList &Args) {
   P.NumThreads =
       static_cast<unsigned>(std::atoi(Args.option("--threads", "4").c_str()));
   P.InputScale = std::atof(Args.option("--scale", "1.0").c_str());
+  if (Args.unknownOption())
+    return 2;
   std::string Which = Args.positional();
   if (Which.empty())
     return usage();
@@ -1034,6 +1043,8 @@ int cmdServe(ArgList &Args) {
   Opts.MaxQueueDepth = MaxQueue;
   Opts.IdleTimeoutMs =
       std::atoi(Args.option("--idle-timeout", "0").c_str());
+  if (Args.unknownOption())
+    return 2;
 
   serve::Server Daemon(Opts);
   Expected<void> StartOr = Daemon.start();
@@ -1042,10 +1053,9 @@ int cmdServe(ArgList &Args) {
                  errorCodeName(StartOr.code()));
     return 1;
   }
-  std::printf("serving on %s: %u worker(s), %u detect thread(s)/request, "
-              "cache budget %zu bytes\n",
+  std::printf("serving on %s: %u worker(s), cache budget %zu bytes\n",
               Opts.SocketPath.c_str(), Daemon.workers(),
-              Daemon.detectThreadsPerRequest(), Opts.CacheBudgetBytes);
+              Opts.CacheBudgetBytes);
   std::fflush(stdout);
   Daemon.wait();
   Daemon.stop();
@@ -1078,6 +1088,8 @@ int cmdClient(ArgList &Args) {
   std::string Socket = Args.option("--socket", "");
   std::string PairMode = Args.option("--pairs", "adjacent");
   bool NoCache = Args.flag("--no-cache");
+  if (Args.unknownOption())
+    return 2;
   std::string Action = Args.positional();
   if (Socket.empty() || Action.empty()) {
     std::fprintf(stderr, "error: client requires --socket PATH and an "
@@ -1148,7 +1160,7 @@ int main(int Argc, char **Argv) {
   ArgList Args(Argc, Argv);
   std::string Cmd = Args.positional();
   if (Cmd == "list-apps")
-    return cmdListApps();
+    return Args.unknownOption() ? 2 : cmdListApps();
   if (Cmd == "generate")
     return cmdGenerate(Args);
   if (Cmd == "analyze")
