@@ -164,9 +164,8 @@ using ProgressCallback = std::function<void(const StageEvent &)>;
 /// another thread is safe exactly when the handoff itself synchronizes
 /// (thread join, mutex, task queue).  Engine::analyzeBatch* follows
 /// this rule: each worker owns its session outright and only the
-/// finished results cross threads, under the batch mutex.  Detection
-/// inside a session may spin up its own ThreadPool; that parallelism
-/// is internal to the detect() call and invisible to the caller.
+/// finished results cross threads, under the batch mutex.  Every stage
+/// runs on the calling thread; a session starts no threads of its own.
 class AnalysisSession {
 public:
   explicit AnalysisSession(Trace Tr, PipelineOptions Opts = PipelineOptions(),

@@ -12,45 +12,19 @@ using namespace perfplay;
 
 namespace {
 
-/// Per-section speculation bookkeeping.
-struct Speculation {
-  /// Tentative [start, end) interval under pure speculation with the
-  /// thread's current shift applied.
+/// A section's contention-free [start, end) interval.
+struct Interval {
   TimeNs Start = 0;
   TimeNs End = 0;
-  unsigned Aborts = 0;
-  bool FellBack = false;
 };
 
-/// Body cost of a section (compute + memory + condvar traffic between
-/// acquire/release; a failed interior trylock pays its failure cost).
-TimeNs bodyCost(const Trace &Tr, const CriticalSection &Cs,
-                const CostModel &Costs) {
-  TimeNs Total = 0;
-  const auto &Events = Tr.Threads[Cs.Ref.Thread].Events;
-  for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
-    const Event &E = Events[I];
-    if (E.Kind == EventKind::Compute)
-      Total += E.Cost;
-    else if (E.Kind == EventKind::Read || E.Kind == EventKind::Write)
-      Total += Costs.MemAccess;
-    else if (E.Kind == EventKind::TryAcquire && !E.TrySucceeded)
-      Total += Costs.TryLockFail;
-    else if (E.Kind == EventKind::CondWait)
-      Total += Costs.CondWait;
-    else if (E.Kind == EventKind::CondSignal ||
-             E.Kind == EventKind::CondBroadcast)
-      Total += Costs.CondSignal;
-  }
-  return Total;
-}
-
-/// Pass 1 of both speculation models: contention-free solo execution —
-/// every acquire succeeds immediately, so each thread's timeline has no
-/// lock waits.  Fills per-section tentative intervals and per-thread
-/// finish times.
+/// Pass 1: contention-free solo execution — every acquire succeeds
+/// immediately, so each thread's timeline has no lock waits.  Fills
+/// per-section intervals and per-thread finish times.  A section's
+/// End - Start is its body cost: exactly the events between its
+/// acquire and matching release are charged in between.
 void soloSpeculate(const Trace &Tr, const CostModel &Costs,
-                   std::vector<Speculation> &Specs,
+                   std::vector<Interval> &Solo,
                    std::vector<TimeNs> &ThreadFinish) {
   for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
     TimeNs Clock = 0;
@@ -74,13 +48,13 @@ void soloSpeculate(const Trace &Tr, const CostModel &Costs,
           break;
         }
         uint32_t Cs = Tr.globalCsId(CsRef{T, NextIndex++});
-        Specs[Cs].Start = Clock;
+        Solo[Cs].Start = Clock;
         Open.push_back(Cs);
         break;
       }
       case EventKind::LockRelease:
         assert(!Open.empty() && "unbalanced release");
-        Specs[Open.back()].End = Clock;
+        Solo[Open.back()].End = Clock;
         Open.pop_back();
         break;
       case EventKind::CondWait:
@@ -101,156 +75,80 @@ void soloSpeculate(const Trace &Tr, const CostModel &Costs,
 
 } // namespace
 
-LockElisionResult perfplay::simulateLockElision(
-    const Trace &Tr, const CsIndex &Index,
-    const LockElisionOptions &Opts) {
-  LockElisionResult Result;
+SpecResult perfplay::speculate(const Trace &Tr, const CsIndex &Index,
+                               const SpecModel &Model) {
+  SpecResult Result;
   Result.ThreadFinish.assign(Tr.numThreads(), 0);
 
-  // Pass 1: speculative solo execution — every acquire succeeds
-  // immediately, so each thread's timeline is contention-free.
-  std::vector<Speculation> Specs(Index.size());
-  soloSpeculate(Tr, Opts.Costs, Specs, Result.ThreadFinish);
+  std::vector<Interval> Solo(Index.size());
+  soloSpeculate(Tr, Model.Costs, Solo, Result.ThreadFinish);
 
   // Pass 2: conflict resolution per lock in start order.  An abort
   // re-executes the section (body + penalty), shifting everything
-  // later on its thread; retries exhausted -> take the real lock and
-  // serialize behind the lock's previous fallback.
-  MemoryImage Initial = MemoryImage::initialOf(Tr);
-  Rng R(Opts.Seed);
+  // later on its thread.  Conflicts and random aborts retry; a
+  // footprint over capacity aborts deterministically, so retrying is
+  // futile.  Retries exhausted -> take the real lock and serialize
+  // behind the lock's previous fallback.
+  Rng R(Model.Seed);
   std::vector<TimeNs> Shift(Tr.numThreads(), 0);
-  std::vector<TimeNs> LockFreeAt(Tr.Locks.size(), 0);
+  const TimeNs LockOps = Model.Costs.LockAcquire + Model.Costs.LockRelease;
 
-  for (LockId L = 0; L != Index.numLocks(); ++L) {
-    std::vector<uint32_t> Order = Index.sectionsOfLock(L);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       return Specs[A].Start < Specs[B].Start;
-                     });
-    for (size_t I = 0; I != Order.size(); ++I) {
-      uint32_t Cs = Order[I];
-      const CriticalSection &Section = Index.byGlobalId(Cs);
-      ThreadId T = Section.Ref.Thread;
-      TimeNs Start = Specs[Cs].Start + Shift[T];
-      TimeNs End = Specs[Cs].End + Shift[T];
-      TimeNs Body = bodyCost(Tr, Section, Opts.Costs);
-
-      for (unsigned Attempt = 0;; ++Attempt) {
-        // Find a conflicting earlier section still running at Start.
-        bool Conflict = false;
-        for (size_t J = 0; J != I && !Conflict; ++J) {
-          uint32_t Other = Order[J];
-          const CriticalSection &OtherSec = Index.byGlobalId(Other);
-          if (OtherSec.Ref.Thread == T)
-            continue;
-          TimeNs OtherEnd = Specs[Other].End + Shift[OtherSec.Ref.Thread];
-          if (OtherEnd <= Start)
-            continue; // Finished before we started.
-          // Hardware conflict detection is set-based: benign conflicts
-          // abort too (only truly disjoint sections co-exist).
-          Conflict = classifyPairStatic(OtherSec, Section) ==
-                     UlcpKind::TrueContention;
-        }
-        bool FalseAbort = !Conflict && R.nextBool(Opts.FalseAbortRate);
-        if (!Conflict && !FalseAbort)
-          break; // Commit.
-
-        if (Conflict)
-          ++Result.ConflictAborts;
-        else
-          ++Result.FalseAborts;
-        ++Specs[Cs].Aborts;
-        TimeNs Redo = Body + Opts.AbortPenalty;
-        Result.WastedNs += Redo;
-        Shift[T] += Redo;
-        Start += Redo;
-        End += Redo;
-
-        if (Attempt + 1 >= Opts.MaxRetries) {
-          // Fall back to the real lock: wait until the lock's previous
-          // fallback released it.
-          ++Result.Fallbacks;
-          Specs[Cs].FellBack = true;
-          TimeNs Grant = std::max(Start, LockFreeAt[L]);
-          TimeNs Wait = Grant - Start;
-          Shift[T] += Wait + Opts.Costs.LockAcquire +
-                      Opts.Costs.LockRelease;
-          Start = Grant;
-          End = Grant + Body + Opts.Costs.LockAcquire +
-                Opts.Costs.LockRelease;
-          LockFreeAt[L] = End;
+  // The current lock's placed sections, per thread in start order.  A
+  // placed section of thread U ends at its solo End + Shift[U] (its own
+  // redos, fallback wait and lock operations all went into Shift[U]),
+  // and Shift[U] is one term shared by all of U's sections.  So a
+  // backwards walk over U's list may stop at the first entry whose
+  // prefix-max solo end, shifted, is not after the querying start: no
+  // earlier section of U is still running.  Without same-lock nesting
+  // the walk visits only the sections still running plus one per
+  // thread, instead of every placed section.
+  struct Placed {
+    const CriticalSection *Section;
+    TimeNs PrefixMaxEnd;
+  };
+  std::vector<std::vector<Placed>> PlacedBy(Tr.numThreads());
+  std::vector<ThreadId> Present; // Threads with a non-empty list.
+  auto ConflictAt = [&](const CriticalSection &Section, TimeNs Start) {
+    for (ThreadId U : Present) {
+      if (U == Section.Ref.Thread)
+        continue;
+      const std::vector<Placed> &List = PlacedBy[U];
+      for (size_t K = List.size(); K-- != 0;) {
+        if (List[K].PrefixMaxEnd + Shift[U] <= Start)
           break;
-        }
+        const CriticalSection &Other = *List[K].Section;
+        // Hardware conflict detection is set-based: benign conflicts
+        // abort too (only truly disjoint or read-read sections
+        // co-exist).
+        if (Solo[Other.GlobalId].End + Shift[U] > Start &&
+            classifyPairStatic(Other, Section) == UlcpKind::TrueContention)
+          return true;
       }
-      Specs[Cs].Start = Start - Shift[T];
-      Specs[Cs].End = End - Shift[T];
     }
-  }
-  (void)Initial;
+    return false;
+  };
 
-  Result.TotalTime = 0;
-  for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
-    Result.ThreadFinish[T] += Shift[T];
-    Result.TotalTime = std::max(Result.TotalTime, Result.ThreadFinish[T]);
-  }
-  return Result;
-}
-
-HtmResult perfplay::simulateHtm(const Trace &Tr, const CsIndex &Index,
-                                const HtmOptions &Opts) {
-  HtmResult Result;
-  Result.ThreadFinish.assign(Tr.numThreads(), 0);
-
-  // Pass 1: contention-free solo execution, shared with SLE.
-  std::vector<Speculation> Specs(Index.size());
-  soloSpeculate(Tr, Opts.Costs, Specs, Result.ThreadFinish);
-
-  // Pass 2: transactional conflict resolution per lock in start order.
-  // Conflicts and interrupts abort-and-retry like SLE; a footprint
-  // larger than the transactional buffers aborts deterministically, so
-  // retrying is futile — one wasted attempt, then the lock fallback.
-  Rng R(Opts.Seed);
-  std::vector<TimeNs> Shift(Tr.numThreads(), 0);
-  std::vector<TimeNs> LockFreeAt(Tr.Locks.size(), 0);
-
+  std::vector<uint32_t> Order;
   for (LockId L = 0; L != Index.numLocks(); ++L) {
-    std::vector<uint32_t> Order = Index.sectionsOfLock(L);
+    Order = Index.sectionsOfLock(L);
     std::stable_sort(Order.begin(), Order.end(),
                      [&](uint32_t A, uint32_t B) {
-                       return Specs[A].Start < Specs[B].Start;
+                       return Solo[A].Start < Solo[B].Start;
                      });
-    for (size_t I = 0; I != Order.size(); ++I) {
-      uint32_t Cs = Order[I];
+    TimeNs LockFreeAt = 0;
+    for (uint32_t Cs : Order) {
       const CriticalSection &Section = Index.byGlobalId(Cs);
       ThreadId T = Section.Ref.Thread;
-      TimeNs Start = Specs[Cs].Start + Shift[T];
-      TimeNs End = Specs[Cs].End + Shift[T];
-      TimeNs Body = bodyCost(Tr, Section, Opts.Costs);
+      TimeNs Start = Solo[Cs].Start + Shift[T];
+      const TimeNs Body = Solo[Cs].End - Solo[Cs].Start;
       const bool Overflows =
-          Section.Reads.size() + Section.Writes.size() > Opts.Capacity;
+          Section.Reads.size() + Section.Writes.size() > Model.Capacity;
 
       for (unsigned Attempt = 0;; ++Attempt) {
-        bool Conflict = false;
-        if (!Overflows) {
-          for (size_t J = 0; J != I && !Conflict; ++J) {
-            uint32_t Other = Order[J];
-            const CriticalSection &OtherSec = Index.byGlobalId(Other);
-            if (OtherSec.Ref.Thread == T)
-              continue;
-            TimeNs OtherEnd =
-                Specs[Other].End + Shift[OtherSec.Ref.Thread];
-            if (OtherEnd <= Start)
-              continue; // Committed before we started.
-            // Cache-line conflict detection is set-based: benign
-            // conflicts abort too; only truly disjoint (or read-read)
-            // transactions co-exist.
-            Conflict = classifyPairStatic(OtherSec, Section) ==
-                       UlcpKind::TrueContention;
-          }
-        }
-        bool Interrupt = !Overflows && !Conflict &&
-                         R.nextBool(Opts.InterruptAbortRate);
-        if (!Overflows && !Conflict && !Interrupt)
+        bool Conflict = !Overflows && ConflictAt(Section, Start);
+        bool RandomAbort = !Overflows && !Conflict &&
+                           R.nextBool(Model.RandomAbortRate);
+        if (!Overflows && !Conflict && !RandomAbort)
           break; // Commit.
 
         if (Overflows)
@@ -258,39 +156,77 @@ HtmResult perfplay::simulateHtm(const Trace &Tr, const CsIndex &Index,
         else if (Conflict)
           ++Result.ConflictAborts;
         else
-          ++Result.InterruptAborts;
-        ++Specs[Cs].Aborts;
-        TimeNs Redo = Body + Opts.AbortPenalty;
+          ++Result.RandomAborts;
+        TimeNs Redo = Body + Model.AbortPenalty;
         Result.WastedNs += Redo;
         Shift[T] += Redo;
         Start += Redo;
-        End += Redo;
 
-        if (Overflows || Attempt + 1 >= Opts.MaxRetries) {
-          // Lock fallback: serialize behind the lock's previous
-          // fallback, paying the real acquire/release.
+        if (Overflows || Attempt + 1 >= Model.MaxRetries) {
           ++Result.Fallbacks;
-          Specs[Cs].FellBack = true;
-          TimeNs Grant = std::max(Start, LockFreeAt[L]);
-          TimeNs Wait = Grant - Start;
-          Shift[T] += Wait + Opts.Costs.LockAcquire +
-                      Opts.Costs.LockRelease;
-          Start = Grant;
-          End = Grant + Body + Opts.Costs.LockAcquire +
-                Opts.Costs.LockRelease;
-          LockFreeAt[L] = End;
+          TimeNs Grant = std::max(Start, LockFreeAt);
+          Shift[T] += Grant - Start + LockOps;
+          LockFreeAt = Grant + Body + LockOps;
           break;
         }
       }
-      Specs[Cs].Start = Start - Shift[T];
-      Specs[Cs].End = End - Shift[T];
+      std::vector<Placed> &Mine = PlacedBy[T];
+      TimeNs MaxEnd = Solo[Cs].End;
+      if (Mine.empty())
+        Present.push_back(T);
+      else
+        MaxEnd = std::max(MaxEnd, Mine.back().PrefixMaxEnd);
+      Mine.push_back(Placed{&Section, MaxEnd});
     }
+    for (ThreadId U : Present)
+      PlacedBy[U].clear();
+    Present.clear();
   }
 
-  Result.TotalTime = 0;
   for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
     Result.ThreadFinish[T] += Shift[T];
     Result.TotalTime = std::max(Result.TotalTime, Result.ThreadFinish[T]);
   }
+  return Result;
+}
+
+LockElisionResult perfplay::simulateLockElision(
+    const Trace &Tr, const CsIndex &Index,
+    const LockElisionOptions &Opts) {
+  SpecModel Model;
+  Model.AbortPenalty = Opts.AbortPenalty;
+  Model.MaxRetries = Opts.MaxRetries;
+  Model.RandomAbortRate = Opts.FalseAbortRate;
+  Model.Seed = Opts.Seed;
+  Model.Costs = Opts.Costs;
+  SpecResult S = speculate(Tr, Index, Model);
+  LockElisionResult Result;
+  Result.TotalTime = S.TotalTime;
+  Result.ThreadFinish = std::move(S.ThreadFinish);
+  Result.ConflictAborts = S.ConflictAborts;
+  Result.FalseAborts = S.RandomAborts;
+  Result.Fallbacks = S.Fallbacks;
+  Result.WastedNs = S.WastedNs;
+  return Result;
+}
+
+HtmResult perfplay::simulateHtm(const Trace &Tr, const CsIndex &Index,
+                                const HtmOptions &Opts) {
+  SpecModel Model;
+  Model.Capacity = Opts.Capacity;
+  Model.AbortPenalty = Opts.AbortPenalty;
+  Model.MaxRetries = Opts.MaxRetries;
+  Model.RandomAbortRate = Opts.InterruptAbortRate;
+  Model.Seed = Opts.Seed;
+  Model.Costs = Opts.Costs;
+  SpecResult S = speculate(Tr, Index, Model);
+  HtmResult Result;
+  Result.TotalTime = S.TotalTime;
+  Result.ThreadFinish = std::move(S.ThreadFinish);
+  Result.ConflictAborts = S.ConflictAborts;
+  Result.CapacityAborts = S.CapacityAborts;
+  Result.InterruptAborts = S.RandomAborts;
+  Result.Fallbacks = S.Fallbacks;
+  Result.WastedNs = S.WastedNs;
   return Result;
 }

@@ -55,6 +55,16 @@ void expectUnknown(const std::string &Args, const std::string &Flag) {
       << Args << " -> " << R.Stderr;
 }
 
+void expectInapplicable(const std::string &Args, const std::string &Flag,
+                        const std::string &Scheme) {
+  CliRun R = runCli(Args);
+  EXPECT_EQ(R.Status, 2) << Args;
+  EXPECT_NE(R.Stderr.find("option '" + Flag +
+                          "' does not apply to scheme '" + Scheme + "'"),
+            std::string::npos)
+      << Args << " -> " << R.Stderr;
+}
+
 } // namespace
 
 TEST(CliOptionsTest, RemovedDetectOptionsAreRejected) {
@@ -86,5 +96,28 @@ TEST(CliOptionsTest, KnownOptionsStillWork) {
   CliRun R = runCli("replay " + tracePath() + " --replays 2 --seed 3");
   EXPECT_EQ(R.Status, 0) << R.Stderr;
   R = runCli("analyze " + tracePath() + " --pairs=all --no-dedup");
+  EXPECT_EQ(R.Status, 0) << R.Stderr;
+}
+
+TEST(CliOptionsTest, SpeculationOptionsNeedASchemeThatModelsThem) {
+  const std::string Replay = "replay " + tracePath();
+  // SLE has no transactional capacity.
+  expectInapplicable(Replay + " --scheme sle --htm-capacity 8",
+                     "--htm-capacity", "sle");
+  // The lock replays model no speculation at all; elsc is the default.
+  const char *Knobs[] = {"--htm-capacity=8", "--htm-retries=1",
+                         "--abort-penalty=50", "--abort-rate=0.1"};
+  for (const char *Scheme : {"orig", "elsc", "sync", "mem"})
+    for (const std::string Knob : Knobs)
+      expectInapplicable(Replay + " --scheme " + Scheme + " " + Knob,
+                         Knob.substr(0, Knob.find('=')), Scheme);
+  expectInapplicable(Replay + " --abort-rate 0.1", "--abort-rate", "elsc");
+
+  CliRun R = runCli(Replay + " --scheme htm --htm-capacity 8 "
+                             "--htm-retries 1 --abort-penalty 50 "
+                             "--abort-rate 0.1");
+  EXPECT_EQ(R.Status, 0) << R.Stderr;
+  R = runCli(Replay + " --scheme sle --htm-retries 1 --abort-penalty 50 "
+                      "--abort-rate 0.1");
   EXPECT_EQ(R.Status, 0) << R.Stderr;
 }

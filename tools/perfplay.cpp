@@ -26,7 +26,8 @@
 //                   [--no-cache]
 //   perfplay client --socket PATH stats|shutdown
 //
-// Every subcommand rejects an option it does not know with exit code 2.
+// Every subcommand rejects an option it does not know with exit code 2,
+// and `replay` rejects a speculation option its scheme does not model.
 //
 //===----------------------------------------------------------------------===//
 
@@ -214,7 +215,9 @@ int usage() {
       " a lock\n"
       "replay (sle: flat --abort-rate false aborts; htm: deterministic\n"
       "capacity aborts above --htm-capacity addresses, straight to lock"
-      " fallback)\n");
+      " fallback);\n"
+      "the speculation options are usage errors with a scheme that does"
+      " not model them\n");
   return 2;
 }
 
@@ -617,16 +620,31 @@ int cmdReplay(ArgList &Args) {
   if (Path.empty())
     return usage();
 
-  if (SchemeName == "sle" || SchemeName == "htm")
-    return replaySpeculation(SchemeName, Path, Seed, Replays, Capacity,
-                             Retries, Penalty, Rate);
-
+  const bool Speculative = SchemeName == "sle" || SchemeName == "htm";
   ScheduleKind Scheme;
-  if (!parseScheduleKind(SchemeName, Scheme)) {
+  if (!Speculative && !parseScheduleKind(SchemeName, Scheme)) {
     std::fprintf(stderr, "error: unknown scheme '%s'\n",
                  SchemeName.c_str());
     return 1;
   }
+  // A speculation knob the scheme does not model is a usage error, not
+  // a silent no-op: sle has no capacity, the lock replays have none.
+  const std::pair<const char *, bool> Knobs[] = {
+      {"--htm-capacity", !Capacity.empty() && SchemeName != "htm"},
+      {"--htm-retries", !Retries.empty() && !Speculative},
+      {"--abort-penalty", !Penalty.empty() && !Speculative},
+      {"--abort-rate", !Rate.empty() && !Speculative}};
+  for (const auto &[Name, Ignored] : Knobs)
+    if (Ignored) {
+      std::fprintf(stderr,
+                   "error: option '%s' does not apply to scheme '%s'\n",
+                   Name, SchemeName.c_str());
+      return 2;
+    }
+
+  if (Speculative)
+    return replaySpeculation(SchemeName, Path, Seed, Replays, Capacity,
+                             Retries, Penalty, Rate);
 
   Expected<Trace> TrOr = readTraceFile(Path);
   if (!TrOr) {
