@@ -1,11 +1,9 @@
 //===- bench/micro_detect_throughput.cpp - detection throughput -------------===//
 //
 // Measures ULCP detection throughput (classified pairs per second) on a
-// lock-heavy workload with key-pair dedup off (every pair classified)
-// and on (each distinct key pair classified once).  Both produce
-// bit-identical Counts (asserted here), so the comparison is pure
-// speed.  Emits BENCH_detect.json for CI tracking alongside a
-// human-readable table.
+// lock-heavy workload: one counts-only detectUlcps, every pair
+// classified.  Emits BENCH_detect.json for CI tracking alongside a
+// human-readable line.
 //
 // A second corpus — wide-set sections touching 10k..1M addresses,
 // dense (interleaved, bitmap blocks) and sparse (strided, small
@@ -36,6 +34,7 @@
 #include "BenchUtil.h"
 #include "detect/CriticalSection.h"
 #include "detect/Detector.h"
+#include "detect/SectionKey.h"
 #include "sim/Replayer.h"
 #include "support/SetOps.h"
 #include "trace/TraceBuilder.h"
@@ -121,37 +120,25 @@ Trace makeLockHeavyTrace(unsigned Threads, unsigned PerThread) {
   return B.finish();
 }
 
-struct ConfigResult {
-  const char *Name;
-  bool Dedup;
-  double Seconds = 0.0;
-  double PairsPerSec = 0.0;
-  UlcpCounts Counts;
-  DetectStats Stats;
-};
-
-double runConfig(const Trace &Tr, const CsIndex &Index, ConfigResult &Cfg,
-                 unsigned Repeat) {
+/// Times \p Repeat counts-only AllCrossThread detections of \p Tr and
+/// returns the seconds of one, with the last run's result in \p Out.
+double timeDetect(const Trace &Tr, const CsIndex &Index, unsigned Repeat,
+                  DetectResult &Out) {
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AllCrossThread;
-  Opts.DedupPairs = Cfg.Dedup;
   // Counts-only keeps the O(n^2) pair vector out of the measurement:
   // the bench times classification, not vector growth.
   Opts.CountsOnly = true;
-
   auto Start = std::chrono::steady_clock::now();
-  DetectResult R;
   for (unsigned I = 0; I != Repeat; ++I)
-    R = detectUlcps(Tr, Index, Opts);
+    Out = detectUlcps(Tr, Index, Opts);
   auto End = std::chrono::steady_clock::now();
-  Cfg.Seconds =
-      std::chrono::duration<double>(End - Start).count() / Repeat;
-  Cfg.Counts = R.Counts;
-  Cfg.Stats = R.Stats;
-  Cfg.PairsPerSec = Cfg.Seconds > 0.0
-                        ? static_cast<double>(R.Counts.total()) / Cfg.Seconds
-                        : 0.0;
-  return Cfg.Seconds;
+  return std::chrono::duration<double>(End - Start).count() / Repeat;
+}
+
+double pairsPerSec(const DetectResult &R, double Seconds) {
+  return Seconds > 0.0 ? static_cast<double>(R.Counts.total()) / Seconds
+                       : 0.0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -322,37 +309,18 @@ int main(int Argc, char **Argv) {
   recordGrantSchedule(Tr, 42);
   CsIndex Index = CsIndex::build(Tr);
 
-  ConfigResult Configs[] = {
-      {"serial", false, 0, 0, {}, {}},
-      {"dedup", true, 0, 0, {}, {}},
-  };
-  const ConfigResult &Dedup = Configs[1];
-  for (ConfigResult &Cfg : Configs)
-    runConfig(Tr, Index, Cfg, Repeat);
-
-  // Dedup must agree with the classify-every-pair baseline; a
-  // mismatch means the optimization changed results, not just speed.
-  const UlcpCounts &Base = Configs[0].Counts;
-  for (const ConfigResult &Cfg : Configs)
-    if (Cfg.Counts.NullLock != Base.NullLock ||
-        Cfg.Counts.ReadRead != Base.ReadRead ||
-        Cfg.Counts.DisjointWrite != Base.DisjointWrite ||
-        Cfg.Counts.Benign != Base.Benign ||
-        Cfg.Counts.TrueContention != Base.TrueContention) {
-      std::fprintf(stderr, "FATAL: config '%s' diverged from serial\n",
-                   Cfg.Name);
-      return 1;
-    }
-
+  DetectResult Det;
+  const double Seconds = timeDetect(Tr, Index, Repeat, Det);
+  const double PairsPerSec = pairsPerSec(Det, Seconds);
+  // Distinct section keys describe the corpus (how often section bodies
+  // repeat); detection itself classifies every pair.
+  const uint32_t NumKeys = internSectionKeys(Tr, Index).NumKeys;
   std::printf("detect throughput: %s @%u threads, scale %.2f — %zu "
-              "sections, %llu pairs, %llu distinct keys\n",
+              "sections, %llu pairs, %u distinct keys\n"
+              "  %8.3f ms  %12.0f pairs/s\n",
               AppName.c_str(), Threads, Scale, Index.size(),
-              static_cast<unsigned long long>(Base.total()),
-              static_cast<unsigned long long>(Dedup.Stats.NumSectionKeys));
-  for (const ConfigResult &Cfg : Configs)
-    std::printf("  %-14s %8.3f ms  %12.0f pairs/s  (%.2fx)\n", Cfg.Name,
-                Cfg.Seconds * 1e3, Cfg.PairsPerSec,
-                Cfg.PairsPerSec / Configs[0].PairsPerSec);
+              static_cast<unsigned long long>(Det.Counts.total()), NumKeys,
+              Seconds * 1e3, PairsPerSec);
 
   // Wide-set intersection corpus (sorted-vector vs chunked-bitmap).
   std::vector<WideResult> Wide;
@@ -400,24 +368,13 @@ int main(int Argc, char **Argv) {
     Trace RwTr = generateWorkload(RwApp->Factory(4, Scale));
     recordGrantSchedule(RwTr, 42);
     CsIndex RwIndex = CsIndex::build(RwTr);
-    DetectOptions RwOpts;
-    RwOpts.PairMode = PairModeKind::AllCrossThread;
-    RwOpts.CountsOnly = true;
-    auto Start = std::chrono::steady_clock::now();
     DetectResult RwR;
-    for (unsigned I = 0; I != Repeat; ++I)
-      RwR = detectUlcps(RwTr, RwIndex, RwOpts);
-    auto End = std::chrono::steady_clock::now();
     Rw.Ran = true;
     Rw.Sections = RwIndex.size();
-    Rw.Seconds =
-        std::chrono::duration<double>(End - Start).count() / Repeat;
+    Rw.Seconds = timeDetect(RwTr, RwIndex, Repeat, RwR);
     Rw.Counts = RwR.Counts;
     Rw.TryFailEdges = RwR.TryFailEdges;
-    Rw.PairsPerSec =
-        Rw.Seconds > 0.0
-            ? static_cast<double>(RwR.Counts.total()) / Rw.Seconds
-            : 0.0;
+    Rw.PairsPerSec = pairsPerSec(RwR, Rw.Seconds);
     std::printf("rwlock corpus: rwmix @4 threads — %zu sections, %llu "
                 "pairs (RR=%llu true=%llu), %llu failed tries, "
                 "%.3f ms\n",
@@ -449,27 +406,15 @@ int main(int Argc, char **Argv) {
                "\"scale\": %.3f},\n"
                "  \"sections\": %zu,\n"
                "  \"pairs\": %llu,\n"
-               "  \"distinct_section_keys\": %llu,\n"
+               "  \"distinct_section_keys\": %u,\n"
                "  \"repeat\": %u,\n"
-               "  \"configs\": [\n",
+               "  \"seconds\": %.6f,\n"
+               "  \"pairs_per_sec\": %.1f,\n"
+               "  \"classified\": %llu",
                AppName.c_str(), Threads, Scale, Index.size(),
-               static_cast<unsigned long long>(Base.total()),
-               static_cast<unsigned long long>(Dedup.Stats.NumSectionKeys),
-               Repeat);
-  const size_t NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
-  for (size_t I = 0; I != NumConfigs; ++I) {
-    const ConfigResult &Cfg = Configs[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"dedup\": %s, "
-                 "\"seconds\": %.6f, \"pairs_per_sec\": %.1f, "
-                 "\"classified\": %llu, \"speedup\": %.3f}%s\n",
-                 Cfg.Name, Cfg.Dedup ? "true" : "false", Cfg.Seconds,
-                 Cfg.PairsPerSec,
-                 static_cast<unsigned long long>(Cfg.Stats.NumClassified),
-                 Cfg.PairsPerSec / Configs[0].PairsPerSec,
-                 I + 1 != NumConfigs ? "," : "");
-  }
-  std::fprintf(F, "  ]");
+               static_cast<unsigned long long>(Det.Counts.total()), NumKeys,
+               Repeat, Seconds, PairsPerSec,
+               static_cast<unsigned long long>(Det.Stats.NumClassified));
   if (!Wide.empty()) {
     std::fprintf(F, ",\n  \"wide_set\": [\n");
     for (size_t I = 0; I != Wide.size(); ++I) {

@@ -29,8 +29,9 @@
 //       vs. owned interning; the borrowed parse must report ZERO owned
 //       name bytes (StringPool::stats), which this driver asserts,
 //   dedup compare    — name equality as pooled-id integer compares vs.
-//       materialized std::string compares (the detector/recorder dedup
-//       paths run the former since the pool migration).
+//       materialized std::string compares (section-key interning and
+//       the recorder's site lookup run the former since the pool
+//       migration).
 //
 // A third section measures the chunked v3 format's parallel full
 // load: the same synthetic corpus parsed with 1 worker vs. 4 (parseTraceV3 decodes chunks concurrently into

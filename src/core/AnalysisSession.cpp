@@ -216,14 +216,14 @@ Expected<const PerfDebugReport &> AnalysisSession::report() {
     emit(StageKind::Report, /*FromCache=*/true);
     return *Rpt;
   }
-  // A Sink/CountsOnly detection discards the per-pair list this stage
+  // A CountsOnly detection discards the per-pair list this stage
   // ranks; building a report from it would silently claim "no
   // contention" while Counts says otherwise.
-  if (Opts.Detect.CountsOnly || Opts.Detect.Sink)
+  if (Opts.Detect.CountsOnly)
     return PipelineError(
         ErrorCode::IncompatibleOptions,
         "report() needs materialized detection pairs; the session's "
-        "DetectOptions use Sink/CountsOnly");
+        "DetectOptions use CountsOnly");
   Expected<const DetectResult &> Det = detect();
   if (!Det)
     return Det.error();
@@ -336,12 +336,12 @@ PipelineResult AnalysisSession::runImpl(bool Consume,
         PipelineError(ErrorCode::TransformedReplayFailed,
                       "ULCP-free replay failed: " + Free.Error));
 
-  // Streaming detection (Sink/CountsOnly) deliberately discards the
-  // pair list, so the report stage cannot run; every other stage can.
-  // run() then delivers counts, transformation, and both replays with
-  // a default-constructed Report instead of failing the pipeline.
-  const bool Streaming = Opts.Detect.CountsOnly || Opts.Detect.Sink;
-  if (!Streaming) {
+  // CountsOnly detection deliberately discards the pair list, so the
+  // report stage cannot run; every other stage can.  run() then
+  // delivers counts, transformation, and both replays with a
+  // default-constructed Report instead of failing the pipeline.
+  const bool CountsOnly = Opts.Detect.CountsOnly;
+  if (!CountsOnly) {
     Expected<const PerfDebugReport &> Report = report();
     if (!Report)
       return Fail(Report.error());
@@ -356,7 +356,7 @@ PipelineResult AnalysisSession::runImpl(bool Consume,
   Take(Transformation, Result.Transformation);
   TakeReplay(/*Transformed=*/false, Result.Original);
   TakeReplay(/*Transformed=*/true, Result.UlcpFree);
-  if (!Streaming)
+  if (!CountsOnly)
     Take(Rpt, Result.Report);
   if (Opts.CheckRaces)
     Take(Races, Result.Races);

@@ -261,10 +261,10 @@ public:
   /// assembles the legacy PipelineResult, reusing anything already
   /// cached.  On failure the result carries the legacy Error string
   /// and whatever stages completed; when \p ErrOut is non-null it
-  /// receives the typed error.  With streaming detection
-  /// (DetectOptions::Sink/CountsOnly) the report stage — which needs
-  /// the discarded pair list — is skipped and Result.Report stays
-  /// default-constructed; all other stages run normally.
+  /// receives the typed error.  With DetectOptions::CountsOnly the
+  /// report stage — which needs the discarded pair list — is skipped
+  /// and Result.Report stays default-constructed; all other stages
+  /// run normally.
   PipelineResult run(PipelineError *ErrOut = nullptr);
 
   /// Consuming run(): moves the cached intermediates into the result

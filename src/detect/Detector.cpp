@@ -1,25 +1,18 @@
 //===- detect/Detector.cpp - Whole-trace ULCP detection --------------------===//
 //
-// The hot path of the pipeline.  Two accelerations over the
-// straightforward nested loop, both preserving the pair order and
-// verdicts bit-for-bit:
-//
-//  * Dedup: sections are interned into canonical keys (SectionKey.h)
-//    and each distinct key pair is classified once — the paper's
-//    Table 2 observation that dynamic pairs massively duplicate a few
-//    static patterns, turned into a verdict cache.
-//  * Streaming: with a Sink (or CountsOnly) the O(n^2) Pairs vector is
-//    never materialized.
-//
-// The enumeration itself lives in detect/PairEnumerator.h, shared with
-// the windowed detector.
+// The hot path of the pipeline: every same-lock cross-thread pair is
+// classified directly (Algorithm 1, then the reversed replay for
+// statically conflicting pairs), with no verdict cache — the paper's
+// Table 2 grouping is a reporting step (debug/Fusion.h), not a
+// detection memo.  CountsOnly keeps the O(n^2) Pairs vector from
+// being materialized.  The enumeration itself lives in
+// detect/PairEnumerator.h, shared with the windowed detector.
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/Detector.h"
 
 #include "detect/PairEnumerator.h"
-#include "detect/SectionKey.h"
 
 using namespace perfplay;
 
@@ -38,16 +31,13 @@ DetectResult perfplay::detectUlcps(const Trace &Tr, const CsIndex &Index,
   const MemoryImage Initial = Opts.UseReversedReplay
                                   ? MemoryImage::initialOf(Tr)
                                   : MemoryImage();
-  SectionKeyTable Keys;
-  if (Opts.DedupPairs)
-    Keys = internSectionKeys(Tr, Index);
   std::vector<uint32_t> ThreadOf(Index.size());
   for (const CriticalSection &Cs : Index.all())
     ThreadOf[Cs.GlobalId] = Cs.Ref.Thread;
 
   DetectResult Result;
   enumeratePairs(
-      Opts, Index.lockOrders(), ThreadOf, Keys.KeyOf,
+      Opts, Index.lockOrders(), ThreadOf,
       [&](uint32_t G1, uint32_t G2) {
         const CriticalSection &C1 = Index.byGlobalId(G1);
         const CriticalSection &C2 = Index.byGlobalId(G2);
@@ -55,7 +45,6 @@ DetectResult perfplay::detectUlcps(const Trace &Tr, const CsIndex &Index,
                                       : classifyPairStatic(C1, C2);
       },
       Result);
-  Result.Stats.NumSectionKeys = Keys.NumKeys;
   Result.TryFailPerLock = Index.tryFailPerLock();
   Result.TryFailEdges = Index.tryFailEdges();
   return Result;

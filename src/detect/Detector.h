@@ -21,7 +21,6 @@
 #include "detect/Ulcp.h"
 #include "trace/Trace.h"
 
-#include <functional>
 #include <vector>
 
 namespace perfplay {
@@ -41,9 +40,6 @@ enum class PairModeKind {
 
 /// Detection options.
 struct DetectOptions {
-  /// Streaming pair consumer (see Sink below).
-  using PairSink = std::function<void(const UlcpPair &)>;
-
   PairModeKind PairMode = PairModeKind::AllCrossThread;
   /// Refine conflicting pairs via reversed replay.  When false, every
   /// statically conflicting pair counts as TrueContention.
@@ -52,39 +48,28 @@ struct DetectOptions {
   /// order are skipped in AllCrossThread mode (0 = unlimited).  Bounds
   /// the quadratic blow-up on lock-intensive traces.
   unsigned MaxPairDistance = 0;
-  /// Classify each distinct canonical key pair (detect/SectionKey.h:
-  /// lock, site, value signature) once and reuse the verdict for every
-  /// dynamic pair with the same keys — the Table 2 grouping applied to
-  /// detection cost.  Verdicts are per-pair deterministic, so results
-  /// are identical with or without dedup.
-  bool DedupPairs = true;
-  /// When set, every classified pair is delivered here — in the
-  /// enumeration order, from the thread that called detectUlcps —
-  /// instead of being materialized in DetectResult::Pairs.  Lets
-  /// AllCrossThread detection over lock-heavy traces run in O(1) pair
-  /// memory.  A sink installed in an Engine's default options is
-  /// shared by every Engine::analyzeBatch worker (one concurrent
-  /// detection per trace), so it must be thread-safe in that setting.
-  PairSink Sink;
-  /// Accumulate only DetectResult::Counts; Pairs stays empty.  (A Sink,
-  /// when also set, still receives every pair.)
+  /// Accumulate only DetectResult::Counts; Pairs stays empty, so
+  /// AllCrossThread detection over lock-heavy traces runs in O(1) pair
+  /// memory.
   bool CountsOnly = false;
 };
 
 /// Side statistics of one detection run (for benchmarks and tuning):
 /// deterministic, but not verdicts.
 struct DetectStats {
-  /// Distinct canonical section keys (0 when dedup was off).
+  /// Distinct canonical section keys interned by detection.  Detection
+  /// interns none, so this is always 0; the field stays for the
+  /// PipelineResult surface.
   uint64_t NumSectionKeys = 0;
-  /// Pair classifications actually computed: with dedup, exactly the
-  /// number of distinct key pairs enumerated; without, every pair.
+  /// Pair classifications computed: every enumerated pair, so always
+  /// Counts.total().
   uint64_t NumClassified = 0;
 };
 
 /// Detection output: every classified pair plus totals.
 struct DetectResult {
   /// Classified pairs in per-lock enumeration order.  Empty when the
-  /// run used a Sink or CountsOnly.
+  /// run used CountsOnly.
   std::vector<UlcpPair> Pairs;
   UlcpCounts Counts;
   DetectStats Stats;

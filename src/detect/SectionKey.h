@@ -11,16 +11,23 @@
 /// same lock, same code site, and the same value signature (the ordered
 /// stream of shared-memory operations between acquire and release,
 /// which determines both the Algorithm-1 read/write sets and the
-/// reversed-replay outcome).  This is the code analogue of the paper's
-/// Table 2 grouping: dynamic pair counts are quadratic, but distinct
-/// key pairs are few, so the detector classifies each key pair once and
-/// reuses the verdict.
+/// reversed-replay outcome).  Two users rely on that:
+///
+///  - RULE 1 (transform/Topology.cpp) memoizes its classifications by
+///    key pair, since its conflict index revisits the same pairs of
+///    section bodies many times;
+///  - the windowed detector (detect/WindowedDetect.h) keeps one
+///    representative section per signature.
+///
+/// Detection itself classifies every pair directly: on the Table-1
+/// models keys are nearly unique, so a verdict cache there costs more
+/// than it saves.
 ///
 /// Signatures are pure integers end to end: the lock and site words are
 /// table ids whose *names* live in the trace's string pool
-/// (support/StringPool.h), so no string is hashed or compared anywhere
-/// in the dedup hot path — name equality collapsed to id equality the
-/// moment the parser interned the tables.
+/// (support/StringPool.h), so no string is hashed or compared while
+/// interning — name equality collapsed to id equality the moment the
+/// parser interned the tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +51,7 @@ struct SectionKeyTable {
   uint32_t NumKeys = 0;
 
   /// Packs the key pair {A, B} order-independently (classification is
-  /// symmetric in the two sections) into one 64-bit verdict-cache key.
+  /// symmetric in the two sections) into one 64-bit memo key.
   static uint64_t pairKey(uint32_t A, uint32_t B) {
     if (A > B)
       std::swap(A, B);
@@ -53,9 +60,9 @@ struct SectionKeyTable {
 };
 
 /// Maps section signatures to dense key ids in first-seen order.  The
-/// one signature scheme of the detector: the whole-trace interning
-/// below and the windowed detector's representatives both go through
-/// it, so the two paths partition sections identically.
+/// one signature scheme: the whole-trace interning below (RULE 1's
+/// memo) and the windowed detector's representatives both go through
+/// it, so the two partition sections identically.
 ///
 /// The signature covers (Lock, Site, Mode) plus each Read's address,
 /// each Write's (address, operand, operator) and each condvar

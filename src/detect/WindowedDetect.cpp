@@ -1,10 +1,11 @@
 //===- detect/WindowedDetect.cpp - Bounded-memory ULCP detection ----------===//
 //
 // Parity with detectUlcps is the whole contract.  The parts that
-// decide verdicts are the whole-trace path's own code: signatures go
-// through SignatureInterner (detect/SectionKey.h), representatives
-// through CriticalSection::finalizeSets, and finish() through
-// enumeratePairs (detect/PairEnumerator.h).  What this file adds
+// decide verdicts are shared code: signatures go through
+// SignatureInterner (detect/SectionKey.h), whose words cover all that
+// classification reads, representatives through
+// CriticalSection::finalizeSets, and finish() through the
+// whole-trace path's enumeratePairs (detect/PairEnumerator.h).  What this file adds
 // mirrors a specific piece of the whole-trace path:
 //
 //  - the incremental first-access fold reproduces the thread-major
@@ -254,7 +255,7 @@ bool WindowedDetector::finish(const Trace &Tables, DetectResult &Out,
   // dynamic sections.
   Out = DetectResult();
   enumeratePairs(
-      Opts, PerLock, SecThread, SecKey,
+      Opts, PerLock, SecThread,
       [&](uint32_t G1, uint32_t G2) {
         const CriticalSection &C1 = Reps[SecKey[G1]];
         const CriticalSection &C2 = Reps[SecKey[G2]];
@@ -263,7 +264,6 @@ bool WindowedDetector::finish(const Trace &Tables, DetectResult &Out,
                    : classifyPairStatic(C1, C2);
       },
       Out);
-  Out.Stats.NumSectionKeys = Opts.DedupPairs ? Signatures.numKeys() : 0;
   Out.TryFailPerLock.assign(NumLocks, 0);
   Out.TryFailEdges = 0;
   TryFails.forEach([&](LockId L, const uint64_t &N) {

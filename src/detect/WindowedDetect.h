@@ -13,13 +13,13 @@
 /// trace — same pairs in the same order, same counts, same stats —
 /// without ever materializing the event streams.
 ///
-/// What makes that possible is the same observation the dedup cache
-/// exploits (detect/SectionKey.h): classification only sees a critical
-/// section through its signature — lock, site, and the ordered stream
-/// of shared accesses (read addresses; write address/operator/operand)
-/// between acquire and release.  Recorded read *values* are fed from
-/// the memory image, never from the section, so two sections with equal
-/// signatures are interchangeable in every verdict.  The detector
+/// What makes that possible is that classification only sees a
+/// critical section through its signature (detect/SectionKey.h): lock,
+/// site, and the ordered stream of shared accesses (read addresses;
+/// write address/operator/operand) between acquire and release.
+/// Recorded read *values* are fed from the memory image, never from the
+/// section, so two sections with equal signatures are interchangeable
+/// in every verdict.  The detector
 /// therefore keeps, per distinct signature, one **representative**
 /// copy of the section's events in a small arena trace, and per dynamic
 /// section only three words of metadata (lock, signature key, thread —
@@ -37,8 +37,7 @@
 ///  - finish() rebuilds the per-lock pairing order (grant schedule when
 ///    present, global-id order otherwise) from the metadata alone and
 ///    runs detectUlcps' pair enumerator (detect/PairEnumerator.h),
-///    classifying each distinct signature pair once against the
-///    representatives.
+///    classifying every pair against its sections' representatives.
 ///
 /// Peak memory is O(open sections + distinct signatures + addresses +
 /// 12 bytes per dynamic section) — the out-of-core ingest bench gates

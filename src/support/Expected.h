@@ -43,7 +43,7 @@ enum class ErrorCode : uint8_t {
   /// batch runs; finished items carry the failing stage's own code).
   BatchItemFailed,
   /// The requested stage cannot run under the session's options (e.g.
-  /// report() over a detection configured with Sink/CountsOnly, which
+  /// report() over a detection configured with CountsOnly, which
   /// discards the per-pair list the report needs).
   IncompatibleOptions,
   /// A trace file could not be read or parsed (readTraceFile /

@@ -14,7 +14,7 @@
 /// collapses that: each distinct string is stored once and referred to
 /// everywhere by a dense `StringId`, so
 ///
-///  - name *equality* is an integer compare (the detector's dedup path
+///  - name *equality* is an integer compare (section-key interning
 ///    and the recorder's site lookup never touch characters),
 ///  - name *storage* is one arena, freed wholesale with the pool,
 ///  - and in *borrowed* mode a string is not copied at all: the pool

@@ -1,15 +1,16 @@
 //===- tests/CliOptionsTest.cpp - perfplay option parsing ---------------===//
 //
 // Drives the built perfplay binary: every subcommand must reject an
-// option it does not know with exit code 2 and name it on stderr,
-// instead of silently ignoring it (or, worse, reading its value as a
-// trace path).
+// option it does not know, or a malformed option value, with exit code
+// 2 and say so on stderr, instead of silently ignoring it (or, worse,
+// reading its value as a trace path or running with a default).
 //
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -55,6 +56,13 @@ void expectUnknown(const std::string &Args, const std::string &Flag) {
       << Args << " -> " << R.Stderr;
 }
 
+void expectMalformed(const std::string &Args, const std::string &Message) {
+  CliRun R = runCli(Args);
+  EXPECT_EQ(R.Status, 2) << Args;
+  EXPECT_NE(R.Stderr.find(Message), std::string::npos)
+      << Args << " -> " << R.Stderr;
+}
+
 void expectInapplicable(const std::string &Args, const std::string &Flag,
                         const std::string &Scheme) {
   CliRun R = runCli(Args);
@@ -72,6 +80,7 @@ TEST(CliOptionsTest, RemovedDetectOptionsAreRejected) {
                 "--detect-threads");
   expectUnknown("analyze " + tracePath() + " --set-repr=bitset",
                 "--set-repr");
+  expectUnknown("analyze " + tracePath() + " --no-dedup", "--no-dedup");
 }
 
 TEST(CliOptionsTest, MisspelledOptionsAreRejected) {
@@ -95,8 +104,42 @@ TEST(CliOptionsTest, MissingValueIsAnError) {
 TEST(CliOptionsTest, KnownOptionsStillWork) {
   CliRun R = runCli("replay " + tracePath() + " --replays 2 --seed 3");
   EXPECT_EQ(R.Status, 0) << R.Stderr;
-  R = runCli("analyze " + tracePath() + " --pairs=all --no-dedup");
+  R = runCli("analyze " + tracePath() + " --pairs=all");
   EXPECT_EQ(R.Status, 0) << R.Stderr;
+  R = runCli("analyze " + tracePath() + " --pairs adjacent");
+  EXPECT_EQ(R.Status, 0) << R.Stderr;
+  const std::string Out = testing::TempDir() + "/perfplay_cli_small.trace";
+  R = runCli("generate x264 --threads 1 --scale 0.05 --out " + Out);
+  EXPECT_EQ(R.Status, 0) << R.Stderr;
+  std::remove(Out.c_str());
+}
+
+TEST(CliOptionsTest, MalformedValuesAreRejected) {
+  const char *Pairs = "--pairs expects adjacent|all, got 'bogus'";
+  expectMalformed("analyze " + tracePath() + " --pairs bogus", Pairs);
+  expectMalformed("client --socket /nonexistent/s analyze " + tracePath() +
+                      " --pairs=bogus",
+                  Pairs);
+
+  // A generator must not write a trace from a value it cannot read.
+  const std::string Out = testing::TempDir() + "/perfplay_cli_bad.trace";
+  std::remove(Out.c_str());
+  for (const char *Threads : {"abc", "0", "-2", "3x"})
+    expectMalformed("generate x264 --threads " + std::string(Threads) +
+                        " --out " + Out,
+                    "--threads expects a thread count of at least 1");
+  for (const char *Scale : {"abc", "0", "-1", "inf", "nan", "0.5x"})
+    expectMalformed("generate x264 --scale=" + std::string(Scale) +
+                        " --out " + Out,
+                    "--scale expects a positive number");
+  EXPECT_FALSE(std::ifstream(Out).good()) << Out;
+
+  // The case studies need a critical thread or producer plus a worker.
+  for (const char *Threads : {"abc", "0", "1"})
+    expectMalformed("casestudy bug2 --threads=" + std::string(Threads),
+                    "--threads expects a thread count of at least 2");
+  expectMalformed("casestudy bug1 --scale abc",
+                  "--scale expects a positive number");
 }
 
 TEST(CliOptionsTest, SpeculationOptionsNeedASchemeThatModelsThem) {

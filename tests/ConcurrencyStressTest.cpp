@@ -36,8 +36,7 @@ using namespace perfplay;
 namespace {
 
 /// A small trace whose hot-lock sections repeat a handful of access
-/// patterns across \p NumThreads threads, so key-pair dedup collapses
-/// most pairs onto a few cached verdicts.
+/// patterns across \p NumThreads threads.
 Trace hotKeyTrace(unsigned NumThreads, unsigned Rounds) {
   TraceBuilder B;
   LockId Hot = B.addLock("hot");
@@ -50,8 +49,7 @@ Trace hotKeyTrace(unsigned NumThreads, unsigned Rounds) {
       ThreadId Id = Ids[T];
       B.compute(Id, 5);
       B.beginCs(Id, Hot, Site);
-      // Only three distinct section shapes: every cross-thread pair
-      // collapses onto a few hot cache keys.
+      // Only three distinct section shapes.
       switch (Round % 3) {
       case 0:
         B.write(Id, 1, 7); // Redundant store everywhere.

@@ -233,17 +233,6 @@ TEST(SessionTest, TinyReplayCacheStillRunsFullPipeline) {
   expectSameResult(Mono, Budgeted);
 }
 
-TEST(SessionTest, DetectKnobsPreserveSessionResults) {
-  // Dedup-off detection inside a session matches the default.
-  PipelineOptions Fast;
-  Fast.Detect.DedupPairs = false;
-  PipelineResult Base = runPerfPlay(figure1Trace(), PipelineOptions());
-  AnalysisSession Session{figure1Trace(), Fast};
-  PipelineResult Tuned = Session.run();
-  ASSERT_TRUE(Tuned.ok()) << Tuned.Error;
-  expectSameResult(Base, Tuned);
-}
-
 TEST(SessionTest, StageResultsMemoized) {
   AnalysisSession Session{figure1Trace()};
   auto D1 = Session.detect();
@@ -396,7 +385,7 @@ TEST(SessionTest, ErrorCodeNamesAreStable) {
 }
 
 TEST(SessionTest, ReportRejectsCountsOnlyDetection) {
-  // A Sink/CountsOnly detection has no pair list for report() to rank;
+  // A CountsOnly detection has no pair list for report() to rank;
   // the stage must fail typed instead of silently reporting "no
   // contention".
   PipelineOptions Opts;
@@ -406,18 +395,13 @@ TEST(SessionTest, ReportRejectsCountsOnlyDetection) {
   auto Report = Session.report();
   ASSERT_FALSE(Report.ok());
   EXPECT_EQ(Report.code(), ErrorCode::IncompatibleOptions);
-
-  PipelineOptions SinkOpts;
-  SinkOpts.Detect.Sink = [](const UlcpPair &) {};
-  AnalysisSession SinkSession{figure1Trace(), SinkOpts};
-  EXPECT_EQ(SinkSession.report().code(), ErrorCode::IncompatibleOptions);
   // Stages that do not need the pair list still work.
-  EXPECT_TRUE(SinkSession.transform().ok());
-  EXPECT_TRUE(SinkSession.races().ok());
+  EXPECT_TRUE(Session.transform().ok());
+  EXPECT_TRUE(Session.races().ok());
 }
 
-TEST(SessionTest, StreamingDetectionRunSkipsReportOnly) {
-  // run()/analyze()/analyzeBatch stay usable with streaming detection:
+TEST(SessionTest, CountsOnlyDetectionRunSkipsReportOnly) {
+  // run()/analyze()/analyzeBatch stay usable with CountsOnly detection:
   // every stage but the (impossible) report runs, and the counts match
   // a materialized run.
   PipelineResult Full = runPerfPlay(figure1Trace(), PipelineOptions());

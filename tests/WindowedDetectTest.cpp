@@ -172,13 +172,6 @@ TEST(WindowedDetectTest, MixedTraceStaticOnly) {
   checkParity(mixedTrace(), Opts, "mixed-static");
 }
 
-TEST(WindowedDetectTest, MixedTraceNoDedup) {
-  DetectOptions Opts;
-  Opts.PairMode = PairModeKind::AllCrossThread;
-  Opts.DedupPairs = false;
-  checkParity(mixedTrace(), Opts, "mixed-nodedup");
-}
-
 TEST(WindowedDetectTest, ScheduledWorkloadAdjacent) {
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AdjacentCrossThread;
@@ -191,23 +184,11 @@ TEST(WindowedDetectTest, ScheduledWorkloadAllCrossThread) {
   checkParity(scheduledTrace(), Opts, "mysql-all");
 }
 
-TEST(WindowedDetectTest, SinkAndCountsOnlyMatchWholeTrace) {
+TEST(WindowedDetectTest, CountsOnlyMatchesWholeTrace) {
   Trace Tr = mixedTrace();
   DetectOptions Base;
   Base.PairMode = PairModeKind::AllCrossThread;
   DetectResult Whole = detectUlcps(Tr, CsIndex::build(Tr), Base);
-
-  DetectOptions SinkOpts = Base;
-  std::vector<UlcpPair> Streamed;
-  SinkOpts.Sink = [&](const UlcpPair &P) { Streamed.push_back(P); };
-  DetectResult SinkRes = runWindowed(Tr, SinkOpts, 7);
-  EXPECT_TRUE(SinkRes.Pairs.empty());
-  ASSERT_EQ(Streamed.size(), Whole.Pairs.size());
-  for (size_t I = 0; I != Streamed.size(); ++I) {
-    EXPECT_EQ(Streamed[I].First, Whole.Pairs[I].First) << I;
-    EXPECT_EQ(Streamed[I].Second, Whole.Pairs[I].Second) << I;
-    EXPECT_EQ(Streamed[I].Kind, Whole.Pairs[I].Kind) << I;
-  }
 
   DetectOptions CountOpts = Base;
   CountOpts.CountsOnly = true;
@@ -239,8 +220,8 @@ TEST(WindowedDetectTest, SingleEventWindowsCarryOpenSections) {
 
 TEST(WindowedDetectTest, RepresentativesAreSharedAcrossDuplicates) {
   // 2 threads x 6 identical sections: one signature, one
-  // representative, one classification — the dedup invariant the
-  // bounded-memory claim rests on.
+  // representative — the sharing the bounded-memory claim rests on.
+  // Every dynamic pair is still classified.
   TraceBuilder B;
   LockId Mu = B.addLock("mu");
   CodeSiteId Site = B.addSite("k.cc", "inc", 1, 5);
@@ -254,12 +235,20 @@ TEST(WindowedDetectTest, RepresentativesAreSharedAcrossDuplicates) {
   Trace Tr = B.finish();
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AllCrossThread;
-  DetectResult Out = runWindowed(Tr, Opts, 3);
-  EXPECT_EQ(Out.Stats.NumSectionKeys, 1u);
-  EXPECT_EQ(Out.Stats.NumClassified, 1u);
+  WindowedDetector D(Opts);
+  std::string Err;
+  for (ThreadId T = 0; T != Tr.Threads.size(); ++T)
+    ASSERT_TRUE(D.addEvents(T, Tr.Threads[T].Events.data(),
+                            Tr.Threads[T].Events.size(), Err))
+        << Err;
+  EXPECT_EQ(D.numSignatures(), 1u);
+  DetectResult Out;
+  ASSERT_TRUE(D.finish(Tr, Out, Err)) << Err;
+  EXPECT_GT(Out.Counts.total(), 1u);
+  EXPECT_EQ(Out.Stats.NumClassified, Out.Counts.total());
   EXPECT_EQ(Out.Counts.Benign, Out.Counts.total());
   expectSameResult(detectUlcps(Tr, CsIndex::build(Tr), Opts), Out,
-                   "dedup");
+                   "shared representative");
 }
 
 TEST(WindowedDetectTest, StructuralErrorsAreReported) {
@@ -382,12 +371,11 @@ TEST(WindowedDetectTest, ExtendedVocabularyParity) {
   std::remove(Path.c_str());
 }
 
-// The whole-trace and windowed detectors share one pair enumerator
-// and one signature interner; this sweep pins that they agree on every
-// application shape the generators produce — all sixteen Table 1
-// applications plus the synthetic rwlock/trylock/condvar mix — in both
-// pair modes, with and without dedup: pairs in order, counts, distinct
-// keys and classifications computed.
+// The whole-trace and windowed detectors share one pair enumerator;
+// this sweep pins that they agree on every application shape the
+// generators produce — all sixteen Table 1 applications plus the
+// synthetic rwlock/trylock/condvar mix — in both pair modes: pairs in
+// order, counts, and classifications computed.
 const std::vector<AppModel> &sweepApps() {
   static const std::vector<AppModel> Apps = [] {
     std::vector<AppModel> All = allApps();
@@ -405,22 +393,19 @@ TEST_P(WindowedAppSweepTest, MatchesWholeTrace) {
   recordGrantSchedule(Tr, 42);
   CsIndex Index = CsIndex::build(Tr);
   for (PairModeKind Mode :
-       {PairModeKind::AdjacentCrossThread, PairModeKind::AllCrossThread})
-    for (bool Dedup : {true, false}) {
-      DetectOptions Opts;
-      Opts.PairMode = Mode;
-      Opts.DedupPairs = Dedup;
-      const std::string Tag =
-          App.Name +
-          (Mode == PairModeKind::AllCrossThread ? " all" : " adjacent") +
-          (Dedup ? " dedup" : " no-dedup");
-      DetectResult Whole = detectUlcps(Tr, Index, Opts);
-      // blackscholes takes no lock at all (Table 1): its parity is the
-      // empty result.  Every other application yields pairs.
-      if (Index.size() != 0)
-        ASSERT_GT(Whole.Counts.total(), 0u) << Tag;
-      expectSameResult(Whole, runWindowed(Tr, Opts, 7), Tag);
-    }
+       {PairModeKind::AdjacentCrossThread, PairModeKind::AllCrossThread}) {
+    DetectOptions Opts;
+    Opts.PairMode = Mode;
+    const std::string Tag =
+        App.Name +
+        (Mode == PairModeKind::AllCrossThread ? " all" : " adjacent");
+    DetectResult Whole = detectUlcps(Tr, Index, Opts);
+    // blackscholes takes no lock at all (Table 1): its parity is the
+    // empty result.  Every other application yields pairs.
+    if (Index.size() != 0)
+      ASSERT_GT(Whole.Counts.total(), 0u) << Tag;
+    expectSameResult(Whole, runWindowed(Tr, Opts, 7), Tag);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

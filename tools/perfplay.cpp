@@ -9,7 +9,7 @@
 //                     [--out FILE] [--format text|v3]
 //   perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]
 //                    [--races] [--timeline] [--csv] [--progress]
-//                    [--threads N] [--no-dedup] [--window-events N]
+//                    [--threads N] [--window-events N]
 //   perfplay replay <trace> [--scheme orig|elsc|sync|mem|sle|htm]
 //                   [--seed N] [--replays K] [--htm-capacity N]
 //                   [--htm-retries N] [--abort-penalty NS]
@@ -26,8 +26,9 @@
 //                   [--no-cache]
 //   perfplay client --socket PATH stats|shutdown
 //
-// Every subcommand rejects an option it does not know with exit code 2,
-// and `replay` rejects a speculation option its scheme does not model.
+// Every subcommand rejects an option it does not know, or a malformed
+// option value, with exit code 2, and `replay` rejects a speculation
+// option its scheme does not model.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +49,8 @@
 #include "workloads/CaseStudies.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -151,21 +154,51 @@ private:
   std::string MissingValue;
 };
 
-/// Parses a non-negative thread-count option value; rejects negatives
-/// and garbage instead of letting them wrap to huge unsigned values.
+/// Parses a thread-count option value of at least \p Min; rejects
+/// negatives and garbage instead of letting them wrap to huge unsigned
+/// values.
 bool parseThreadCount(const std::string &S, const char *Name,
-                      unsigned &Out) {
+                      unsigned &Out, unsigned Min = 0) {
   errno = 0;
   char *End = nullptr;
   long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0' || errno == ERANGE || V < 0 ||
+  if (End == S.c_str() || *End != '\0' || errno == ERANGE || V < Min ||
       V > 1 << 16) {
-    std::fprintf(stderr, "error: %s expects a non-negative thread count, "
-                         "got '%s'\n",
-                 Name, S.c_str());
+    std::fprintf(stderr, "error: %s expects a thread count of at least "
+                         "%u, got '%s'\n",
+                 Name, Min, S.c_str());
     return false;
   }
   Out = static_cast<unsigned>(V);
+  return true;
+}
+
+/// Parses a positive, finite number option value (an input scale).
+bool parsePositive(const std::string &S, const char *Name, double &Out) {
+  errno = 0;
+  char *End = nullptr;
+  double V = std::strtod(S.c_str(), &End);
+  if (End == S.c_str() || *End != '\0' || errno == ERANGE ||
+      !std::isfinite(V) || V <= 0.0) {
+    std::fprintf(stderr, "error: %s expects a positive number, got '%s'\n",
+                 Name, S.c_str());
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
+/// Parses a --pairs value: adjacent|all.
+bool parsePairMode(const std::string &S, PairModeKind &Out) {
+  if (S == "adjacent")
+    Out = PairModeKind::AdjacentCrossThread;
+  else if (S == "all")
+    Out = PairModeKind::AllCrossThread;
+  else {
+    std::fprintf(stderr, "error: --pairs expects adjacent|all, got '%s'\n",
+                 S.c_str());
+    return false;
+  }
   return true;
 }
 
@@ -180,7 +213,7 @@ int usage() {
       "  perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]"
       " [--races]\n"
       "                  [--timeline] [--csv] [--progress] [--threads N]\n"
-      "                  [--no-dedup] [--window-events N]\n"
+      "                  [--window-events N]\n"
       "  perfplay replay <trace> [--scheme orig|elsc|sync|mem|sle|htm]"
       " [--seed N]\n"
       "                 [--replays K]\n"
@@ -260,9 +293,13 @@ int cmdListApps() {
 }
 
 int cmdGenerate(ArgList &Args) {
-  unsigned Threads =
-      static_cast<unsigned>(std::atoi(Args.option("--threads", "2").c_str()));
-  double Scale = std::atof(Args.option("--scale", "1.0").c_str());
+  unsigned Threads;
+  if (!parseThreadCount(Args.option("--threads", "2"), "--threads", Threads,
+                        /*Min=*/1))
+    return 2;
+  double Scale;
+  if (!parsePositive(Args.option("--scale", "1.0"), "--scale", Scale))
+    return 2;
   uint64_t Seed = std::strtoull(Args.option("--seed", "42").c_str(),
                                 nullptr, 10);
   std::string Out = Args.option("--out", "");
@@ -379,7 +416,9 @@ int analyzeBatchMode(Engine &Eng, const std::vector<std::string> &Paths,
 }
 
 int cmdAnalyze(ArgList &Args) {
-  std::string PairMode = Args.option("--pairs", "adjacent");
+  PairModeKind PairMode;
+  if (!parsePairMode(Args.option("--pairs", "adjacent"), PairMode))
+    return 2;
   bool Races = Args.flag("--races");
   bool Timeline = Args.flag("--timeline");
   bool Csv = Args.flag("--csv");
@@ -388,7 +427,6 @@ int cmdAnalyze(ArgList &Args) {
   if (!parseThreadCount(Args.option("--threads", "0"), "--threads",
                         Threads))
     return 2;
-  bool NoDedup = Args.flag("--no-dedup");
   std::string WindowStr = Args.option("--window-events", "");
   if (Args.unknownOption())
     return 2;
@@ -414,10 +452,7 @@ int cmdAnalyze(ArgList &Args) {
     return usage();
 
   Engine Eng;
-  Eng.options().Detect.PairMode = PairMode == "all"
-                                      ? PairModeKind::AllCrossThread
-                                      : PairModeKind::AdjacentCrossThread;
-  Eng.options().Detect.DedupPairs = !NoDedup;
+  Eng.options().Detect.PairMode = PairMode;
   Eng.options().CheckRaces = Races;
   if (Progress)
     Eng.setProgressCallback([](const StageEvent &Event) {
@@ -983,9 +1018,13 @@ int cmdRecord(int Argc, char **Argv) {
 
 int cmdCaseStudy(ArgList &Args) {
   CaseStudyParams P;
-  P.NumThreads =
-      static_cast<unsigned>(std::atoi(Args.option("--threads", "4").c_str()));
-  P.InputScale = std::atof(Args.option("--scale", "1.0").c_str());
+  // #BUG1 and #BUG2 need a critical thread or producer plus at least
+  // one worker.
+  if (!parseThreadCount(Args.option("--threads", "4"), "--threads",
+                        P.NumThreads, /*Min=*/2) ||
+      !parsePositive(Args.option("--scale", "1.0"), "--scale",
+                     P.InputScale))
+    return 2;
   if (Args.unknownOption())
     return 2;
   std::string Which = Args.positional();
@@ -1104,7 +1143,9 @@ void printServeStats(const serve::ServeStats &S) {
 /// `perfplay client`: one request against a running daemon.
 int cmdClient(ArgList &Args) {
   std::string Socket = Args.option("--socket", "");
-  std::string PairMode = Args.option("--pairs", "adjacent");
+  PairModeKind PairMode;
+  if (!parsePairMode(Args.option("--pairs", "adjacent"), PairMode))
+    return 2;
   bool NoCache = Args.flag("--no-cache");
   if (Args.unknownOption())
     return 2;
@@ -1128,7 +1169,7 @@ int cmdClient(ArgList &Args) {
     Req.Path = Args.positional();
     if (Req.Path.empty())
       return usage();
-    Req.PairMode = PairMode == "all" ? 1 : 0;
+    Req.PairMode = PairMode == PairModeKind::AllCrossThread ? 1 : 0;
     Req.NoCache = NoCache ? 1 : 0;
     Expected<serve::ResultSummary> SumOr = Client.analyze(Req);
     if (!SumOr) {
