@@ -18,9 +18,9 @@ void CriticalSection::finalizeSets() {
   sortUnique(CondWaits);
   sortUnique(CondSignals);
   // The bitset form is derived once here so every downstream
-  // intersection (classification, restricted replay images) can take
-  // the word-parallel path without re-canonicalizing.  Tiny sections
-  // skip it: Algorithm 1 routes them to the sorted merge anyway.
+  // intersection of classification can take the word-parallel path
+  // without re-canonicalizing.  Tiny sections skip it: Algorithm 1
+  // routes them to the sorted merge anyway.
   if (Reads.size() > TinySetMax || Writes.size() > TinySetMax)
     buildSets();
 }

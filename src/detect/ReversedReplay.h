@@ -14,25 +14,27 @@
 /// observes, evaluated on an abstract memory machine seeded from the
 /// recorded trace.
 ///
+/// The check is two passes over pair-local slots: one per address in
+/// the union of the pair's read and write sets, seeded from the
+/// whole-trace initial image.  The forward A;B pass records every read;
+/// the reversed B;A pass compares each read as it happens and stops at
+/// the first mismatch; the two final slot arrays are compared last.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERFPLAY_DETECT_REVERSEDREPLAY_H
 #define PERFPLAY_DETECT_REVERSEDREPLAY_H
 
 #include "detect/CriticalSection.h"
-#include "support/AddrSet.h"
 #include "support/FlatMap.h"
 #include "trace/Trace.h"
-
-#include <vector>
 
 namespace perfplay {
 
 /// Abstract shared-memory image: address -> value.  Addresses absent
 /// from the map read as zero.  Backed by an open-addressing flat hash
-/// (support/FlatMap.h) — the image is copied and probed once per
-/// replayed pair, which made std::map's node allocations the detection
-/// hot spot.
+/// (support/FlatMap.h); the reversed replay probes it once per address
+/// of a replayed pair to seed its slots.
 class MemoryImage {
 public:
   /// Builds the initial image of \p Tr: every address whose first
@@ -45,20 +47,7 @@ public:
   /// Applies \p Op with \p Operand at \p Addr.
   void apply(AddrId Addr, uint64_t Operand, WriteOpKind Op);
 
-  /// Copies \p Src's entries at \p Addrs into this image (addresses
-  /// absent from \p Src stay absent).  Used to build the per-pair
-  /// restricted image isBenignPair replays over.
-  void seedFrom(const MemoryImage &Src, const std::vector<AddrId> &Addrs);
-
-  /// Same, over the chunked-bitmap address set the critical sections
-  /// already carry (CriticalSection::ReadSet/WriteSet) — the
-  /// restricted-image path of isBenignPair seeds from these without
-  /// touching the sorted vectors.
-  void seedFrom(const MemoryImage &Src, const AddrSet &Addrs);
-
-  /// Content equality: same address set with the same values (the
-  /// std::map semantics the reversed replay always relied on — both
-  /// orders write the same address set, so key sets coincide).
+  /// Content equality: same address set with the same values.
   bool operator==(const MemoryImage &RHS) const {
     return Cells == RHS.Cells;
   }
@@ -67,27 +56,14 @@ private:
   FlatMap<AddrId, uint64_t> Cells;
 };
 
-/// Outcome of running memory events of critical sections in one order.
-struct ReplayOutcome {
-  MemoryImage Final;
-  /// Values observed by reads, in execution order.
-  std::vector<uint64_t> ReadValues;
-
-  bool operator==(const ReplayOutcome &RHS) const {
-    return Final == RHS.Final && ReadValues == RHS.ReadValues;
-  }
-};
-
-/// Executes the memory events (reads/writes) of \p Sections'
-/// event ranges, in the given order, starting from \p Initial.
-ReplayOutcome replaySections(const Trace &Tr, MemoryImage Initial,
-                             const std::vector<const CriticalSection *>
-                                 &Sections);
-
 /// Returns true if executing \p A then \p B produces the same outcome as
 /// \p B then \p A from the trace's initial memory image — i.e. the
-/// conflict is benign.  \p Initial is the image from
-/// MemoryImage::initialOf (hoisted by callers classifying many pairs).
+/// conflict is benign: the final memory agrees, and each section reads
+/// the same values whether it runs first or second.  \p Initial is the
+/// image from MemoryImage::initialOf (hoisted by callers classifying
+/// many pairs).  Every memory event of either section must address
+/// that section's own Reads or Writes, as CsIndex builds them.
+/// Safe to call concurrently: each thread keeps its own scratch slots.
 bool isBenignPair(const Trace &Tr, const MemoryImage &Initial,
                   const CriticalSection &A, const CriticalSection &B);
 

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// A minimal open-addressing (linear probing) hash map for integral
-/// keys, used where std::map's node allocations dominate — the
-/// reversed-replay MemoryImage runs millions of load/apply operations
-/// per detection pass.  Insert-only (no erase), contiguous storage,
-/// power-of-two capacity.
+/// keys, used where std::map's node allocations would dominate the
+/// detection and transform passes: the initial MemoryImage the
+/// reversed replay seeds its slots from, the windowed detector's
+/// first-access fold, RULE 1's key-pair verdict memo.  Insert-only (no
+/// erase), contiguous storage, power-of-two capacity.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -140,6 +140,38 @@ TEST(CliOptionsTest, MalformedValuesAreRejected) {
                     "--threads expects a thread count of at least 2");
   expectMalformed("casestudy bug1 --scale abc",
                   "--scale expects a positive number");
+
+  // `--replays -1` used to wrap to ~4e9 replays and never return.
+  const std::string Replay = "replay " + tracePath();
+  for (const char *Replays : {"-1", "0", "abc", "2x"})
+    expectMalformed(Replay + " --replays " + Replays,
+                    "--replays expects an integer of at least 1");
+  for (const char *Seed : {"xyz", "-1", "1.5"}) {
+    expectMalformed(Replay + " --seed " + Seed,
+                    "--seed expects a non-negative integer");
+    expectMalformed("generate x264 --seed " + std::string(Seed) +
+                        " --out " + Out,
+                    "--seed expects a non-negative integer");
+  }
+  EXPECT_FALSE(std::ifstream(Out).good()) << Out;
+  // A speculation knob must not read garbage as 0 (every transaction
+  // capacity-aborting) or accept a probability outside [0, 1].
+  for (const char *Knob : {"--htm-capacity", "--htm-retries",
+                           "--abort-penalty"})
+    for (const char *Value : {"abc", "-1", "2.5"})
+      expectMalformed(Replay + " --scheme htm " + Knob + " " + Value,
+                      std::string(Knob) + " expects a non-negative integer");
+  for (const char *Rate : {"7", "-0.1", "abc", "nan"})
+    for (const char *Scheme : {"sle", "htm"})
+      expectMalformed(Replay + " --scheme " + Scheme + " --abort-rate " +
+                          Rate,
+                      "--abort-rate expects a number in [0, 1]");
+  expectMalformed("analyze " + tracePath() + " --window-events -1",
+                  "--window-events expects a non-negative event count");
+  expectMalformed("serve --socket /nonexistent/s --cache-budget abc",
+                  "--cache-budget expects a non-negative integer");
+  expectMalformed("serve --socket /nonexistent/s --idle-timeout -5",
+                  "--idle-timeout expects a non-negative integer");
 }
 
 TEST(CliOptionsTest, SpeculationOptionsNeedASchemeThatModelsThem) {

@@ -14,11 +14,15 @@
 #include "record/Preload.h"
 #include "runtime/Instrument.h"
 #include "runtime/Recorder.h"
+#include "sim/Replayer.h"
 #include "serve/Server.h"
 #include "serve/ResultCache.h"
 #include "support/ThreadPool.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
+#include "transform/Topology.h"
+#include "workloads/Apps.h"
+#include "workloads/WorkloadSpec.h"
 
 #include <gtest/gtest.h>
 
@@ -249,6 +253,65 @@ TEST(ConcurrencyStressTest, CrossThreadSessionHandoff) {
     EXPECT_EQ(Session.cachedReplayCount(), 2u); // original + transformed
   });
   Reporter.join();
+}
+
+//===----------------------------------------------------------------------===//
+// Detection
+//===----------------------------------------------------------------------===//
+
+// Serve workers and batch analysis run detection and RULE 1 on many
+// threads at once; the reversed replay keeps per-thread scratch slots.
+// Every thread must see exactly the serial verdicts and edges.
+TEST(ConcurrencyStressTest, ConcurrentDetectMatchesSerial) {
+  constexpr unsigned Workers = 8;
+  Trace Tr = generateWorkload(makeMysql(4, 2.0));
+  recordGrantSchedule(Tr, 3);
+  const CsIndex Index = CsIndex::build(Tr);
+
+  struct Outcome {
+    DetectResult Detect;
+    std::vector<TopologyEdge> Edges;
+  };
+  auto Run = [&] {
+    Outcome Out;
+    Out.Detect = detectUlcps(Tr, Index);
+    Out.Edges = buildTopology(Tr, Index).edges();
+    return Out;
+  };
+  const Outcome Serial = Run();
+  ASSERT_GT(Serial.Detect.Counts.Benign, 0u) << "no pair reaches replay";
+  ASSERT_GT(Serial.Detect.Counts.TrueContention, 0u);
+
+  std::vector<Outcome> Seen(Workers);
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Threads;
+  for (unsigned W = 0; W != Workers; ++W)
+    Threads.emplace_back([&, W] {
+      // Start together so the replays overlap.
+      Ready.fetch_add(1);
+      while (Ready.load() != Workers)
+        std::this_thread::yield();
+      Seen[W] = Run();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (unsigned W = 0; W != Workers; ++W) {
+    SCOPED_TRACE("worker " + std::to_string(W));
+    const DetectResult &Got = Seen[W].Detect;
+    ASSERT_EQ(Got.Pairs.size(), Serial.Detect.Pairs.size());
+    for (size_t I = 0; I != Got.Pairs.size(); ++I) {
+      const UlcpPair &G = Got.Pairs[I];
+      const UlcpPair &S = Serial.Detect.Pairs[I];
+      ASSERT_TRUE(G.First == S.First && G.Second == S.Second &&
+                  G.Kind == S.Kind)
+          << "pair " << I;
+    }
+    EXPECT_EQ(Got.Counts.Benign, Serial.Detect.Counts.Benign);
+    EXPECT_EQ(Got.Counts.TrueContention,
+              Serial.Detect.Counts.TrueContention);
+    EXPECT_EQ(Seen[W].Edges, Serial.Edges);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,10 +2,17 @@
 
 #include "detect/ReversedReplay.h"
 
+#include "detect/Classify.h"
 #include "detect/CriticalSection.h"
 #include "trace/TraceBuilder.h"
+#include "workloads/Apps.h"
+#include "workloads/WorkloadSpec.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <string>
 
 using namespace perfplay;
 
@@ -57,10 +64,97 @@ TEST(MemoryImageTest, EqualityComparesCells) {
 }
 
 //===----------------------------------------------------------------------===//
-// replaySections
+// Six-replay oracle
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// The reversed replay as it was written before the two-pass kernel:
+/// a std::map image restricted to the pair's addresses, copied into
+/// six separate replays.  Kept here as the reference isBenignPair must
+/// agree with on every pair.
+namespace oracle {
+
+using Image = std::map<AddrId, uint64_t>;
+
+/// MemoryImage::initialOf's scan: the first dynamic access per address,
+/// threads in order, seeds it if that access is a read.
+Image initialOf(const Trace &Tr) {
+  Image Seeds;
+  std::set<AddrId> Decided;
+  for (const auto &T : Tr.Threads)
+    for (const Event &E : T.Events)
+      if ((E.Kind == EventKind::Read || E.Kind == EventKind::Write) &&
+          Decided.insert(E.Addr).second && E.Kind == EventKind::Read)
+        Seeds[E.Addr] = E.Value;
+  return Seeds;
+}
+
+struct Outcome {
+  Image Final;
+  std::vector<uint64_t> ReadValues;
+};
+
+Outcome replaySections(const Trace &Tr, Image Initial,
+                       const std::vector<const CriticalSection *> &Sections) {
+  Outcome Out;
+  Out.Final = std::move(Initial);
+  for (const CriticalSection *Cs : Sections) {
+    const auto &Events = Tr.Threads[Cs->Ref.Thread].Events;
+    for (size_t I = Cs->AcquireIdx + 1; I != Cs->ReleaseIdx; ++I) {
+      const Event &E = Events[I];
+      if (E.Kind == EventKind::Read) {
+        auto It = Out.Final.find(E.Addr);
+        Out.ReadValues.push_back(It == Out.Final.end() ? 0 : It->second);
+      } else if (E.Kind == EventKind::Write) {
+        uint64_t &Cell = Out.Final[E.Addr];
+        switch (E.Op) {
+        case WriteOpKind::Store:
+          Cell = E.Value;
+          break;
+        case WriteOpKind::Add:
+          Cell += E.Value;
+          break;
+        case WriteOpKind::Or:
+          Cell |= E.Value;
+          break;
+        case WriteOpKind::And:
+          Cell &= E.Value;
+          break;
+        case WriteOpKind::Xor:
+          Cell ^= E.Value;
+          break;
+        }
+      }
+    }
+  }
+  return Out;
+}
+
+bool isBenignPair(const Trace &Tr, const Image &Initial,
+                  const CriticalSection &A, const CriticalSection &B) {
+  // Restricted image: the pair's addresses that Initial seeds.
+  Image Restricted;
+  for (const std::vector<AddrId> *Set :
+       {&A.Reads, &A.Writes, &B.Reads, &B.Writes})
+    for (AddrId Addr : *Set)
+      if (auto It = Initial.find(Addr); It != Initial.end())
+        Restricted.insert(*It);
+
+  Outcome Forward = replaySections(Tr, Restricted, {&A, &B});
+  Outcome Reversed = replaySections(Tr, Restricted, {&B, &A});
+  if (Forward.Final != Reversed.Final)
+    return false;
+  Outcome AFirst = replaySections(Tr, Restricted, {&A});
+  Outcome BFirst = replaySections(Tr, Restricted, {&B});
+  Outcome ASecond = replaySections(Tr, BFirst.Final, {&A});
+  if (AFirst.ReadValues != ASecond.ReadValues)
+    return false;
+  Outcome BSecond = replaySections(Tr, AFirst.Final, {&B});
+  return BFirst.ReadValues == BSecond.ReadValues;
+}
+
+} // namespace oracle
 
 struct SectionFixture {
   Trace Tr;
@@ -89,29 +183,29 @@ struct SectionFixture {
 
 TEST(ReplaySectionsTest, ExecutesInOrder) {
   SectionFixture F;
-  MemoryImage Init = MemoryImage::initialOf(F.Tr);
-  ReplayOutcome Out = replaySections(
-      F.Tr, Init, {&F.Index.byGlobalId(0), &F.Index.byGlobalId(1)});
-  EXPECT_EQ(Out.Final.load(1), 3u);
-  EXPECT_EQ(Out.Final.load(2), 9u);
+  oracle::Outcome Out = oracle::replaySections(
+      F.Tr, oracle::initialOf(F.Tr),
+      {&F.Index.byGlobalId(0), &F.Index.byGlobalId(1)});
+  EXPECT_EQ(Out.Final[1], 3u);
+  EXPECT_EQ(Out.Final[2], 9u);
   ASSERT_EQ(Out.ReadValues.size(), 1u);
   EXPECT_EQ(Out.ReadValues[0], 3u); // Read sees the add.
 }
 
 TEST(ReplaySectionsTest, ReversedOrderDiffers) {
   SectionFixture F;
-  MemoryImage Init = MemoryImage::initialOf(F.Tr);
-  ReplayOutcome Out = replaySections(
-      F.Tr, Init, {&F.Index.byGlobalId(1), &F.Index.byGlobalId(0)});
+  oracle::Outcome Out = oracle::replaySections(
+      F.Tr, oracle::initialOf(F.Tr),
+      {&F.Index.byGlobalId(1), &F.Index.byGlobalId(0)});
   ASSERT_EQ(Out.ReadValues.size(), 1u);
   EXPECT_EQ(Out.ReadValues[0], 0u); // Read precedes the add.
 }
 
 TEST(ReplaySectionsTest, EmptySectionListIsIdentity) {
   SectionFixture F;
-  MemoryImage Init = MemoryImage::initialOf(F.Tr);
-  ReplayOutcome Out = replaySections(F.Tr, Init, {});
-  EXPECT_TRUE(Out.Final == Init);
+  oracle::Image Init = oracle::initialOf(F.Tr);
+  oracle::Outcome Out = oracle::replaySections(F.Tr, Init, {});
+  EXPECT_EQ(Out.Final, Init);
   EXPECT_TRUE(Out.ReadValues.empty());
 }
 
@@ -136,10 +230,18 @@ Trace twoSectionTrace(void (*Body0)(TraceBuilder &, ThreadId),
   return B.finish();
 }
 
-bool benignOfTrace(const Trace &Tr) {
+/// isBenignPair on sections \p IdA and \p IdB of \p Tr, after checking
+/// that the swapped call and the six-replay oracle agree with it.
+bool benignOfTrace(const Trace &Tr, uint32_t IdA = 0, uint32_t IdB = 1) {
   CsIndex Index = CsIndex::build(Tr);
   MemoryImage Init = MemoryImage::initialOf(Tr);
-  return isBenignPair(Tr, Init, Index.byGlobalId(0), Index.byGlobalId(1));
+  const CriticalSection &A = Index.byGlobalId(IdA);
+  const CriticalSection &B = Index.byGlobalId(IdB);
+  bool Benign = isBenignPair(Tr, Init, A, B);
+  EXPECT_EQ(isBenignPair(Tr, Init, B, A), Benign) << "argument order";
+  EXPECT_EQ(oracle::isBenignPair(Tr, oracle::initialOf(Tr), A, B), Benign)
+      << "six-replay oracle";
+  return Benign;
 }
 
 } // namespace
@@ -206,4 +308,97 @@ TEST(IsBenignTest, PartialConflictDetected) {
         B.write(T, 2, 200);
       });
   EXPECT_FALSE(benignOfTrace(Tr));
+}
+
+TEST(IsBenignTest, UnseededAddressReadsZero) {
+  // Section 0 writes x before anything reads it, so the initial image
+  // does not seed x; section 1's recorded 7 must not leak into the
+  // replay.  Reading x first therefore sees 0, the value section 0
+  // stores, so both orders read the same.
+  Trace Tr = twoSectionTrace(
+      [](TraceBuilder &B, ThreadId T) { B.write(T, 1, 0); },
+      [](TraceBuilder &B, ThreadId T) { B.read(T, 1, 7); });
+  EXPECT_EQ(MemoryImage::initialOf(Tr).load(1), 0u);
+  EXPECT_TRUE(benignOfTrace(Tr));
+}
+
+TEST(IsBenignTest, MatchingFinalImagesWithDifferentReadsConflict) {
+  // Both orders end with x = 5, y = 9, but section 1 reads x = 5 after
+  // section 0 and x = 0 before it.
+  Trace Tr = twoSectionTrace(
+      [](TraceBuilder &B, ThreadId T) { B.write(T, 1, 5); },
+      [](TraceBuilder &B, ThreadId T) {
+        B.read(T, 1, 5);
+        B.write(T, 2, 9);
+      });
+  EXPECT_FALSE(benignOfTrace(Tr));
+}
+
+namespace {
+
+/// Section 0 (thread 0, lock mu) nests section 1 (lock inner); section
+/// 2 (thread 1, lock mu) runs \p Body.
+Trace nestedTrace(WriteOpKind InnerOp,
+                  void (*Body)(TraceBuilder &, ThreadId)) {
+  TraceBuilder B;
+  LockId Mu = B.addLock("mu");
+  LockId Inner = B.addLock("inner");
+  ThreadId T0 = B.addThread();
+  ThreadId T1 = B.addThread();
+  B.beginCs(T0, Mu);
+  B.write(T0, 1, 2, WriteOpKind::Add);
+  B.beginCs(T0, Inner);
+  B.write(T0, 2, 0x3, InnerOp);
+  B.endCs(T0);
+  B.endCs(T0);
+  B.beginCs(T1, Mu);
+  Body(B, T1);
+  B.endCs(T1);
+  return B.finish();
+}
+
+} // namespace
+
+TEST(IsBenignTest, NestedInnerSectionAccessesAreReplayed) {
+  // The inner section's write to y belongs to the outer section too.
+  auto Body = [](TraceBuilder &B, ThreadId T) {
+    B.write(T, 1, 5, WriteOpKind::Add);
+    B.write(T, 2, 0xC, WriteOpKind::Xor);
+  };
+  EXPECT_TRUE(benignOfTrace(nestedTrace(WriteOpKind::Xor, Body), 0, 2));
+  // An inner store does not commute with the other section's xor.
+  EXPECT_FALSE(benignOfTrace(nestedTrace(WriteOpKind::Store, Body), 0, 2));
+}
+
+TEST(ReversedReplayTest, MatchesSixReplayOracleOnEveryApp) {
+  std::vector<AppModel> Apps = allApps();
+  Apps.insert(Apps.end(), syntheticApps().begin(), syntheticApps().end());
+  uint64_t Benign = 0, Conflicting = 0;
+  for (const AppModel &App : Apps) {
+    SCOPED_TRACE(App.Name);
+    Trace Tr = generateWorkload(App.Factory(4, 1.0));
+    CsIndex Index = CsIndex::build(Tr);
+    const MemoryImage Initial = MemoryImage::initialOf(Tr);
+    const oracle::Image OracleInitial = oracle::initialOf(Tr);
+    size_t Mismatches = 0;
+    for (const std::vector<uint32_t> &Order : Index.lockOrders())
+      for (size_t I = 0; I != Order.size(); ++I)
+        for (size_t J = I + 1; J != Order.size(); ++J) {
+          const CriticalSection &A = Index.byGlobalId(Order[I]);
+          const CriticalSection &B = Index.byGlobalId(Order[J]);
+          if (A.Ref.Thread == B.Ref.Thread ||
+              classifyPairStatic(A, B) != UlcpKind::TrueContention)
+            continue;
+          bool Want = oracle::isBenignPair(Tr, OracleInitial, A, B);
+          ++(Want ? Benign : Conflicting);
+          if (isBenignPair(Tr, Initial, A, B) != Want)
+            ++Mismatches;
+          if (isBenignPair(Tr, Initial, B, A) != Want)
+            ++Mismatches;
+        }
+    EXPECT_EQ(Mismatches, 0u);
+  }
+  // The sweep must drive both verdicts.
+  EXPECT_GT(Benign, 0u);
+  EXPECT_GT(Conflicting, 0u);
 }

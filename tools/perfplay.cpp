@@ -56,7 +56,9 @@
 #include <cstdlib>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -69,7 +71,7 @@ namespace {
 
 /// Minimal flag cursor over argv.  Commands consume their options
 /// (option()/flag()) before positionals so option values — including
-/// negative numbers like "--seed -1" — are never mistaken for
+/// negative numbers like "--replays -1" — are never mistaken for
 /// positional arguments, then call unknownOption() so a flag nothing
 /// consumed is an error instead of silently ignored.
 class ArgList {
@@ -154,23 +156,39 @@ private:
   std::string MissingValue;
 };
 
-/// Parses a thread-count option value of at least \p Min; rejects
-/// negatives and garbage instead of letting them wrap to huge unsigned
+/// Parses a decimal integer option value in [\p Min, \p Max]; \p What
+/// names the expected value in the error message.  Rejects signs,
+/// garbage and overflow instead of letting them wrap to huge unsigned
 /// values.
-bool parseThreadCount(const std::string &S, const char *Name,
-                      unsigned &Out, unsigned Min = 0) {
+template <typename IntT>
+bool parseInteger(const std::string &S, const char *Name,
+                  const std::string &What, IntT &Out, uint64_t Min = 0,
+                  uint64_t Max = std::numeric_limits<IntT>::max()) {
   errno = 0;
   char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0' || errno == ERANGE || V < Min ||
-      V > 1 << 16) {
-    std::fprintf(stderr, "error: %s expects a thread count of at least "
-                         "%u, got '%s'\n",
-                 Name, Min, S.c_str());
+  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
+  if (S.empty() || !std::isdigit(static_cast<unsigned char>(S[0])) ||
+      *End != '\0' || errno == ERANGE || V < Min || V > Max) {
+    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Name,
+                 What.c_str(), S.c_str());
     return false;
   }
-  Out = static_cast<unsigned>(V);
+  Out = static_cast<IntT>(V);
   return true;
+}
+
+/// Parses a thread-count option value of at least \p Min.
+bool parseThreadCount(const std::string &S, const char *Name,
+                      unsigned &Out, unsigned Min = 0) {
+  return parseInteger(S, Name,
+                      "a thread count of at least " + std::to_string(Min),
+                      Out, Min, 1 << 16);
+}
+
+/// Parses a non-negative integer option value (a seed, a count, a cost).
+template <typename IntT>
+bool parseNonNegative(const std::string &S, const char *Name, IntT &Out) {
+  return parseInteger(S, Name, "a non-negative integer", Out);
 }
 
 /// Parses a positive, finite number option value (an input scale).
@@ -181,6 +199,28 @@ bool parsePositive(const std::string &S, const char *Name, double &Out) {
   if (End == S.c_str() || *End != '\0' || errno == ERANGE ||
       !std::isfinite(V) || V <= 0.0) {
     std::fprintf(stderr, "error: %s expects a positive number, got '%s'\n",
+                 Name, S.c_str());
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
+/// Parses \p S into \p Out as a non-negative integer unless it is
+/// empty (the option was not given).
+template <typename IntT>
+bool parseOptional(const std::string &S, const char *Name,
+                   std::optional<IntT> &Out) {
+  return S.empty() || parseNonNegative(S, Name, Out.emplace());
+}
+
+/// Parses a probability option value: a number in [0, 1].
+bool parseProbability(const std::string &S, const char *Name,
+                      double &Out) {
+  char *End = nullptr;
+  double V = std::strtod(S.c_str(), &End);
+  if (End == S.c_str() || *End != '\0' || !(V >= 0.0 && V <= 1.0)) {
+    std::fprintf(stderr, "error: %s expects a number in [0, 1], got '%s'\n",
                  Name, S.c_str());
     return false;
   }
@@ -300,8 +340,9 @@ int cmdGenerate(ArgList &Args) {
   double Scale;
   if (!parsePositive(Args.option("--scale", "1.0"), "--scale", Scale))
     return 2;
-  uint64_t Seed = std::strtoull(Args.option("--seed", "42").c_str(),
-                                nullptr, 10);
+  uint64_t Seed;
+  if (!parseNonNegative(Args.option("--seed", "42"), "--seed", Seed))
+    return 2;
   std::string Out = Args.option("--out", "");
   TraceFormat Format = TraceFormat::Text;
   std::string FormatStr = Args.option("--format", "");
@@ -432,18 +473,9 @@ int cmdAnalyze(ArgList &Args) {
     return 2;
   bool Windowed = !WindowStr.empty();
   uint64_t WindowEvents = 0;
-  if (Windowed) {
-    errno = 0;
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(WindowStr.c_str(), &End, 10);
-    if (End == WindowStr.c_str() || *End != '\0' || errno == ERANGE) {
-      std::fprintf(stderr, "error: --window-events expects a non-negative "
-                           "event count, got '%s'\n",
-                   WindowStr.c_str());
-      return 2;
-    }
-    WindowEvents = V;
-  }
+  if (Windowed && !parseInteger(WindowStr, "--window-events",
+                                "a non-negative event count", WindowEvents))
+    return 2;
   std::vector<std::string> Paths;
   for (std::string P = Args.positional(); !P.empty();
        P = Args.positional())
@@ -563,14 +595,21 @@ int cmdAnalyze(ArgList &Args) {
   return 0;
 }
 
+/// The speculation options of `perfplay replay`, parsed.  An unset knob
+/// keeps its model's own default (sle and htm differ on every one).
+struct SpecKnobs {
+  std::optional<unsigned> Capacity;
+  std::optional<unsigned> Retries;
+  std::optional<TimeNs> Penalty;
+  std::optional<double> Rate;
+};
+
 /// The sle/htm arms of `perfplay replay`: speculation baselines that
 /// run over the loaded trace's critical-section index rather than
-/// through the schedule-kind replayer.  Empty knob strings keep each
-/// model's own default (sle and htm differ on every one).
+/// through the schedule-kind replayer.
 int replaySpeculation(const std::string &SchemeName, const std::string &Path,
                       uint64_t Seed, unsigned Replays,
-                      const std::string &Capacity, const std::string &Retries,
-                      const std::string &Penalty, const std::string &Rate) {
+                      const SpecKnobs &Knobs) {
   Expected<Trace> TrOr = readTraceFile(Path);
   if (!TrOr) {
     std::fprintf(stderr, "error: %s\n", TrOr.message().c_str());
@@ -582,18 +621,12 @@ int replaySpeculation(const std::string &SchemeName, const std::string &Path,
   RunningStats Stats;
   if (SchemeName == "htm") {
     HtmOptions Opts;
-    if (!Capacity.empty())
-      Opts.Capacity =
-          static_cast<unsigned>(std::strtoul(Capacity.c_str(), nullptr, 10));
-    if (!Retries.empty())
-      Opts.MaxRetries =
-          static_cast<unsigned>(std::strtoul(Retries.c_str(), nullptr, 10));
-    if (!Penalty.empty())
-      Opts.AbortPenalty = std::strtoull(Penalty.c_str(), nullptr, 10);
-    if (!Rate.empty())
-      Opts.InterruptAbortRate = std::atof(Rate.c_str());
+    Opts.Capacity = Knobs.Capacity.value_or(Opts.Capacity);
+    Opts.MaxRetries = Knobs.Retries.value_or(Opts.MaxRetries);
+    Opts.AbortPenalty = Knobs.Penalty.value_or(Opts.AbortPenalty);
+    Opts.InterruptAbortRate = Knobs.Rate.value_or(Opts.InterruptAbortRate);
     HtmResult Last;
-    for (unsigned I = 0; I != std::max(Replays, 1u); ++I) {
+    for (unsigned I = 0; I != Replays; ++I) {
       Opts.Seed = Seed + I;
       Last = simulateHtm(Tr, Index, Opts);
       Stats.add(static_cast<double>(Last.TotalTime));
@@ -613,15 +646,11 @@ int replaySpeculation(const std::string &SchemeName, const std::string &Path,
   }
 
   LockElisionOptions Opts;
-  if (!Retries.empty())
-    Opts.MaxRetries =
-        static_cast<unsigned>(std::strtoul(Retries.c_str(), nullptr, 10));
-  if (!Penalty.empty())
-    Opts.AbortPenalty = std::strtoull(Penalty.c_str(), nullptr, 10);
-  if (!Rate.empty())
-    Opts.FalseAbortRate = std::atof(Rate.c_str());
+  Opts.MaxRetries = Knobs.Retries.value_or(Opts.MaxRetries);
+  Opts.AbortPenalty = Knobs.Penalty.value_or(Opts.AbortPenalty);
+  Opts.FalseAbortRate = Knobs.Rate.value_or(Opts.FalseAbortRate);
   LockElisionResult Last;
-  for (unsigned I = 0; I != std::max(Replays, 1u); ++I) {
+  for (unsigned I = 0; I != Replays; ++I) {
     Opts.Seed = Seed + I;
     Last = simulateLockElision(Tr, Index, Opts);
     Stats.add(static_cast<double>(Last.TotalTime));
@@ -641,10 +670,12 @@ int replaySpeculation(const std::string &SchemeName, const std::string &Path,
 
 int cmdReplay(ArgList &Args) {
   std::string SchemeName = Args.option("--scheme", "elsc");
-  uint64_t Seed =
-      std::strtoull(Args.option("--seed", "1").c_str(), nullptr, 10);
-  unsigned Replays =
-      static_cast<unsigned>(std::atoi(Args.option("--replays", "1").c_str()));
+  uint64_t Seed;
+  unsigned Replays;
+  if (!parseNonNegative(Args.option("--seed", "1"), "--seed", Seed) ||
+      !parseInteger(Args.option("--replays", "1"), "--replays",
+                    "an integer of at least 1", Replays, /*Min=*/1))
+    return 2;
   std::string Capacity = Args.option("--htm-capacity", "");
   std::string Retries = Args.option("--htm-retries", "");
   std::string Penalty = Args.option("--abort-penalty", "");
@@ -677,9 +708,17 @@ int cmdReplay(ArgList &Args) {
       return 2;
     }
 
-  if (Speculative)
-    return replaySpeculation(SchemeName, Path, Seed, Replays, Capacity,
-                             Retries, Penalty, Rate);
+  if (Speculative) {
+    SpecKnobs Parsed;
+    if (!parseOptional(Capacity, "--htm-capacity", Parsed.Capacity) ||
+        !parseOptional(Retries, "--htm-retries", Parsed.Retries) ||
+        !parseOptional(Penalty, "--abort-penalty", Parsed.Penalty))
+      return 2;
+    if (!Rate.empty() &&
+        !parseProbability(Rate, "--abort-rate", Parsed.Rate.emplace()))
+      return 2;
+    return replaySpeculation(SchemeName, Path, Seed, Replays, Parsed);
+  }
 
   Expected<Trace> TrOr = readTraceFile(Path);
   if (!TrOr) {
@@ -693,7 +732,7 @@ int cmdReplay(ArgList &Args) {
 
   RunningStats Stats;
   const ReplayResult *Last = nullptr;
-  for (unsigned I = 0; I != std::max(Replays, 1u); ++I) {
+  for (unsigned I = 0; I != Replays; ++I) {
     Expected<const ReplayResult &> R = Session.replay(Scheme, Seed + I);
     if (!R) {
       std::fprintf(stderr, "error: %s [%s]\n", R.message().c_str(),
@@ -1091,15 +1130,17 @@ int cmdServe(ArgList &Args) {
   if (!parseThreadCount(Args.option("--workers", "0"), "--workers",
                         Opts.NumWorkers))
     return 2;
-  Opts.CacheBudgetBytes = static_cast<size_t>(std::strtoull(
-      Args.option("--cache-budget", "67108864").c_str(), nullptr, 10));
+  if (!parseNonNegative(Args.option("--cache-budget", "67108864"),
+                        "--cache-budget", Opts.CacheBudgetBytes))
+    return 2;
   unsigned MaxQueue;
   if (!parseThreadCount(Args.option("--max-queue", "64"), "--max-queue",
                         MaxQueue))
     return 2;
   Opts.MaxQueueDepth = MaxQueue;
-  Opts.IdleTimeoutMs =
-      std::atoi(Args.option("--idle-timeout", "0").c_str());
+  if (!parseNonNegative(Args.option("--idle-timeout", "0"), "--idle-timeout",
+                        Opts.IdleTimeoutMs))
+    return 2;
   if (Args.unknownOption())
     return 2;
 
