@@ -17,13 +17,14 @@ public:
   Engine(const Trace &Tr, const ReplayOptions &Opts);
 
   /// When true, per-access completion times are captured into MemTimes
-  /// (used by the MEM-S pre-replay to derive the global access order).
+  /// (the MEM-S pre-replay, run under ELSC-S).
   bool CaptureMemTimes = false;
-  /// Per-thread, per-access completion times (filled when capturing).
+  /// Per-thread, per-access completion times: filled when capturing;
+  /// under MEM-S, the pre-replay's times whose merge is the enforced
+  /// global access order.
   std::vector<std::vector<TimeNs>> MemTimes;
-  /// Global access order to enforce: (thread, per-thread access index).
-  std::vector<std::pair<ThreadId, size_t>> MemOrder;
 
+  /// Runs the replay once; the result is moved out of the engine.
   ReplayResult run();
 
 private:
@@ -91,15 +92,26 @@ private:
   /// Per-CS grant / release times (NeverNs until they happen).
   std::vector<TimeNs> GrantTime;
   std::vector<TimeNs> ReleaseTime;
-  /// Locks actually acquired by each granted CS (for its release).
-  std::vector<std::vector<LockId>> AcquiredLocks;
-  /// Whether each granted CS holds its locks in Shared mode (rwlock
-  /// reader); drives the release path's bookkeeping.
-  std::vector<uint8_t> SharedCs;
-  /// RULE 2 predecessors per CS.
-  std::vector<std::vector<uint32_t>> Preds;
-  /// MEM-S cursor state.
-  size_t MemCursor = 0;
+  /// What a granted CS holds until its release: the locks
+  /// HeldLocks[Begin, Begin + Count), in Shared mode (rwlock reader)
+  /// or exclusively.  Each CS is granted at most once, so HeldLocks
+  /// only grows.
+  struct Holding {
+    uint32_t Begin = 0;
+    uint32_t Count = 0;
+    bool Shared = false;
+  };
+  std::vector<Holding> Holdings;
+  std::vector<LockId> HeldLocks;
+  /// RULE 2 predecessors of CS c: PredIds[PredBegin[c], PredBegin[c + 1]).
+  std::vector<uint32_t> PredBegin;
+  std::vector<uint32_t> PredIds;
+  /// Threads that have not reached ThreadEnd.
+  size_t Live = 0;
+  /// MEM-S: thread owning the next access in the enforced order
+  /// (InvalidId once every access is granted), and when the serialized
+  /// memory system frees up.
+  ThreadId MemHead = InvalidId;
   TimeNs MemFreeAt = 0;
 
   bool memSerialized() const {
@@ -123,6 +135,7 @@ private:
   Candidate scanMem() const;
   void grantAcquire(ThreadId T, TimeNs When);
   void grantMem(ThreadId T, TimeNs When);
+  void pickMemHead();
   uint32_t orderHead(LockId L) const;
 };
 
@@ -135,17 +148,22 @@ Engine::Engine(const Trace &Tr, const ReplayOptions &Opts)
   Locks.resize(Tr.Locks.size());
   GrantTime.assign(NumCs, NeverNs);
   ReleaseTime.assign(NumCs, NeverNs);
-  AcquiredLocks.resize(NumCs);
-  SharedCs.assign(NumCs, 0);
-  Preds.resize(NumCs);
+  Holdings.resize(NumCs);
+  // RULE 2 predecessors as CSR, each list in constraint order.
+  PredBegin.assign(NumCs + 1, 0);
   for (const OrderConstraint &C : Tr.Constraints)
-    Preds[C.After].push_back(C.Before);
+    ++PredBegin[C.After + 1];
+  for (size_t Cs = 0; Cs != NumCs; ++Cs)
+    PredBegin[Cs + 1] += PredBegin[Cs];
+  PredIds.resize(Tr.Constraints.size());
+  std::vector<uint32_t> Fill(PredBegin.begin(), PredBegin.end() - 1);
+  for (const OrderConstraint &C : Tr.Constraints)
+    PredIds[Fill[C.After]++] = C.Before;
 
   Result.Sections.resize(NumCs);
   Result.ThreadFinish.assign(Tr.numThreads(), 0);
   Result.ThreadSpinWaitNs.assign(Tr.numThreads(), 0);
   Result.GrantSchedule.assign(Tr.Locks.size(), {});
-  MemTimes.resize(Tr.numThreads());
 
   // Build the enforced per-lock order for the chosen scheme.
   EnforcedOrder.assign(Tr.Locks.size(), {});
@@ -312,23 +330,25 @@ void Engine::advanceThread(ThreadId T) {
       // A lockset is released as one operation: all locks become free
       // at the same instant (the section's release time), so RULE 4
       // mutual exclusion spans the full [Granted, Released] window.
-      if (!AcquiredLocks[Cs].empty())
+      const Holding &H = Holdings[Cs];
+      const uint32_t End = H.Begin + H.Count;
+      if (H.Count != 0)
         TS.Clock += Opts.Costs.LockRelease;
-      if (SharedCs[Cs]) {
-        for (LockId L : AcquiredLocks[Cs]) {
-          assert(Locks[L].Shared > 0 &&
-                 "releasing a shared lock with no readers");
-          --Locks[L].Shared;
-          Locks[L].SharedFreeAt =
-              std::max(Locks[L].SharedFreeAt, TS.Clock);
+      if (H.Shared) {
+        for (uint32_t I = H.Begin; I != End; ++I) {
+          LockState &LS = Locks[HeldLocks[I]];
+          assert(LS.Shared > 0 && "releasing a shared lock with no readers");
+          --LS.Shared;
+          LS.SharedFreeAt = std::max(LS.SharedFreeAt, TS.Clock);
         }
       } else {
-        for (LockId L : AcquiredLocks[Cs]) {
-          assert(Locks[L].Held && Locks[L].Holder == T &&
+        for (uint32_t I = H.Begin; I != End; ++I) {
+          LockState &LS = Locks[HeldLocks[I]];
+          assert(LS.Held && LS.Holder == T &&
                  "releasing a lock this thread does not hold");
-          Locks[L].Held = false;
-          Locks[L].Holder = InvalidId;
-          Locks[L].FreeAt = TS.Clock;
+          LS.Held = false;
+          LS.Holder = InvalidId;
+          LS.FreeAt = TS.Clock;
         }
       }
       ReleaseTime[Cs] = TS.Clock;
@@ -356,6 +376,7 @@ void Engine::advanceThread(ThreadId T) {
       flushSuccessors(TS, TS.Clock);
       TS.Status = StatusKind::Done;
       Result.ThreadFinish[T] = TS.Clock;
+      --Live;
       return;
     }
   }
@@ -399,7 +420,9 @@ Engine::Candidate Engine::scanAcquires(bool IgnoreOrder) const {
     }
     if (!Feasible)
       continue;
-    for (uint32_t Pre : Preds[TS.PendingCs]) {
+    for (uint32_t P = PredBegin[TS.PendingCs];
+         P != PredBegin[TS.PendingCs + 1]; ++P) {
+      uint32_t Pre = PredIds[P];
       if (GrantTime[Pre] == NeverNs) {
         Feasible = false;
         break;
@@ -426,15 +449,14 @@ Engine::Candidate Engine::scanAcquires(bool IgnoreOrder) const {
 
 Engine::Candidate Engine::scanMem() const {
   Candidate Best;
-  if (!memSerialized() || MemCursor >= MemOrder.size())
+  if (!memSerialized() || MemHead == InvalidId)
     return Best;
-  auto [T, Idx] = MemOrder[MemCursor];
-  const ThreadState &TS = Threads[T];
-  if (TS.Status != StatusKind::WaitMem || TS.MemIdx != Idx)
+  const ThreadState &TS = Threads[MemHead];
+  if (TS.Status != StatusKind::WaitMem)
     return Best;
   Best.Valid = true;
   Best.IsMem = true;
-  Best.Thread = T;
+  Best.Thread = MemHead;
   Best.Time = std::max(TS.Arrival, MemFreeAt);
   return Best;
 }
@@ -492,8 +514,11 @@ void Engine::grantAcquire(ThreadId T, TimeNs When) {
 
   GrantTime[Cs] = When;
   Result.Sections[Cs].Granted = When;
-  AcquiredLocks[Cs] = TS.PendingLocks;
-  SharedCs[Cs] = TS.PendingShared ? 1 : 0;
+  Holdings[Cs] = Holding{static_cast<uint32_t>(HeldLocks.size()),
+                         static_cast<uint32_t>(TS.PendingLocks.size()),
+                         TS.PendingShared};
+  HeldLocks.insert(HeldLocks.end(), TS.PendingLocks.begin(),
+                   TS.PendingLocks.end());
   TS.OpenCs.push_back(Cs);
   TS.LastSyncEnd = TS.Clock;
   TS.Status = StatusKind::Running;
@@ -508,28 +533,48 @@ void Engine::grantMem(ThreadId T, TimeNs When) {
   Result.IdleWaitNs += When - TS.Arrival;
   TS.Clock = When + Opts.Costs.MemAccess + Opts.Costs.MemSerialize;
   MemFreeAt = TS.Clock;
-  ++MemCursor;
   ++TS.MemIdx;
   ++TS.PC;
   TS.Status = StatusKind::Running;
+  pickMemHead();
   advanceThread(T);
 }
 
+void Engine::pickMemHead() {
+  // Least (next pre-replay time, thread id); Replayer.h says why that
+  // is the global (time, thread, index) order.
+  MemHead = InvalidId;
+  TimeNs Best = 0;
+  for (ThreadId T = 0; T != Threads.size(); ++T) {
+    const std::vector<TimeNs> &Times = MemTimes[T];
+    size_t Next = Threads[T].MemIdx;
+    if (Next < Times.size() && (MemHead == InvalidId || Times[Next] < Best)) {
+      MemHead = T;
+      Best = Times[Next];
+    }
+  }
+}
+
 ReplayResult Engine::run() {
+  if (CaptureMemTimes)
+    MemTimes.assign(Threads.size(), {});
+  if (memSerialized()) {
+    assert(MemTimes.size() == Threads.size() && "MEM-S needs MemTimes");
+    pickMemHead();
+  }
+  // Only the dynamic locking strategy changes a pending lockset after
+  // arrival (END flags); otherwise the refresh below is a no-op.
+  const bool RefreshLocks = Opts.UseDynamicLocking && !Tr.Locksets.empty();
+  Live = Threads.size();
   for (ThreadId T = 0; T != Threads.size(); ++T)
     advanceThread(T);
 
-  for (;;) {
-    bool AnyWaiting = false;
-    for (const ThreadState &TS : Threads)
-      AnyWaiting |= TS.Status != StatusKind::Done;
-    if (!AnyWaiting)
-      break;
-
+  while (Live != 0) {
     // Re-evaluate DLS END flags now that more releases are known.
-    for (ThreadState &TS : Threads)
-      if (TS.Status == StatusKind::WaitAcquire)
-        refreshPendingLocks(TS);
+    if (RefreshLocks)
+      for (ThreadState &TS : Threads)
+        if (TS.Status == StatusKind::WaitAcquire)
+          refreshPendingLocks(TS);
 
     Candidate Acq = scanAcquires(/*IgnoreOrder=*/false);
     Candidate Mem = scanMem();
@@ -555,7 +600,7 @@ ReplayResult Engine::run() {
         }
       }
       Result.Error = "replay deadlock: no grantable waiter";
-      return Result;
+      return std::move(Result);
     }
 
     if (Pick.IsMem)
@@ -567,7 +612,12 @@ ReplayResult Engine::run() {
   Result.TotalTime = 0;
   for (TimeNs Finish : Result.ThreadFinish)
     Result.TotalTime = std::max(Result.TotalTime, Finish);
-  return Result;
+  // Sessions cache results, so drop the push_back slack of the grant
+  // lists before handing them out (it showed in mysql-pipeline's peak
+  // RSS); the rest of the result is sized exactly up front.
+  for (std::vector<CsRef> &Grants : Result.GrantSchedule)
+    Grants.shrink_to_fit();
+  return std::move(Result);
 }
 
 std::vector<TimeNs> perfplay::computeSoloArrivals(const Trace &Tr,
@@ -621,31 +671,22 @@ ReplayResult perfplay::replayTrace(const Trace &Tr,
     Engine E(Tr, Opts);
     return E.run();
   }
-  // MEM-S: derive the global shared-access order from a deterministic
-  // ELSC pre-replay, then enforce it.
-  ReplayOptions PreOpts = Opts;
-  PreOpts.Schedule = ScheduleKind::ElscS;
-  Engine Pre(Tr, PreOpts);
-  Pre.CaptureMemTimes = true;
-  ReplayResult PreResult = Pre.run();
-  if (!PreResult.ok())
-    return PreResult;
-
-  std::vector<std::pair<TimeNs, std::pair<ThreadId, size_t>>> Ordered;
-  for (ThreadId T = 0; T != Pre.MemTimes.size(); ++T)
-    for (size_t I = 0; I != Pre.MemTimes[T].size(); ++I)
-      Ordered.push_back({Pre.MemTimes[T][I], {T, I}});
-  std::sort(Ordered.begin(), Ordered.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first != B.first)
-                return A.first < B.first;
-              return A.second < B.second;
-            });
-
+  // MEM-S: time every shared access in a deterministic ELSC
+  // pre-replay, then enforce the order those times imply.  The
+  // pre-replay's engine is gone before the enforcing one is built.
+  std::vector<std::vector<TimeNs>> MemTimes;
+  {
+    ReplayOptions PreOpts = Opts;
+    PreOpts.Schedule = ScheduleKind::ElscS;
+    Engine Pre(Tr, PreOpts);
+    Pre.CaptureMemTimes = true;
+    ReplayResult PreResult = Pre.run();
+    if (!PreResult.ok())
+      return PreResult;
+    MemTimes = std::move(Pre.MemTimes);
+  }
   Engine E(Tr, Opts);
-  E.MemOrder.reserve(Ordered.size());
-  for (const auto &Entry : Ordered)
-    E.MemOrder.push_back(Entry.second);
+  E.MemTimes = std::move(MemTimes);
   return E.run();
 }
 

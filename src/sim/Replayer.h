@@ -24,13 +24,24 @@
 ///    recorded schedule — Kendo's input-driven determinism, which
 ///    inserts waits whenever that order disagrees with arrivals.
 ///  - MEM-S: SYNC-S-style determinism plus a global total order over
-///    all shared accesses (derived from an ELSC pre-replay), charging a
-///    serialization latency per access — PinPlay/CoreDet-style.
+///    all shared accesses, charging a serialization latency per access
+///    — PinPlay/CoreDet-style.  The order comes from an ELSC pre-replay
+///    that times every access: the next access granted is the one with
+///    the least (pre-replay time, thread id) among each thread's next
+///    access.  A thread's times never decrease, so this per-thread
+///    merge is the global (time, thread, index) order, with no global
+///    sort or stored order.
 ///
 /// For transformed traces (non-empty Trace::Locksets), the per-lock
 /// recorded order no longer applies (auxiliary locks are fresh); RULE 2
 /// constraints carry the required ordering and grants otherwise go to
 /// the earliest arrival with deterministic tie-breaking.
+///
+/// Per-section engine state is flat: each section's held locks are a
+/// slice of one append-only pool, and RULE 2 predecessors are one
+/// offsets-plus-ids table built from Trace::Constraints.  The engine
+/// requires the trace's CS index (Trace::buildCsIndex), which also
+/// gives it the section count without a rescan.
 ///
 //===----------------------------------------------------------------------===//
 

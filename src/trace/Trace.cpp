@@ -18,11 +18,18 @@ size_t Trace::numEvents() const {
 }
 
 size_t Trace::numCriticalSections() const {
+  if (!CsPrefix.empty()) {
+    assert(CsPrefix.back() == countCriticalSections() &&
+           "stale CS index: Threads changed after buildCsIndex()");
+    return CsPrefix.back();
+  }
+  return countCriticalSections();
+}
+
+size_t Trace::countCriticalSections() const {
   size_t N = 0;
-  for (const auto &T : Threads)
-    for (const auto &E : T.Events)
-      if (isSectionOpen(E))
-        ++N;
+  for (size_t T = 0; T != Threads.size(); ++T)
+    N += numCriticalSections(static_cast<ThreadId>(T));
   return N;
 }
 

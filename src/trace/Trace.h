@@ -152,6 +152,8 @@ public:
 
   /// Total number of critical sections (section-opening events: mutex
   /// and rwlock acquires plus successful trylocks; see isSectionOpen).
+  /// O(1) once the CS index is built (buildCsIndex/installCsIndex),
+  /// otherwise an O(events) scan.
   size_t numCriticalSections() const;
 
   /// Number of critical sections in thread \p T.
@@ -195,6 +197,9 @@ private:
   /// Per-thread half of validate(); returns a diagnostic or "" and
   /// reports the thread's critical-section count through \p OutCs.
   std::string validateThread(size_t T, uint32_t &OutCs) const;
+
+  /// numCriticalSections() by scanning every event.
+  size_t countCriticalSections() const;
 
   /// Prefix sums of per-thread CS counts; CsPrefix[T] is the global id
   /// of thread T's first critical section.

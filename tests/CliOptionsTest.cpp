@@ -146,6 +146,7 @@ TEST(CliOptionsTest, MalformedValuesAreRejected) {
   for (const char *Replays : {"-1", "0", "abc", "2x"})
     expectMalformed(Replay + " --replays " + Replays,
                     "--replays expects an integer of at least 1");
+  expectMalformed(Replay + " --scheme=bogus", "unknown scheme 'bogus'");
   for (const char *Seed : {"xyz", "-1", "1.5"}) {
     expectMalformed(Replay + " --seed " + Seed,
                     "--seed expects a non-negative integer");

@@ -5,10 +5,15 @@
 #include "detect/CriticalSection.h"
 #include "support/Rng.h"
 #include "trace/TraceBuilder.h"
+#include "transform/Transform.h"
+#include "workloads/Apps.h"
+#include "workloads/WorkloadSpec.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 using namespace perfplay;
 
@@ -654,3 +659,172 @@ TEST(ReplayerTest, CondEventCostsCharged) {
   EXPECT_EQ(R.ThreadFinish[1], 150u);
   EXPECT_EQ(R.TotalTime, 150u);
 }
+
+//===----------------------------------------------------------------------===//
+// MEM-S access order
+//===----------------------------------------------------------------------===//
+
+TEST(ReplayerTest, MemSTieGrantsLowerThreadFirst) {
+  // Two threads on distinct locks whose only accesses finish at the
+  // same pre-replay instant: the enforced order breaks the tie by
+  // thread id.
+  TraceBuilder B;
+  LockId L0 = B.addLock("l0");
+  LockId L1 = B.addLock("l1");
+  ThreadId T0 = B.addThread();
+  ThreadId T1 = B.addThread();
+  B.compute(T0, 100);
+  B.beginCs(T0, L0);
+  B.read(T0, 1, 0);
+  B.endCs(T0);
+  B.compute(T1, 100);
+  B.beginCs(T1, L1);
+  B.write(T1, 2, 0);
+  B.endCs(T1);
+  Trace Tr = B.finish();
+  recordGrantSchedule(Tr, 1, freeCosts());
+
+  CostModel Costs = freeCosts();
+  Costs.MemAccess = 1;
+  Costs.MemSerialize = 10;
+  ReplayResult R = replayTrace(Tr, optionsFor(ScheduleKind::MemS, 1, Costs));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  // T0 goes at 100 and holds the serialized bus until 111; T1 waits.
+  EXPECT_EQ(R.ThreadFinish[T0], 111u);
+  EXPECT_EQ(R.ThreadFinish[T1], 122u);
+  EXPECT_EQ(R.IdleWaitNs, 11u);
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned answers over every application model
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Order-sensitive 64-bit fold of a value stream.
+struct Digest {
+  uint64_t H = 0x9e3779b97f4a7c15ull;
+  void add(uint64_t V) { H = splitMix64(H ^ V); }
+};
+
+/// Folds every ReplayResult field into \p D.
+void addReplay(Digest &D, const ReplayResult &R) {
+  D.add(R.Error.size());
+  for (char C : R.Error)
+    D.add(static_cast<unsigned char>(C));
+  D.add(R.TotalTime);
+  D.add(R.ThreadFinish.size());
+  for (TimeNs T : R.ThreadFinish)
+    D.add(T);
+  D.add(R.Sections.size());
+  for (const CsTiming &S : R.Sections) {
+    D.add(S.PrecursorStart);
+    D.add(S.Arrival);
+    D.add(S.Granted);
+    D.add(S.Released);
+    D.add(S.SuccessorEnd);
+  }
+  D.add(R.SpinWaitNs);
+  D.add(R.IdleWaitNs);
+  D.add(R.ThreadSpinWaitNs.size());
+  for (TimeNs T : R.ThreadSpinWaitNs)
+    D.add(T);
+  D.add(R.LocksetOverheadNs);
+  D.add(R.LocksetLocksAcquired);
+  D.add(R.OrderBreaks);
+  D.add(R.GrantSchedule.size());
+  for (const std::vector<CsRef> &Order : R.GrantSchedule) {
+    D.add(Order.size());
+    for (const CsRef &Ref : Order)
+      D.add((uint64_t(Ref.Thread) << 32) | Ref.Index);
+  }
+}
+
+/// Digest of the sixteen replays of \p Tr: ORIG/ELSC/SYNC/MEM, dynamic
+/// locking on and off, seeds 1 and 9, default costs.
+uint64_t digestAllSchemes(const Trace &Tr) {
+  Digest D;
+  for (ScheduleKind Kind : {ScheduleKind::OrigS, ScheduleKind::ElscS,
+                            ScheduleKind::SyncS, ScheduleKind::MemS})
+    for (bool Dls : {true, false})
+      for (uint64_t Seed : {1u, 9u}) {
+        ReplayOptions O;
+        O.Schedule = Kind;
+        O.Seed = Seed;
+        O.UseDynamicLocking = Dls;
+        addReplay(D, replayTrace(Tr, O));
+      }
+  return D.H;
+}
+
+/// Pinned digests: the recorded trace (4 threads, scale 1, grant
+/// schedule recorded with seed 42) and its ULCP-free transform.  A
+/// change to any replayed timestamp, counter or grant order moves them.
+struct PinnedDigest {
+  const char *App;
+  uint64_t Recorded;
+  uint64_t UlcpFree;
+};
+
+const PinnedDigest PinnedDigests[] = {
+    {"openldap", 0xd8ac3592e2ddfc30, 0xd8abd4c2f056645b},
+    {"mysql", 0xb79e0eb4bc066778, 0xd334ae6166a61eba},
+    {"pbzip2", 0xc9d8adb5b75914b0, 0x694603e983da89bd},
+    {"transmissionBT", 0x822ba35aa0899800, 0xd16c9584b12ae807},
+    {"handbrake", 0x9cfd3986f70d138e, 0x476b81c4c259bcf2},
+    {"blackscholes", 0xa51c506b8008dcc6, 0xa51c506b8008dcc6},
+    {"bodytrack", 0xddf6d0edadd1926, 0x64fd596ccef62151},
+    {"canneal", 0x26cfd90f1d06ce5e, 0xc3a6314a38208e1c},
+    {"dedup", 0x123f58e437670cc7, 0x3764474e01d741c},
+    {"facesim", 0x2ea3738d7820b58f, 0x76a791a1ef1b5bbe},
+    {"ferret", 0x692a54c0b4e07933, 0x20b24be6d4c328de},
+    {"fluidanimate", 0x4fe3f8e20fc8349b, 0xbb30af340c825df2},
+    {"streamcluster", 0x1e7ccb8a69e645f2, 0x7d9c63a17254cac9},
+    {"swaptions", 0x84b24e560b62f62f, 0x8b77a61eec5fb947},
+    {"vips", 0xc50e1ff2050bb0a5, 0x2e2148d10d87f34c},
+    {"x264", 0x5cb18eb27de1305f, 0xe6653873c5a748fb},
+    {"rwmix", 0x78981805134902a1, 0x79c9b3c83c47c596},
+};
+
+void PrintTo(const PinnedDigest &P, std::ostream *OS) { *OS << P.App; }
+
+class ReplayDigestTest : public testing::TestWithParam<PinnedDigest> {};
+
+const AppModel *findApp(const std::string &Name) {
+  for (const auto *Apps : {&allApps(), &syntheticApps()})
+    for (const AppModel &M : *Apps)
+      if (M.Name == Name)
+        return &M;
+  return nullptr;
+}
+
+} // namespace
+
+TEST(ReplayDigestTableTest, CoversEveryModel) {
+  size_t Models = allApps().size() + syntheticApps().size();
+  ASSERT_EQ(std::size(PinnedDigests), Models);
+  for (const PinnedDigest &P : PinnedDigests)
+    EXPECT_NE(findApp(P.App), nullptr) << P.App;
+}
+
+TEST_P(ReplayDigestTest, MatchesPinnedAnswers) {
+  const PinnedDigest &P = GetParam();
+  const AppModel *M = findApp(P.App);
+  ASSERT_NE(M, nullptr) << P.App;
+  Trace Tr = generateWorkload(M->Factory(4, 1.0));
+  ASSERT_TRUE(recordGrantSchedule(Tr, 42).ok()) << P.App;
+  Trace Free = transformTrace(Tr, CsIndex::build(Tr)).Transformed;
+
+  uint64_t Recorded = digestAllSchemes(Tr);
+  uint64_t UlcpFree = digestAllSchemes(Free);
+  EXPECT_EQ(Recorded, P.Recorded)
+      << P.App << " recorded: 0x" << std::hex << Recorded;
+  EXPECT_EQ(UlcpFree, P.UlcpFree)
+      << P.App << " ULCP-free: 0x" << std::hex << UlcpFree;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, ReplayDigestTest, testing::ValuesIn(PinnedDigests),
+    [](const testing::TestParamInfo<PinnedDigest> &Info) {
+      return std::string(Info.param.App);
+    });

@@ -691,7 +691,7 @@ int cmdReplay(ArgList &Args) {
   if (!Speculative && !parseScheduleKind(SchemeName, Scheme)) {
     std::fprintf(stderr, "error: unknown scheme '%s'\n",
                  SchemeName.c_str());
-    return 1;
+    return 2;
   }
   // A speculation knob the scheme does not model is a usage error, not
   // a silent no-op: sle has no capacity, the lock replays have none.
