@@ -5,7 +5,7 @@
 //   stream — the copying path: stdio-read the whole file into a byte
 //            vector, then parse out of the copy (parseTraceBuffer) —
 //            what the loader does for pipes and unmappable files,
-//   mmap   — the zero-copy path: readTraceFile maps the file and
+//   mmap   — the zero-copy read: readTraceFile maps the file and
 //            parses straight out of the page cache
 //            (support/MappedFile.h).
 //
@@ -22,12 +22,10 @@
 //
 // A second, name-heavy corpus (thousands of locks and call sites with
 // long symbol names — the shape of the paper's Table 1/Table 2
-// workloads) measures the string-pool tentpole:
+// workloads) measures the string pool:
 //
-//   copy elimination — parsing the mapped file with borrowed name
-//       storage (NameStorage::Borrowed: string_views into the mapping)
-//       vs. owned interning; the borrowed parse must report ZERO owned
-//       name bytes (StringPool::stats), which this driver asserts,
+//   owned parse      — parsing the mapped file, interning every name
+//       into the trace's pool (one arena copy per distinct name),
 //   dedup compare    — name equality as pooled-id integer compares vs.
 //       materialized std::string compares (section-key interning and
 //       the recorder's site lookup run the former since the pool
@@ -613,7 +611,7 @@ int main(int Argc, char **Argv) {
   V3Bytes.shrink_to_fit();
 
   //===--------------------------------------------------------------------===//
-  // Name-heavy corpus: borrowed vs owned name storage + dedup compares.
+  // Name-heavy corpus: owned-name parse time + dedup compares.
   //===--------------------------------------------------------------------===//
 
   std::string NamePath = Scratch + ".names";
@@ -631,55 +629,32 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  double OwnedSeconds = 0.0, BorrowedSeconds = 0.0;
-  size_t NameBytes = 0, BorrowedOwnedNameBytes = 0;
-  Trace OwnedTrace, BorrowedTrace;
-  V3ParseOptions OwnedOpts, BorrowedOpts;
-  BorrowedOpts.Names = NameStorage::Borrowed;
+  double OwnedSeconds = 0.0;
+  Trace OwnedTrace;
   for (unsigned I = 0; I != Repeat; ++I) {
     double T0 = now();
-    if (!parseTraceV3(NameFile.data(), NameFile.size(), OwnedTrace, Err,
-                      OwnedOpts)) {
-      std::fprintf(stderr, "owned name parse failed: %s\n", Err.c_str());
+    if (!parseTraceV3(NameFile.data(), NameFile.size(), OwnedTrace, Err)) {
+      std::fprintf(stderr, "name-heavy parse failed: %s\n", Err.c_str());
       return 1;
     }
-    double T1 = now();
-    OwnedSeconds += T1 - T0;
-
-    T0 = now();
-    if (!parseTraceV3(NameFile.data(), NameFile.size(), BorrowedTrace, Err,
-                      BorrowedOpts)) {
-      std::fprintf(stderr, "borrowed name parse failed: %s\n", Err.c_str());
-      return 1;
-    }
-    T1 = now();
-    BorrowedSeconds += T1 - T0;
+    OwnedSeconds += now() - T0;
   }
   OwnedSeconds /= Repeat;
-  BorrowedSeconds /= Repeat;
-  {
-    StringPool::Stats OwnedStats = OwnedTrace.Names.stats();
-    StringPool::Stats BorrowedStats = BorrowedTrace.Names.stats();
-    NameBytes = OwnedStats.OwnedBytes;
-    BorrowedOwnedNameBytes = BorrowedStats.OwnedBytes;
-  }
-  // Both storage modes must resolve identical bytes when re-serialized.
-  if (writeTraceV3(OwnedTrace) != writeTraceV3(BorrowedTrace)) {
-    std::fprintf(stderr, "FATAL: owned and borrowed name parses diverged\n");
-    return 1;
-  }
+  size_t NameBytes = 0;
+  for (StringId Id = 0; Id != OwnedTrace.Names.size(); ++Id)
+    NameBytes += OwnedTrace.Names.str(Id).size();
 
   // Dedup-compare microbenchmark: the detector/recorder dedup paths
   // used to compare names as strings; with the pool they compare ids.
   // Fixed-width names with a long shared prefix force the string
   // compare to walk ~40 bytes before differing — exactly the symbol-
   // table shape the pool was built for.
-  const size_t NumLocks = BorrowedTrace.Locks.size();
+  const size_t NumLocks = OwnedTrace.Locks.size();
   std::vector<std::string> Materialized;
   Materialized.reserve(NumLocks);
   for (size_t I = 0; I != NumLocks; ++I)
     Materialized.push_back(
-        std::string(BorrowedTrace.lockName(static_cast<LockId>(I))));
+        std::string(OwnedTrace.lockName(static_cast<LockId>(I))));
   const size_t CompareIters = 4u * 1000u * 1000u;
   uint64_t StringMatches = 0, IdMatches = 0;
   uint64_t X = 0x9e3779b97f4a7c15ULL;
@@ -702,7 +677,7 @@ int main(int Argc, char **Argv) {
   for (size_t I = 0; I != CompareIters; ++I) {
     auto [A, B] = nextPair();
     IdMatches +=
-        BorrowedTrace.Locks[A].Name == BorrowedTrace.Locks[B].Name;
+        OwnedTrace.Locks[A].Name == OwnedTrace.Locks[B].Name;
   }
   double IdCompareSeconds = now() - T0;
   if (StringMatches != IdMatches) {
@@ -710,18 +685,13 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  double CopyElimSpeedup =
-      BorrowedSeconds > 0.0 ? OwnedSeconds / BorrowedSeconds : 0.0;
   double CompareSpeedup =
       IdCompareSeconds > 0.0 ? StringCompareSeconds / IdCompareSeconds : 0.0;
   std::printf("name-heavy corpus: %zu locks + %zu sites, %zu name bytes, "
               "%zu byte file\n",
-              NumLocks, BorrowedTrace.Sites.size(), NameBytes,
+              NumLocks, OwnedTrace.Sites.size(), NameBytes,
               NameFile.size());
-  std::printf("  parse owned %9.3f ms   borrowed %9.3f ms   "
-              "copy-elimination %.2fx   borrowed owned-name bytes: %zu\n",
-              OwnedSeconds * 1e3, BorrowedSeconds * 1e3, CopyElimSpeedup,
-              BorrowedOwnedNameBytes);
+  std::printf("  parse owned %9.3f ms\n", OwnedSeconds * 1e3);
   std::printf("  name equality: string %9.3f ms   pooled-id %9.3f ms   "
               "(%.1fx, %zuM compares)\n",
               StringCompareSeconds * 1e3, IdCompareSeconds * 1e3,
@@ -790,17 +760,12 @@ int main(int Argc, char **Argv) {
                "    \"name_bytes\": %zu,\n"
                "    \"file_bytes\": %zu,\n"
                "    \"owned_parse_seconds\": %.6f,\n"
-               "    \"borrowed_parse_seconds\": %.6f,\n"
-               "    \"copy_elimination_speedup\": %.3f,\n"
-               "    \"borrowed_owned_name_bytes\": %zu,\n"
                "    \"string_compare_seconds\": %.6f,\n"
                "    \"id_compare_seconds\": %.6f,\n"
                "    \"dedup_compare_speedup\": %.3f\n"
                "  }\n}\n",
-               NumLocks, BorrowedTrace.Sites.size(), NameBytes,
-               NameFile.size(), OwnedSeconds, BorrowedSeconds,
-               CopyElimSpeedup, BorrowedOwnedNameBytes,
-               StringCompareSeconds, IdCompareSeconds, CompareSpeedup);
+               NumLocks, OwnedTrace.Sites.size(), NameBytes,
+               NameFile.size(), OwnedSeconds, StringCompareSeconds, IdCompareSeconds, CompareSpeedup);
   std::fclose(F);
   std::printf("wrote %s\n", Out.c_str());
 
@@ -808,16 +773,9 @@ int main(int Argc, char **Argv) {
   std::remove(Scratch.c_str());
   std::remove(NamePath.c_str());
   // Gates: the mmap bytes-ready win and the v3 parallel-load win must
-  // hold, a borrowed-storage parse must copy zero name bytes onto the
-  // heap, and the out-of-core run (when requested) must stay under a
+  // hold, and the out-of-core run (when requested) must stay under a
   // quarter of the file's size with whole-trace-identical verdicts.
   int Status = 0;
-  if (BorrowedOwnedNameBytes != 0) {
-    std::fprintf(stderr,
-                 "FAIL: borrowed-mode parse copied %zu name bytes\n",
-                 BorrowedOwnedNameBytes);
-    Status = 1;
-  }
   if (IngestSpeedup < 2.0 && MappedFile::supportsMapping()) {
     std::fprintf(stderr, "FAIL: mmap ingest speedup %.2fx < 2.0x\n",
                  IngestSpeedup);

@@ -50,14 +50,11 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace perfplay {
-
-class MappedFile;
 
 /// Pipeline configuration.
 struct PipelineOptions {
@@ -186,24 +183,6 @@ public:
   /// position in a batch).
   void setTraceIndex(size_t Index) { TraceIndex = Index; }
 
-  /// Pins \p Mapping (the file view the session's trace was parsed out
-  /// of) for the session's lifetime.  Installed by
-  /// Engine::openSessionFromFile on the zero-copy load path.  The pin
-  /// is load-bearing: v3 traces parsed off a real mmap intern
-  /// their lock/site names as `string_view`s pointing straight into
-  /// the mapping (NameStorage::Borrowed, trace/TraceIO.h), so the
-  /// mapping must outlive the Trace.  A clean read-only mapping costs
-  /// address space only; the kernel reclaims its pages freely.
-  /// Traces that leave the session (e.g. the transformed copy inside a
-  /// consumed PipelineResult) re-own their names on copy and carry no
-  /// dependency on the mapping.
-  void setBackingMapping(std::shared_ptr<const MappedFile> Mapping) {
-    Backing = std::move(Mapping);
-  }
-
-  /// The pinned file mapping, if any (see setBackingMapping).
-  const MappedFile *backingMapping() const { return Backing.get(); }
-
   /// Stage 1 (record): validates the trace, builds the global
   /// critical-section numbering, and — when the trace has critical
   /// sections but no grant schedule — runs one ORIG-S recording replay
@@ -311,8 +290,6 @@ private:
   PipelineOptions Opts;
   ProgressCallback Progress;
   size_t TraceIndex = 0;
-  /// Keep-alive for the mmap the trace was parsed from (may be null).
-  std::shared_ptr<const MappedFile> Backing;
 
   /// Stage 1 state.
   bool SetupDone = false;

@@ -15,24 +15,12 @@ AnalysisSession Engine::openSession(Trace Tr) const {
   return AnalysisSession(std::move(Tr), Defaults, Progress);
 }
 
-/// Loads \p Path through openTraceFile and builds a session over
-/// \p Opts/\p Progress.  A v3 trace served by mmap borrows its names
-/// from the mapping, so the session pins the mapping for its lifetime.
-static Expected<AnalysisSession>
-openFileSession(const std::string &Path, const PipelineOptions &Opts,
-                const ProgressCallback &Progress) {
-  Expected<LoadedTrace> Loaded = openTraceFile(Path);
-  if (!Loaded)
-    return Loaded.error();
-  AnalysisSession Session(std::move(Loaded->Tr), Opts, Progress);
-  if (Loaded->Mapping)
-    Session.setBackingMapping(std::move(Loaded->Mapping));
-  return Session;
-}
-
 Expected<AnalysisSession>
 Engine::openSessionFromFile(const std::string &Path) const {
-  return openFileSession(Path, Defaults, Progress);
+  Expected<Trace> Tr = readTraceFile(Path);
+  if (!Tr)
+    return Tr.error();
+  return openSession(std::move(*Tr));
 }
 
 Expected<PipelineResult> Engine::analyzeTrace(Trace Tr) const {
@@ -182,11 +170,14 @@ Engine::analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                                    unsigned NumThreads) const {
   return streamBatch(
       Paths.size(), NumThreads,
-      [&](size_t I, const ProgressCallback &Progress) {
+      [&](size_t I,
+          const ProgressCallback &Progress) -> Expected<AnalysisSession> {
         // Each worker loads its own file on demand — input memory is
-        // one trace (and one pinned mapping) per worker, not the sum
-        // of the batch.
-        return openFileSession(Paths[I], Defaults, Progress);
+        // one trace per worker, not the sum of the batch.
+        Expected<Trace> Tr = readTraceFile(Paths[I]);
+        if (!Tr)
+          return Tr.error();
+        return AnalysisSession(std::move(*Tr), Defaults, Progress);
       },
       Consumer);
 }

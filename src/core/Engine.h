@@ -48,11 +48,10 @@ public:
   AnalysisSession openSession(Trace Tr) const;
 
   /// Opens a session over the trace stored at \p Path, loaded by
-  /// openTraceFile (trace/TraceIO.h).  A v3 trace parses straight out
-  /// of the file mapping with borrowed names (zero-copy), and the
-  /// returned session keeps that mapping alive for its lifetime
-  /// (AnalysisSession::setBackingMapping).  Load failures come back as
-  /// ErrorCode::TraceIOFailed.
+  /// readTraceFile (trace/TraceIO.h).  The session owns its trace
+  /// outright: the file is unmapped before this returns, so it may be
+  /// rewritten or removed while the session lives.  Load failures come
+  /// back as ErrorCode::TraceIOFailed.
   Expected<AnalysisSession> openSessionFromFile(const std::string &Path) const;
 
   /// Runs the full pipeline over an already-parsed \p Tr, for callers
@@ -114,10 +113,9 @@ public:
                         unsigned NumThreads = 0) const;
 
   /// Fully streaming batch over trace *files*: each worker loads its
-  /// trace on demand (openSessionFromFile semantics — zero-copy mmap,
-  /// mapping pinned for the session's lifetime) and
-  /// results stream through \p Consumer, so peak memory holds one
-  /// trace + one result per worker no matter how large the batch is.
+  /// trace on demand (openSessionFromFile semantics) and results
+  /// stream through \p Consumer, so peak memory holds one trace + one
+  /// result per worker no matter how large the batch is.
   /// A file that fails to load or parse becomes that index's
   /// ErrorCode::TraceIOFailed result; the rest of the batch is
   /// unaffected.

@@ -32,8 +32,7 @@ CodeRegion perfplay::regionOfSection(const Trace &Tr,
     return Region;
   }
   // CodeRegion materializes the pooled name: reports are part of the
-  // frozen PipelineResult surface and must outlive the trace (and any
-  // mmap its pool borrows from).
+  // frozen PipelineResult surface and must outlive the trace.
   const CodeSite &Site = Tr.Sites[Cs.Site];
   Region.File = std::string(Tr.siteFile(Cs.Site));
   Region.Lines = LineInterval(Site.BeginLine, Site.EndLine);

@@ -46,10 +46,10 @@ enum class ErrorCode : uint8_t {
   /// report() over a detection configured with CountsOnly, which
   /// discards the per-pair list the report needs).
   IncompatibleOptions,
-  /// A trace file could not be read or parsed (readTraceFile /
-  /// Engine::openSessionFromFile): missing file, I/O error, bad magic,
-  /// or a corrupt/truncated body.  The message carries the loader's
-  /// diagnostic.
+  /// A trace file could not be read or parsed (readTraceFile, which
+  /// Engine::openSessionFromFile calls): missing file, read error
+  /// (e.g. the path is a directory), bad magic, or a corrupt/truncated
+  /// body.  The message carries the loader's diagnostic.
   TraceIOFailed,
   /// A `perfplay serve` wire-protocol failure: malformed frame, an
   /// oversized length prefix, an unknown request type, or a socket

@@ -13,17 +13,18 @@
 /// callers get the same data()/size() contract everywhere.
 ///
 /// Production-scale v3 traces are the motivating consumer: the trace
-/// loader (trace/TraceIO.h, openTraceFile) parses the mapping directly
-/// and can borrow lock/site names from it, skipping the whole-file
-/// std::vector copy a stream read makes.
+/// loader (trace/TraceIO.h, readTraceFile) parses the mapping directly,
+/// skipping the whole-file std::vector copy a stream read makes, and
+/// unmaps it as soon as the parse returns.
 ///
 /// Caveat inherent to mmap: if a file is truncated while a mapping of
-/// it is live, touching pages past the new end raises SIGBUS (a crash,
-/// not a parse error).  Every in-repo trace writer therefore replaces
-/// files with replaceFileAtomically (or, for the recorder, its own
-/// `.tmp` + rename), which leaves a live mapping on the old bytes.  A
-/// foreign process that truncates a trace in place can still crash a
-/// reader that has it mapped.
+/// it is live — during a parse, or a serve request's parse and hash —
+/// touching pages past the new end raises SIGBUS (a crash, not a parse
+/// error).  Every in-repo trace writer therefore replaces files with
+/// replaceFileAtomically (or, for the recorder, its own `.tmp` +
+/// rename), which leaves a live mapping on the old bytes.  A foreign
+/// process that truncates a trace in place during a parse can still
+/// crash the reader.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -25,28 +25,20 @@ std::string_view StringPool::copyToArena(std::string_view S) {
   return std::string_view(Dst, S.size());
 }
 
-StringId StringPool::insert(std::string_view S, bool Borrow) {
+StringId StringPool::intern(std::string_view S) {
   auto It = Index.find(S);
   if (It != Index.end())
     return It->second;
-  std::string_view Stored = Borrow ? S : copyToArena(S);
+  std::string_view Stored = copyToArena(S);
   StringId Id = static_cast<StringId>(Strings.size());
   Strings.push_back(Stored);
   Index.emplace(Stored, Id);
-  if (Borrow) {
-    Accounting.BorrowedBytes += S.size();
-    ++Accounting.NumBorrowed;
-  } else {
-    Accounting.OwnedBytes += S.size();
-    ++Accounting.NumOwned;
-  }
   return Id;
 }
 
 void StringPool::copyFrom(const StringPool &Other) {
-  // Deep copy preserving ids: every string — borrowed or owned in the
-  // source — is re-owned by this pool's arena, so the copy carries no
-  // lifetime dependency on the source's backing buffers.
+  // Deep copy preserving ids: every string is re-owned by this pool's
+  // arena, so the copy shares no storage with the source.
   Strings.reserve(Other.Strings.size());
   Index.reserve(Other.Strings.size());
   for (std::string_view S : Other.Strings) {
@@ -54,7 +46,5 @@ void StringPool::copyFrom(const StringPool &Other) {
     StringId Id = static_cast<StringId>(Strings.size());
     Strings.push_back(Stored);
     Index.emplace(Stored, Id);
-    Accounting.OwnedBytes += S.size();
-    ++Accounting.NumOwned;
   }
 }

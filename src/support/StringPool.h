@@ -16,23 +16,17 @@
 ///
 ///  - name *equality* is an integer compare (section-key interning
 ///    and the recorder's site lookup never touch characters),
-///  - name *storage* is one arena, freed wholesale with the pool,
-///  - and in *borrowed* mode a string is not copied at all: the pool
-///    records a `std::string_view` into caller-owned bytes — the
-///    zero-copy trace parse interns views pointing straight into the
-///    `support/MappedFile` mapping that the session pins
-///    (`Engine::openSessionFromFile`).
+///  - and name *storage* is one arena, freed wholesale with the pool.
 ///
-/// Interning is content-based: `intern()` and `internBorrowed()` return
-/// the same id for equal strings regardless of how the first occurrence
-/// was stored.  Handed-out `std::string_view`s point into heap chunks
-/// (or the caller's borrowed buffer), so they remain valid when the
-/// pool — or a `Trace` owning it — is moved.
+/// Interning is content-based: `intern()` returns the same id for equal
+/// strings, copying only the first occurrence.  The pool owns every
+/// byte it hands out, so the caller's input buffer (e.g. a trace file's
+/// mapping) may die as soon as `intern()` returns.  Handed-out
+/// `std::string_view`s point into heap chunks, so they remain valid
+/// when the pool — or a `Trace` owning it — is moved.
 ///
-/// Copying a pool deep-copies every string into the copy's own arena
-/// (borrowed strings become owned), so a copied `Trace` — e.g. the
-/// transformed trace `transformTrace` builds — never extends the
-/// lifetime requirements of the original's backing buffer.
+/// Copying a pool deep-copies every string into the copy's own arena,
+/// preserving ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +49,8 @@ using StringId = uint32_t;
 /// Sentinel for "no string" (e.g. a default-constructed LockInfo).
 inline constexpr StringId InvalidStringId = 0xFFFFFFFFu;
 
-/// Arena-backed string interner.  Movable and copyable (copies re-own
-/// every string); not thread-safe — one pool belongs to one Trace.
+/// Arena-backed string interner.  Movable and copyable (a copy owns
+/// its own arena); not thread-safe — one pool belongs to one Trace.
 class StringPool {
 public:
   StringPool() = default;
@@ -69,7 +63,7 @@ public:
   StringPool(StringPool &&Other) noexcept
       : Strings(std::move(Other.Strings)), Index(std::move(Other.Index)),
         Chunks(std::move(Other.Chunks)), ChunkUsed(Other.ChunkUsed),
-        ChunkCap(Other.ChunkCap), Accounting(Other.Accounting) {
+        ChunkCap(Other.ChunkCap) {
     Other.reset();
   }
   StringPool &operator=(StringPool &&Other) noexcept {
@@ -79,7 +73,6 @@ public:
       Chunks = std::move(Other.Chunks);
       ChunkUsed = Other.ChunkUsed;
       ChunkCap = Other.ChunkCap;
-      Accounting = Other.Accounting;
       Other.reset();
     }
     return *this;
@@ -94,19 +87,10 @@ public:
     return *this;
   }
 
-  /// Interns \p S with owned storage: the first occurrence is copied
-  /// into the pool's arena.  Returns the id of the (possibly
-  /// pre-existing) entry with this content.
-  StringId intern(std::string_view S) { return insert(S, /*Borrow=*/false); }
-
-  /// Interns \p S with borrowed storage: the first occurrence stores
-  /// the view as-is, copying nothing.  The caller guarantees the
-  /// pointed-to bytes outlive the pool (the mmap-parse path pins the
-  /// file mapping in the session for exactly this reason).  Content
-  /// already interned — owned or borrowed — is returned unchanged.
-  StringId internBorrowed(std::string_view S) {
-    return insert(S, /*Borrow=*/true);
-  }
+  /// Interns \p S: the first occurrence is copied into the pool's
+  /// arena.  Returns the id of the (possibly pre-existing) entry with
+  /// this content.
+  StringId intern(std::string_view S);
 
   /// The string behind \p Id.  InvalidStringId (and any out-of-range
   /// id) resolves to the empty view, so renderers need no special
@@ -120,19 +104,6 @@ public:
 
   bool empty() const { return Strings.empty(); }
 
-  /// Storage accounting, used by the ingest bench to assert the
-  /// zero-copy property: a borrowed-mode parse must report
-  /// OwnedBytes == 0 (no per-name heap copy was made).
-  struct Stats {
-    /// Bytes copied into the arena (owned strings only).
-    size_t OwnedBytes = 0;
-    /// Bytes referenced in caller-owned buffers (borrowed strings).
-    size_t BorrowedBytes = 0;
-    uint32_t NumOwned = 0;
-    uint32_t NumBorrowed = 0;
-  };
-  Stats stats() const { return Accounting; }
-
 private:
   /// Returns the pool to its freshly-constructed state (used on the
   /// source of a move so it remains safely usable).
@@ -142,18 +113,14 @@ private:
     Chunks.clear();
     ChunkUsed = 0;
     ChunkCap = 0;
-    Accounting = Stats();
   }
-
-  StringId insert(std::string_view S, bool Borrow);
 
   /// Copies \p S into the arena and returns the stable view.
   std::string_view copyToArena(std::string_view S);
 
   void copyFrom(const StringPool &Other);
 
-  /// Id-indexed views: into Chunks for owned strings, into the
-  /// caller's buffer for borrowed ones.
+  /// Id-indexed views into Chunks.
   std::vector<std::string_view> Strings;
   /// Content -> id; keys view the same storage as Strings.
   std::unordered_map<std::string_view, StringId> Index;
@@ -162,7 +129,6 @@ private:
   std::vector<std::unique_ptr<char[]>> Chunks;
   size_t ChunkUsed = 0;
   size_t ChunkCap = 0;
-  Stats Accounting;
 };
 
 } // namespace perfplay

@@ -106,10 +106,8 @@ public:
 
   /// The interner backing every name in this trace (lock names, site
   /// files/functions).  Views handed out by the accessors below point
-  /// into the pool's arena — or, for traces parsed in borrowed mode,
-  /// straight into the memory-mapped trace file the session pins — and
-  /// stay valid when the Trace is moved.  Copying a Trace re-owns all
-  /// names (see support/StringPool.h).
+  /// into the pool's arena and stay valid when the Trace is moved.
+  /// Copying a Trace copies the pool (see support/StringPool.h).
   StringPool Names;
 
   /// Interns \p S into this trace's pool (owned storage).

@@ -6,7 +6,9 @@
 #include "trace/TraceV3.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 using namespace perfplay;
@@ -537,29 +539,16 @@ bool perfplay::parseTraceText(const std::string &Text, Trace &Out,
 //===----------------------------------------------------------------------===//
 
 /// The one format sniff: the v3 magic is not valid text-format prose,
-/// so the first eight bytes decide unambiguously.  Only a v3 parse can
-/// borrow names from \p Data.
-static bool parseSniffed(const uint8_t *Data, size_t Size, Trace &Out,
-                         std::string &Err, NameStorage Names,
-                         TraceFormat &Format) {
-  if (hasTraceV3Magic(Data, Size)) {
-    Format = TraceFormat::V3;
-    V3ParseOptions Opts;
-    Opts.Names = Names;
-    return parseTraceV3(Data, Size, Out, Err, Opts);
-  }
-  Format = TraceFormat::Text;
+/// so the first eight bytes decide unambiguously.
+bool perfplay::parseTraceBuffer(const uint8_t *Data, size_t Size,
+                                Trace &Out, std::string &Err) {
+  if (hasTraceV3Magic(Data, Size))
+    return parseTraceV3(Data, Size, Out, Err);
   // The line parser tokenizes out of a string; one copy, text only.
   std::string Text;
   if (Size != 0)
     Text.assign(reinterpret_cast<const char *>(Data), Size);
   return parseTraceText(Text, Out, Err);
-}
-
-bool perfplay::parseTraceBuffer(const uint8_t *Data, size_t Size,
-                                Trace &Out, std::string &Err) {
-  TraceFormat Format;
-  return parseSniffed(Data, Size, Out, Err, NameStorage::Owned, Format);
 }
 
 bool perfplay::saveTrace(const Trace &Tr, const std::string &Path,
@@ -590,7 +579,8 @@ static std::string mmapDowngradeReason(const std::string &Path) {
 }
 
 /// Reads all of \p Path through stdio — the path for anything the
-/// mapping cannot serve.
+/// mapping cannot serve.  A read error (e.g. \p Path is a directory)
+/// fails here instead of reaching the parser as a short input.
 static bool readStream(const std::string &Path, std::vector<uint8_t> &Out,
                        std::string &Err) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
@@ -599,67 +589,53 @@ static bool readStream(const std::string &Path, std::vector<uint8_t> &Out,
     return false;
   }
   uint8_t Buf[1 << 16];
-  for (;;) {
-    size_t N = std::fread(Buf, 1, sizeof(Buf), F);
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) != 0)
     Out.insert(Out.end(), Buf, Buf + N);
-    if (N < sizeof(Buf))
-      break;
-  }
+  const int ReadErrno = std::ferror(F) ? errno : 0;
   std::fclose(F);
+  if (ReadErrno != 0) {
+    Err = "cannot read '" + Path + "': " + std::strerror(ReadErrno);
+    return false;
+  }
   return true;
 }
 
-/// The loading policy behind openTraceFile and readTraceFile.  \p Names
-/// applies only to a v3 parse served by a real mmap; streamed bytes
-/// die with this call, so their names are always owned.
-static Expected<LoadedTrace> loadTraceFile(const std::string &Path,
-                                           NameStorage Names) {
-  LoadedTrace L;
+Expected<Trace> perfplay::readTraceFile(const std::string &Path,
+                                        TraceLoadInfo *Info) {
   std::string Err;
-  auto Mapping = std::make_shared<MappedFile>();
+  // Scoped to this call: the parse copies every name into the Trace,
+  // so the file is unmapped as soon as the parse returns.
+  MappedFile Mapping;
   std::string Reason = mmapDowngradeReason(Path);
   if (Reason.empty()) {
     // Some network/FUSE mounts refuse mmap on regular files; those
     // keep working through the stream path.
-    if (!Mapping->open(Path, Err))
+    if (!Mapping.open(Path, Err))
       Reason = "mmap open failed: " + Err;
-    else if (Mapping->size() == 0)
+    else if (Mapping.size() == 0)
       Reason = "file is empty (nothing to map)";
   }
 
   std::vector<uint8_t> Streamed;
-  const uint8_t *Data = Mapping->data();
-  size_t Size = Mapping->size();
+  const uint8_t *Data = Mapping.data();
+  size_t Size = Mapping.size();
   if (!Reason.empty()) {
-    Mapping.reset();
-    Names = NameStorage::Owned;
+    Mapping.close();
     if (!readStream(Path, Streamed, Err))
       return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
     Data = Streamed.data();
     Size = Streamed.size();
   }
-  L.Info.UsedMmap = Reason.empty();
-  L.Info.MmapDowngradeReason = std::move(Reason);
+  if (Info) {
+    Info->Format = hasTraceV3Magic(Data, Size) ? TraceFormat::V3
+                                               : TraceFormat::Text;
+    Info->UsedMmap = Reason.empty();
+    Info->MmapDowngradeReason = std::move(Reason);
+  }
 
-  if (!parseSniffed(Data, Size, L.Tr, Err, Names, L.Info.Format))
+  Trace Tr;
+  if (!parseTraceBuffer(Data, Size, Tr, Err))
     return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
-  L.Info.BorrowedNames =
-      Names == NameStorage::Borrowed && L.Info.Format == TraceFormat::V3;
-  // Pin the mapping only when names point into it: a text parse copied
-  // everything out, and its mapping would keep the file resident for
-  // no benefit.
-  if (L.Info.BorrowedNames)
-    L.Mapping = std::move(Mapping);
-  return L;
-}
-
-Expected<LoadedTrace> perfplay::openTraceFile(const std::string &Path) {
-  return loadTraceFile(Path, NameStorage::Borrowed);
-}
-
-Expected<Trace> perfplay::readTraceFile(const std::string &Path) {
-  Expected<LoadedTrace> L = loadTraceFile(Path, NameStorage::Owned);
-  if (!L)
-    return L.error();
-  return std::move(L->Tr);
+  return Tr;
 }

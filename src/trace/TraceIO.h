@@ -25,7 +25,6 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace perfplay {
@@ -35,20 +34,6 @@ std::string writeTraceText(const Trace &Tr);
 
 /// Parses the text format.  On failure returns false and sets \p Err.
 bool parseTraceText(const std::string &Text, Trace &Out, std::string &Err);
-
-/// How a parser stores the names it reads into the Trace's string pool
-/// (trace/Trace.h, support/StringPool.h).
-enum class NameStorage {
-  /// Copy each distinct name once into the pool's arena.  The parsed
-  /// Trace owns all of its storage; safe for any input buffer.
-  Owned,
-  /// Intern `string_view`s pointing straight into the input buffer —
-  /// zero per-name heap copies.  The caller guarantees the buffer
-  /// outlives the Trace (openTraceFile pins the file mapping in its
-  /// LoadedTrace for exactly this purpose).  Only the v3 parser can
-  /// borrow; the text parser unescapes into the arena regardless.
-  Borrowed,
-};
 
 /// On-disk trace encodings.
 enum class TraceFormat {
@@ -60,10 +45,11 @@ enum class TraceFormat {
   V3,
 };
 
-/// Parses \p Data as either trace format, sniffing by magic bytes —
-/// the one place the format is decided.  v3 traces parse straight out
-/// of the borrowed buffer (owned names); text traces are copied once
-/// into the line parser's working string.
+/// Parses \p Data as either trace format, sniffing by magic bytes
+/// (hasTraceV3Magic, trace/TraceV3.h).  v3 traces parse straight out
+/// of \p Data; text traces are copied once into the line parser's
+/// working string.  Names are copied into the Trace's string pool
+/// either way, so \p Data may die as soon as this returns.
 bool parseTraceBuffer(const uint8_t *Data, size_t Size, Trace &Out,
                       std::string &Err);
 
@@ -74,47 +60,30 @@ bool parseTraceBuffer(const uint8_t *Data, size_t Size, Trace &Out,
 bool saveTrace(const Trace &Tr, const std::string &Path, std::string &Err,
                TraceFormat Format = TraceFormat::Text);
 
-class MappedFile;
-
 /// How a load was actually served.  The interesting field is
-/// MmapDowngradeReason: the loader silently falls back from the
-/// zero-copy mmap path to the copying stream path in several cases
-/// (pipes, empty files, mounts that refuse mmap), and the only other
-/// symptom would be a slower load — `perfplay stats --verbose`
-/// surfaces it.
+/// MmapDowngradeReason: the loader silently falls back from the mmap
+/// read to the copying stream read in several cases (pipes, empty
+/// files, mounts that refuse mmap), and the only other symptom would
+/// be a slower load — `perfplay stats --verbose` surfaces it.
 struct TraceLoadInfo {
   /// Format detected by magic bytes.
   TraceFormat Format = TraceFormat::Text;
   /// True when the parse ran directly over a memory mapping.
   bool UsedMmap = false;
-  /// True when lock/site names borrow from the pinned mapping.
-  bool BorrowedNames = false;
-  /// Why the zero-copy mmap path was not used; empty when it was.
+  /// Why the mmap read was not used; empty when it was.
   std::string MmapDowngradeReason;
 };
 
-/// A trace loaded from a file, with whatever keeps it valid.
-struct LoadedTrace {
-  Trace Tr;
-  /// The file mapping Tr's names borrow from; set only when
-  /// Info.BorrowedNames.  Whoever keeps Tr must keep this too
-  /// (AnalysisSession::setBackingMapping).
-  std::shared_ptr<const MappedFile> Mapping;
-  TraceLoadInfo Info;
-};
-
 /// Loads the trace at \p Path, auto-detecting the format.  There is
-/// one policy and no knob: regular files are memory-mapped, and a v3
-/// trace parses straight out of the mapping with its names borrowed
-/// from it (no whole-file copy, no per-name copy).  Pipes, FIFOs,
-/// devices, empty files, and files whose mmap fails are streamed
-/// through stdio instead, and Info.MmapDowngradeReason says why.
-/// Failures come back as ErrorCode::TraceIOFailed.
-Expected<LoadedTrace> openTraceFile(const std::string &Path);
-
-/// openTraceFile for callers that want a self-contained Trace: the
-/// same policy, but names are always owned, so nothing needs pinning.
-Expected<Trace> readTraceFile(const std::string &Path);
+/// one policy and no knob: regular files are memory-mapped and parsed
+/// straight out of the mapping (no whole-file copy), and the mapping
+/// is released before this returns — the Trace owns all of its
+/// storage.  Pipes, FIFOs, devices, empty files, and files whose mmap
+/// fails are streamed through stdio instead.  When \p Info is given it
+/// reports how the load was served.  Failures come back as
+/// ErrorCode::TraceIOFailed.
+Expected<Trace> readTraceFile(const std::string &Path,
+                              TraceLoadInfo *Info = nullptr);
 
 } // namespace perfplay
 

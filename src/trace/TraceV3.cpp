@@ -367,12 +367,6 @@ struct perfplay::detail::V3TableState {
   std::vector<uint8_t> SiteDefined;
   uint32_t LocksDefined = 0;
   uint32_t SitesDefined = 0;
-  NameStorage Names = NameStorage::Owned;
-
-  StringId intern(std::string_view S) {
-    return Names == NameStorage::Borrowed ? Tr->Names.internBorrowed(S)
-                                          : Tr->Names.intern(S);
-  }
 
   bool defineLock(uint32_t Id, uint8_t Spin, std::string_view Name,
                   std::string &Err) {
@@ -387,7 +381,7 @@ struct perfplay::detail::V3TableState {
     LockDefined[Id] = 1;
     ++LocksDefined;
     Tr->Locks[Id].IsSpin = Spin != 0;
-    Tr->Locks[Id].Name = intern(Name);
+    Tr->Locks[Id].Name = Tr->Names.intern(Name);
     return true;
   }
 
@@ -406,8 +400,8 @@ struct perfplay::detail::V3TableState {
     ++SitesDefined;
     Tr->Sites[Id].BeginLine = Begin;
     Tr->Sites[Id].EndLine = End;
-    Tr->Sites[Id].File = intern(File);
-    Tr->Sites[Id].Function = intern(Function);
+    Tr->Sites[Id].File = Tr->Names.intern(File);
+    Tr->Sites[Id].Function = Tr->Names.intern(Function);
     return true;
   }
 };
@@ -1120,7 +1114,6 @@ bool perfplay::parseTraceV3(const uint8_t *Data, size_t Size, Trace &Out,
 
   detail::V3TableState Tables;
   Tables.Tr = &Out;
-  Tables.Names = Opts.Names;
   Out.Locks.resize(F.NumLocks);
   Out.Sites.resize(F.NumSites);
   Tables.LockDefined.assign(F.NumLocks, 0);
@@ -1308,7 +1301,6 @@ bool WindowedReader::open(const std::string &Path, std::string &Err) {
 
   ReaderTables = std::make_unique<detail::V3TableState>();
   ReaderTables->Tr = &Tables;
-  ReaderTables->Names = NameStorage::Owned;
   Tables.Locks.resize(F.NumLocks);
   Tables.Sites.resize(F.NumSites);
   ReaderTables->LockDefined.assign(F.NumLocks, 0);

@@ -188,9 +188,6 @@ std::vector<uint8_t> writeTraceV3(const Trace &Tr,
 
 /// Parallel-parse knobs for parseTraceV3.
 struct V3ParseOptions {
-  /// String storage of the parsed trace; Borrowed requires \p Data to
-  /// outlive it (trace/TraceIO.h, NameStorage).
-  NameStorage Names = NameStorage::Owned;
   /// Workers decoding chunks concurrently; 0 = one per hardware
   /// thread, 1 = fully serial (no pool constructed).
   unsigned NumThreads = 0;

@@ -8,7 +8,6 @@
 #include "core/Engine.h"
 #include "core/PerfPlay.h"
 
-#include "support/MappedFile.h"
 #include "trace/TraceBuilder.h"
 #include "workloads/Apps.h"
 #include "workloads/CaseStudies.h"
@@ -18,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <set>
 
 using namespace perfplay;
@@ -601,25 +601,18 @@ TEST(SessionTest, OpenSessionFromFileMatchesInMemorySession) {
   Engine Eng;
   Expected<AnalysisSession> FromFile = Eng.openSessionFromFile(Path);
   ASSERT_TRUE(FromFile.ok()) << FromFile.message();
-  // The zero-copy load path borrows names from the mapping and pins it
-  // for the session's life.
-  if (MappedFile::supportsMapping()) {
-    EXPECT_NE(FromFile->backingMapping(), nullptr);
-    EXPECT_EQ(FromFile->trace().Names.stats().OwnedBytes, 0u);
-  }
 
   PipelineResult FileRun = FromFile->run();
   ASSERT_TRUE(FileRun.ok()) << FileRun.Error;
   expectSameResult(FileRun, runPerfPlay(figure1Trace()));
   std::remove(Path.c_str());
 
-  // Text traces parse out of their own copy; nothing to pin.
   std::string TextPath = testing::TempDir() + "perfplay_session.trace";
   ASSERT_TRUE(saveTrace(figure1Trace(), TextPath, Err, TraceFormat::Text))
       << Err;
   Expected<AnalysisSession> FromText = Eng.openSessionFromFile(TextPath);
   ASSERT_TRUE(FromText.ok()) << FromText.message();
-  EXPECT_EQ(FromText->backingMapping(), nullptr);
+  expectSameResult(FromText->run(), runPerfPlay(figure1Trace()));
   std::remove(TextPath.c_str());
 
   Expected<AnalysisSession> Missing = Eng.openSessionFromFile(Path);
@@ -662,11 +655,42 @@ TEST(SessionTest, FileStreamingBatchLoadsLazilyAndIsolatesLoadFailures) {
   std::remove(Good2.c_str());
 }
 
-// A session's names borrow from its file mapping, so rewriting the
-// file under it must not truncate the mapped bytes: saveTrace replaces
-// the file atomically, and the session keeps reading the old inode.
-// A writer that truncated in place would raise SIGBUS below.
-TEST(SessionTest, RewritingTheFileUnderABorrowingSessionIsSafe) {
+// Lines of /proc/self/maps naming \p FileName; empty where the file
+// is not mapped (and on systems without procfs).
+static std::vector<std::string> mapsNaming(const std::string &FileName) {
+  std::vector<std::string> Hits;
+  std::ifstream Maps("/proc/self/maps");
+  for (std::string Line; std::getline(Maps, Line);)
+    if (Line.find(FileName) != std::string::npos)
+      Hits.push_back(Line);
+  return Hits;
+}
+
+// The loader unmaps the file as soon as the parse returns: neither a
+// loaded trace nor a session opened from the file keeps it mapped.
+TEST(SessionTest, LoadersReleaseTheTraceFile) {
+  const std::string FileName = "perfplay_released.v3trace";
+  std::string Path = testing::TempDir() + FileName;
+  std::string Err;
+  ASSERT_TRUE(saveTrace(figure1Trace(), Path, Err, TraceFormat::V3)) << Err;
+
+  TraceLoadInfo Info;
+  Expected<Trace> Tr = readTraceFile(Path, &Info);
+  ASSERT_TRUE(Tr.ok()) << Tr.message();
+  EXPECT_EQ(Info.Format, TraceFormat::V3);
+  EXPECT_EQ(mapsNaming(FileName), std::vector<std::string>());
+
+  Engine Eng;
+  Expected<AnalysisSession> Session = Eng.openSessionFromFile(Path);
+  ASSERT_TRUE(Session.ok()) << Session.message();
+  EXPECT_EQ(mapsNaming(FileName), std::vector<std::string>());
+  std::remove(Path.c_str());
+}
+
+// A session owns its trace outright, so rewriting or removing the file
+// under it changes nothing: names and results stay those of the bytes
+// it loaded.
+TEST(SessionTest, SessionDoesNotDependOnItsFile) {
   TraceBuilder B;
   // Long names spread the string tables over many pages, so most of
   // them lie past the end of the small replacement file.
@@ -700,5 +724,9 @@ TEST(SessionTest, RewritingTheFileUnderABorrowingSessionIsSafe) {
     EXPECT_EQ(Tr.siteFile(S), Original.siteFile(S));
     EXPECT_EQ(Tr.siteFunction(S), Original.siteFunction(S));
   }
+
   std::remove(Path.c_str());
+  PipelineResult Run = Session->run();
+  ASSERT_TRUE(Run.ok()) << Run.Error;
+  expectSameResult(Run, runPerfPlay(Original));
 }

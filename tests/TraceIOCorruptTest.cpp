@@ -128,9 +128,9 @@ TEST(TraceIOCorruptTest, TextEventCountBeyondInputFails) {
 // Loader parity and typed file errors
 //===----------------------------------------------------------------------===//
 
-// The acceptance bar for the zero-copy path: on round-tripped traces
-// of both formats, the mmap file loaders (owned and borrowed names)
-// and the byte-buffer parser produce byte-identical traces.
+// The acceptance bar for the mmap path: on round-tripped traces of
+// both formats, the file loader and the byte-buffer parser produce
+// byte-identical traces.
 TEST(TraceIOCorruptTest, FileAndBufferLoadsAreByteIdentical) {
   const size_t Apps[] = {0, 4, 9};
   for (size_t AppIdx : Apps) {
@@ -143,12 +143,9 @@ TEST(TraceIOCorruptTest, FileAndBufferLoadsAreByteIdentical) {
       std::string Path = tempPath(App.Name.c_str());
       std::string Err;
       ASSERT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
-      Expected<Trace> Owned = readTraceFile(Path);
-      ASSERT_TRUE(Owned.ok()) << App.Name << ": " << Owned.message();
-      EXPECT_EQ(writeTraceText(*Owned), Golden) << App.Name;
-      Expected<LoadedTrace> Borrowed = openTraceFile(Path);
-      ASSERT_TRUE(Borrowed.ok()) << App.Name << ": " << Borrowed.message();
-      EXPECT_EQ(writeTraceText(Borrowed->Tr), Golden) << App.Name;
+      Expected<Trace> FromFile = readTraceFile(Path);
+      ASSERT_TRUE(FromFile.ok()) << App.Name << ": " << FromFile.message();
+      EXPECT_EQ(writeTraceText(*FromFile), Golden) << App.Name;
       MappedFile File;
       ASSERT_TRUE(File.open(Path, Err)) << Err;
       Trace FromBuffer;
@@ -166,6 +163,14 @@ TEST(TraceIOCorruptTest, ReadTraceFileReportsTypedErrors) {
   ASSERT_FALSE(Missing.ok());
   EXPECT_EQ(Missing.code(), ErrorCode::TraceIOFailed);
   EXPECT_STREQ(errorCodeName(Missing.code()), "trace-io-failed");
+
+  // A directory opens but cannot be read: the read error is reported
+  // as such, not parsed as a short (empty) trace.
+  Expected<Trace> Dir = readTraceFile(testing::TempDir());
+  ASSERT_FALSE(Dir.ok());
+  EXPECT_EQ(Dir.code(), ErrorCode::TraceIOFailed);
+  EXPECT_NE(Dir.message().find("cannot read"), std::string::npos)
+      << Dir.message();
 
   // A forged footer count through the file API carries the same typed
   // diagnostic as through the parser.
@@ -239,15 +244,15 @@ TEST(TraceIOCorruptTest, AutoModeStreamsFromFifos) {
       std::fclose(F);
     }
   });
-  Expected<LoadedTrace> Out = openTraceFile(Fifo);
+  TraceLoadInfo Info;
+  Expected<Trace> Out = readTraceFile(Fifo, &Info);
   Writer.join();
   ASSERT_TRUE(Out.ok()) << Out.message();
-  EXPECT_EQ(writeTraceText(Out->Tr), Text);
-  EXPECT_FALSE(Out->Info.UsedMmap);
-  EXPECT_EQ(Out->Mapping, nullptr);
-  EXPECT_NE(Out->Info.MmapDowngradeReason.find("not a regular file"),
+  EXPECT_EQ(writeTraceText(*Out), Text);
+  EXPECT_FALSE(Info.UsedMmap);
+  EXPECT_NE(Info.MmapDowngradeReason.find("not a regular file"),
             std::string::npos)
-      << Out->Info.MmapDowngradeReason;
+      << Info.MmapDowngradeReason;
   std::remove(Fifo.c_str());
 }
 #endif

@@ -312,22 +312,15 @@ TEST(TraceIOTest, V3FileSaveAndAutoDetectLoad) {
   std::string Path = testing::TempDir() + "/perfplay_trace_io_test.v3trace";
   std::string Err;
   ASSERT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::V3)) << Err;
-  // The loaders sniff the magic bytes: no format hint needed.
-  Expected<Trace> Back = readTraceFile(Path);
+  // The loader sniffs the magic bytes: no format hint needed.
+  TraceLoadInfo Info;
+  Expected<Trace> Back = readTraceFile(Path, &Info);
   ASSERT_TRUE(Back.ok()) << Back.message();
   expectTracesEqual(Tr, *Back);
-  // Borrowed names parse straight out of the pinned mapping.
-  Expected<LoadedTrace> Loaded = openTraceFile(Path);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.message();
-  expectTracesEqual(Tr, Loaded->Tr);
-  EXPECT_EQ(Loaded->Info.Format, TraceFormat::V3);
+  EXPECT_EQ(Info.Format, TraceFormat::V3);
   if (MappedFile::supportsMapping()) {
-    EXPECT_TRUE(Loaded->Info.UsedMmap);
-    EXPECT_TRUE(Loaded->Info.BorrowedNames);
-    EXPECT_TRUE(Loaded->Info.MmapDowngradeReason.empty());
-    ASSERT_NE(Loaded->Mapping, nullptr);
-    EXPECT_EQ(Loaded->Tr.Names.stats().OwnedBytes, 0u)
-        << "borrowed parse must not copy names";
+    EXPECT_TRUE(Info.UsedMmap);
+    EXPECT_TRUE(Info.MmapDowngradeReason.empty());
   }
   std::remove(Path.c_str());
 }
@@ -452,8 +445,7 @@ TEST(TraceIOTest, WindowedReaderStitchesWholeTrace) {
   std::remove(Path.c_str());
 }
 
-// Every loader — text and v3 through readTraceFile (owned names), v3
-// through openTraceFile (names borrowed from the mapping), and v3 bytes
+// Every loader — text and v3 through readTraceFile, and v3 bytes
 // through parseTraceBuffer — must resolve the exact same names for
 // every lock and site.
 TEST(TraceIOTest, NameParityAcrossLoaders) {
@@ -484,22 +476,14 @@ TEST(TraceIOTest, NameParityAcrossLoaders) {
   Expected<Trace> FromText = readTraceFile(TextPath);
   ASSERT_TRUE(FromText.ok()) << FromText.message();
   expectNamesMatch(*FromText, "text");
-  Expected<Trace> Owned = readTraceFile(V3Path);
-  ASSERT_TRUE(Owned.ok()) << Owned.message();
-  expectNamesMatch(*Owned, "v3/owned");
+  Expected<Trace> FromV3 = readTraceFile(V3Path);
+  ASSERT_TRUE(FromV3.ok()) << FromV3.message();
+  expectNamesMatch(*FromV3, "v3/file");
   std::vector<uint8_t> Bytes = writeTraceV3(Tr);
   Trace FromBuffer;
   ASSERT_TRUE(parseTraceBuffer(Bytes.data(), Bytes.size(), FromBuffer, Err))
       << Err;
   expectNamesMatch(FromBuffer, "v3/buffer");
-
-  // Borrowed storage: names are views into the pinned mapping.
-  Expected<LoadedTrace> Borrowed = openTraceFile(V3Path);
-  ASSERT_TRUE(Borrowed.ok()) << Borrowed.message();
-  expectNamesMatch(Borrowed->Tr, "v3/borrowed");
-  if (Borrowed->Info.BorrowedNames)
-    EXPECT_EQ(Borrowed->Tr.Names.stats().OwnedBytes, 0u)
-        << "borrowed parse must not copy names";
 
   std::remove(TextPath.c_str());
   std::remove(V3Path.c_str());

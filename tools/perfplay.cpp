@@ -390,7 +390,7 @@ int cmdGenerate(ArgList &Args) {
 
 /// Batch mode of `perfplay analyze`: several traces analyzed
 /// concurrently via Engine::analyzeBatchFilesStreaming — each worker
-/// loads its own file on demand (zero-copy mmap by default) and each
+/// loads its own file on demand and each
 /// result is formatted and discarded as it completes, so the batch
 /// never holds every trace or every PipelineResult at once.  A small
 /// reorder buffer of formatted lines flushes them in trace order,
@@ -535,8 +535,6 @@ int cmdAnalyze(ArgList &Args) {
     std::fprintf(stderr, "warning: --threads parallelizes across traces "
                          "and is ignored for a single trace\n");
 
-  // The session pins the file mapping (zero-copy v3 loads) for as long
-  // as it analyzes the trace.
   Expected<AnalysisSession> SessionOr = Eng.openSessionFromFile(Paths[0]);
   if (!SessionOr) {
     std::fprintf(stderr, "error: %s\n", SessionOr.message().c_str());
@@ -761,13 +759,13 @@ int cmdStats(ArgList &Args) {
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
-  Expected<LoadedTrace> Loaded = openTraceFile(Path);
+  TraceLoadInfo Info;
+  Expected<Trace> Loaded = readTraceFile(Path, &Info);
   if (!Loaded) {
     std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
     return 1;
   }
-  const Trace &Tr = Loaded->Tr;
-  const TraceLoadInfo &Info = Loaded->Info;
+  const Trace &Tr = *Loaded;
   if (Verbose) {
     std::printf("load: format %s, served by %s\n", formatName(Info.Format),
                 Info.UsedMmap ? "mmap (zero-copy)" : "stream loader");
@@ -782,8 +780,7 @@ int cmdStats(ArgList &Args) {
 
 /// `perfplay convert`: rewrites any readable trace (text or v3) as
 /// chunked v3, in place unless --out is given.  saveTrace replaces the
-/// file atomically, so a crash mid-write never clobbers the original
-/// and the mapping the loaded trace borrows from stays valid.
+/// file atomically, so a crash mid-write never clobbers the original.
 int cmdConvert(ArgList &Args) {
   std::string Out = Args.option("--out", "");
   if (Args.unknownOption())
@@ -793,13 +790,14 @@ int cmdConvert(ArgList &Args) {
     return usage();
   const std::string &Dest = Out.empty() ? Path : Out;
 
-  Expected<LoadedTrace> Loaded = openTraceFile(Path);
+  TraceLoadInfo Info;
+  Expected<Trace> Loaded = readTraceFile(Path, &Info);
   if (!Loaded) {
     std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
     return 1;
   }
-  const Trace &Tr = Loaded->Tr;
-  const TraceFormat Format = Loaded->Info.Format;
+  const Trace &Tr = *Loaded;
+  const TraceFormat Format = Info.Format;
   if (Out.empty() && Format == TraceFormat::V3) {
     std::printf("%s is already chunked v3; nothing to do\n", Path.c_str());
     return 0;
