@@ -50,20 +50,22 @@ SignatureInterner::intern(LockId Lock, CodeSiteId Site, AcquireMode Mode,
   return {It.first->second, It.second};
 }
 
+uint32_t SignatureInterner::intern(const Trace &Tr,
+                                   const CriticalSection &Cs) {
+  const Event *Events = Tr.Threads[Cs.Ref.Thread].Events.data();
+  return intern(Cs.Lock, Cs.Site, Cs.Mode, Events + Cs.AcquireIdx + 1,
+                Events + Cs.ReleaseIdx)
+      .first;
+}
+
 SectionKeyTable perfplay::internSectionKeys(const Trace &Tr,
                                             const CsIndex &Index) {
   SectionKeyTable Table;
   Table.KeyOf.resize(Index.size());
   SignatureInterner Interner;
   Interner.reserve(Index.size());
-  for (const CriticalSection &Cs : Index.all()) {
-    const Event *Events = Tr.Threads[Cs.Ref.Thread].Events.data();
-    Table.KeyOf[Cs.GlobalId] =
-        Interner
-            .intern(Cs.Lock, Cs.Site, Cs.Mode, Events + Cs.AcquireIdx + 1,
-                    Events + Cs.ReleaseIdx)
-            .first;
-  }
+  for (const CriticalSection &Cs : Index.all())
+    Table.KeyOf[Cs.GlobalId] = Interner.intern(Tr, Cs);
   Table.NumKeys = Interner.numKeys();
   return Table;
 }

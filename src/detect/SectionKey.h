@@ -14,8 +14,8 @@
 /// reversed-replay outcome).  Two users rely on that:
 ///
 ///  - RULE 1 (transform/Topology.cpp) memoizes its classifications by
-///    key pair, since its conflict index revisits the same pairs of
-///    section bodies many times;
+///    key pair on the locks whose conflict index revisits the same
+///    pairs of benign section bodies many times;
 ///  - the windowed detector (detect/WindowedDetect.h) keeps one
 ///    representative section per signature.
 ///
@@ -60,9 +60,9 @@ struct SectionKeyTable {
 };
 
 /// Maps section signatures to dense key ids in first-seen order.  The
-/// one signature scheme: the whole-trace interning below (RULE 1's
-/// memo) and the windowed detector's representatives both go through
-/// it, so the two partition sections identically.
+/// one signature scheme: the whole-trace interning below, RULE 1's
+/// lock-local memo and the windowed detector's representatives all go
+/// through it, so they partition sections identically.
 ///
 /// The signature covers (Lock, Site, Mode) plus each Read's address,
 /// each Write's (address, operand, operator) and each condvar
@@ -80,6 +80,9 @@ public:
   std::pair<uint32_t, bool> intern(LockId Lock, CodeSiteId Site,
                                    AcquireMode Mode, const Event *Begin,
                                    const Event *End);
+
+  /// Interns the critical section \p Cs of \p Tr.
+  uint32_t intern(const Trace &Tr, const CriticalSection &Cs);
 
   uint32_t numKeys() const { return static_cast<uint32_t>(Interned.size()); }
 

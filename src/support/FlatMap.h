@@ -10,8 +10,9 @@
 /// keys, used where std::map's node allocations would dominate the
 /// detection and transform passes: the initial MemoryImage the
 /// reversed replay seeds its slots from, the windowed detector's
-/// first-access fold, RULE 1's key-pair verdict memo.  Insert-only (no
-/// erase), contiguous storage, power-of-two capacity.
+/// first-access fold, RULE 1's lock-local verdict memo.  Insert-only
+/// (no erase; clear() empties the map but keeps its slots), contiguous
+/// storage, power-of-two capacity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,16 @@ template <typename KeyT, typename ValueT> class FlatMap {
 public:
   size_t size() const { return NumUsed; }
   bool empty() const { return NumUsed == 0; }
+  /// Number of slots; grows by doubling and never shrinks.
+  size_t capacity() const { return Slots.size(); }
+
+  /// Removes every entry but keeps the slot capacity, so refilling the
+  /// map to a similar size does not reallocate.
+  void clear() {
+    for (Slot &S : Slots)
+      S.Used = false;
+    NumUsed = 0;
+  }
 
   /// Pointer to the value of \p Key, or nullptr when absent.
   const ValueT *find(KeyT Key) const {

@@ -12,12 +12,35 @@
 
 using namespace perfplay;
 
-void TopologyGraph::addEdge(uint32_t From, uint32_t To) {
-  assert(From < NumNodes && To < NumNodes && "edge endpoint out of range");
-  assert(From != To && "self edge");
-  Edges.push_back(TopologyEdge{From, To});
-  OutEdges[From].push_back(To);
-  InEdges[To].push_back(From);
+/// One half of the CSR layout, by a stable counting sort of \p Edges
+/// on their \p Key end: Run[Offsets[N], Offsets[N+1]) receives, in
+/// edge order, the \p Other end of every edge whose Key end is N.
+static void layOutRuns(const std::vector<TopologyEdge> &Edges,
+                       size_t NumNodes, uint32_t TopologyEdge::*Key,
+                       uint32_t TopologyEdge::*Other,
+                       std::vector<size_t> &Offsets,
+                       std::vector<uint32_t> &Run) {
+  Offsets.assign(NumNodes + 1, 0);
+  for (const TopologyEdge &E : Edges) {
+    assert(E.*Key < NumNodes && "edge endpoint out of range");
+    assert(E.From != E.To && "self edge");
+    ++Offsets[E.*Key + 1];
+  }
+  for (size_t N = 0; N != NumNodes; ++N)
+    Offsets[N + 1] += Offsets[N];
+  Run.resize(Edges.size());
+  std::vector<size_t> Next(Offsets.begin(), Offsets.end() - 1);
+  for (const TopologyEdge &E : Edges)
+    Run[Next[E.*Key]++] = E.*Other;
+}
+
+TopologyGraph::TopologyGraph(size_t NumNodes,
+                             std::vector<TopologyEdge> EdgeList)
+    : Edges(std::move(EdgeList)) {
+  layOutRuns(Edges, NumNodes, &TopologyEdge::From, &TopologyEdge::To,
+             OutOffsets, Successors);
+  layOutRuns(Edges, NumNodes, &TopologyEdge::To, &TopologyEdge::From,
+             InOffsets, Predecessors);
 }
 
 namespace {
@@ -63,19 +86,23 @@ struct Cursor {
 /// RULE 1 over one lock's order at a time, through its conflict index.
 class TopologyBuilder {
 public:
-  TopologyBuilder(const Trace &Tr, const CsIndex &Index, TopologyGraph &Graph)
-      : Tr(Tr), Index(Index), Graph(Graph),
-        Initial(MemoryImage::initialOf(Tr)),
-        Keys(internSectionKeys(Tr, Index)) {}
+  TopologyBuilder(const Trace &Tr, const CsIndex &Index)
+      : Tr(Tr), Index(Index), Initial(MemoryImage::initialOf(Tr)) {}
 
   void buildLock(LockId L) {
     const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
     indexLock(Order);
+    MemoOn = false;
     for (uint32_t I = 0; I != Order.size(); ++I)
       matchSection(Order, I);
   }
 
   uint64_t numClassified() const { return NumClassified; }
+
+  /// The topology of every lock built so far.
+  TopologyGraph finish() {
+    return TopologyGraph(Index.size(), std::move(Edges));
+  }
 
 private:
   /// Posts every section of \p Order under the lists a later true
@@ -124,20 +151,20 @@ private:
     for (ThreadId U : Threads) {
       if (U == A.Ref.Thread)
         continue;
-      uint32_t Pos = firstContender(Order, A, U, I);
+      uint32_t Pos = firstContender(Order, U, I);
       if (Pos != InvalidId)
         Matches.push_back(Pos);
     }
     std::sort(Matches.begin(), Matches.end());
     for (uint32_t Pos : Matches)
-      Graph.addEdge(A.GlobalId, Order[Pos]);
+      Edges.push_back(TopologyEdge{A.GlobalId, Order[Pos]});
   }
 
   /// Merges thread \p U's lists for the current queries past position
   /// \p I in ascending position, and returns the first candidate that
-  /// truly contends with \p A (InvalidId when none does).
-  uint32_t firstContender(const std::vector<uint32_t> &Order,
-                          const CriticalSection &A, ThreadId U, uint32_t I) {
+  /// truly contends with the section at \p I (InvalidId when none does).
+  uint32_t firstContender(const std::vector<uint32_t> &Order, ThreadId U,
+                          uint32_t I) {
     Heap.clear();
     for (const Query &Q : Queries) {
       Posting Probe{U, Q.Tag, Q.Id, I + 1};
@@ -163,33 +190,60 @@ private:
           Heap.pop_back();
         }
       }
-      if (classify(A, Index.byGlobalId(Order[Pos])) ==
-          UlcpKind::TrueContention)
+      if (classify(Order, I, Pos) == UlcpKind::TrueContention)
         return Pos;
     }
     return InvalidId;
   }
 
-  /// classifyPair, memoized per section-key pair: sections with equal
-  /// keys are indistinguishable to classification (detect/SectionKey.h).
-  UlcpKind classify(const CriticalSection &A, const CriticalSection &B) {
-    uint64_t Key = SectionKeyTable::pairKey(Keys.KeyOf[A.GlobalId],
-                                            Keys.KeyOf[B.GlobalId]);
-    if (const UlcpKind *Cached = Verdicts.find(Key))
-      return *Cached;
-    UlcpKind Verdict = classifyPair(Tr, Initial, A, B);
-    Verdicts.insert(Key, Verdict);
+  /// classifyPair of the sections at lock-order positions \p I and
+  /// \p J, memoized per section-key pair once the lock has produced a
+  /// verdict other than TrueContention (see the file comment): sections
+  /// with equal keys are indistinguishable to classification.
+  UlcpKind classify(const std::vector<uint32_t> &Order, uint32_t I,
+                    uint32_t J) {
+    if (MemoOn)
+      if (const UlcpKind *Cached = Verdicts.find(memoKey(I, J)))
+        return *Cached;
+    UlcpKind Verdict = classifyPair(Tr, Initial, Index.byGlobalId(Order[I]),
+                                    Index.byGlobalId(Order[J]));
     ++NumClassified;
+    if (!MemoOn) {
+      if (Verdict == UlcpKind::TrueContention)
+        return Verdict;
+      startMemo(Order);
+    }
+    Verdicts.insert(memoKey(I, J), Verdict);
     return Verdict;
+  }
+
+  /// Interns the sections of \p Order by lock-order position and
+  /// empties the memo of any earlier lock.
+  void startMemo(const std::vector<uint32_t> &Order) {
+    SignatureInterner Interner;
+    Interner.reserve(Order.size());
+    KeyOfPos.clear();
+    for (uint32_t GlobalId : Order)
+      KeyOfPos.push_back(Interner.intern(Tr, Index.byGlobalId(GlobalId)));
+    Verdicts.clear();
+    MemoOn = true;
+  }
+
+  uint64_t memoKey(uint32_t I, uint32_t J) const {
+    return SectionKeyTable::pairKey(KeyOfPos[I], KeyOfPos[J]);
   }
 
   const Trace &Tr;
   const CsIndex &Index;
-  TopologyGraph &Graph;
   const MemoryImage Initial;
-  const SectionKeyTable Keys;
-  FlatMap<uint64_t, UlcpKind> Verdicts;
+  std::vector<TopologyEdge> Edges;
   uint64_t NumClassified = 0;
+
+  // Lock-local verdict memo, live while MemoOn: section keys by
+  // lock-order position and verdicts by key pair.
+  bool MemoOn = false;
+  std::vector<uint32_t> KeyOfPos;
+  FlatMap<uint64_t, UlcpKind> Verdicts;
 
   // Per-lock conflict index, rebuilt by indexLock.
   std::vector<Posting> Postings;
@@ -204,11 +258,10 @@ private:
 
 TopologyGraph perfplay::buildTopology(const Trace &Tr, const CsIndex &Index,
                                       uint64_t *NumClassified) {
-  TopologyGraph Graph(Index.size());
-  TopologyBuilder Builder(Tr, Index, Graph);
+  TopologyBuilder Builder(Tr, Index);
   for (LockId L = 0; L != Index.numLocks(); ++L)
     Builder.buildLock(L);
   if (NumClassified)
     *NumClassified = Builder.numClassified();
-  return Graph;
+  return Builder.finish();
 }

@@ -24,16 +24,35 @@
 /// and classifies only those candidates, stopping at U's first true
 /// contention.  Every section outside the lists would classify as a
 /// ULCP, so the edges equal those of the plain scan, in the same order.
-/// Verdicts are memoized per section-key pair (detect/SectionKey.h), so
-/// a lock whose conflicts are all benign costs one reversed replay per
-/// distinct key pair.
 ///
 /// Cost per lock: sorting its P postings, O(P log P); then per section
 /// A and thread U, one binary search per query plus one heap step per
-/// candidate visited, O((|A| + candidates) log P).  Classifying every
-/// later section instead is quadratic in the lock's sections, since a
-/// thread that never matches is scanned to the end of the order.  The
-/// index lives for one lock.
+/// candidate visited, O((|A| + candidates) log P), plus one
+/// classifyPair (a reversed replay) per candidate classified.
+/// Classifying every later section instead is quadratic in the lock's
+/// sections, since a thread that never matches is scanned to the end
+/// of the order.  The index lives for one lock.
+///
+/// The verdict memo is lock-local and switched on by the verdicts
+/// themselves.  While a lock's candidates all truly contend, each
+/// classification ends one thread's search with an edge: the work is
+/// already bounded by the output, and a memo would add a signature per
+/// section and a lookup per call.  Only a verdict other than
+/// TrueContention lets a search run on, and only then do the same
+/// pairs of section bodies come back many times.  So a lock starts
+/// without a memo; at its first such verdict its sections (and only
+/// its sections) are interned by lock-order position
+/// (detect/SectionKey.h), and the rest of the lock is memoized per
+/// section-key pair.  A lock whose conflicts are all benign then costs
+/// one reversed replay per distinct key pair.  A key includes its lock,
+/// so the memo is emptied whenever the next lock turns it on.
+///
+/// The graph is stored in compressed sparse row (CSR) form: the edges
+/// in insertion order, and each node's successors and predecessors as
+/// one contiguous run of a flat array, located by an offset array of
+/// NumNodes + 1 entries.  A stable counting pass fills both runs once
+/// the edge list is complete, so every run keeps edge-insertion order;
+/// RULE 3 builds each lockset in predecessor order and relies on it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,34 +77,52 @@ struct TopologyEdge {
   }
 };
 
-/// The causal-order topology over a trace's critical sections.
+/// One node's adjacency run in a TopologyGraph: node ids in
+/// edge-insertion order, valid while the graph lives.
+class NodeList {
+public:
+  NodeList(const uint32_t *Begin, const uint32_t *End)
+      : First(Begin), Last(End) {}
+
+  const uint32_t *begin() const { return First; }
+  const uint32_t *end() const { return Last; }
+  size_t size() const { return static_cast<size_t>(Last - First); }
+  bool empty() const { return First == Last; }
+
+private:
+  const uint32_t *First;
+  const uint32_t *Last;
+};
+
+/// The causal-order topology over a trace's critical sections, in CSR
+/// form.  Immutable once built.
 class TopologyGraph {
 public:
-  explicit TopologyGraph(size_t NumNodes) : NumNodes(NumNodes) {
-    OutEdges.resize(NumNodes);
-    InEdges.resize(NumNodes);
-  }
+  /// A graph of \p NumNodes nodes and \p EdgeList, kept in the given
+  /// order; every node's successors and predecessors follow it too.
+  explicit TopologyGraph(size_t NumNodes,
+                         std::vector<TopologyEdge> EdgeList = {});
 
-  void addEdge(uint32_t From, uint32_t To);
-
-  size_t numNodes() const { return NumNodes; }
+  size_t numNodes() const { return OutOffsets.size() - 1; }
   size_t numEdges() const { return Edges.size(); }
   const std::vector<TopologyEdge> &edges() const { return Edges; }
 
   /// Successors of \p Node (targets of its causal edges).
-  const std::vector<uint32_t> &successors(uint32_t Node) const {
-    return OutEdges[Node];
+  NodeList successors(uint32_t Node) const {
+    return NodeList(Successors.data() + OutOffsets[Node],
+                    Successors.data() + OutOffsets[Node + 1]);
   }
   /// Predecessors of \p Node (sources of causal edges into it).
-  const std::vector<uint32_t> &predecessors(uint32_t Node) const {
-    return InEdges[Node];
+  NodeList predecessors(uint32_t Node) const {
+    return NodeList(Predecessors.data() + InOffsets[Node],
+                    Predecessors.data() + InOffsets[Node + 1]);
   }
 
   unsigned outDegree(uint32_t Node) const {
-    return static_cast<unsigned>(OutEdges[Node].size());
+    return static_cast<unsigned>(OutOffsets[Node + 1] - OutOffsets[Node]);
   }
   unsigned inDegree(uint32_t Node) const {
-    return static_cast<unsigned>(InEdges[Node].size());
+    return static_cast<unsigned>(InOffsets[Node + 1] - InOffsets[Node]);
   }
 
   /// A standalone node has no causal edges at all; RULE 3 removes its
@@ -95,10 +132,13 @@ public:
   }
 
 private:
-  size_t NumNodes;
   std::vector<TopologyEdge> Edges;
-  std::vector<std::vector<uint32_t>> OutEdges;
-  std::vector<std::vector<uint32_t>> InEdges;
+  // Node N's successors are Successors[OutOffsets[N], OutOffsets[N+1]),
+  // its predecessors Predecessors[InOffsets[N], InOffsets[N+1]).
+  std::vector<size_t> OutOffsets;
+  std::vector<size_t> InOffsets;
+  std::vector<uint32_t> Successors;
+  std::vector<uint32_t> Predecessors;
 };
 
 /// RULE 1: builds the ULCP-free causal topology of \p Tr.
@@ -109,8 +149,8 @@ private:
 /// contention pair with A receives a causal edge A -> B.  ULCPs passed
 /// over on the way carry no edge.  Each section's edges are added in
 /// recorded order.  When \p NumClassified is given it receives the
-/// number of pair classifications computed (memoized verdicts not
-/// counted).
+/// number of classifyPair calls made: every classification on a lock
+/// before its memo turns on, and the memo misses after.
 TopologyGraph buildTopology(const Trace &Tr, const CsIndex &Index,
                             uint64_t *NumClassified = nullptr);
 

@@ -2,8 +2,6 @@
 
 #include "transform/Transform.h"
 
-#include "support/FlatMap.h"
-
 #include <algorithm>
 #include <cassert>
 #include <string>
@@ -73,23 +71,21 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   // order must survive, and the dynamic locking strategy relies on a
   // source being granted before its targets); (b) for each original
   // lock, the chain of causal-edge nodes in the recorded grant order.
-  FlatMap<uint64_t, uint8_t> Emitted;
-  auto addConstraint = [&](uint32_t Before, uint32_t After) {
-    if (Before == After)
-      return;
-    if (Emitted.insert((static_cast<uint64_t>(Before) << 32) | After, 1))
-      Out.Constraints.push_back(OrderConstraint{Before, After});
-  };
+  // Both are unique by construction (RULE 1 adds at most one edge per
+  // section and thread, and each section sits in one lock's order), so
+  // a chain pair only needs skipping when it repeats an edge.
   for (const TopologyEdge &E : Topo.edges())
-    addConstraint(E.From, E.To);
+    Out.Constraints.push_back(OrderConstraint{E.From, E.To});
   for (LockId L = 0; L != Index.numLocks(); ++L) {
-    const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
     uint32_t PrevCausal = InvalidId;
-    for (uint32_t Cs : Order) {
+    for (uint32_t Cs : Index.sectionsOfLock(L)) {
       if (Topo.isStandalone(Cs))
         continue;
-      if (PrevCausal != InvalidId)
-        addConstraint(PrevCausal, Cs);
+      if (PrevCausal != InvalidId) {
+        NodeList Succ = Topo.successors(PrevCausal);
+        if (std::find(Succ.begin(), Succ.end(), Cs) == Succ.end())
+          Out.Constraints.push_back(OrderConstraint{PrevCausal, Cs});
+      }
       PrevCausal = Cs;
     }
   }

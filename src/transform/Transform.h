@@ -48,7 +48,10 @@ struct TransformResult {
   uint64_t NumStandalone = 0;
   /// Number of auxiliary locks created.
   uint64_t NumAuxLocks = 0;
-  /// Pair classifications RULE 1 computed (buildTopology).
+  /// classifyPair calls RULE 1 made (buildTopology): every
+  /// classification on a lock before its verdict memo turns on, at the
+  /// lock's first verdict other than TrueContention, and the memo
+  /// misses after that.
   uint64_t NumClassified = 0;
 
   TransformResult() : Topology(0) {}

@@ -379,6 +379,31 @@ TEST(FlatMapTest, ForEachVisitsEveryEntry) {
   EXPECT_EQ(Sum, 50u * 51 / 2);
 }
 
+TEST(FlatMapTest, ClearKeepsCapacityForReuse) {
+  FlatMap<uint64_t, int> M;
+  for (uint64_t I = 0; I != 100; ++I)
+    M[I] = static_cast<int>(I);
+  size_t Capacity = M.capacity();
+  M.clear();
+  EXPECT_TRUE(M.empty());
+  EXPECT_EQ(M.capacity(), Capacity);
+  for (uint64_t I = 0; I != 100; ++I)
+    EXPECT_EQ(M.find(I), nullptr);
+  // Refilled with different entries, the map works as new and keeps
+  // its slots: 100 entries fit the capacity the first fill grew to.
+  EXPECT_TRUE(M.insert(7, 70));
+  EXPECT_FALSE(M.insert(7, 71));
+  EXPECT_EQ(*M.find(7), 70);
+  EXPECT_EQ(M[1000], 0);
+  EXPECT_EQ(M.size(), 2u);
+  for (uint64_t I = 200; I != 298; ++I)
+    M[I] = static_cast<int>(I);
+  EXPECT_EQ(M.size(), 100u);
+  EXPECT_EQ(M.capacity(), Capacity);
+  EXPECT_EQ(*M.find(250), 250);
+  EXPECT_EQ(M.find(5), nullptr);
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadPool
 //===----------------------------------------------------------------------===//

@@ -542,7 +542,9 @@ int cmdAnalyze(ArgList &Args) {
   }
   AnalysisSession Session = std::move(*SessionOr);
   PipelineError TypedErr;
-  PipelineResult R = Session.run(&TypedErr);
+  // The session is not read again: take its stage results instead of
+  // copying them.
+  PipelineResult R = Session.takeRun(&TypedErr);
   if (!R.ok()) {
     std::fprintf(stderr, "error: %s [%s]\n", R.Error.c_str(),
                  errorCodeName(TypedErr.Code));
