@@ -8,55 +8,12 @@ using namespace perfplay;
 
 namespace {
 
-/// Mean chunk occupancy at which the bitmap walk pays for its
-/// per-chunk overhead.  Benchmarked on the wide-set corpus: dense
-/// interleaved sets (512/chunk) run >100x faster word-parallel, while
-/// strided sparse sets (8/chunk) are ~1.4x slower than the plain
-/// merge, so the kernel is chosen on density.
-constexpr size_t DenseOccupancy = 16;
-
-bool isDense(const AddrSet &S) {
-  return S.size() >= DenseOccupancy * S.chunkCount();
-}
-
-/// One read/write-set intersection.  \p AV/\p BV are the sorted
-/// vectors, \p AS/\p BS their AddrSet mirrors (valid when
-/// \p Mirrors).  Tiny sets take the merge, whose constant factor wins
-/// (and sortedIntersects already early-exits on disjoint value
-/// ranges); otherwise the word-parallel path runs when at least one
-/// side is chunk-dense, and two genuinely sparse wide sets merge
-/// fastest as vectors.  The tiny bound equals the gate below which
-/// sections never derive mirrors (CriticalSection::TinySetMax).
-bool setsIntersect(const std::vector<AddrId> &AV, const AddrSet &AS,
-                   const std::vector<AddrId> &BV, const AddrSet &BS,
-                   bool Mirrors) {
-  if (!Mirrors || (AV.size() <= CriticalSection::TinySetMax &&
-                   BV.size() <= CriticalSection::TinySetMax))
-    return sortedIntersects(AV, BV);
-  if (isDense(AS) || isDense(BS))
-    return AS.intersects(BS);
-  return sortedIntersects(AV, BV);
-}
-
 /// True when one section waited on a condvar the other signaled: the
 /// pair is causally ordered by the condition variable, so the lock
 /// contention between them is load-bearing — never an ULCP.
 bool condOrdered(const CriticalSection &C1, const CriticalSection &C2) {
-  auto intersects = [](const std::vector<LockId> &A,
-                       const std::vector<LockId> &B) {
-    size_t I = 0, J = 0;
-    while (I != A.size() && J != B.size()) {
-      if (A[I] < B[J])
-        ++I;
-      else if (B[J] < A[I])
-        ++J;
-      else
-        return true;
-    }
-    return false;
-  };
-  return intersects(C1.CondWaits, C2.CondSignals) ||
-         intersects(C2.CondWaits, C1.CondSignals);
+  return sortedIntersects(C1.CondWaits, C2.CondSignals) ||
+         sortedIntersects(C2.CondWaits, C1.CondSignals);
 }
 
 } // namespace
@@ -86,18 +43,11 @@ UlcpKind perfplay::classifyPairStatic(const CriticalSection &C1,
   if (C1.writesEmpty() && C2.writesEmpty())
     return UlcpKind::ReadRead;
 
-  // A section without derived AddrSets (tiny or hand-built) cannot
-  // take the bitset path; results are identical either way.
-  const bool Mirrors = C1.setsBuilt() && C2.setsBuilt();
-
   // Line 5: disjoint-write when no read-write, write-read or
   // write-write intersection exists.
-  if (!setsIntersect(C1.Reads, C1.ReadSet, C2.Writes, C2.WriteSet,
-                     Mirrors) &&
-      !setsIntersect(C1.Writes, C1.WriteSet, C2.Reads, C2.ReadSet,
-                     Mirrors) &&
-      !setsIntersect(C1.Writes, C1.WriteSet, C2.Writes, C2.WriteSet,
-                     Mirrors))
+  if (!sortedIntersects(C1.Reads, C2.Writes) &&
+      !sortedIntersects(C1.Writes, C2.Reads) &&
+      !sortedIntersects(C1.Writes, C2.Writes))
     return UlcpKind::DisjointWrite;
 
   // Line 8: statically conflicting; the reversed replay decides whether

@@ -25,10 +25,8 @@ namespace perfplay {
 /// Algorithm 1, lines 1-8: classification by read/write set
 /// intersection only.  Returns TrueContention for statically
 /// conflicting pairs (which a caller may refine with isBenignPair).
-/// Each read/write-set intersection picks its kernel from what it can
-/// observe: the sorted merge (support/SetOps.h) for tiny or sparse
-/// sets, the word-parallel chunked bitmap (support/AddrSet.h) when
-/// either side is chunk-dense.  Both kernels give the same answer.
+/// Every read/write-set intersection is the sorted merge of
+/// support/SetOps.h, which gallops when one side is much smaller.
 UlcpKind classifyPairStatic(const CriticalSection &C1,
                             const CriticalSection &C2);
 

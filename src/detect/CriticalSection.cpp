@@ -17,12 +17,6 @@ void CriticalSection::finalizeSets() {
   sortUnique(Writes);
   sortUnique(CondWaits);
   sortUnique(CondSignals);
-  // The bitset form is derived once here so every downstream
-  // intersection of classification can take the word-parallel path
-  // without re-canonicalizing.  Tiny sections skip it: Algorithm 1
-  // routes them to the sorted merge anyway.
-  if (Reads.size() > TinySetMax || Writes.size() > TinySetMax)
-    buildSets();
 }
 
 CsIndex CsIndex::build(const Trace &Tr) {

@@ -17,7 +17,6 @@
 #ifndef PERFPLAY_DETECT_CRITICALSECTION_H
 #define PERFPLAY_DETECT_CRITICALSECTION_H
 
-#include "support/AddrSet.h"
 #include "trace/Trace.h"
 
 #include <vector>
@@ -26,13 +25,6 @@ namespace perfplay {
 
 /// One critical section with its shadow-memory summary.
 struct CriticalSection {
-  /// Sections whose read and write sets are both at most this wide
-  /// are never intersected through AddrSet — Algorithm 1 routes them
-  /// to the sorted merge, whose constant factor wins — so
-  /// \ref finalizeSets skips deriving their bitmap mirrors entirely
-  /// (saving two allocations and ~300 bytes per tiny section on
-  /// lock-heavy traces with millions of small sections).
-  static constexpr size_t TinySetMax = 32;
   /// Thread and per-thread index (numbered by opening acquire).
   CsRef Ref;
   /// Dense id across the whole trace (Trace::globalCsId).
@@ -59,14 +51,6 @@ struct CriticalSection {
   /// acquire and its matching release (nested sections included).
   std::vector<AddrId> Reads;
   std::vector<AddrId> Writes;
-  /// Chunked-bitmap form of Reads/Writes (support/AddrSet.h), built
-  /// once per wide section by \ref finalizeSets (or \ref buildSets)
-  /// and used by the word-parallel intersection path of Algorithm 1
-  /// when either side is chunk-dense.  The sorted vectors above stay
-  /// the canonical representation the frozen PipelineResult surface
-  /// and the sorted merge consume.
-  AddrSet ReadSet;
-  AddrSet WriteSet;
   /// Total Compute cost between acquire and release.
   TimeNs InnerCost = 0;
 
@@ -74,33 +58,10 @@ struct CriticalSection {
   bool writesEmpty() const { return Writes.empty(); }
 
   /// Canonicalizes the accumulated Reads/Writes/CondWaits/CondSignals
-  /// (sort + de-duplicate) and derives the bitmap mirrors when either
-  /// set is wider than \ref TinySetMax.  The one set finalizer of
-  /// detection: CsIndex::build and the windowed detector's
-  /// representatives both end with it.
+  /// (sort + de-duplicate).  The one set finalizer of detection:
+  /// CsIndex::build and the windowed detector's representatives both
+  /// end with it.
   void finalizeSets();
-
-  /// (Re)derives ReadSet/WriteSet from the sorted Reads/Writes
-  /// vectors.  Call after populating the vectors on a hand-built
-  /// section; \ref finalizeSets does it for every section wider than
-  /// \ref TinySetMax.  Invariant: any later mutation of Reads/Writes
-  /// stales the mirrors — re-call buildSets() (or clear the sets)
-  /// afterwards, since \ref setsBuilt can only compare sizes.
-  void buildSets() {
-    ReadSet = AddrSet::fromSorted(Reads);
-    WriteSet = AddrSet::fromSorted(Writes);
-  }
-
-  /// True when ReadSet/WriteSet mirror Reads/Writes.  The bitset
-  /// classification path falls back to the sorted vectors when a
-  /// section never built its mirrors (tiny sections, hand-built
-  /// sections).  This is a size comparison, not a content check: it
-  /// cannot detect a same-length rewrite of the vectors after
-  /// \ref buildSets (see the invariant there).
-  bool setsBuilt() const {
-    return ReadSet.size() == Reads.size() &&
-           WriteSet.size() == Writes.size();
-  }
 };
 
 /// All critical sections of a trace, indexed by global id, plus the

@@ -164,18 +164,6 @@ void Recorder::onWrite(ThreadId T, AddrId Addr, uint64_t Value,
   Log.Events.push_back(Event::write(Addr, Value, Op));
 }
 
-void Recorder::checkpoint(ThreadId T, std::string Name) {
-  MutexLock Guard(Registry);
-  assert(T < ThreadLogs.size() && "unregistered thread");
-  Marks.push_back(
-      Checkpoint{T, std::move(Name), ThreadLogs[T]->Events.size()});
-}
-
-std::vector<Recorder::Checkpoint> Recorder::checkpoints() const {
-  MutexLock Guard(Registry);
-  return Marks;
-}
-
 Trace Recorder::finish() {
   MutexLock Guard(Registry);
   assert(!Finished && "recorder already finished");

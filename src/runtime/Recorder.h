@@ -17,12 +17,12 @@
 /// enforces on replay.
 ///
 /// Thread safety: per-thread event buffers are touched only by their
-/// owning thread; the registry of threads/locks/sites, the grant-order
-/// log and the checkpoint list are serialized by the internal Registry
-/// mutex.  Registry is a leaf lock in the hierarchy: it is taken while
-/// a recorded application lock may already be held (onAcquired runs
-/// with the recorded lock held, so the registry adds no ordering of
-/// its own) and nothing is ever acquired under it.
+/// owning thread; the registry of threads/locks/sites and the
+/// grant-order log are serialized by the internal Registry mutex.
+/// Registry is a leaf lock in the hierarchy: it is taken while a
+/// recorded application lock may already be held (onAcquired runs with
+/// the recorded lock held, so the registry adds no ordering of its
+/// own) and nothing is ever acquired under it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,21 +103,6 @@ public:
   /// Hook: shared write.
   void onWrite(ThreadId T, AddrId Addr, uint64_t Value, WriteOpKind Op);
 
-  /// Marks a named checkpoint for repeated local debugging
-  /// (Section 5.1); checkpoints live beside the trace, not in it.
-  void checkpoint(ThreadId T, std::string Name);
-
-  /// A recorded checkpoint.
-  struct Checkpoint {
-    ThreadId Thread;
-    std::string Name;
-    /// Index of the next event of that thread at checkpoint time.
-    size_t EventIndex;
-  };
-
-  /// Snapshot of the checkpoints recorded so far; thread-safe.
-  std::vector<Checkpoint> checkpoints() const EXCLUDES(Registry);
-
   /// Finalizes and returns the trace.  All recorded threads must have
   /// finished issuing events.  The recorder must not be reused.
   Trace finish() EXCLUDES(Registry);
@@ -154,15 +139,14 @@ private:
   void finishAcquire(ThreadId T, LockId Lock, const Event &E)
       EXCLUDES(Registry);
 
-  /// Serializes registration, the grant log, checkpoints and
-  /// finish().  Leaf lock; see the file comment for the hierarchy.
+  /// Serializes registration, the grant log and finish().  Leaf
+  /// lock; see the file comment for the hierarchy.
   mutable Mutex Registry;
   Trace Result GUARDED_BY(Registry);
   std::vector<PerThread *> ThreadLogs GUARDED_BY(Registry);
   /// Global grant order: (lock, thread) in acquisition order; per-CS
   /// indices are reconstructed in finish().
   std::vector<std::pair<LockId, ThreadId>> GrantLog GUARDED_BY(Registry);
-  std::vector<Checkpoint> Marks GUARDED_BY(Registry);
   bool Finished GUARDED_BY(Registry) = false;
 };
 

@@ -2,8 +2,6 @@
 
 #include "support/Stats.h"
 
-#include <cmath>
-
 using namespace perfplay;
 
 void RunningStats::add(double Sample) {
@@ -16,15 +14,5 @@ void RunningStats::add(double Sample) {
       Max = Sample;
   }
   ++Count;
-  double Delta = Sample - Mean;
-  Mean += Delta / static_cast<double>(Count);
-  M2 += Delta * (Sample - Mean);
+  Mean += (Sample - Mean) / static_cast<double>(Count);
 }
-
-double RunningStats::variance() const {
-  if (Count < 2)
-    return 0.0;
-  return M2 / static_cast<double>(Count - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }

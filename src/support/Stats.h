@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streaming sample statistics (Welford accumulation) used to summarize
-/// repeated replays: Figure 13's error bars are the stddev over ten
-/// replays of the same trace under each enforcement scheme.
+/// Streaming sample statistics used to summarize repeated replays:
+/// bench_fig13_fidelity prints, per enforcement scheme, the mean over
+/// ten replays of the same trace and their range (max - min) as
+/// Figure 13's spread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,7 @@
 
 namespace perfplay {
 
-/// Accumulates mean / variance / min / max over a stream of samples.
+/// Accumulates mean / min / max over a stream of samples.
 class RunningStats {
 public:
   /// Folds one sample into the accumulator.
@@ -30,12 +31,6 @@ public:
 
   /// Arithmetic mean; 0 when empty.
   double mean() const { return Count ? Mean : 0.0; }
-
-  /// Unbiased sample variance; 0 with fewer than two samples.
-  double variance() const;
-
-  /// Sample standard deviation.
-  double stddev() const;
 
   /// Smallest sample; 0 when empty.
   double min() const { return Count ? Min : 0.0; }
@@ -49,7 +44,6 @@ public:
 private:
   uint64_t Count = 0;
   double Mean = 0.0;
-  double M2 = 0.0;
   double Min = 0.0;
   double Max = 0.0;
 };

@@ -127,11 +127,6 @@ void TraceBuilder::compute(ThreadId T, TimeNs Cost) {
   Result.Threads[T].Events.push_back(Event::compute(Cost));
 }
 
-unsigned TraceBuilder::openDepth(ThreadId T) const {
-  assert(T < HeldStacks.size() && "unknown thread");
-  return static_cast<unsigned>(HeldStacks[T].size());
-}
-
 Trace TraceBuilder::finish() {
   assert(!Finished && "builder already finished");
   Finished = true;

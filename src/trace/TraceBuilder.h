@@ -91,9 +91,6 @@ public:
   /// Emits computation of \p Cost virtual nanoseconds.
   void compute(ThreadId T, TimeNs Cost);
 
-  /// Number of open critical sections on thread \p T.
-  unsigned openDepth(ThreadId T) const;
-
   /// Finalizes every thread with ThreadEnd and returns the trace with
   /// its CS index built.  The builder must not be reused afterwards.
   Trace finish();

@@ -3,7 +3,7 @@
 #include "transform/RaceCheck.h"
 
 #include "detect/Classify.h"
-#include "support/AddrSet.h"
+#include "support/SetOps.h"
 
 #include <algorithm>
 #include <cassert>
@@ -116,20 +116,11 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
   std::vector<std::vector<bool>> Reach =
       computeHappensBefore(Tr, Topology);
 
-  // Lockset cache per section, in chunked-bitmap form: the all-pairs
-  // protectedPair probe below is intersection-bound, and the AddrSet
-  // digest rejects the common disjoint-lockset case in O(1).
-  size_t NumCs = Tr.numCriticalSections();
-  std::vector<AddrSet> Locksets(NumCs);
-  std::vector<bool> LocksetKnown(NumCs, false);
-  auto locksOf = [&](uint32_t Cs) -> const AddrSet & {
-    if (!LocksetKnown[Cs]) {
-      for (LockId L : locksetLocks(Tr, Index, Cs))
-        Locksets[Cs].insert(L);
-      LocksetKnown[Cs] = true;
-    }
-    return Locksets[Cs];
-  };
+  // Sorted lockset per section: the all-pairs protectedPair probe
+  // below intersects them repeatedly.
+  std::vector<std::vector<LockId>> Locksets(Tr.numCriticalSections());
+  for (uint32_t Cs = 0; Cs != Locksets.size(); ++Cs)
+    Locksets[Cs] = locksetLocks(Tr, Index, Cs);
 
   auto ordered = [&](const AccessRecord &A, const AccessRecord &B) {
     for (uint32_t CsA : A.Enclosing)
@@ -142,7 +133,7 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
   auto protectedPair = [&](const AccessRecord &A, const AccessRecord &B) {
     for (uint32_t CsA : A.Enclosing)
       for (uint32_t CsB : B.Enclosing)
-        if (locksOf(CsA).intersects(locksOf(CsB)))
+        if (sortedIntersects(Locksets[CsA], Locksets[CsB]))
           return true;
     return false;
   };

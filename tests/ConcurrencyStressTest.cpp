@@ -333,7 +333,7 @@ TEST(ConcurrencyStressTest, RecorderConcurrentRegistrationAndLogging) {
 
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
+    Threads.emplace_back([&] {
       // Registration itself races against every other thread's
       // registration and logging.
       ThreadId Tid = R.registerThread();
@@ -342,13 +342,10 @@ TEST(ConcurrencyStressTest, RecorderConcurrentRegistrationAndLogging) {
         uint64_t V = Counter.load(Tid);
         Counter.store(Tid, V + 1);
       }
-      if (T % 2 == 0)
-        R.checkpoint(Tid, "halfway");
     });
   for (std::thread &Th : Threads)
     Th.join();
 
-  EXPECT_EQ(R.checkpoints().size(), NumThreads / 2);
   Trace Tr = R.finish();
   ASSERT_EQ(Tr.Threads.size(), NumThreads);
   std::string Err = Tr.validate();

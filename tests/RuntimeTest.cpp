@@ -80,15 +80,6 @@ TEST(RecorderTest, GrantScheduleMatchesAcquisitionOrder) {
   }
 }
 
-TEST(RecorderTest, CheckpointsRecorded) {
-  Recorder R;
-  ThreadId T = R.registerThread();
-  R.checkpoint(T, "before-loop");
-  EXPECT_EQ(R.checkpoints().size(), 1u);
-  EXPECT_EQ(R.checkpoints()[0].Name, "before-loop");
-  R.finish();
-}
-
 namespace {
 
 /// A real multi-threaded recorded run: Workers increment a shared

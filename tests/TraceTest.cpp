@@ -52,7 +52,6 @@ TEST(TraceBuilderTest, NestedSectionsSupported) {
   ThreadId T = B.addThread();
   B.beginCs(T, Outer);
   B.beginCs(T, Inner);
-  EXPECT_EQ(B.openDepth(T), 2u);
   B.endCs(T); // Closes inner.
   B.endCs(T); // Closes outer.
   Trace Tr = B.finish();

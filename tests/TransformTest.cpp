@@ -776,6 +776,45 @@ TEST(RaceCheckTest, SharedLockSuppressesRace) {
   EXPECT_TRUE(checkRaces(Tr, Index, EmptyTopo).empty());
 }
 
+TEST(RaceCheckTest, MultiLockLocksetsProtectIffTheyShareALock) {
+  // Transformed locksets with more than one lock: sections holding
+  // {A1, A2} and {A2, A3} exclude each other through A2, so their
+  // conflict on addr 9 is protected; sections holding {A1} and {A3}
+  // share no lock, so their conflict on addr 10 is the one race.
+  TraceBuilder B;
+  LockId L = B.addLock("L");
+  LockId A1 = B.addLock("A1");
+  LockId A2 = B.addLock("A2");
+  LockId A3 = B.addLock("A3");
+  std::vector<ThreadId> Ids = {B.addThread(), B.addThread(),
+                               B.addThread(), B.addThread()};
+  const AddrId Addrs[] = {9, 9, 10, 10};
+  for (unsigned T = 0; T != Ids.size(); ++T) {
+    B.beginCs(Ids[T], L);
+    B.write(Ids[T], Addrs[T], T + 1);
+    B.endCs(Ids[T]);
+  }
+  Trace Tr = B.finish();
+  const std::vector<std::vector<LockId>> Held = {
+      {A1, A2}, {A2, A3}, {A1}, {A3}};
+  for (unsigned T = 0; T != Ids.size(); ++T) {
+    Lockset Set;
+    for (LockId Lock : Held[T])
+      Set.Entries.push_back(LocksetEntry{Lock, InvalidId});
+    Tr.Locksets.push_back(Set);
+    for (Event &E : Tr.Threads[Ids[T]].Events)
+      if (E.Kind == EventKind::LockAcquire)
+        E.Lockset = T;
+  }
+  CsIndex Index = CsIndex::build(Tr);
+  TopologyGraph EmptyTopo(Tr.numCriticalSections());
+  std::vector<RaceReport> Races = checkRaces(Tr, Index, EmptyTopo);
+  ASSERT_EQ(Races.size(), 1u);
+  EXPECT_EQ(Races[0].Addr, 10u);
+  EXPECT_EQ(std::min(Races[0].ThreadA, Races[0].ThreadB), Ids[2]);
+  EXPECT_EQ(std::max(Races[0].ThreadA, Races[0].ThreadB), Ids[3]);
+}
+
 TEST(RaceCheckTest, UnlockedConflictingAccessesReported) {
   TraceBuilder B;
   B.addLock("unused");
