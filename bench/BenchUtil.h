@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Helpers shared by the table/figure regeneration binaries: paper
-/// reference values (for side-by-side printing), app lookup, and the
-/// common detect/transform/replay pipeline invocation.
+/// reference values (for side-by-side printing), app lookup, the
+/// common detect/transform/replay pipeline invocation, and the micro
+/// benches' command-line parsing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +20,12 @@
 #include "workloads/Apps.h"
 #include "workloads/WorkloadSpec.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
+#include <vector>
 
 namespace perfplay {
 namespace bench {
@@ -108,6 +113,48 @@ inline PipelineResult runAppPipeline(const AppModel &App, unsigned Threads,
   Opts.Detect.PairMode = Mode;
   return runPerfPlay(std::move(Tr), Opts);
 }
+
+/// A micro bench's command line.  Each name in \p Options takes a
+/// value (`--name VALUE` or `--name=VALUE`); each in \p Flags stands
+/// alone.  Any other argument, or an option missing its value, exits 2
+/// with an error, as the perfplay CLI does, so a misspelt or removed
+/// flag fails instead of running with defaults.
+class BenchArgs {
+public:
+  BenchArgs(int Argc, char **Argv, const std::vector<std::string> &Options,
+            const std::vector<std::string> &Flags = {}) {
+    for (int I = 1; I < Argc; ++I) {
+      std::string Arg = Argv[I], Name = Arg.substr(0, Arg.find('='));
+      bool IsOption = std::count(Options.begin(), Options.end(), Name) != 0;
+      if (IsOption && Name != Arg) {
+        Values[Name] = Arg.substr(Name.size() + 1);
+      } else if (IsOption && I + 1 < Argc) {
+        Values[Name] = Argv[++I];
+      } else if (Name == Arg &&
+                 std::count(Flags.begin(), Flags.end(), Name) != 0) {
+        Values[Name] = "";
+      } else {
+        std::fprintf(stderr,
+                     IsOption ? "error: option '%s' expects a value\n"
+                              : "error: unknown option '%s'\n",
+                     Name.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
+  /// The value given for option \p Name, or \p Default.
+  std::string option(const char *Name, const char *Default) const {
+    auto It = Values.find(Name);
+    return It == Values.end() ? Default : It->second;
+  }
+
+  /// True if flag \p Name was given.
+  bool flag(const char *Name) const { return Values.count(Name) != 0; }
+
+private:
+  std::map<std::string, std::string> Values;
+};
 
 } // namespace bench
 } // namespace perfplay

@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,36 +127,20 @@ double pairsPerSec(const DetectResult &R, double Seconds) {
                        : 0.0;
 }
 
-std::string option(int Argc, char **Argv, const char *Name,
-                   const char *Default) {
-  std::string Prefix = std::string(Name) + "=";
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], Name) == 0 && I + 1 < Argc)
-      return Argv[I + 1];
-    if (std::strncmp(Argv[I], Prefix.c_str(), Prefix.size()) == 0)
-      return Argv[I] + Prefix.size();
-  }
-  return Default;
-}
-
-bool flag(int Argc, char **Argv, const char *Name) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Name) == 0)
-      return true;
-  return false;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string AppName = option(Argc, Argv, "--app", "lockheavy");
+  bench::BenchArgs Args(Argc, Argv,
+                        {"--app", "--threads", "--scale", "--repeat", "--out"},
+                        {"--no-rwlock"});
+  std::string AppName = Args.option("--app", "lockheavy");
   unsigned Threads = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--threads", "4").c_str()));
-  double Scale = std::atof(option(Argc, Argv, "--scale", "1.0").c_str());
+      std::atoi(Args.option("--threads", "4").c_str()));
+  double Scale = std::atof(Args.option("--scale", "1.0").c_str());
   unsigned Repeat = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--repeat", "3").c_str()));
-  std::string Out = option(Argc, Argv, "--out", "BENCH_detect.json");
-  bool NoRwlock = flag(Argc, Argv, "--no-rwlock");
+      std::atoi(Args.option("--repeat", "3").c_str()));
+  std::string Out = Args.option("--out", "BENCH_detect.json");
+  bool NoRwlock = Args.flag("--no-rwlock");
   if (Repeat == 0)
     Repeat = 1;
 

@@ -24,6 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "core/Engine.h"
 #include "serve/Server.h"
 #include "trace/TraceBuilder.h"
@@ -33,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -85,33 +85,24 @@ Trace corpusTrace(unsigned Salt) {
   return B.finish();
 }
 
-std::string option(int Argc, char **Argv, const char *Name,
-                   const char *Default) {
-  std::string Prefix = std::string(Name) + "=";
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], Name) == 0 && I + 1 < Argc)
-      return Argv[I + 1];
-    if (std::strncmp(Argv[I], Prefix.c_str(), Prefix.size()) == 0)
-      return Argv[I] + Prefix.size();
-  }
-  return Default;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
+  bench::BenchArgs Args(Argc, Argv,
+                        {"--traces", "--requests", "--clients", "--repeat",
+                         "--out", "--min-warm-speedup", "--min-rps"});
   unsigned NumTraces = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--traces", "6").c_str()));
+      std::atoi(Args.option("--traces", "6").c_str()));
   unsigned Requests = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--requests", "300").c_str()));
+      std::atoi(Args.option("--requests", "300").c_str()));
   unsigned Clients = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--clients", "4").c_str()));
+      std::atoi(Args.option("--clients", "4").c_str()));
   unsigned Repeat = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--repeat", "3").c_str()));
-  std::string Out = option(Argc, Argv, "--out", "BENCH_serve.json");
+      std::atoi(Args.option("--repeat", "3").c_str()));
+  std::string Out = Args.option("--out", "BENCH_serve.json");
   double MinWarmSpeedup =
-      std::atof(option(Argc, Argv, "--min-warm-speedup", "5.0").c_str());
-  double MinRps = std::atof(option(Argc, Argv, "--min-rps", "100").c_str());
+      std::atof(Args.option("--min-warm-speedup", "5.0").c_str());
+  double MinRps = std::atof(Args.option("--min-rps", "100").c_str());
   if (NumTraces == 0)
     NumTraces = 1;
   if (Repeat == 0)

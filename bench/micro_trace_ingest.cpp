@@ -53,6 +53,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "detect/CriticalSection.h"
 #include "detect/Detector.h"
 #include "detect/WindowedDetect.h"
@@ -65,7 +66,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,25 +149,6 @@ double now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string option(int Argc, char **Argv, const char *Name,
-                   const char *Default) {
-  std::string Prefix = std::string(Name) + "=";
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], Name) == 0 && I + 1 < Argc)
-      return Argv[I + 1];
-    if (std::strncmp(Argv[I], Prefix.c_str(), Prefix.size()) == 0)
-      return Argv[I] + Prefix.size();
-  }
-  return Default;
-}
-
-bool hasFlag(int Argc, char **Argv, const char *Name) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Name) == 0)
-      return true;
-  return false;
 }
 
 /// Process-lifetime peak resident set in bytes; 0 when the platform
@@ -328,13 +309,16 @@ bool sameDetectResult(const DetectResult &A, const DetectResult &B) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  double SizeMb = std::atof(option(Argc, Argv, "--size-mb", "100").c_str());
+  bench::BenchArgs Args(Argc, Argv,
+                        {"--size-mb", "--repeat", "--out", "--file", "--names"},
+                        {"--out-of-core"});
+  double SizeMb = std::atof(Args.option("--size-mb", "100").c_str());
   unsigned Repeat = static_cast<unsigned>(
-      std::atoi(option(Argc, Argv, "--repeat", "3").c_str()));
-  std::string Out = option(Argc, Argv, "--out", "BENCH_traceio.json");
+      std::atoi(Args.option("--repeat", "3").c_str()));
+  std::string Out = Args.option("--out", "BENCH_traceio.json");
   std::string Scratch =
-      option(Argc, Argv, "--file", "BENCH_traceio.scratch.v3trace");
-  long NamesArg = std::atol(option(Argc, Argv, "--names", "20000").c_str());
+      Args.option("--file", "BENCH_traceio.scratch.v3trace");
+  long NamesArg = std::atol(Args.option("--names", "20000").c_str());
   if (Repeat == 0)
     Repeat = 1;
   if (SizeMb <= 0)
@@ -342,7 +326,7 @@ int main(int Argc, char **Argv) {
   // Clamp before the size_t cast: a negative --names must not wrap to
   // an effectively unbounded generation loop.
   size_t NumNames = NamesArg < 16 ? 16 : static_cast<size_t>(NamesArg);
-  bool OutOfCore = hasFlag(Argc, Argv, "--out-of-core");
+  bool OutOfCore = Args.flag("--out-of-core");
 
   //===--------------------------------------------------------------------===//
   // Out-of-core windowed detection (--out-of-core).  Runs before any

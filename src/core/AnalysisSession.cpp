@@ -234,8 +234,7 @@ Expected<const PerfDebugReport &> AnalysisSession::report() {
       replayTransformed(Opts.Replay.Schedule);
   if (!Free)
     return Free.error();
-  Rpt.emplace(
-      buildReport(Tr, *Index, Det->unnecessaryPairs(), *Orig, *Free));
+  Rpt.emplace(buildReport(Tr, *Index, Det->Pairs, *Orig, *Free));
   emit(StageKind::Report, /*FromCache=*/false);
   return *Rpt;
 }

@@ -57,20 +57,34 @@ bool perfplay::fuseUlcpGroups(FusedUlcp &A, const FusedUlcp &B) {
   return true;
 }
 
-std::vector<FusedUlcp>
-perfplay::fuseUlcps(const Trace &Tr, const CsIndex &Index,
-                    const std::vector<UlcpPair> &Pairs,
-                    const std::vector<int64_t> &Deltas) {
-  assert(Pairs.size() == Deltas.size() &&
-         "one improvement per pair expected");
+uint32_t UlcpSeeds::siteKey(uint32_t GlobalId) const {
+  const CriticalSection &Cs = Index.byGlobalId(GlobalId);
+  if (Cs.Site != InvalidId)
+    return Cs.Site;
+  return static_cast<uint32_t>(Tr.Sites.size()) + Cs.Lock;
+}
 
+void UlcpSeeds::add(const UlcpPair &P, int64_t DeltaNs) {
+  uint64_t Key = (static_cast<uint64_t>(siteKey(P.First)) << 32) |
+                 siteKey(P.Second);
+  uint32_t &Slot = SeedOf[Key];
+  if (Slot == 0) {
+    Seeds.push_back(Seed{P.First, P.Second, 0, 0});
+    Slot = static_cast<uint32_t>(Seeds.size());
+  }
+  Seed &S = Seeds[Slot - 1];
+  S.DeltaNs += DeltaNs;
+  ++S.PairCount;
+}
+
+std::vector<FusedUlcp> UlcpSeeds::fuse() const {
   std::vector<FusedUlcp> Groups;
-  for (size_t I = 0; I != Pairs.size(); ++I) {
+  for (const Seed &S : Seeds) {
     FusedUlcp Fresh;
-    Fresh.CR1 = regionOfSection(Tr, Index.byGlobalId(Pairs[I].First));
-    Fresh.CR2 = regionOfSection(Tr, Index.byGlobalId(Pairs[I].Second));
-    Fresh.DeltaNs = Deltas[I];
-    Fresh.PairCount = 1;
+    Fresh.CR1 = regionOfSection(Tr, Index.byGlobalId(S.First));
+    Fresh.CR2 = regionOfSection(Tr, Index.byGlobalId(S.Second));
+    Fresh.DeltaNs = S.DeltaNs;
+    Fresh.PairCount = S.PairCount;
 
     bool Absorbed = false;
     for (FusedUlcp &G : Groups)
@@ -97,6 +111,18 @@ perfplay::fuseUlcps(const Trace &Tr, const CsIndex &Index,
         }
   }
   return Groups;
+}
+
+std::vector<FusedUlcp>
+perfplay::fuseUlcps(const Trace &Tr, const CsIndex &Index,
+                    const std::vector<UlcpPair> &Pairs,
+                    const std::vector<int64_t> &Deltas) {
+  assert(Pairs.size() == Deltas.size() &&
+         "one improvement per pair expected");
+  UlcpSeeds Seeds(Tr, Index);
+  for (size_t I = 0; I != Pairs.size(); ++I)
+    Seeds.add(Pairs[I], Deltas[I]);
+  return Seeds.fuse();
 }
 
 void perfplay::rankUlcpGroups(std::vector<FusedUlcp> &Groups) {

@@ -27,8 +27,7 @@ double PerfDebugReport::normalizedCpuWastePerThread() const {
 }
 
 PerfDebugReport perfplay::buildReport(
-    const Trace &Tr, const CsIndex &Index,
-    const std::vector<UlcpPair> &UnnecessaryPairs,
+    const Trace &Tr, const CsIndex &Index, const std::vector<UlcpPair> &Pairs,
     const ReplayResult &Original, const ReplayResult &UlcpFree) {
   assert(Original.ok() && UlcpFree.ok() && "replays must have succeeded");
 
@@ -41,10 +40,16 @@ PerfDebugReport perfplay::buildReport(
   Report.SpinWaitUlcpFree = UlcpFree.SpinWaitNs;
   Report.NumThreads = static_cast<unsigned>(Tr.numThreads());
 
-  std::vector<int64_t> Deltas =
-      ulcpImprovements(Original, UlcpFree, UnnecessaryPairs);
-  for (int64_t D : Deltas)
-    Report.SumDelta += D;
+  // One pass: Equation 1 per unnecessary pair, summed whole and per
+  // site pair; Algorithm 2 then fuses the site-pair seeds.
+  UlcpSeeds Seeds(Tr, Index);
+  for (const UlcpPair &P : Pairs) {
+    if (!isUnnecessary(P.Kind))
+      continue;
+    int64_t Delta = ulcpImprovement(Original, UlcpFree, P);
+    Report.SumDelta += Delta;
+    Seeds.add(P, Delta);
+  }
   // Resource wasting: the paper computes Trw = sum(dT) - Tpd — benefit
   // that does not shorten the critical path.  Our replayer can also
   // measure the waste directly as the spin-wait CPU the transformation
@@ -55,7 +60,7 @@ PerfDebugReport perfplay::buildReport(
                       static_cast<int64_t>(UlcpFree.SpinWaitNs);
   Report.Trw = std::max({OffPath, SpinSaved, int64_t(0)});
 
-  Report.Groups = fuseUlcps(Tr, Index, UnnecessaryPairs, Deltas);
+  Report.Groups = Seeds.fuse();
   rankUlcpGroups(Report.Groups);
   return Report;
 }

@@ -56,9 +56,11 @@ struct PerfDebugReport {
   double normalizedCpuWastePerThread() const;
 };
 
-/// Builds the report from detection + the two replays.
+/// Builds the report from detection + the two replays.  \p Pairs may
+/// be DetectResult::Pairs as is: TrueContention pairs are skipped, so
+/// passing DetectResult::unnecessaryPairs() gives the same report.
 PerfDebugReport buildReport(const Trace &Tr, const CsIndex &Index,
-                            const std::vector<UlcpPair> &UnnecessaryPairs,
+                            const std::vector<UlcpPair> &Pairs,
                             const ReplayResult &Original,
                             const ReplayResult &UlcpFree);
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <set>
 #include <tuple>
 
@@ -23,37 +24,57 @@ struct AccessRecord {
   std::vector<uint32_t> Enclosing;
 };
 
+/// Row-major N x N bit matrix, 64 columns per word: test(I, J) means
+/// section I happens before section J.
+class ReachMatrix {
+public:
+  explicit ReachMatrix(size_t N)
+      : Words((N + 63) / 64), Bits(N * Words, 0) {}
+
+  bool test(size_t I, size_t J) const {
+    return (Bits[I * Words + J / 64] >> (J % 64)) & 1;
+  }
+  void set(size_t I, size_t J) {
+    Bits[I * Words + J / 64] |= uint64_t(1) << (J % 64);
+  }
+  /// Row I |= row K: everything K reaches, I reaches too.
+  void orRow(size_t I, size_t K) {
+    uint64_t *Dst = &Bits[I * Words];
+    const uint64_t *Src = &Bits[K * Words];
+    for (size_t W = 0; W != Words; ++W)
+      Dst[W] |= Src[W];
+  }
+
+private:
+  size_t Words;
+  std::vector<uint64_t> Bits;
+};
+
 } // namespace
 
 /// Reachability over program order + causal edges + constraints,
-/// computed as a simple transitive closure (bit matrix).  Trace sizes
-/// fed through the race check are pipeline-bounded.
-static std::vector<std::vector<bool>>
-computeHappensBefore(const Trace &Tr, const TopologyGraph &Topo) {
+/// computed as a transitive closure in Floyd-Warshall order, one
+/// 64-column word per step: O(N^3 / 64) time, N^2 bits.
+static ReachMatrix computeHappensBefore(const Trace &Tr,
+                                        const TopologyGraph &Topo) {
   size_t N = Tr.numCriticalSections();
-  std::vector<std::vector<bool>> Reach(N, std::vector<bool>(N, false));
-  auto addEdge = [&](uint32_t A, uint32_t B) { Reach[A][B] = true; };
+  ReachMatrix Reach(N);
 
   // Program order within each thread.
   for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
     uint32_t Count = Tr.numCriticalSections(T);
     for (uint32_t I = 0; I + 1 < Count; ++I)
-      addEdge(Tr.globalCsId(CsRef{T, I}), Tr.globalCsId(CsRef{T, I + 1}));
+      Reach.set(Tr.globalCsId(CsRef{T, I}), Tr.globalCsId(CsRef{T, I + 1}));
   }
   for (const TopologyEdge &E : Topo.edges())
-    addEdge(E.From, E.To);
+    Reach.set(E.From, E.To);
   for (const OrderConstraint &C : Tr.Constraints)
-    addEdge(C.Before, C.After);
+    Reach.set(C.Before, C.After);
 
-  // Floyd-Warshall style closure.
   for (size_t K = 0; K != N; ++K)
-    for (size_t I = 0; I != N; ++I) {
-      if (!Reach[I][K])
-        continue;
-      for (size_t J = 0; J != N; ++J)
-        if (Reach[K][J])
-          Reach[I][J] = true;
-    }
+    for (size_t I = 0; I != N; ++I)
+      if (I != K && Reach.test(I, K))
+        Reach.orRow(I, K);
   return Reach;
 }
 
@@ -113,8 +134,7 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
     }
   }
 
-  std::vector<std::vector<bool>> Reach =
-      computeHappensBefore(Tr, Topology);
+  const ReachMatrix Reach = computeHappensBefore(Tr, Topology);
 
   // Sorted lockset per section: the all-pairs protectedPair probe
   // below intersects them repeatedly.
@@ -125,7 +145,7 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
   auto ordered = [&](const AccessRecord &A, const AccessRecord &B) {
     for (uint32_t CsA : A.Enclosing)
       for (uint32_t CsB : B.Enclosing)
-        if (Reach[CsA][CsB] || Reach[CsB][CsA])
+        if (Reach.test(CsA, CsB) || Reach.test(CsB, CsA))
           return true;
     return false;
   };

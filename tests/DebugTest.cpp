@@ -4,10 +4,12 @@
 #include "debug/Report.h"
 #include "debug/UlcpDelta.h"
 
+#include "core/AnalysisSession.h"
 #include "detect/Detector.h"
 #include "sim/Replayer.h"
 #include "trace/TraceBuilder.h"
 #include "transform/Transform.h"
+#include "workloads/Apps.h"
 
 #include <gtest/gtest.h>
 
@@ -260,6 +262,137 @@ TEST(FusionTest, UnknownSitesStayPerLock) {
   std::vector<int64_t> Deltas = {5, 5};
   std::vector<FusedUlcp> Groups = fuseUlcps(Tr, Index, Pairs, Deltas);
   EXPECT_EQ(Groups.size(), 2u) << "different locks must not fuse";
+}
+
+namespace {
+
+/// The oracle: Algorithm 2 run pair by pair, each raw pair first-fit
+/// into the groups so far, then fused to a fixpoint.
+std::vector<FusedUlcp> perPairFusion(const Trace &Tr, const CsIndex &Index,
+                                     const std::vector<UlcpPair> &Pairs,
+                                     const std::vector<int64_t> &Deltas) {
+  std::vector<FusedUlcp> Groups;
+  for (size_t I = 0; I != Pairs.size(); ++I) {
+    FusedUlcp Fresh;
+    Fresh.CR1 = regionOfSection(Tr, Index.byGlobalId(Pairs[I].First));
+    Fresh.CR2 = regionOfSection(Tr, Index.byGlobalId(Pairs[I].Second));
+    Fresh.DeltaNs = Deltas[I];
+    Fresh.PairCount = 1;
+    bool Absorbed = false;
+    for (FusedUlcp &G : Groups)
+      if (fuseUlcpGroups(G, Fresh)) {
+        Absorbed = true;
+        break;
+      }
+    if (!Absorbed)
+      Groups.push_back(std::move(Fresh));
+  }
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (size_t I = 0; I < Groups.size() && !Changed; ++I)
+      for (size_t J = I + 1; J < Groups.size(); ++J)
+        if (fuseUlcpGroups(Groups[I], Groups[J])) {
+          Groups.erase(Groups.begin() + static_cast<ptrdiff_t>(J));
+          Changed = true;
+          break;
+        }
+  }
+  return Groups;
+}
+
+void expectSameGroups(const std::vector<FusedUlcp> &Got,
+                      const std::vector<FusedUlcp> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I != Got.size(); ++I) {
+    SCOPED_TRACE("group " + std::to_string(I));
+    EXPECT_EQ(Got[I].CR1, Want[I].CR1);
+    EXPECT_EQ(Got[I].CR2, Want[I].CR2);
+    EXPECT_EQ(Got[I].DeltaNs, Want[I].DeltaNs);
+    EXPECT_EQ(Got[I].PairCount, Want[I].PairCount);
+    EXPECT_EQ(Got[I].P, Want[I].P);
+  }
+}
+
+} // namespace
+
+TEST(FusionTest, RepeatAfterEarlierGroupWidenedMergesAtFixpoint) {
+  // (S1,SB) opens G0 and (S3,SB) opens G1; (S2,SB) widens G0 to
+  // a.cc:1-22, which now overlaps G1.  The repeat of (S3,SB) is
+  // first-fit into G0 pair by pair, but lands in G1's seed when fused
+  // by site pair: either way only the fixpoint makes one group.
+  TraceBuilder B;
+  LockId Mu = B.addLock("mu");
+  CodeSiteId S1 = B.addSite("a.cc", "f", 1, 10);
+  CodeSiteId S2 = B.addSite("a.cc", "f", 8, 22);
+  CodeSiteId S3 = B.addSite("a.cc", "f", 20, 30);
+  CodeSiteId SB = B.addSite("b.cc", "g", 1, 10);
+  ThreadId T0 = B.addThread();
+  ThreadId T1 = B.addThread();
+  for (CodeSiteId Site : {S1, S3, S2, S3}) {
+    B.beginCs(T0, Mu, Site);
+    B.read(T0, 1, 0);
+    B.endCs(T0);
+  }
+  B.beginCs(T1, Mu, SB);
+  B.read(T1, 1, 0);
+  B.endCs(T1);
+  Trace Tr = B.finish();
+  CsIndex Index = CsIndex::build(Tr);
+  std::vector<UlcpPair> Pairs = {{0, 4, UlcpKind::ReadRead},
+                                 {1, 4, UlcpKind::ReadRead},
+                                 {2, 4, UlcpKind::ReadRead},
+                                 {3, 4, UlcpKind::ReadRead}};
+  std::vector<int64_t> Deltas = {1, 10, 100, 1000};
+  std::vector<FusedUlcp> Groups = fuseUlcps(Tr, Index, Pairs, Deltas);
+  ASSERT_EQ(Groups.size(), 1u);
+  EXPECT_EQ(Groups[0].DeltaNs, 1111);
+  EXPECT_EQ(Groups[0].PairCount, 4u);
+  EXPECT_EQ(Groups[0].CR1, region("a.cc", 1, 30));
+  EXPECT_EQ(Groups[0].CR2, region("b.cc", 1, 10));
+  expectSameGroups(Groups, perPairFusion(Tr, Index, Pairs, Deltas));
+}
+
+TEST(FusionTest, MatchesPerPairFusionOnEveryApp) {
+  std::vector<AppModel> Models = allApps();
+  Models.insert(Models.end(), syntheticApps().begin(),
+                syntheticApps().end());
+  for (const AppModel &App : Models)
+    for (unsigned Threads : {4u, 8u})
+      for (double Scale : {1.0, 4.0})
+        for (PairModeKind Mode : {PairModeKind::AdjacentCrossThread,
+                                  PairModeKind::AllCrossThread}) {
+          SCOPED_TRACE(App.Name + "@" + std::to_string(Threads) +
+                       " scale " + std::to_string(Scale) +
+                       (Mode == PairModeKind::AllCrossThread ? " all"
+                                                             : " adjacent"));
+          PipelineOptions Opts;
+          Opts.Detect.PairMode = Mode;
+          AnalysisSession Session(
+              generateWorkload(App.Factory(Threads, Scale)), Opts);
+          Expected<const PerfDebugReport &> Report = Session.report();
+          ASSERT_TRUE(Report.ok()) << Report.message();
+
+          Expected<const CsIndex &> Index = Session.csIndex();
+          Expected<const DetectResult &> Det = Session.detect();
+          Expected<const ReplayResult &> Orig =
+              Session.replay(Opts.Replay.Schedule);
+          Expected<const ReplayResult &> Free =
+              Session.replayTransformed(Opts.Replay.Schedule);
+          ASSERT_TRUE(Index.ok() && Det.ok() && Orig.ok() && Free.ok());
+          std::vector<UlcpPair> Unnecessary = Det->unnecessaryPairs();
+          std::vector<int64_t> Deltas =
+              ulcpImprovements(*Orig, *Free, Unnecessary);
+          int64_t SumDelta = 0;
+          for (int64_t D : Deltas)
+            SumDelta += D;
+          std::vector<FusedUlcp> Want =
+              perPairFusion(Session.trace(), *Index, Unnecessary, Deltas);
+          rankUlcpGroups(Want);
+
+          EXPECT_EQ(Report->SumDelta, SumDelta);
+          expectSameGroups(Report->Groups, Want);
+        }
 }
 
 //===----------------------------------------------------------------------===//

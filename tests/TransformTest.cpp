@@ -815,6 +815,53 @@ TEST(RaceCheckTest, MultiLockLocksetsProtectIffTheyShareALock) {
   EXPECT_EQ(std::max(Races[0].ThreadA, Races[0].ThreadB), Ids[3]);
 }
 
+TEST(RaceCheckTest, ThreeHopChainAcrossWordBoundariesOrders) {
+  // Sections A (id 0) and D (id 131) write addr 9 under different
+  // locks; only the chain A -> B (60) -> C (100) -> D orders them, one
+  // section in each of the first three 64-bit words of a reach row.
+  TraceBuilder B;
+  LockId LA = B.addLock("LA");
+  LockId LB = B.addLock("LB");
+  LockId LC = B.addLock("LC");
+  LockId LD = B.addLock("LD");
+  ThreadId T0 = B.addThread();
+  ThreadId T1 = B.addThread();
+  ThreadId T2 = B.addThread();
+  ThreadId T3 = B.addThread();
+  B.beginCs(T0, LA);
+  B.write(T0, 9, 1);
+  B.endCs(T0);
+  for (ThreadId T : {T1, T2}) {
+    LockId L = T == T1 ? LB : LC;
+    for (uint32_t I = 0; I != (T == T1 ? 60u : 70u); ++I) {
+      B.beginCs(T, L);
+      B.read(T, 100 + T, 0);
+      B.endCs(T);
+    }
+  }
+  B.beginCs(T3, LD);
+  B.write(T3, 9, 2);
+  B.endCs(T3);
+  Trace Tr = B.finish();
+  ASSERT_EQ(Tr.numCriticalSections(), 132u);
+  const uint32_t A = 0, Bs = Tr.globalCsId(CsRef{T1, 59}),
+                 C = Tr.globalCsId(CsRef{T2, 39}), D = 131;
+  ASSERT_EQ(Bs, 60u);
+  ASSERT_EQ(C, 100u);
+  Tr.Constraints = {{A, Bs}, {Bs, C}, {C, D}};
+  CsIndex Index = CsIndex::build(Tr);
+  TopologyGraph EmptyTopo(Tr.numCriticalSections());
+  EXPECT_TRUE(checkRaces(Tr, Index, EmptyTopo).empty());
+
+  // Without the middle hop nothing orders A and D: one race.
+  Tr.Constraints = {{A, Bs}, {C, D}};
+  std::vector<RaceReport> Races = checkRaces(Tr, Index, EmptyTopo);
+  ASSERT_EQ(Races.size(), 1u);
+  EXPECT_EQ(Races[0].Addr, 9u);
+  EXPECT_EQ(Races[0].CsA, A);
+  EXPECT_EQ(Races[0].CsB, D);
+}
+
 TEST(RaceCheckTest, UnlockedConflictingAccessesReported) {
   TraceBuilder B;
   B.addLock("unused");
