@@ -23,8 +23,19 @@ Engine::openSessionFromFile(const std::string &Path) const {
   return openSession(std::move(*Tr));
 }
 
+/// Every stage of \p Session, which its caller discards next: the
+/// caches move into the result instead of being copied (takeRun).
+static Expected<PipelineResult> consumeSession(AnalysisSession &Session) {
+  PipelineError Err;
+  PipelineResult R = Session.takeRun(&Err);
+  if (!Err.isSuccess())
+    return Err;
+  return R;
+}
+
 Expected<PipelineResult> Engine::analyzeTrace(Trace Tr) const {
-  return openSession(std::move(Tr)).analyze();
+  AnalysisSession Session = openSession(std::move(Tr));
+  return consumeSession(Session);
 }
 
 Expected<DetectResult>
@@ -87,13 +98,8 @@ void Engine::runBatch(
       if (!SessionOr)
         return SessionOr.error();
       SessionOr->setTraceIndex(I);
-      // The session dies with this iteration: consume its caches into
-      // the result instead of copying them.
-      PipelineError Err;
-      PipelineResult R = SessionOr->takeRun(&Err);
-      if (!Err.isSuccess())
-        return Err;
-      return R;
+      // The session dies with this iteration.
+      return consumeSession(*SessionOr);
     }();
     MutexLock Guard(BatchMu);
     Deliver(I, std::move(Item));

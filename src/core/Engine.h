@@ -57,8 +57,9 @@ public:
   /// Runs the full pipeline over an already-parsed \p Tr, for callers
   /// that parse from somewhere other than a file path (the serve
   /// daemon parses the bytes it mapped, then caches only the summary
-  /// of this result).  Equivalent to
-  /// openSession(Tr).analyze() with the engine's options.
+  /// of this result).  Equivalent to openSession(Tr).analyze() with
+  /// the engine's options, but the session is consumed (takeRun), so
+  /// its results move into the returned one instead of being copied.
   Expected<PipelineResult> analyzeTrace(Trace Tr) const;
 
   /// Out-of-core detection over the chunked v3 trace at \p Path:

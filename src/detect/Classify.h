@@ -9,7 +9,9 @@
 /// The paper's Algorithm 1: classify a pair of critical sections
 /// protected by the same lock by intersecting their shadow-memory
 /// read/write sets.  Pairs that conflict statically are refined by the
-/// reversed replay into Benign or TrueContention.
+/// reversed replay into Benign or TrueContention.  Both read only the
+/// sections' runs of their SectionTable (detect/CriticalSection.h):
+/// no trace walk and no hash probe per pair.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,13 +29,14 @@ namespace perfplay {
 /// conflicting pairs (which a caller may refine with isBenignPair).
 /// Every read/write-set intersection is the sorted merge of
 /// support/SetOps.h, which gallops when one side is much smaller.
-UlcpKind classifyPairStatic(const CriticalSection &C1,
+/// \p C1 and \p C2 are sections of \p Table.
+UlcpKind classifyPairStatic(const SectionTable &Table,
+                            const CriticalSection &C1,
                             const CriticalSection &C2);
 
 /// Full classification: Algorithm 1 plus the reversed-replay
 /// refinement of conflicting pairs into Benign / TrueContention.
-UlcpKind classifyPair(const Trace &Tr, const MemoryImage &Initial,
-                      const CriticalSection &C1,
+UlcpKind classifyPair(const SectionTable &Table, const CriticalSection &C1,
                       const CriticalSection &C2);
 
 } // namespace perfplay

@@ -2,36 +2,111 @@
 
 #include "detect/CriticalSection.h"
 
+#include "support/FlatMap.h"
+
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace perfplay;
 
-template <typename T> static void sortUnique(std::vector<T> &V) {
-  std::sort(V.begin(), V.end());
-  V.erase(std::unique(V.begin(), V.end()), V.end());
+void SectionBody::add(const Event &E) {
+  switch (E.Kind) {
+  case EventKind::Read:
+  case EventKind::Write:
+    Accesses.push_back(
+        Access{E.Addr, E.Value, E.Op, E.Kind == EventKind::Write});
+    break;
+  case EventKind::CondWait:
+    CondWaits.push_back(E.Lock);
+    break;
+  case EventKind::CondSignal:
+  case EventKind::CondBroadcast:
+    CondSignals.push_back(E.Lock);
+    break;
+  default:
+    break;
+  }
 }
 
-void CriticalSection::finalizeSets() {
-  sortUnique(Reads);
-  sortUnique(Writes);
-  sortUnique(CondWaits);
-  sortUnique(CondSignals);
+/// Sorts and de-duplicates \p Pool from \p Begin on; returns that tail
+/// as a run.
+template <typename T>
+static PoolRun sortUniqueTail(std::vector<T> &Pool, size_t Begin) {
+  auto First = Pool.begin() + static_cast<ptrdiff_t>(Begin);
+  std::sort(First, Pool.end());
+  Pool.erase(std::unique(First, Pool.end()), Pool.end());
+  assert(Pool.size() <= UINT32_MAX && "section pool overflow");
+  return PoolRun{static_cast<uint32_t>(Begin),
+                 static_cast<uint32_t>(Pool.size() - Begin)};
+}
+
+uint32_t SectionTable::add(const CriticalSection &Cs) {
+  Sections.push_back(Cs);
+  return static_cast<uint32_t>(Sections.size() - 1);
+}
+
+void SectionTable::pack(uint32_t Pos, const SectionBody &Body) {
+  CriticalSection &Cs = Sections[Pos];
+
+  size_t Begin = Addrs.size();
+  for (const SectionBody::Access &A : Body.Accesses)
+    if (!A.IsWrite)
+      Addrs.push_back(A.Addr);
+  Cs.Reads = sortUniqueTail(Addrs, Begin);
+  Begin = Addrs.size();
+  for (const SectionBody::Access &A : Body.Accesses)
+    if (A.IsWrite)
+      Addrs.push_back(A.Addr);
+  Cs.Writes = sortUniqueTail(Addrs, Begin);
+
+  Begin = Conds.size();
+  Conds.insert(Conds.end(), Body.CondWaits.begin(), Body.CondWaits.end());
+  Cs.CondWaits = sortUniqueTail(Conds, Begin);
+  Begin = Conds.size();
+  Conds.insert(Conds.end(), Body.CondSignals.begin(),
+               Body.CondSignals.end());
+  Cs.CondSignals = sortUniqueTail(Conds, Begin);
+
+  Begin = SlotAddrs.size();
+  Span<AddrId> R = reads(Cs), W = writes(Cs);
+  std::set_union(R.begin(), R.end(), W.begin(), W.end(),
+                 std::back_inserter(SlotAddrs));
+  SlotInit.resize(SlotAddrs.size(), 0);
+  Cs.Slots = PoolRun{static_cast<uint32_t>(Begin),
+                     static_cast<uint32_t>(SlotAddrs.size() - Begin)};
+
+  const auto SlotsBegin = SlotAddrs.begin() + static_cast<ptrdiff_t>(Begin);
+  Cs.Program = PoolRun{static_cast<uint32_t>(Ops.size()),
+                       static_cast<uint32_t>(Body.Accesses.size())};
+  for (const SectionBody::Access &A : Body.Accesses) {
+    auto It = std::lower_bound(SlotsBegin, SlotAddrs.end(), A.Addr);
+    assert(It != SlotAddrs.end() && *It == A.Addr && "access without slot");
+    Ops.push_back(MemOp{A.Value, static_cast<uint32_t>(It - SlotsBegin),
+                        A.IsWrite, A.Op});
+  }
+  assert(Ops.size() <= UINT32_MAX && "section pool overflow");
 }
 
 CsIndex CsIndex::build(const Trace &Tr) {
   CsIndex Index;
   Index.TryFailPerLock.assign(Tr.Locks.size(), 0);
+  Index.Sections.reserve(Tr.numCriticalSections());
 
-  // First pass: create one record per section-opening event, in
-  // global-id order, and fill read/write sets for every enclosing open
-  // section.
+  // Initial value of every address: the recorded value of its first
+  // access in thread-major order when that access is a read, else 0.
+  FlatMap<AddrId, uint64_t> Initial;
+  // Open sections' positions, innermost last, and their bodies by
+  // nesting depth (reused across sections, so their buffers keep
+  // their capacity).
+  std::vector<uint32_t> OpenStack;
+  std::vector<SectionBody> Bodies;
+
+  // Records are appended thread-major in acquire order, which is
+  // exactly the global-id enumeration.
   for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
     const auto &Events = Tr.Threads[T].Events;
-    std::vector<size_t> OpenStack; // Indices into Index.Sections.
     uint32_t NextIndex = 0;
-    // Records for this thread are appended in acquire order, which is
-    // exactly the global-id order within the thread.
     for (size_t I = 0; I != Events.size(); ++I) {
       const Event &E = Events[I];
       switch (E.Kind) {
@@ -47,13 +122,18 @@ CsIndex CsIndex::build(const Trace &Tr) {
         }
         CriticalSection Cs;
         Cs.Ref = CsRef{T, NextIndex++};
+        Cs.GlobalId = static_cast<uint32_t>(Index.Sections.size());
+        assert(Cs.GlobalId == Tr.globalCsId(Cs.Ref) &&
+               "global-id enumeration mismatch");
         Cs.Lock = E.Lock;
         Cs.Site = E.Site;
         Cs.Mode = acquireModeOf(E);
         Cs.AcquireIdx = I;
         Cs.Depth = static_cast<unsigned>(OpenStack.size());
-        Index.Sections.push_back(std::move(Cs));
-        OpenStack.push_back(Index.Sections.size() - 1);
+        OpenStack.push_back(Index.add(Cs));
+        if (Bodies.size() < OpenStack.size())
+          Bodies.emplace_back();
+        Bodies[Cs.Depth].clear();
         break;
       }
       case EventKind::LockRelease: {
@@ -62,29 +142,24 @@ CsIndex CsIndex::build(const Trace &Tr) {
         CriticalSection &Cs = Index.Sections[OpenStack.back()];
         assert(Cs.Lock == E.Lock && "mismatched release");
         Cs.ReleaseIdx = I;
+        Index.pack(OpenStack.back(), Bodies[Cs.Depth]);
         OpenStack.pop_back();
         break;
       }
-      case EventKind::Read:
-        for (size_t Open : OpenStack)
-          Index.Sections[Open].Reads.push_back(E.Addr);
-        break;
-      case EventKind::Write:
-        for (size_t Open : OpenStack)
-          Index.Sections[Open].Writes.push_back(E.Addr);
-        break;
       case EventKind::Compute:
-        for (size_t Open : OpenStack)
+        for (uint32_t Open : OpenStack)
           Index.Sections[Open].InnerCost += E.Cost;
         break;
+      case EventKind::Read:
+      case EventKind::Write:
+        Initial.insert(E.Addr, E.Kind == EventKind::Read ? E.Value : 0);
+        [[fallthrough]];
       case EventKind::CondWait:
-        for (size_t Open : OpenStack)
-          Index.Sections[Open].CondWaits.push_back(E.Lock);
-        break;
       case EventKind::CondSignal:
       case EventKind::CondBroadcast:
-        for (size_t Open : OpenStack)
-          Index.Sections[Open].CondSignals.push_back(E.Lock);
+        // Nested sections' events belong to every enclosing section.
+        for (size_t D = 0; D != OpenStack.size(); ++D)
+          Bodies[D].add(E);
         break;
       case EventKind::ThreadStart:
       case EventKind::ThreadEnd:
@@ -93,15 +168,13 @@ CsIndex CsIndex::build(const Trace &Tr) {
     }
     assert(OpenStack.empty() && "unbalanced critical sections");
   }
-
-  // Sections were appended thread-major in acquire order, which is the
-  // global-id enumeration; record the ids and canonicalize the sets.
-  for (size_t I = 0; I != Index.Sections.size(); ++I) {
-    CriticalSection &Cs = Index.Sections[I];
-    Cs.GlobalId = Tr.globalCsId(Cs.Ref);
-    assert(Cs.GlobalId == I && "global-id enumeration mismatch");
-    Cs.finalizeSets();
-  }
+  // Every slot's address was accessed by its own section, so the scan
+  // decided it.
+  Index.seedSlots([&](AddrId Addr) {
+    const uint64_t *V = Initial.find(Addr);
+    assert(V && "slot address never accessed");
+    return *V;
+  });
 
   // Per-lock pairing order.
   Index.PerLock.assign(Tr.Locks.size(), {});

@@ -8,8 +8,15 @@
 /// \file
 /// Whole-trace ULCP detection: enumerate pairs of critical sections
 /// protected by the same lock across threads, classify each (Algorithm
-/// 1 + reversed replay), and summarize per-category counts (the rows of
-/// Table 1).
+/// 1 + reversed replay) from the CsIndex's flat section table, and
+/// summarize per-category counts (the rows of Table 1).
+///
+/// Cost: one pass over the index's lock orders.  A pair costs the
+/// condvar and read/write-set merges of Algorithm 1 over two sections'
+/// sorted runs; a statically conflicting pair adds the reversed replay,
+/// a merge of the two slot lists plus two runs of each section's
+/// memory program.  Without CountsOnly the pair list is reserved at its
+/// exact size by a counting pass first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +92,9 @@ struct DetectResult {
   std::vector<UlcpPair> unnecessaryPairs() const;
 };
 
-/// Runs detection over \p Index (built from \p Tr).
+/// Runs detection over \p Index (built from \p Tr).  Every verdict
+/// reads the index's section table only (detect/CriticalSection.h);
+/// \p Tr is not walked.
 DetectResult detectUlcps(const Trace &Tr, const CsIndex &Index,
                          const DetectOptions &Opts = DetectOptions());
 

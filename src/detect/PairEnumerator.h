@@ -32,6 +32,7 @@
 #include "detect/Detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -49,17 +50,14 @@ inline size_t pairLimit(const DetectOptions &Opts, size_t I,
   return Limit;
 }
 
-/// Enumerates and classifies every same-lock cross-thread pair into
-/// \p Out (Pairs, Counts, Stats.NumClassified).
-///
-/// \p PerLock holds each lock's global section ids in pairing order;
-/// \p ThreadOf maps a global id to its thread.  \p Classify(G1, G2)
-/// returns the verdict of the pair of global ids G1, G2.
-template <typename ClassifyFn>
-void enumeratePairs(const DetectOptions &Opts,
-                    const std::vector<std::vector<uint32_t>> &PerLock,
-                    const std::vector<uint32_t> &ThreadOf,
-                    ClassifyFn &&Classify, DetectResult &Out) {
+/// Calls \p Visit(G1, G2) for every same-lock cross-thread pair of
+/// global ids in enumeration order.  \p PerLock holds each lock's
+/// global section ids in pairing order; \p ThreadOf maps a global id
+/// to its thread.
+template <typename VisitFn>
+void forEachPair(const DetectOptions &Opts,
+                 const std::vector<std::vector<uint32_t>> &PerLock,
+                 const std::vector<uint32_t> &ThreadOf, VisitFn &&Visit) {
   for (const std::vector<uint32_t> &Order : PerLock)
     for (size_t I = 0; I + 1 < Order.size(); ++I) {
       const uint32_t G1 = Order[I];
@@ -67,14 +65,36 @@ void enumeratePairs(const DetectOptions &Opts,
       const size_t Limit = pairLimit(Opts, I, Order.size());
       for (size_t J = I + 1; J < Limit; ++J) {
         const uint32_t G2 = Order[J];
-        if (ThreadOf[G2] == T1)
-          continue;
-        const UlcpKind Kind = Classify(G1, G2);
-        Out.Counts.add(Kind);
-        if (!Opts.CountsOnly)
-          Out.Pairs.push_back(UlcpPair{G1, G2, Kind});
+        if (ThreadOf[G2] != T1)
+          Visit(G1, G2);
       }
     }
+}
+
+/// Enumerates and classifies every same-lock cross-thread pair into
+/// \p Out (Pairs, Counts, Stats.NumClassified).  \p Classify(G1, G2)
+/// returns the verdict of the pair of global ids G1, G2.  Unless the
+/// run is CountsOnly, a counting pass first reserves Out.Pairs at its
+/// exact size.
+template <typename ClassifyFn>
+void enumeratePairs(const DetectOptions &Opts,
+                    const std::vector<std::vector<uint32_t>> &PerLock,
+                    const std::vector<uint32_t> &ThreadOf,
+                    ClassifyFn &&Classify, DetectResult &Out) {
+  size_t Reserved = Out.Pairs.size();
+  if (!Opts.CountsOnly) {
+    forEachPair(Opts, PerLock, ThreadOf,
+                [&Reserved](uint32_t, uint32_t) { ++Reserved; });
+    Out.Pairs.reserve(Reserved);
+  }
+  forEachPair(Opts, PerLock, ThreadOf, [&](uint32_t G1, uint32_t G2) {
+    const UlcpKind Kind = Classify(G1, G2);
+    Out.Counts.add(Kind);
+    if (!Opts.CountsOnly)
+      Out.Pairs.push_back(UlcpPair{G1, G2, Kind});
+  });
+  assert(Out.Pairs.size() == Reserved &&
+         "pair count differs from the enumeration");
   Out.Stats.NumClassified = Out.Counts.total();
 }
 

@@ -9,15 +9,13 @@
 #include "detect/ReversedReplay.h"
 
 #include <algorithm>
-#include <cassert>
-#include <iterator>
 #include <vector>
 
 using namespace perfplay;
 
 namespace {
 
-void applyWrite(uint64_t &Cell, uint64_t Operand, WriteOpKind Op) {
+inline void applyWrite(uint64_t &Cell, uint64_t Operand, WriteOpKind Op) {
   switch (Op) {
   case WriteOpKind::Store:
     Cell = Operand;
@@ -37,37 +35,36 @@ void applyWrite(uint64_t &Cell, uint64_t Operand, WriteOpKind Op) {
   }
 }
 
-/// Reused buffers of one thread's isBenignPair calls.
+/// Reused buffers of one thread's isBenignPair calls: each section's
+/// slot-to-pair-slot map, the pair-slot values under the A;B and the
+/// B;A order, and the values the A;B pass read (A's reads, then B's).
 struct ReplayScratch {
-  /// Sorted union of one section's Reads and Writes, then of the pair's.
-  std::vector<AddrId> AAddrs, BAddrs, Slots;
-  /// Slot values under the A;B and the B;A order.
-  std::vector<uint64_t> Forward, Reversed;
-  /// Values the A;B pass read: A's reads, then B's.
-  std::vector<uint64_t> Reads;
+  std::vector<uint32_t> MapA, MapB;
+  std::vector<uint64_t> Forward, Reversed, Reads;
+
+  /// Grows the buffers to fit a pair of \p NA and \p NB slots and
+  /// \p NumOps accesses.
+  void fit(size_t NA, size_t NB, size_t NumOps) {
+    MapA.resize(std::max(MapA.size(), NA));
+    MapB.resize(std::max(MapB.size(), NB));
+    Forward.resize(std::max(Forward.size(), NA + NB));
+    Reversed.resize(Forward.size());
+    Reads.resize(std::max(Reads.size(), NumOps));
+  }
 };
 
 thread_local ReplayScratch Scratch;
 
-/// Runs \p Cs's memory events over \p Values, indexed like \p Slots.
-/// Each read's value goes to \p OnRead; the run stops and returns false
-/// as soon as \p OnRead does.
+/// Runs \p Program over \p Values, its slots mapped to pair slots by
+/// \p Map.  Each read's value goes to \p OnRead; the run stops and
+/// returns false as soon as \p OnRead does.
 template <typename OnReadFn>
-bool replay(const Trace &Tr, const CriticalSection &Cs,
-            const std::vector<AddrId> &Slots, uint64_t *Values,
-            OnReadFn OnRead) {
-  const std::vector<Event> &Events = Tr.Threads[Cs.Ref.Thread].Events;
-  assert(Cs.ReleaseIdx > Cs.AcquireIdx && "section not closed");
-  for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
-    const Event &E = Events[I];
-    if (E.Kind != EventKind::Read && E.Kind != EventKind::Write)
-      continue;
-    auto It = std::lower_bound(Slots.begin(), Slots.end(), E.Addr);
-    assert(It != Slots.end() && *It == E.Addr &&
-           "access outside the section's read/write sets");
-    uint64_t &Cell = Values[It - Slots.begin()];
-    if (E.Kind == EventKind::Write)
-      applyWrite(Cell, E.Value, E.Op);
+inline bool replay(Span<MemOp> Program, const uint32_t *Map,
+                   uint64_t *Values, OnReadFn OnRead) {
+  for (const MemOp &Op : Program) {
+    uint64_t &Cell = Values[Map[Op.Slot]];
+    if (Op.IsWrite)
+      applyWrite(Cell, Op.Operand, Op.Op);
     else if (!OnRead(Cell))
       return false;
   }
@@ -76,73 +73,67 @@ bool replay(const Trace &Tr, const CriticalSection &Cs,
 
 } // namespace
 
-MemoryImage MemoryImage::initialOf(const Trace &Tr) {
-  MemoryImage Image;
-  FlatMap<AddrId, uint8_t> Decided;
-  // Scan threads in order; the first dynamic access per address decides
-  // its seed.  Only a read seed matters: if the first access is a write,
-  // the value before it is unobservable inside critical sections.
-  for (const auto &T : Tr.Threads)
-    for (const Event &E : T.Events) {
-      if (E.Kind == EventKind::Read) {
-        if (Decided.insert(E.Addr, 1))
-          Image.Cells[E.Addr] = E.Value;
-      } else if (E.Kind == EventKind::Write) {
-        Decided.insert(E.Addr, 1);
-      }
-    }
-  return Image;
-}
-
-uint64_t MemoryImage::load(AddrId Addr) const {
-  const uint64_t *V = Cells.find(Addr);
-  return V ? *V : 0;
-}
-
-void MemoryImage::apply(AddrId Addr, uint64_t Operand, WriteOpKind Op) {
-  applyWrite(Cells[Addr], Operand, Op);
-}
-
-bool perfplay::isBenignPair(const Trace &Tr, const MemoryImage &Initial,
+bool perfplay::isBenignPair(const SectionTable &Table,
                             const CriticalSection &A,
                             const CriticalSection &B) {
+  const Span<AddrId> SlotsA = Table.slots(A), SlotsB = Table.slots(B);
+  const Span<uint64_t> InitA = Table.slotValues(A),
+                       InitB = Table.slotValues(B);
+  const Span<MemOp> ProgA = Table.program(A), ProgB = Table.program(B);
+  const size_t NA = SlotsA.size(), NB = SlotsB.size();
   ReplayScratch &S = Scratch;
+  S.fit(NA, NB, ProgA.size() + ProgB.size());
+  uint32_t *MapA = S.MapA.data(), *MapB = S.MapB.data();
+  uint64_t *Forward = S.Forward.data(), *Reversed = S.Reversed.data();
+  uint64_t *Reads = S.Reads.data();
 
-  // Addresses outside the pair's read/write sets evolve identically in
-  // both orders, so the replay only needs one slot per pair address.
-  // Both orders write the same address set, so comparing plain value
-  // arrays is exact.
-  S.AAddrs.clear();
-  std::set_union(A.Reads.begin(), A.Reads.end(), A.Writes.begin(),
-                 A.Writes.end(), std::back_inserter(S.AAddrs));
-  S.BAddrs.clear();
-  std::set_union(B.Reads.begin(), B.Reads.end(), B.Writes.begin(),
-                 B.Writes.end(), std::back_inserter(S.BAddrs));
-  S.Slots.clear();
-  std::set_union(S.AAddrs.begin(), S.AAddrs.end(), S.BAddrs.begin(),
-                 S.BAddrs.end(), std::back_inserter(S.Slots));
-  S.Forward.resize(S.Slots.size());
-  for (size_t I = 0; I != S.Slots.size(); ++I)
-    S.Forward[I] = Initial.load(S.Slots[I]);
-  S.Reversed = S.Forward;
+  // Addresses outside the pair's slots evolve identically in both
+  // orders, so the replay only needs one slot per pair address: the
+  // merge of the two sorted slot lists.  Both orders write the same
+  // address set, so comparing plain value arrays is exact.  A shared
+  // address has the same initial value in both lists.
+  uint32_t N = 0;
+  size_t I = 0, J = 0;
+  while (I != NA && J != NB) {
+    if (SlotsA[I] < SlotsB[J]) {
+      Forward[N] = InitA[I];
+      MapA[I++] = N++;
+    } else if (SlotsB[J] < SlotsA[I]) {
+      Forward[N] = InitB[J];
+      MapB[J++] = N++;
+    } else {
+      Forward[N] = InitA[I];
+      MapA[I++] = N;
+      MapB[J++] = N++;
+    }
+  }
+  for (; I != NA; ++I) {
+    Forward[N] = InitA[I];
+    MapA[I] = N++;
+  }
+  for (; J != NB; ++J) {
+    Forward[N] = InitB[J];
+    MapB[J] = N++;
+  }
+  std::copy(Forward, Forward + N, Reversed);
 
   // A;B: record what each section reads.
-  S.Reads.clear();
-  auto Record = [&S](uint64_t V) {
-    S.Reads.push_back(V);
+  size_t NumReads = 0;
+  auto Record = [Reads, &NumReads](uint64_t V) {
+    Reads[NumReads++] = V;
     return true;
   };
-  replay(Tr, A, S.Slots, S.Forward.data(), Record);
-  const size_t NumAReads = S.Reads.size();
-  replay(Tr, B, S.Slots, S.Forward.data(), Record);
+  replay(ProgA, MapA, Forward, Record);
+  const size_t NumAReads = NumReads;
+  replay(ProgB, MapB, Forward, Record);
 
   // B;A: each section must read what it read in the other order.
   size_t Next = NumAReads;
-  auto Match = [&S, &Next](uint64_t V) { return S.Reads[Next++] == V; };
-  if (!replay(Tr, B, S.Slots, S.Reversed.data(), Match))
+  auto Match = [Reads, &Next](uint64_t V) { return Reads[Next++] == V; };
+  if (!replay(ProgB, MapB, Reversed, Match))
     return false;
   Next = 0;
-  if (!replay(Tr, A, S.Slots, S.Reversed.data(), Match))
+  if (!replay(ProgA, MapA, Reversed, Match))
     return false;
-  return S.Forward == S.Reversed;
+  return std::equal(Forward, Forward + N, Reversed);
 }

@@ -67,9 +67,9 @@ struct SectionKeyTable {
 /// The signature covers (Lock, Site, Mode) plus each Read's address,
 /// each Write's (address, operand, operator) and each condvar
 /// wait/signal.  Read *values* are excluded on purpose: the reversed
-/// replay feeds reads from the memory image, not from the recorded
-/// value, so they cannot influence a verdict — and excluding them
-/// merges more dynamic sections into one key.
+/// replay feeds reads from the slots' initial values, not from the
+/// recorded value, so they cannot influence a verdict — and excluding
+/// them merges more dynamic sections into one key.
 class SignatureInterner {
 public:
   void reserve(size_t N) { Interned.reserve(N); }

@@ -19,23 +19,3 @@ const char *perfplay::ulcpKindName(UlcpKind Kind) {
   }
   return "?";
 }
-
-void UlcpCounts::add(UlcpKind Kind) {
-  switch (Kind) {
-  case UlcpKind::NullLock:
-    ++NullLock;
-    break;
-  case UlcpKind::ReadRead:
-    ++ReadRead;
-    break;
-  case UlcpKind::DisjointWrite:
-    ++DisjointWrite;
-    break;
-  case UlcpKind::Benign:
-    ++Benign;
-    break;
-  case UlcpKind::TrueContention:
-    ++TrueContention;
-    break;
-  }
-}

@@ -71,8 +71,27 @@ struct UlcpCounts {
 
   uint64_t total() const { return totalUnnecessary() + TrueContention; }
 
-  /// Increments the bucket for \p Kind.
-  void add(UlcpKind Kind);
+  /// Increments the bucket for \p Kind (inline: detection calls it
+  /// once per pair).
+  void add(UlcpKind Kind) {
+    switch (Kind) {
+    case UlcpKind::NullLock:
+      ++NullLock;
+      break;
+    case UlcpKind::ReadRead:
+      ++ReadRead;
+      break;
+    case UlcpKind::DisjointWrite:
+      ++DisjointWrite;
+      break;
+    case UlcpKind::Benign:
+      ++Benign;
+      break;
+    case UlcpKind::TrueContention:
+      ++TrueContention;
+      break;
+    }
+  }
 };
 
 } // namespace perfplay

@@ -3,14 +3,14 @@
 // Parity with detectUlcps is the whole contract.  The parts that
 // decide verdicts are shared code: signatures go through
 // SignatureInterner (detect/SectionKey.h), whose words cover all that
-// classification reads, representatives through
-// CriticalSection::finalizeSets, and finish() through the
-// whole-trace path's enumeratePairs (detect/PairEnumerator.h).  What this file adds
-// mirrors a specific piece of the whole-trace path:
+// classification reads, representatives through SectionTable::pack,
+// and finish() through the whole-trace path's enumeratePairs
+// (detect/PairEnumerator.h).  What this file adds mirrors a specific
+// piece of the whole-trace path:
 //
 //  - the incremental first-access fold reproduces the thread-major
-//    scan of MemoryImage::initialOf (lowest accessing thread wins;
-//    within a thread, program order),
+//    scan CsIndex::build seeds slots from (lowest accessing thread
+//    wins; within a thread, program order),
 //  - global ids are derived from per-thread acquire ordinals exactly
 //    as Trace::globalCsId numbers them, and the per-lock order follows
 //    CsIndex::build (grant schedule when present, global-id order
@@ -22,14 +22,13 @@
 
 #include "detect/Classify.h"
 #include "detect/PairEnumerator.h"
-#include "detect/ReversedReplay.h"
+
+#include <cassert>
 
 using namespace perfplay;
 
 WindowedDetector::WindowedDetector(DetectOptions Opts)
-    : Opts(std::move(Opts)) {
-  ArenaTr.Threads.resize(1);
-}
+    : Opts(std::move(Opts)) {}
 
 WindowedDetector::~WindowedDetector() = default;
 
@@ -64,33 +63,22 @@ uint32_t WindowedDetector::closeSection(OpenSection &&Top) {
   auto [Key, IsNew] = Signatures.intern(Top.Lock, Top.Site, Top.Mode,
                                         Interior, InteriorEnd);
   if (IsNew) {
-    // New signature: retain this section as the class representative.
-    // Its events move into the arena verbatim, so the replay walks the
-    // exact recorded access sequence (nested sections included).
-    std::vector<Event> &Arena = ArenaTr.Threads[0].Events;
-    size_t Start = Arena.size();
-    Arena.insert(Arena.end(), Top.Buf.begin(), Top.Buf.end());
+    // New signature: this section becomes the class representative,
+    // packed into the table at position Key (keys are dense in
+    // first-seen order), its accesses in program order, nested
+    // sections included.
     CriticalSection Rep;
     Rep.Ref = CsRef{0, Key};
     Rep.GlobalId = Key;
     Rep.Lock = Top.Lock;
     Rep.Site = Top.Site;
     Rep.Mode = Top.Mode;
-    Rep.AcquireIdx = Start;
-    Rep.ReleaseIdx = Start + Top.Buf.size() - 1;
-    for (const Event *E = Interior; E != InteriorEnd; ++E) {
-      if (E->Kind == EventKind::Read)
-        Rep.Reads.push_back(E->Addr);
-      else if (E->Kind == EventKind::Write)
-        Rep.Writes.push_back(E->Addr);
-      else if (E->Kind == EventKind::CondWait)
-        Rep.CondWaits.push_back(E->Lock);
-      else if (E->Kind == EventKind::CondSignal ||
-               E->Kind == EventKind::CondBroadcast)
-        Rep.CondSignals.push_back(E->Lock);
-    }
-    Rep.finalizeSets();
-    Reps.push_back(std::move(Rep));
+    Body.clear();
+    for (const Event *E = Interior; E != InteriorEnd; ++E)
+      Body.add(*E);
+    const uint32_t Pos = Reps.add(Rep);
+    assert(Pos == Key && "representatives out of key order");
+    Reps.pack(Pos, Body);
   }
   return Key;
 }
@@ -241,14 +229,12 @@ bool WindowedDetector::finish(const Trace &Tables, DetectResult &Out,
     TS.KeyIds = std::vector<uint32_t>();
   }
 
-  // Initial image: materialize the winning read seeds (the fold kept
-  // exactly the accesses MemoryImage::initialOf's scan would decide
-  // on; a Store apply reproduces its Cells[Addr] = Value insert).
-  MemoryImage Initial;
+  // Slot initial values: the fold kept exactly the accesses
+  // CsIndex::build's scan decides on.
   if (Opts.UseReversedReplay)
-    First.forEach([&](AddrId Addr, const FirstAccess &FA) {
-      if (FA.IsRead)
-        Initial.apply(Addr, FA.Value, WriteOpKind::Store);
+    Reps.seedSlots([&](AddrId Addr) {
+      const FirstAccess *FA = First.find(Addr);
+      return FA && FA->IsRead ? FA->Value : 0;
     });
 
   // detectUlcps' enumeration with representatives standing in for the
@@ -257,11 +243,10 @@ bool WindowedDetector::finish(const Trace &Tables, DetectResult &Out,
   enumeratePairs(
       Opts, PerLock, SecThread,
       [&](uint32_t G1, uint32_t G2) {
-        const CriticalSection &C1 = Reps[SecKey[G1]];
-        const CriticalSection &C2 = Reps[SecKey[G2]];
-        return Opts.UseReversedReplay
-                   ? classifyPair(ArenaTr, Initial, C1, C2)
-                   : classifyPairStatic(C1, C2);
+        const CriticalSection &C1 = Reps.byGlobalId(SecKey[G1]);
+        const CriticalSection &C2 = Reps.byGlobalId(SecKey[G2]);
+        return Opts.UseReversedReplay ? classifyPair(Reps, C1, C2)
+                                      : classifyPairStatic(Reps, C1, C2);
       },
       Out);
   Out.TryFailPerLock.assign(NumLocks, 0);

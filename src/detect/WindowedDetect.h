@@ -17,23 +17,24 @@
 /// critical section through its signature (detect/SectionKey.h): lock,
 /// site, and the ordered stream of shared accesses (read addresses;
 /// write address/operator/operand) between acquire and release.
-/// Recorded read *values* are fed from the memory image, never from the
-/// section, so two sections with equal signatures are interchangeable
-/// in every verdict.  The detector
-/// therefore keeps, per distinct signature, one **representative**
-/// copy of the section's events in a small arena trace, and per dynamic
-/// section only three words of metadata (lock, signature key, thread —
-/// the global id is derived).  Everything else streams through and is
-/// dropped at the window boundary:
+/// Recorded read *values* are fed from the slots' initial values, never
+/// from the section, so two sections with equal signatures are
+/// interchangeable in every verdict.  The detector therefore packs, per
+/// distinct signature, one **representative** section into a
+/// SectionTable — the same flat table type CsIndex classifies from
+/// (detect/CriticalSection.h) — and keeps per dynamic section only
+/// three words of metadata (lock, signature key, thread — the global
+/// id is derived).  Everything else streams through and is dropped at
+/// the window boundary:
 ///
 ///  - still-open critical sections carry across windows as per-thread
 ///    stacks of buffered events (bounded by the widest section, not the
 ///    trace),
-///  - the whole-trace initial memory image (MemoryImage::initialOf,
-///    which the reversed replay seeds from) is folded incrementally:
-///    per address, the candidate first access of the lowest-numbered
-///    accessing thread — exactly the winner of the serial thread-major
-///    scan,
+///  - the slots' initial values (CsIndex::build's thread-major
+///    first-access fold) are folded incrementally: per address, the
+///    candidate first access of the lowest-numbered accessing thread —
+///    exactly the winner of the serial scan — and written into the
+///    representatives' slots at finish(),
 ///  - finish() rebuilds the per-lock pairing order (grant schedule when
 ///    present, global-id order otherwise) from the metadata alone and
 ///    runs detectUlcps' pair enumerator (detect/PairEnumerator.h),
@@ -95,7 +96,7 @@ public:
   uint64_t numSections() const { return TotalSections; }
 
   /// Distinct section signatures interned so far (== representative
-  /// sections retained in the arena).
+  /// sections in the table).
   uint32_t numSignatures() const { return Signatures.numKeys(); }
 
   /// Events currently buffered on open-section stacks — the carry
@@ -128,7 +129,7 @@ private:
     std::vector<uint32_t> KeyIds;
   };
 
-  /// Candidate seed for the incremental initial image: the first
+  /// Candidate initial value for the incremental slot fold: the first
   /// access to an address by its lowest-numbered accessing thread.
   struct FirstAccess {
     uint32_t Thread = 0;
@@ -152,13 +153,13 @@ private:
 
   /// Signature -> dense key id, the same scheme internSectionKeys uses.
   SignatureInterner Signatures;
-  /// One representative CriticalSection per key, with its events in
-  /// ArenaTr.Threads[0].
-  Trace ArenaTr;
-  std::vector<CriticalSection> Reps;
+  /// One representative section per key, at position = key.
+  SectionTable Reps;
+  /// Reused body buffer of closeSection.
+  SectionBody Body;
 
-  /// Incremental MemoryImage::initialOf state (only maintained when
-  /// the options request the reversed replay).
+  /// Incremental first-access fold of the slots' initial values (only
+  /// maintained when the options request the reversed replay).
   FlatMap<AddrId, FirstAccess> First;
 
   /// Failed trylock attempts per lock, folded as the stream arrives

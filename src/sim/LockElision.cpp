@@ -121,7 +121,8 @@ SpecResult perfplay::speculate(const Trace &Tr, const CsIndex &Index,
         // abort too (only truly disjoint or read-read sections
         // co-exist).
         if (Solo[Other.GlobalId].End + Shift[U] > Start &&
-            classifyPairStatic(Other, Section) == UlcpKind::TrueContention)
+            classifyPairStatic(Index, Other, Section) ==
+                UlcpKind::TrueContention)
           return true;
       }
     }
@@ -142,7 +143,7 @@ SpecResult perfplay::speculate(const Trace &Tr, const CsIndex &Index,
       TimeNs Start = Solo[Cs].Start + Shift[T];
       const TimeNs Body = Solo[Cs].End - Solo[Cs].Start;
       const bool Overflows =
-          Section.Reads.size() + Section.Writes.size() > Model.Capacity;
+          Section.Reads.Size + Section.Writes.Size > Model.Capacity;
 
       for (unsigned Attempt = 0;; ++Attempt) {
         bool Conflict = !Overflows && ConflictAt(Section, Start);

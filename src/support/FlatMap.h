@@ -8,9 +8,9 @@
 /// \file
 /// A minimal open-addressing (linear probing) hash map for integral
 /// keys, used where std::map's node allocations would dominate the
-/// detection and transform passes: the initial MemoryImage the
-/// reversed replay seeds its slots from, the windowed detector's
-/// first-access fold, RULE 1's lock-local verdict memo.  Insert-only
+/// detection and transform passes: CsIndex::build's and the windowed
+/// detector's first-access folds of the slots' initial values, RULE
+/// 1's lock-local verdict memo.  Insert-only
 /// (no erase; clear() empties the map but keeps its slots), contiguous
 /// storage, power-of-two capacity.
 ///

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Set operations over sorted, de-duplicated vectors.  PerfPlay keeps
-/// read/write sets and locksets as sorted vectors (cache-friendly, cheap
-/// intersection), the representation Algorithm 1 and RULE 4 need.
+/// Set operations over sorted, de-duplicated runs.  PerfPlay keeps
+/// read/write sets and locksets as sorted arrays (cache-friendly, cheap
+/// intersection), the representation Algorithm 1 and RULE 4 need: a
+/// std::vector, or a Span over a CsIndex pool (support/Span.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,11 +47,10 @@ namespace detail {
 ///    reached only when every remaining element of Large is `< Val`,
 ///    and Small being sorted ascending means no later value can be
 ///    smaller.
-template <typename T>
-bool gallopingIntersects(const std::vector<T> &Small,
-                         const std::vector<T> &Large) {
+template <typename RangeT>
+bool gallopingIntersects(const RangeT &Small, const RangeT &Large) {
   auto Lo = Large.begin();
-  for (const T &Val : Small) {
+  for (const auto &Val : Small) {
     // Exponentially widen [Lo, Hi) until *Hi >= Val (or Hi hits end);
     // elements before Lo are known to be < Val.
     size_t Step = 1;
@@ -78,8 +78,8 @@ bool gallopingIntersects(const std::vector<T> &Small,
 /// Returns true if the sorted ranges \p A and \p B share an element.
 /// Skewed inputs (read/write sets of a tiny section against a huge one)
 /// take a galloping early-exit path; balanced inputs use a linear merge.
-template <typename T>
-bool sortedIntersects(const std::vector<T> &A, const std::vector<T> &B) {
+template <typename RangeT>
+inline bool sortedIntersects(const RangeT &A, const RangeT &B) {
   if (A.empty() || B.empty())
     return false;
   // Disjoint value ranges cannot intersect.

@@ -161,11 +161,12 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
   // Theorem 1 tolerates *benign* interleavings (redundant writes,
   // commutative updates): a conflicting but order-insensitive pair of
   // sections was parallelized on purpose and is not a race.
-  MemoryImage Initial = MemoryImage::initialOf(Tr);
+  // The index's section table was packed from the original trace,
+  // whose memory events the transformation keeps unchanged.
   auto benignSections = [&](uint32_t CsA, uint32_t CsB) {
     if (CsA == InvalidId || CsB == InvalidId)
       return false;
-    return classifyPair(Tr, Initial, Index.byGlobalId(CsA),
+    return classifyPair(Index, Index.byGlobalId(CsA),
                         Index.byGlobalId(CsB)) != UlcpKind::TrueContention;
   };
 

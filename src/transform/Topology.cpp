@@ -87,7 +87,7 @@ struct Cursor {
 class TopologyBuilder {
 public:
   TopologyBuilder(const Trace &Tr, const CsIndex &Index)
-      : Tr(Tr), Index(Index), Initial(MemoryImage::initialOf(Tr)) {}
+      : Tr(Tr), Index(Index) {}
 
   void buildLock(LockId L) {
     const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
@@ -114,13 +114,13 @@ private:
       const CriticalSection &Cs = Index.byGlobalId(Order[Pos]);
       ThreadId T = Cs.Ref.Thread;
       Threads.push_back(T);
-      for (AddrId A : Cs.Reads)
+      for (AddrId A : Index.reads(Cs))
         Postings.push_back(Posting{T, Access::Reads, A, Pos});
-      for (AddrId A : Cs.Writes)
+      for (AddrId A : Index.writes(Cs))
         Postings.push_back(Posting{T, Access::Writes, A, Pos});
-      for (LockId C : Cs.CondWaits)
+      for (LockId C : Index.condWaits(Cs))
         Postings.push_back(Posting{T, Access::WaitsOn, C, Pos});
-      for (LockId C : Cs.CondSignals)
+      for (LockId C : Index.condSignals(Cs))
         Postings.push_back(Posting{T, Access::SignalsOn, C, Pos});
     }
     std::sort(Postings.begin(), Postings.end());
@@ -134,15 +134,15 @@ private:
   void matchSection(const std::vector<uint32_t> &Order, uint32_t I) {
     const CriticalSection &A = Index.byGlobalId(Order[I]);
     Queries.clear();
-    for (AddrId Addr : A.Reads)
+    for (AddrId Addr : Index.reads(A))
       Queries.push_back(Query{Access::Writes, Addr});
-    for (AddrId Addr : A.Writes) {
+    for (AddrId Addr : Index.writes(A)) {
       Queries.push_back(Query{Access::Reads, Addr});
       Queries.push_back(Query{Access::Writes, Addr});
     }
-    for (LockId C : A.CondWaits)
+    for (LockId C : Index.condWaits(A))
       Queries.push_back(Query{Access::SignalsOn, C});
-    for (LockId C : A.CondSignals)
+    for (LockId C : Index.condSignals(A))
       Queries.push_back(Query{Access::WaitsOn, C});
     if (Queries.empty())
       return;
@@ -205,7 +205,7 @@ private:
     if (MemoOn)
       if (const UlcpKind *Cached = Verdicts.find(memoKey(I, J)))
         return *Cached;
-    UlcpKind Verdict = classifyPair(Tr, Initial, Index.byGlobalId(Order[I]),
+    UlcpKind Verdict = classifyPair(Index, Index.byGlobalId(Order[I]),
                                     Index.byGlobalId(Order[J]));
     ++NumClassified;
     if (!MemoOn) {
@@ -235,7 +235,6 @@ private:
 
   const Trace &Tr;
   const CsIndex &Index;
-  const MemoryImage Initial;
   std::vector<TopologyEdge> Edges;
   uint64_t NumClassified = 0;
 

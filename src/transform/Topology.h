@@ -28,7 +28,8 @@
 /// Cost per lock: sorting its P postings, O(P log P); then per section
 /// A and thread U, one binary search per query plus one heap step per
 /// candidate visited, O((|A| + candidates) log P), plus one
-/// classifyPair (a reversed replay) per candidate classified.
+/// classifyPair (at most a reversed replay over the index's packed
+/// slots and programs) per candidate classified.
 /// Classifying every later section instead is quadratic in the lock's
 /// sections, since a thread that never matches is scanned to the end
 /// of the order.  The index lives for one lock.
@@ -60,6 +61,7 @@
 #define PERFPLAY_TRANSFORM_TOPOLOGY_H
 
 #include "detect/CriticalSection.h"
+#include "support/Span.h"
 #include "trace/Trace.h"
 
 #include <vector>
@@ -79,20 +81,7 @@ struct TopologyEdge {
 
 /// One node's adjacency run in a TopologyGraph: node ids in
 /// edge-insertion order, valid while the graph lives.
-class NodeList {
-public:
-  NodeList(const uint32_t *Begin, const uint32_t *End)
-      : First(Begin), Last(End) {}
-
-  const uint32_t *begin() const { return First; }
-  const uint32_t *end() const { return Last; }
-  size_t size() const { return static_cast<size_t>(Last - First); }
-  bool empty() const { return First == Last; }
-
-private:
-  const uint32_t *First;
-  const uint32_t *Last;
-};
+using NodeList = Span<uint32_t>;
 
 /// The causal-order topology over a trace's critical sections, in CSR
 /// form.  Immutable once built.

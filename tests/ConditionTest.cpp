@@ -76,8 +76,8 @@ TEST(ConditionTest, FirstSectionIsNullLock) {
   // The waiter's pre-wait section touches no shared data: a null-lock
   // half of the Case 1 pattern.
   const CriticalSection &PreWait = Index.byGlobalId(0);
-  EXPECT_TRUE(PreWait.readsEmpty());
-  EXPECT_TRUE(PreWait.writesEmpty());
+  EXPECT_TRUE(Index.reads(PreWait).empty());
+  EXPECT_TRUE(Index.writes(PreWait).empty());
 }
 
 TEST(ConditionTest, SleepNotChargedAsComputation) {

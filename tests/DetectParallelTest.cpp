@@ -101,9 +101,8 @@ Trace generatedTrace() {
 /// every same-lock cross-thread pair within the pair-mode cut,
 /// classified by the unmemoized classifyPair (classifyPairStatic for a
 /// static-only run).
-DetectResult referenceDetect(const Trace &Tr, const CsIndex &Index,
+DetectResult referenceDetect(const CsIndex &Index,
                              const DetectOptions &Opts) {
-  const MemoryImage Initial = MemoryImage::initialOf(Tr);
   DetectResult Out;
   for (const std::vector<uint32_t> &Order : Index.lockOrders())
     for (size_t I = 0; I != Order.size(); ++I) {
@@ -117,8 +116,8 @@ DetectResult referenceDetect(const Trace &Tr, const CsIndex &Index,
         if (B.Ref.Thread == A.Ref.Thread)
           continue;
         const UlcpKind Kind = Opts.UseReversedReplay
-                                  ? classifyPair(Tr, Initial, A, B)
-                                  : classifyPairStatic(A, B);
+                                  ? classifyPair(Index, A, B)
+                                  : classifyPairStatic(Index, A, B);
         Out.Counts.add(Kind);
         Out.Pairs.push_back(UlcpPair{A.GlobalId, B.GlobalId, Kind});
       }
@@ -131,7 +130,7 @@ DetectResult referenceDetect(const Trace &Tr, const CsIndex &Index,
 uint64_t checkAgainstReference(const Trace &Tr, const CsIndex &Index,
                                const DetectOptions &Opts,
                                const std::string &Config) {
-  DetectResult Want = referenceDetect(Tr, Index, Opts);
+  DetectResult Want = referenceDetect(Index, Opts);
   DetectResult Got = detectUlcps(Tr, Index, Opts);
   expectSameResult(Want, Got, Config);
   EXPECT_EQ(Got.Stats.NumClassified, Got.Counts.total()) << Config;

@@ -5,8 +5,17 @@
 #include "detect/Detector.h"
 
 #include "trace/TraceBuilder.h"
+#include "workloads/Apps.h"
+#include "workloads/WorkloadSpec.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 using namespace perfplay;
 
@@ -32,9 +41,11 @@ Trace pairTrace(F0 Body0, F1 Body1) {
 
 UlcpKind classifyFirstPair(const Trace &Tr) {
   CsIndex Index = CsIndex::build(Tr);
-  MemoryImage Initial = MemoryImage::initialOf(Tr);
-  return classifyPair(Tr, Initial, Index.byGlobalId(0),
-                      Index.byGlobalId(1));
+  return classifyPair(Index, Index.byGlobalId(0), Index.byGlobalId(1));
+}
+
+template <typename T> std::vector<T> toVector(Span<T> S) {
+  return std::vector<T>(S.begin(), S.end());
 }
 
 } // namespace
@@ -54,13 +65,13 @@ TEST(CsIndexTest, ExtractsSectionsWithSets) {
   CsIndex Index = CsIndex::build(Tr);
   ASSERT_EQ(Index.size(), 2u);
   const CriticalSection &C0 = Index.byGlobalId(0);
-  EXPECT_EQ(C0.Reads, (std::vector<AddrId>{10}));
-  EXPECT_EQ(C0.Writes, (std::vector<AddrId>{11}));
+  EXPECT_EQ(toVector(Index.reads(C0)), (std::vector<AddrId>{10}));
+  EXPECT_EQ(toVector(Index.writes(C0)), (std::vector<AddrId>{11}));
   EXPECT_EQ(C0.InnerCost, 500u);
   EXPECT_EQ(C0.Lock, 0u);
   EXPECT_EQ(C0.Depth, 0u);
   const CriticalSection &C1 = Index.byGlobalId(1);
-  EXPECT_TRUE(C1.writesEmpty());
+  EXPECT_TRUE(Index.writes(C1).empty());
 }
 
 TEST(CsIndexTest, DeduplicatesAddresses) {
@@ -72,7 +83,7 @@ TEST(CsIndexTest, DeduplicatesAddresses) {
       },
       [](TraceBuilder &B, ThreadId T) { B.read(T, 10, 1); });
   CsIndex Index = CsIndex::build(Tr);
-  EXPECT_EQ(Index.byGlobalId(0).Reads.size(), 1u);
+  EXPECT_EQ(Index.reads(Index.byGlobalId(0)).size(), 1u);
 }
 
 TEST(CsIndexTest, NestedAccessBelongsToBothSections) {
@@ -90,8 +101,10 @@ TEST(CsIndexTest, NestedAccessBelongsToBothSections) {
   CsIndex Index = CsIndex::build(Tr);
   ASSERT_EQ(Index.size(), 2u);
   // Global id 0 = outer (first acquire), 1 = inner.
-  EXPECT_EQ(Index.byGlobalId(0).Reads, (std::vector<AddrId>{42}));
-  EXPECT_EQ(Index.byGlobalId(1).Reads, (std::vector<AddrId>{42}));
+  EXPECT_EQ(toVector(Index.reads(Index.byGlobalId(0))),
+            (std::vector<AddrId>{42}));
+  EXPECT_EQ(toVector(Index.reads(Index.byGlobalId(1))),
+            (std::vector<AddrId>{42}));
   EXPECT_EQ(Index.byGlobalId(0).InnerCost, 100u);
   EXPECT_EQ(Index.byGlobalId(1).Depth, 1u);
 }
@@ -105,6 +118,117 @@ TEST(CsIndexTest, PerLockOrderFollowsSchedule) {
   Tr.LockSchedule[0] = {CsRef{1, 0}, CsRef{0, 0}};
   CsIndex Index = CsIndex::build(Tr);
   EXPECT_EQ(Index.sectionsOfLock(0), (std::vector<uint32_t>{1, 0}));
+}
+
+namespace {
+
+/// Slot addresses and initial values of section \p Id.
+std::vector<std::pair<AddrId, uint64_t>> slotsOf(const CsIndex &Index,
+                                                 uint32_t Id) {
+  const CriticalSection &Cs = Index.byGlobalId(Id);
+  Span<AddrId> Addrs = Index.slots(Cs);
+  Span<uint64_t> Values = Index.slotValues(Cs);
+  std::vector<std::pair<AddrId, uint64_t>> Out;
+  for (size_t I = 0; I != Addrs.size(); ++I)
+    Out.emplace_back(Addrs[I], Values[I]);
+  return Out;
+}
+
+using SlotList = std::vector<std::pair<AddrId, uint64_t>>;
+
+} // namespace
+
+TEST(CsIndexTest, LowerThreadReadSeedsOverEarlierHigherThreadWrite) {
+  TraceBuilder B;
+  LockId Mu = B.addLock("mu");
+  ThreadId T0 = B.addThread();
+  ThreadId T1 = B.addThread();
+  // Thread 1 stores 3 to address 5 first in time (and in the grant
+  // schedule); thread 0's later read of 7 still decides the seed.
+  B.beginCs(T1, Mu);
+  B.write(T1, 5, 3);
+  B.endCs(T1);
+  B.beginCs(T0, Mu);
+  B.read(T0, 5, 7);
+  B.endCs(T0);
+  Trace Tr = B.finish();
+  Tr.LockSchedule.assign(Tr.Locks.size(), {});
+  Tr.LockSchedule[Mu] = {CsRef{1, 0}, CsRef{0, 0}};
+  CsIndex Index = CsIndex::build(Tr);
+  EXPECT_EQ(slotsOf(Index, 0), (SlotList{{5, 7}}));
+  EXPECT_EQ(slotsOf(Index, 1), (SlotList{{5, 7}}));
+}
+
+TEST(CsIndexTest, FirstAccessWriteSeedsZero) {
+  Trace Tr = pairTrace(
+      [](TraceBuilder &B, ThreadId T) {
+        B.write(T, 8, 5);
+        B.read(T, 8, 5);
+      },
+      [](TraceBuilder &B, ThreadId T) { B.read(T, 8, 9); });
+  CsIndex Index = CsIndex::build(Tr);
+  EXPECT_EQ(slotsOf(Index, 0), (SlotList{{8, 0}}));
+  EXPECT_EQ(slotsOf(Index, 1), (SlotList{{8, 0}}));
+}
+
+TEST(CsIndexTest, ReadOutsideAnySectionSeeds) {
+  TraceBuilder B;
+  LockId Mu = B.addLock("mu");
+  ThreadId T = B.addThread();
+  B.read(T, 3, 11, /*AllowUnlocked=*/true);
+  B.beginCs(T, Mu);
+  B.write(T, 3, 1, WriteOpKind::Add);
+  B.read(T, 4, 2);
+  B.endCs(T);
+  CsIndex Index = CsIndex::build(B.finish());
+  EXPECT_EQ(slotsOf(Index, 0), (SlotList{{3, 11}, {4, 2}}));
+}
+
+TEST(CsIndexTest, OuterProgramIncludesNestedAccessesInOrder) {
+  TraceBuilder B;
+  LockId Outer = B.addLock("outer");
+  LockId Inner = B.addLock("inner");
+  ThreadId T = B.addThread();
+  B.beginCs(T, Outer);
+  B.read(T, 20, 0);
+  B.beginCs(T, Inner);
+  B.write(T, 10, 4, WriteOpKind::Add);
+  B.endCs(T);
+  B.write(T, 20, 6, WriteOpKind::Xor);
+  B.endCs(T);
+  CsIndex Index = CsIndex::build(B.finish());
+  ASSERT_EQ(Index.size(), 2u);
+  // Outer slots are {10, 20}: a program names them by position.
+  const CriticalSection &O = Index.byGlobalId(0);
+  EXPECT_EQ(toVector(Index.slots(O)), (std::vector<AddrId>{10, 20}));
+  Span<MemOp> Prog = Index.program(O);
+  ASSERT_EQ(Prog.size(), 3u);
+  EXPECT_FALSE(Prog[0].IsWrite);
+  EXPECT_EQ(Prog[0].Slot, 1u);
+  EXPECT_TRUE(Prog[1].IsWrite);
+  EXPECT_EQ(Prog[1].Slot, 0u);
+  EXPECT_EQ(Prog[1].Op, WriteOpKind::Add);
+  EXPECT_EQ(Prog[1].Operand, 4u);
+  EXPECT_TRUE(Prog[2].IsWrite);
+  EXPECT_EQ(Prog[2].Slot, 1u);
+  EXPECT_EQ(Prog[2].Op, WriteOpKind::Xor);
+  EXPECT_EQ(Prog[2].Operand, 6u);
+  // The inner section holds only its own access.
+  const CriticalSection &I = Index.byGlobalId(1);
+  EXPECT_EQ(toVector(Index.slots(I)), (std::vector<AddrId>{10}));
+  ASSERT_EQ(Index.program(I).size(), 1u);
+  EXPECT_EQ(Index.program(I)[0].Slot, 0u);
+  EXPECT_EQ(Index.program(I)[0].Operand, 4u);
+}
+
+TEST(CsIndexTest, SectionWithoutAccessesHasEmptyProgram) {
+  Trace Tr = pairTrace([](TraceBuilder &B, ThreadId T) { B.compute(T, 5); },
+                       [](TraceBuilder &B, ThreadId T) { B.read(T, 1, 0); });
+  CsIndex Index = CsIndex::build(Tr);
+  const CriticalSection &C0 = Index.byGlobalId(0);
+  EXPECT_TRUE(Index.program(C0).empty());
+  EXPECT_TRUE(Index.slots(C0).empty());
+  EXPECT_EQ(Index.program(Index.byGlobalId(1)).size(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -216,7 +340,8 @@ TEST(ClassifyTest, StaticSkipsReversedReplay) {
       [](TraceBuilder &B, ThreadId T) { B.write(T, 10, 5); });
   CsIndex Index = CsIndex::build(Tr);
   // Statically conflicting; only the reversed replay rescues it.
-  EXPECT_EQ(classifyPairStatic(Index.byGlobalId(0), Index.byGlobalId(1)),
+  EXPECT_EQ(classifyPairStatic(Index, Index.byGlobalId(0),
+                               Index.byGlobalId(1)),
             UlcpKind::TrueContention);
 }
 
@@ -407,7 +532,8 @@ TEST(DetectorTest, ReaderReaderPairsAreUlcpFreeStatically) {
   B.endCs(T1);
   Trace Tr = B.finish();
   CsIndex Index = CsIndex::build(Tr);
-  EXPECT_EQ(classifyPairStatic(Index.byGlobalId(0), Index.byGlobalId(1)),
+  EXPECT_EQ(classifyPairStatic(Index, Index.byGlobalId(0),
+                               Index.byGlobalId(1)),
             UlcpKind::ReadRead);
   DetectOptions Opts;
   Opts.PairMode = PairModeKind::AllCrossThread;
@@ -596,3 +722,228 @@ TEST_P(ClassifySweepTest, MatchesAlgorithmOne) {
 INSTANTIATE_TEST_SUITE_P(AllShapePairs, ClassifySweepTest,
                          testing::Combine(testing::Range(0, 6),
                                           testing::Range(0, 6)));
+
+//===----------------------------------------------------------------------===//
+// The packed kernel against the trace-walking one
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Classification as it was before sections were packed: read/write and
+/// condvar sets as vectors gathered by walking the trace, a std::map
+/// initial image, and a reversed replay that re-walks each section's
+/// events.  Kept here as the reference the packed kernel must agree
+/// with on every pair.
+namespace walking {
+
+using Image = std::map<AddrId, uint64_t>;
+
+/// The first dynamic access per address, threads in order, seeds it
+/// if that access is a read.
+Image initialOf(const Trace &Tr) {
+  Image Seeds;
+  std::set<AddrId> Decided;
+  for (const auto &T : Tr.Threads)
+    for (const Event &E : T.Events)
+      if ((E.Kind == EventKind::Read || E.Kind == EventKind::Write) &&
+          Decided.insert(E.Addr).second && E.Kind == EventKind::Read)
+        Seeds[E.Addr] = E.Value;
+  return Seeds;
+}
+
+struct Sets {
+  std::vector<AddrId> Reads, Writes;
+  std::vector<LockId> CondWaits, CondSignals;
+};
+
+template <typename T> void sortUnique(std::vector<T> &V) {
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
+}
+
+const Event *eventsOf(const Trace &Tr, const CriticalSection &Cs) {
+  return Tr.Threads[Cs.Ref.Thread].Events.data();
+}
+
+Sets setsOf(const Trace &Tr, const CriticalSection &Cs) {
+  Sets S;
+  const Event *Events = eventsOf(Tr, Cs);
+  for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
+    const Event &E = Events[I];
+    if (E.Kind == EventKind::Read)
+      S.Reads.push_back(E.Addr);
+    else if (E.Kind == EventKind::Write)
+      S.Writes.push_back(E.Addr);
+    else if (E.Kind == EventKind::CondWait)
+      S.CondWaits.push_back(E.Lock);
+    else if (E.Kind == EventKind::CondSignal ||
+             E.Kind == EventKind::CondBroadcast)
+      S.CondSignals.push_back(E.Lock);
+  }
+  sortUnique(S.Reads);
+  sortUnique(S.Writes);
+  sortUnique(S.CondWaits);
+  sortUnique(S.CondSignals);
+  return S;
+}
+
+template <typename T>
+bool intersects(const std::vector<T> &A, const std::vector<T> &B) {
+  std::vector<T> Out;
+  std::set_intersection(A.begin(), A.end(), B.begin(), B.end(),
+                        std::back_inserter(Out));
+  return !Out.empty();
+}
+
+bool condOrdered(const Sets &A, const Sets &B) {
+  return intersects(A.CondWaits, B.CondSignals) ||
+         intersects(B.CondWaits, A.CondSignals);
+}
+
+UlcpKind classifyStatic(const CriticalSection &C1, const Sets &S1,
+                        const CriticalSection &C2, const Sets &S2) {
+  if (condOrdered(S1, S2))
+    return UlcpKind::TrueContention;
+  if (C1.Mode == AcquireMode::Shared && C2.Mode == AcquireMode::Shared)
+    return UlcpKind::ReadRead;
+  if ((S1.Reads.empty() && S1.Writes.empty()) ||
+      (S2.Reads.empty() && S2.Writes.empty()))
+    return UlcpKind::NullLock;
+  if (S1.Writes.empty() && S2.Writes.empty())
+    return UlcpKind::ReadRead;
+  if (!intersects(S1.Reads, S2.Writes) && !intersects(S1.Writes, S2.Reads) &&
+      !intersects(S1.Writes, S2.Writes))
+    return UlcpKind::DisjointWrite;
+  return UlcpKind::TrueContention;
+}
+
+void applyWrite(uint64_t &Cell, uint64_t Operand, WriteOpKind Op) {
+  switch (Op) {
+  case WriteOpKind::Store:
+    Cell = Operand;
+    break;
+  case WriteOpKind::Add:
+    Cell += Operand;
+    break;
+  case WriteOpKind::Or:
+    Cell |= Operand;
+    break;
+  case WriteOpKind::And:
+    Cell &= Operand;
+    break;
+  case WriteOpKind::Xor:
+    Cell ^= Operand;
+    break;
+  }
+}
+
+/// Runs \p Cs's events over \p Values (indexed like \p Slots), passing
+/// every read value to \p OnRead until it returns false.
+template <typename OnReadFn>
+bool replay(const Trace &Tr, const CriticalSection &Cs,
+            const std::vector<AddrId> &Slots, std::vector<uint64_t> &Values,
+            OnReadFn OnRead) {
+  const Event *Events = eventsOf(Tr, Cs);
+  for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
+    const Event &E = Events[I];
+    if (E.Kind != EventKind::Read && E.Kind != EventKind::Write)
+      continue;
+    uint64_t &Cell =
+        Values[std::lower_bound(Slots.begin(), Slots.end(), E.Addr) -
+               Slots.begin()];
+    if (E.Kind == EventKind::Write)
+      applyWrite(Cell, E.Value, E.Op);
+    else if (!OnRead(Cell))
+      return false;
+  }
+  return true;
+}
+
+bool isBenign(const Trace &Tr, const Image &Initial,
+              const CriticalSection &A, const Sets &SA,
+              const CriticalSection &B, const Sets &SB) {
+  std::vector<AddrId> Slots;
+  for (const std::vector<AddrId> *Set :
+       {&SA.Reads, &SA.Writes, &SB.Reads, &SB.Writes})
+    Slots.insert(Slots.end(), Set->begin(), Set->end());
+  sortUnique(Slots);
+  std::vector<uint64_t> Forward;
+  for (AddrId Addr : Slots) {
+    auto It = Initial.find(Addr);
+    Forward.push_back(It == Initial.end() ? 0 : It->second);
+  }
+  std::vector<uint64_t> Reversed = Forward;
+
+  std::vector<uint64_t> Reads;
+  auto Record = [&Reads](uint64_t V) {
+    Reads.push_back(V);
+    return true;
+  };
+  replay(Tr, A, Slots, Forward, Record);
+  const size_t NumAReads = Reads.size();
+  replay(Tr, B, Slots, Forward, Record);
+
+  size_t Next = NumAReads;
+  auto Match = [&Reads, &Next](uint64_t V) { return Reads[Next++] == V; };
+  if (!replay(Tr, B, Slots, Reversed, Match))
+    return false;
+  Next = 0;
+  if (!replay(Tr, A, Slots, Reversed, Match))
+    return false;
+  return Forward == Reversed;
+}
+
+UlcpKind classify(const Trace &Tr, const Image &Initial,
+                  const CriticalSection &C1, const Sets &S1,
+                  const CriticalSection &C2, const Sets &S2) {
+  UlcpKind Static = classifyStatic(C1, S1, C2, S2);
+  if (Static != UlcpKind::TrueContention || condOrdered(S1, S2))
+    return Static;
+  return isBenign(Tr, Initial, C1, S1, C2, S2) ? UlcpKind::Benign
+                                               : UlcpKind::TrueContention;
+}
+
+} // namespace walking
+
+} // namespace
+
+TEST(ClassifyTest, PackedKernelMatchesTraceWalkingKernelOnEveryApp) {
+  std::vector<AppModel> Apps = allApps();
+  Apps.insert(Apps.end(), syntheticApps().begin(), syntheticApps().end());
+  UlcpCounts Seen;
+  for (double Scale : {1.0, 4.0})
+    for (const AppModel &App : Apps) {
+      SCOPED_TRACE(App.Name + " @ scale " + std::to_string(Scale));
+      Trace Tr = generateWorkload(App.Factory(4, Scale));
+      CsIndex Index = CsIndex::build(Tr);
+      const walking::Image Initial = walking::initialOf(Tr);
+      std::vector<walking::Sets> Sets;
+      for (const CriticalSection &Cs : Index.all())
+        Sets.push_back(walking::setsOf(Tr, Cs));
+      size_t Mismatches = 0;
+      for (const std::vector<uint32_t> &Order : Index.lockOrders())
+        for (size_t I = 0; I != Order.size(); ++I)
+          for (size_t J = I + 1; J != Order.size(); ++J) {
+            const CriticalSection &A = Index.byGlobalId(Order[I]);
+            const CriticalSection &B = Index.byGlobalId(Order[J]);
+            if (A.Ref.Thread == B.Ref.Thread)
+              continue;
+            const walking::Sets &SA = Sets[A.GlobalId];
+            const walking::Sets &SB = Sets[B.GlobalId];
+            UlcpKind Want = walking::classify(Tr, Initial, A, SA, B, SB);
+            Seen.add(Want);
+            Mismatches += classifyPair(Index, A, B) != Want;
+            Mismatches += classifyPair(Index, B, A) != Want;
+            UlcpKind WantStatic = walking::classifyStatic(A, SA, B, SB);
+            Mismatches += classifyPairStatic(Index, A, B) != WantStatic;
+            Mismatches += classifyPairStatic(Index, B, A) != WantStatic;
+          }
+      EXPECT_EQ(Mismatches, 0u);
+    }
+  // The sweep must drive every verdict.
+  EXPECT_GT(Seen.NullLock, 0u);
+  EXPECT_GT(Seen.ReadRead, 0u);
+  EXPECT_GT(Seen.DisjointWrite, 0u);
+  EXPECT_GT(Seen.Benign, 0u);
+  EXPECT_GT(Seen.TrueContention, 0u);
+}

@@ -333,14 +333,15 @@ SpecResult referenceSpeculate(const Trace &Tr, const CsIndex &Index,
       if (Body != Specs[Cs].End - Specs[Cs].Start)
         ++BodyMismatches;
       const bool Overflows =
-          Section.Reads.size() + Section.Writes.size() > M.Capacity;
+          Index.reads(Section).size() + Index.writes(Section).size() >
+          M.Capacity;
       for (unsigned Attempt = 0;; ++Attempt) {
         bool Conflict = false;
         for (size_t J = 0; J != I && !Overflows && !Conflict; ++J) {
           const CriticalSection &Other = Index.byGlobalId(Order[J]);
           if (Other.Ref.Thread != T &&
               Specs[Order[J]].End + Shift[Other.Ref.Thread] > Start)
-            Conflict = classifyPairStatic(Other, Section) ==
+            Conflict = classifyPairStatic(Index, Other, Section) ==
                        UlcpKind::TrueContention;
         }
         bool Random =

@@ -21,8 +21,7 @@ namespace {
 
 UlcpKind firstPairKind(const Trace &Tr) {
   CsIndex Index = CsIndex::build(Tr);
-  MemoryImage Init = MemoryImage::initialOf(Tr);
-  return classifyPair(Tr, Init, Index.byGlobalId(0), Index.byGlobalId(1));
+  return classifyPair(Index, Index.byGlobalId(0), Index.byGlobalId(1));
 }
 
 } // namespace

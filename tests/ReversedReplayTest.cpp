@@ -17,53 +17,6 @@
 using namespace perfplay;
 
 //===----------------------------------------------------------------------===//
-// MemoryImage
-//===----------------------------------------------------------------------===//
-
-TEST(MemoryImageTest, UnknownAddressReadsZero) {
-  MemoryImage M;
-  EXPECT_EQ(M.load(42), 0u);
-}
-
-TEST(MemoryImageTest, ApplyOps) {
-  MemoryImage M;
-  M.apply(1, 10, WriteOpKind::Store);
-  EXPECT_EQ(M.load(1), 10u);
-  M.apply(1, 5, WriteOpKind::Add);
-  EXPECT_EQ(M.load(1), 15u);
-  M.apply(1, 0xF0, WriteOpKind::Or);
-  EXPECT_EQ(M.load(1), 15u | 0xF0);
-  M.apply(1, 0x0F, WriteOpKind::And);
-  EXPECT_EQ(M.load(1), (15u | 0xF0) & 0x0F);
-  M.apply(1, 0xFF, WriteOpKind::Xor);
-  EXPECT_EQ(M.load(1), (((15u | 0xF0) & 0x0F)) ^ 0xFF);
-}
-
-TEST(MemoryImageTest, InitialSeedsFirstReadValues) {
-  TraceBuilder B;
-  LockId Mu = B.addLock("mu");
-  ThreadId T = B.addThread();
-  B.beginCs(T, Mu);
-  B.read(T, 7, 99);   // First access to 7 is a read: seeded.
-  B.write(T, 8, 5);   // First access to 8 is a write: unseeded.
-  B.read(T, 8, 5);    // Later read of 8 does not seed.
-  B.endCs(T);
-  Trace Tr = B.finish();
-  MemoryImage M = MemoryImage::initialOf(Tr);
-  EXPECT_EQ(M.load(7), 99u);
-  EXPECT_EQ(M.load(8), 0u);
-}
-
-TEST(MemoryImageTest, EqualityComparesCells) {
-  MemoryImage A, B;
-  EXPECT_TRUE(A == B);
-  A.apply(1, 2, WriteOpKind::Store);
-  EXPECT_FALSE(A == B);
-  B.apply(1, 2, WriteOpKind::Store);
-  EXPECT_TRUE(A == B);
-}
-
-//===----------------------------------------------------------------------===//
 // Six-replay oracle
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +30,7 @@ namespace oracle {
 
 using Image = std::map<AddrId, uint64_t>;
 
-/// MemoryImage::initialOf's scan: the first dynamic access per address,
+/// The initial-value scan: the first dynamic access per address,
 /// threads in order, seeds it if that access is a read.
 Image initialOf(const Trace &Tr) {
   Image Seeds;
@@ -131,13 +84,14 @@ Outcome replaySections(const Trace &Tr, Image Initial,
   return Out;
 }
 
-bool isBenignPair(const Trace &Tr, const Image &Initial,
-                  const CriticalSection &A, const CriticalSection &B) {
+bool isBenignPair(const Trace &Tr, const CsIndex &Index,
+                  const Image &Initial, const CriticalSection &A,
+                  const CriticalSection &B) {
   // Restricted image: the pair's addresses that Initial seeds.
   Image Restricted;
-  for (const std::vector<AddrId> *Set :
-       {&A.Reads, &A.Writes, &B.Reads, &B.Writes})
-    for (AddrId Addr : *Set)
+  for (Span<AddrId> Set : {Index.reads(A), Index.writes(A), Index.reads(B),
+                           Index.writes(B)})
+    for (AddrId Addr : Set)
       if (auto It = Initial.find(Addr); It != Initial.end())
         Restricted.insert(*It);
 
@@ -234,12 +188,12 @@ Trace twoSectionTrace(void (*Body0)(TraceBuilder &, ThreadId),
 /// that the swapped call and the six-replay oracle agree with it.
 bool benignOfTrace(const Trace &Tr, uint32_t IdA = 0, uint32_t IdB = 1) {
   CsIndex Index = CsIndex::build(Tr);
-  MemoryImage Init = MemoryImage::initialOf(Tr);
   const CriticalSection &A = Index.byGlobalId(IdA);
   const CriticalSection &B = Index.byGlobalId(IdB);
-  bool Benign = isBenignPair(Tr, Init, A, B);
-  EXPECT_EQ(isBenignPair(Tr, Init, B, A), Benign) << "argument order";
-  EXPECT_EQ(oracle::isBenignPair(Tr, oracle::initialOf(Tr), A, B), Benign)
+  bool Benign = isBenignPair(Index, A, B);
+  EXPECT_EQ(isBenignPair(Index, B, A), Benign) << "argument order";
+  EXPECT_EQ(oracle::isBenignPair(Tr, Index, oracle::initialOf(Tr), A, B),
+            Benign)
       << "six-replay oracle";
   return Benign;
 }
@@ -318,7 +272,8 @@ TEST(IsBenignTest, UnseededAddressReadsZero) {
   Trace Tr = twoSectionTrace(
       [](TraceBuilder &B, ThreadId T) { B.write(T, 1, 0); },
       [](TraceBuilder &B, ThreadId T) { B.read(T, 1, 7); });
-  EXPECT_EQ(MemoryImage::initialOf(Tr).load(1), 0u);
+  CsIndex Index = CsIndex::build(Tr);
+  EXPECT_EQ(Index.slotValues(Index.byGlobalId(1))[0], 0u);
   EXPECT_TRUE(benignOfTrace(Tr));
 }
 
@@ -370,6 +325,62 @@ TEST(IsBenignTest, NestedInnerSectionAccessesAreReplayed) {
   EXPECT_FALSE(benignOfTrace(nestedTrace(WriteOpKind::Store, Body), 0, 2));
 }
 
+TEST(IsBenignTest, WriteOperatorsApplyAsDocumented) {
+  // Section 0 runs store 10, add 5, or 0xF0, and 0x0F, xor 0xFF on x:
+  // ((10 + 5) | 0xF0) & 0x0F = 0x0F, ^ 0xFF = 0xF0.  Section 1 only
+  // reads x, so the pair is benign exactly when that chain maps x's
+  // initial value to itself: when the initial value is 0xF0.
+  auto PairFromInitial = [](uint64_t Initial) {
+    TraceBuilder B;
+    LockId Mu = B.addLock("mu");
+    ThreadId T0 = B.addThread();
+    ThreadId T1 = B.addThread();
+    B.read(T0, 1, Initial, /*AllowUnlocked=*/true);
+    B.beginCs(T0, Mu);
+    B.write(T0, 1, 10, WriteOpKind::Store);
+    B.write(T0, 1, 5, WriteOpKind::Add);
+    B.write(T0, 1, 0xF0, WriteOpKind::Or);
+    B.write(T0, 1, 0x0F, WriteOpKind::And);
+    B.write(T0, 1, 0xFF, WriteOpKind::Xor);
+    B.endCs(T0);
+    B.beginCs(T1, Mu);
+    B.read(T1, 1, 0);
+    B.endCs(T1);
+    return B.finish();
+  };
+  EXPECT_TRUE(benignOfTrace(PairFromInitial(0xF0)));
+  EXPECT_FALSE(benignOfTrace(PairFromInitial(0xF1)));
+  EXPECT_FALSE(benignOfTrace(PairFromInitial(0x0F)));
+}
+
+TEST(IsBenignTest, WideSectionsMatchOracle) {
+  // The app models' sections hold at most two slots; these hold forty
+  // and share twenty, so the pair-slot merge, the per-section maps and
+  // the scratch growth run at a width no model reaches.
+  auto Body0 = [](TraceBuilder &B, ThreadId T) {
+    for (AddrId A = 100; A != 140; ++A)
+      B.write(T, A, A, WriteOpKind::Add);
+  };
+  // Adds commute on every shared address.
+  EXPECT_TRUE(benignOfTrace(twoSectionTrace(Body0, [](TraceBuilder &B,
+                                                      ThreadId T) {
+    for (AddrId A = 120; A != 160; ++A)
+      B.write(T, A, 1, WriteOpKind::Add);
+  })));
+  // One store among the adds does not commute.
+  EXPECT_FALSE(benignOfTrace(twoSectionTrace(Body0, [](TraceBuilder &B,
+                                                       ThreadId T) {
+    for (AddrId A = 120; A != 160; ++A)
+      B.write(T, A, 1, A == 139 ? WriteOpKind::Store : WriteOpKind::Add);
+  })));
+  // A read of a shared address sees the other section's add.
+  EXPECT_FALSE(benignOfTrace(twoSectionTrace(Body0, [](TraceBuilder &B,
+                                                       ThreadId T) {
+    for (AddrId A = 120; A != 160; ++A)
+      B.read(T, A, 0);
+  })));
+}
+
 TEST(ReversedReplayTest, MatchesSixReplayOracleOnEveryApp) {
   std::vector<AppModel> Apps = allApps();
   Apps.insert(Apps.end(), syntheticApps().begin(), syntheticApps().end());
@@ -378,7 +389,6 @@ TEST(ReversedReplayTest, MatchesSixReplayOracleOnEveryApp) {
     SCOPED_TRACE(App.Name);
     Trace Tr = generateWorkload(App.Factory(4, 1.0));
     CsIndex Index = CsIndex::build(Tr);
-    const MemoryImage Initial = MemoryImage::initialOf(Tr);
     const oracle::Image OracleInitial = oracle::initialOf(Tr);
     size_t Mismatches = 0;
     for (const std::vector<uint32_t> &Order : Index.lockOrders())
@@ -387,13 +397,13 @@ TEST(ReversedReplayTest, MatchesSixReplayOracleOnEveryApp) {
           const CriticalSection &A = Index.byGlobalId(Order[I]);
           const CriticalSection &B = Index.byGlobalId(Order[J]);
           if (A.Ref.Thread == B.Ref.Thread ||
-              classifyPairStatic(A, B) != UlcpKind::TrueContention)
+              classifyPairStatic(Index, A, B) != UlcpKind::TrueContention)
             continue;
-          bool Want = oracle::isBenignPair(Tr, OracleInitial, A, B);
+          bool Want = oracle::isBenignPair(Tr, Index, OracleInitial, A, B);
           ++(Want ? Benign : Conflicting);
-          if (isBenignPair(Tr, Initial, A, B) != Want)
+          if (isBenignPair(Index, A, B) != Want)
             ++Mismatches;
-          if (isBenignPair(Tr, Initial, B, A) != Want)
+          if (isBenignPair(Index, B, A) != Want)
             ++Mismatches;
         }
     EXPECT_EQ(Mismatches, 0u);

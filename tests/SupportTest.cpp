@@ -233,6 +233,15 @@ TEST(SetOpsTest, GallopingDenseHitLateInLarge) {
   EXPECT_TRUE(sortedIntersects(Large, Small));
 }
 
+namespace {
+
+/// detail::gallopingIntersects over int vectors.
+bool gallops(const std::vector<int> &Small, const std::vector<int> &Large) {
+  return detail::gallopingIntersects(Small, Large);
+}
+
+} // namespace
+
 TEST(SetOpsTest, GallopingDuplicatesInSmall) {
   // Duplicates in the probing side must re-probe an empty window, not
   // a stale one: a duplicate of a missing value stays missing, a
@@ -241,14 +250,14 @@ TEST(SetOpsTest, GallopingDuplicatesInSmall) {
   std::iota(Large.begin(), Large.end(), 0);
   for (int &V : Large)
     V *= 4; // 0, 4, ..., 3996.
-  EXPECT_FALSE(detail::gallopingIntersects<int>({5, 5, 5}, Large));
-  EXPECT_FALSE(detail::gallopingIntersects<int>({1, 1, 2, 2, 3999}, Large));
-  EXPECT_TRUE(detail::gallopingIntersects<int>({5, 5, 8}, Large));
-  EXPECT_TRUE(detail::gallopingIntersects<int>({3996, 3996}, Large));
+  EXPECT_FALSE(gallops({5, 5, 5}, Large));
+  EXPECT_FALSE(gallops({1, 1, 2, 2, 3999}, Large));
+  EXPECT_TRUE(gallops({5, 5, 8}, Large));
+  EXPECT_TRUE(gallops({3996, 3996}, Large));
   // Duplicates in Large as well.
   std::vector<int> Dups = {2, 2, 2, 6, 6, 10};
-  EXPECT_TRUE(detail::gallopingIntersects<int>({6, 6}, Dups));
-  EXPECT_FALSE(detail::gallopingIntersects<int>({3, 3, 7, 7}, Dups));
+  EXPECT_TRUE(gallops({6, 6}, Dups));
+  EXPECT_FALSE(gallops({3, 3, 7, 7}, Dups));
 }
 
 TEST(SetOpsTest, GallopingFinalStepOvershoot) {
@@ -262,16 +271,16 @@ TEST(SetOpsTest, GallopingFinalStepOvershoot) {
       V *= 2; // 0, 2, ..., 2(N-1).
     int Last = Large.back();
     // Hits and misses around the very last element.
-    EXPECT_TRUE(detail::gallopingIntersects<int>({Last}, Large)) << N;
-    EXPECT_FALSE(detail::gallopingIntersects<int>({Last - 1}, Large)) << N;
-    EXPECT_FALSE(detail::gallopingIntersects<int>({Last + 1}, Large)) << N;
-    EXPECT_FALSE(detail::gallopingIntersects<int>({Last + 2}, Large)) << N;
+    EXPECT_TRUE(gallops({Last}, Large)) << N;
+    EXPECT_FALSE(gallops({Last - 1}, Large)) << N;
+    EXPECT_FALSE(gallops({Last + 1}, Large)) << N;
+    EXPECT_FALSE(gallops({Last + 2}, Large)) << N;
     // A miss past the end followed by nothing else terminates cleanly.
     EXPECT_FALSE(
-        detail::gallopingIntersects<int>({1, Last + 1}, Large)) << N;
+        gallops({1, Last + 1}, Large)) << N;
     // Every element probed in ascending order: exercises the widening
     // loop restart at each position, including the final window.
-    EXPECT_TRUE(detail::gallopingIntersects<int>(Large, Large)) << N;
+    EXPECT_TRUE(gallops(Large, Large)) << N;
   }
 }
 

@@ -138,10 +138,8 @@ namespace {
 /// RULE 1 as a plain sequential scan: classify every later same-lock
 /// section until each other thread has matched.  \p Calls counts the
 /// classifyPair calls it makes.
-TopologyGraph scanTopology(const Trace &Tr, const CsIndex &Index,
-                           uint64_t &Calls) {
+TopologyGraph scanTopology(const CsIndex &Index, uint64_t &Calls) {
   std::vector<TopologyEdge> Edges;
-  MemoryImage Initial = MemoryImage::initialOf(Tr);
   Calls = 0;
   for (LockId L = 0; L != Index.numLocks(); ++L) {
     const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
@@ -153,7 +151,7 @@ TopologyGraph scanTopology(const Trace &Tr, const CsIndex &Index,
         if (B.Ref.Thread == A.Ref.Thread || Matched.count(B.Ref.Thread))
           continue;
         ++Calls;
-        if (classifyPair(Tr, Initial, A, B) == UlcpKind::TrueContention) {
+        if (classifyPair(Index, A, B) == UlcpKind::TrueContention) {
           Edges.push_back(TopologyEdge{A.GlobalId, B.GlobalId});
           Matched.insert(B.Ref.Thread);
         }
@@ -270,7 +268,7 @@ TEST(TopologyTest, IndexedSearchMatchesSequentialScan) {
         ASSERT_TRUE(Tx.ok()) << Tx.message();
 
         uint64_t ScanCalls = 0;
-        TopologyGraph Scan = scanTopology(Tr, *Index, ScanCalls);
+        TopologyGraph Scan = scanTopology(*Index, ScanCalls);
         EXPECT_EQ(edgeList(Tx->Topology), edgeList(Scan));
         for (uint32_t Cs = 0; Cs != Index->size(); ++Cs) {
           ASSERT_EQ(toVector(Tx->Topology.predecessors(Cs)),
@@ -325,8 +323,7 @@ TEST(TopologyTest, CondvarLinkWithoutMemoryGetsEdge) {
     B.endCs(T2);
     Trace Tr = B.finish();
     CsIndex Index = CsIndex::build(Tr);
-    ASSERT_TRUE(Index.byGlobalId(0).readsEmpty() &&
-                Index.byGlobalId(0).writesEmpty());
+    ASSERT_TRUE(Index.slots(Index.byGlobalId(0)).empty());
     uint64_t Classified = 0;
     TopologyGraph G = buildTopology(Tr, Index, &Classified);
     EXPECT_EQ(edgeList(G), (std::vector<std::pair<uint32_t, uint32_t>>{
@@ -369,7 +366,7 @@ TEST(TopologyTest, FirstContentionBehindUlcpRun) {
   Trace Tr = B.finish();
   CsIndex Index = CsIndex::build(Tr);
   uint64_t Calls = 0;
-  TopologyGraph Scan = scanTopology(Tr, Index, Calls);
+  TopologyGraph Scan = scanTopology(Index, Calls);
   uint64_t Classified = 0;
   TopologyGraph G = buildTopology(Tr, Index, &Classified);
   EXPECT_EQ(edgeList(G), edgeList(Scan));
@@ -400,7 +397,7 @@ TEST(TopologyTest, BenignLockClassifiesEachKeyPairOnce) {
   recordGrantSchedule(Tr, 1);
   CsIndex Index = CsIndex::build(Tr);
   uint64_t Calls = 0;
-  TopologyGraph Scan = scanTopology(Tr, Index, Calls);
+  TopologyGraph Scan = scanTopology(Index, Calls);
   uint64_t Classified = 0;
   TopologyGraph G = buildTopology(Tr, Index, &Classified);
   EXPECT_EQ(G.numEdges(), 0u);
@@ -448,7 +445,7 @@ TEST(TopologyTest, MemoStartsAtFirstWastedClassification) {
   CsIndex Index = CsIndex::build(Tr);
 
   uint64_t Calls = 0;
-  TopologyGraph Scan = scanTopology(Tr, Index, Calls);
+  TopologyGraph Scan = scanTopology(Index, Calls);
   uint64_t Classified = 0;
   TopologyGraph G = buildTopology(Tr, Index, &Classified);
   EXPECT_EQ(edgeList(G), edgeList(Scan));
