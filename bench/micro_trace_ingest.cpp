@@ -31,13 +31,7 @@
 //       the recorder's site lookup run the former since the pool
 //       migration).
 //
-// A third section measures the chunked v3 format's parallel full
-// load: the same synthetic corpus parsed with 1 worker vs. 4 (parseTraceV3 decodes chunks concurrently into
-// disjoint spans).  parallel_parse_speedup is exit-gated at >= 3.0,
-// but only on machines with >= 4 hardware threads — on smaller boxes
-// the number is reported and the gate prints a skip note.
-//
-// With --out-of-core a fourth section runs FIRST (getrusage peak RSS
+// With --out-of-core a third section runs FIRST (getrusage peak RSS
 // is a process-lifetime high-water mark, so it must precede anything
 // that materializes a trace): a corpus is stream-written through
 // TraceV3Writer without ever building a Trace, then streamed back
@@ -67,7 +61,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -532,69 +525,6 @@ int main(int Argc, char **Argv) {
               IngestSpeedup, TotalSpeedup, Mb);
 
   //===--------------------------------------------------------------------===//
-  // Chunked v3 parallel full load: the same corpus parsed fully
-  // serially vs. with 4 chunk-decode workers.  Best-of-repeat timings
-  // gate the speedup (>= 3.0) — but only on machines that actually
-  // have 4 hardware threads to decode on.
-  //===--------------------------------------------------------------------===//
-
-  const unsigned ParallelWorkers = 4;
-  std::vector<uint8_t> V3Bytes = readFileBytes(Scratch);
-  if (V3Bytes.empty()) {
-    std::fprintf(stderr, "cannot read back %s\n", Scratch.c_str());
-    return 1;
-  }
-  double SerialParse = 1e30, ParallelParse = 1e30;
-  Trace SerialTrace, ParallelTrace;
-  for (unsigned I = 0; I != Repeat; ++I) {
-    V3ParseOptions SerialOpts;
-    SerialOpts.NumThreads = 1;
-    double T0 = now();
-    if (!parseTraceV3(V3Bytes.data(), V3Bytes.size(), SerialTrace, Err,
-                      SerialOpts)) {
-      std::fprintf(stderr, "serial v3 parse failed: %s\n", Err.c_str());
-      return 1;
-    }
-    SerialParse = std::min(SerialParse, now() - T0);
-
-    V3ParseOptions ParOpts;
-    ParOpts.NumThreads = ParallelWorkers;
-    T0 = now();
-    if (!parseTraceV3(V3Bytes.data(), V3Bytes.size(), ParallelTrace, Err,
-                      ParOpts)) {
-      std::fprintf(stderr, "parallel v3 parse failed: %s\n", Err.c_str());
-      return 1;
-    }
-    ParallelParse = std::min(ParallelParse, now() - T0);
-  }
-  // All three decodes of the corpus — file load, serial, parallel —
-  // must agree byte for byte.
-  if (writeTraceV3(SerialTrace) != Reference ||
-      writeTraceV3(ParallelTrace) != Reference) {
-    std::fprintf(stderr, "FATAL: v3 parses diverged from the file load\n");
-    return 1;
-  }
-  SerialTrace = Trace();
-  ParallelTrace = Trace();
-  double ParallelParseSpeedup =
-      ParallelParse > 0.0 ? SerialParse / ParallelParse : 0.0;
-  const unsigned HardwareThreads = std::thread::hardware_concurrency();
-  const bool ParallelGateEnforced = HardwareThreads >= ParallelWorkers;
-  std::printf("v3 parallel load: %zu byte file\n", V3Bytes.size());
-  std::printf("  parse serial %9.3f ms   %u-worker %9.3f ms   "
-              "speedup %.2fx",
-              SerialParse * 1e3, ParallelWorkers, ParallelParse * 1e3,
-              ParallelParseSpeedup);
-  if (ParallelGateEnforced)
-    std::printf("   (gate >= 3.0)\n");
-  else
-    std::printf("   (gate SKIPPED: %u hardware thread(s) < %u workers)\n",
-                HardwareThreads, ParallelWorkers);
-  const size_t V3FileBytes = V3Bytes.size();
-  V3Bytes.clear();
-  V3Bytes.shrink_to_fit();
-
-  //===--------------------------------------------------------------------===//
   // Name-heavy corpus: owned-name parse time + dedup compares.
   //===--------------------------------------------------------------------===//
 
@@ -708,19 +638,6 @@ int main(int Argc, char **Argv) {
                TotalSpeedup);
   std::fprintf(F, "  ],\n");
   std::fprintf(F,
-               "  \"v3_parallel\": {\n"
-               "    \"file_bytes\": %zu,\n"
-               "    \"workers\": %u,\n"
-               "    \"hardware_threads\": %u,\n"
-               "    \"serial_parse_seconds\": %.6f,\n"
-               "    \"parallel_parse_seconds\": %.6f,\n"
-               "    \"parallel_parse_speedup\": %.3f,\n"
-               "    \"gate_enforced\": %s\n"
-               "  },\n",
-               V3FileBytes, ParallelWorkers, HardwareThreads, SerialParse,
-               ParallelParse, ParallelParseSpeedup,
-               ParallelGateEnforced ? "true" : "false");
-  std::fprintf(F,
                "  \"out_of_core\": {\n"
                "    \"ran\": %s,\n"
                "    \"file_bytes\": %llu,\n"
@@ -756,20 +673,13 @@ int main(int Argc, char **Argv) {
   NameFile.close();
   std::remove(Scratch.c_str());
   std::remove(NamePath.c_str());
-  // Gates: the mmap bytes-ready win and the v3 parallel-load win must
-  // hold, and the out-of-core run (when requested) must stay under a
-  // quarter of the file's size with whole-trace-identical verdicts.
+  // Gates: the mmap bytes-ready win must hold, and the out-of-core run
+  // (when requested) must stay under a quarter of the file's size with
+  // whole-trace-identical verdicts.
   int Status = 0;
   if (IngestSpeedup < 2.0 && MappedFile::supportsMapping()) {
     std::fprintf(stderr, "FAIL: mmap ingest speedup %.2fx < 2.0x\n",
                  IngestSpeedup);
-    Status = 1;
-  }
-  if (ParallelGateEnforced && ParallelParseSpeedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: v3 parallel parse speedup %.2fx < 3.0x "
-                 "(%u workers, %u hardware threads)\n",
-                 ParallelParseSpeedup, ParallelWorkers, HardwareThreads);
     Status = 1;
   }
   if (OutOfCore) {

@@ -91,8 +91,7 @@ void Engine::runBatch(
       Progress(Event);
     };
 
-  ThreadPool Pool(ThreadPool::resolveThreadCount(NumThreads, NumItems));
-  Pool.parallelFor(NumItems, [&](size_t I) {
+  auto analyzeOne = [&](size_t I) {
     Expected<AnalysisSession> SessionOr = Open(I, SharedProgress);
     Expected<PipelineResult> Item = [&]() -> Expected<PipelineResult> {
       if (!SessionOr)
@@ -103,7 +102,8 @@ void Engine::runBatch(
     }();
     MutexLock Guard(BatchMu);
     Deliver(I, std::move(Item));
-  });
+  };
+  parallelFor(resolveThreadCount(NumThreads, NumItems), NumItems, analyzeOne);
 }
 
 AggregatedReport Engine::streamBatch(size_t NumItems, unsigned NumThreads,

@@ -77,10 +77,10 @@ public:
   Expected<DetectResult> detectWindowed(const std::string &Path) const;
 
   /// Analyzes every trace in \p Traces concurrently on up to
-  /// \p NumThreads workers (0 = one per hardware thread, capped by the
-  /// batch size).  The result vector parallels the input: each element
-  /// is the trace's complete PipelineResult or the typed error of its
-  /// first failing stage.  One trace's failure never aborts the rest.
+  /// \p NumThreads workers (0 = one per CPU the process may run on,
+  /// capped by the batch size).  The result vector parallels the
+  /// input: each element is the trace's complete PipelineResult or the
+  /// typed error of its first failing stage.  One trace's failure never aborts the rest.
   /// Parallelism is purely across traces: each session detects on its
   /// worker's thread.
   std::vector<Expected<PipelineResult>>

@@ -11,8 +11,8 @@
 /// rest of the codebase uses to declare its locking contracts.
 ///
 /// Every mutex, condition variable and lock guard in the concurrent
-/// layers (support/ThreadPool, core/Engine batch fan-out, the serve
-/// daemon, runtime/Recorder) goes through these wrappers so the
+/// layers (core/Engine batch fan-out, the serve daemon,
+/// runtime/Recorder) goes through these wrappers so the
 /// clang CI lane can prove, at compile time, that
 ///
 ///  * every GUARDED_BY member is only touched with its mutex held,

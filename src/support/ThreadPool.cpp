@@ -1,19 +1,37 @@
-//===- support/ThreadPool.cpp - Fork-join worker pool -----------------------===//
+//===- support/ThreadPool.cpp - One-shot fork-join fan-out ------------------===//
 
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 using namespace perfplay;
 
-unsigned ThreadPool::resolveThreadCount(unsigned Requested,
-                                        size_t NumItems) {
-  unsigned N = Requested;
-  if (N == 0) {
-    N = std::thread::hardware_concurrency();
-    if (N == 0)
-      N = 1;
+/// CPUs this process may run on: its affinity mask, which taskset and
+/// cpusets narrow, or every hardware thread where no mask is readable.
+static unsigned availableCpus() {
+#ifdef __linux__
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0) {
+    int N = CPU_COUNT(&Set);
+    if (N > 0)
+      return static_cast<unsigned>(N);
   }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+unsigned perfplay::resolveThreadCount(unsigned Requested, size_t NumItems) {
+  unsigned N = Requested;
+  if (N == 0)
+    N = std::max(availableCpus(), 1u);
   // Hard ceiling: a wrapped/absurd request (e.g. -1 cast to unsigned)
   // must not translate into thousands of OS threads.
   N = std::min(N, 256u);
@@ -21,73 +39,21 @@ unsigned ThreadPool::resolveThreadCount(unsigned Requested,
   return std::max(N, 1u);
 }
 
-ThreadPool::ThreadPool(unsigned NumThreads) {
-  NumWorkers = resolveThreadCount(NumThreads, static_cast<size_t>(-1));
-  Workers.reserve(NumWorkers - 1);
-  for (unsigned I = 1; I != NumWorkers; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock Guard(Mu);
-    Stopping = true;
-  }
-  StartCv.notifyAll();
-  for (std::thread &W : Workers)
-    W.join();
-}
-
-void ThreadPool::workerLoop() {
-  uint64_t SeenGeneration = 0;
-  for (;;) {
-    const std::function<void(size_t)> *Fn;
-    size_t Items;
-    {
-      MutexLock Lock(Mu);
-      while (!Stopping && Generation == SeenGeneration)
-        StartCv.wait(Mu);
-      if (Stopping)
-        return;
-      SeenGeneration = Generation;
-      Fn = Job;
-      Items = JobItems;
-    }
-    for (size_t I = NextItem.fetch_add(1); I < Items;
+void perfplay::parallelFor(unsigned NumThreads, size_t NumItems,
+                           const std::function<void(size_t)> &Fn) {
+  const size_t Workers =
+      std::min<size_t>(std::max(NumThreads, 1u), NumItems);
+  std::atomic<size_t> NextItem{0};
+  auto work = [&] {
+    for (size_t I = NextItem.fetch_add(1); I < NumItems;
          I = NextItem.fetch_add(1))
-      (*Fn)(I);
-    {
-      MutexLock Guard(Mu);
-      if (--ActiveWorkers == 0)
-        DoneCv.notifyAll();
-    }
-  }
-}
-
-void ThreadPool::parallelFor(size_t NumItems,
-                             const std::function<void(size_t)> &Fn) {
-  if (NumItems == 0)
-    return;
-  if (Workers.empty()) {
-    for (size_t I = 0; I != NumItems; ++I)
       Fn(I);
-    return;
-  }
-  {
-    MutexLock Guard(Mu);
-    Job = &Fn;
-    JobItems = NumItems;
-    NextItem.store(0);
-    ActiveWorkers = static_cast<unsigned>(Workers.size());
-    ++Generation;
-  }
-  StartCv.notifyAll();
+  };
+  std::vector<std::thread> Threads;
+  for (size_t W = 1; W < Workers; ++W)
+    Threads.emplace_back(work);
   // The caller is worker 0.
-  for (size_t I = NextItem.fetch_add(1); I < NumItems;
-       I = NextItem.fetch_add(1))
-    Fn(I);
-  MutexLock Lock(Mu);
-  while (ActiveWorkers != 0)
-    DoneCv.wait(Mu);
-  Job = nullptr;
+  work();
+  for (std::thread &T : Threads)
+    T.join();
 }

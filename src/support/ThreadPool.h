@@ -1,4 +1,4 @@
-//===- support/ThreadPool.h - Fork-join worker pool --------------*- C++ -*-===//
+//===- support/ThreadPool.h - One-shot fork-join fan-out ---------*- C++ -*-===//
 //
 // Part of the PerfPlay reproduction of "On Performance Debugging of
 // Unnecessary Lock Contentions on Multicore Processors" (CGO 2015).
@@ -6,84 +6,36 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fork-join worker pool shared by Engine::analyzeBatch and the
-/// parallel ULCP detector.  One pool owns N-1 background threads; the
-/// calling thread participates as worker 0, so a pool of size 1 runs
-/// everything inline with no thread ever spawned.  parallelFor hands out
-/// items via an atomic counter (dynamic load balancing) and blocks until
-/// every item completed, which keeps the caller free to merge results
-/// deterministically afterwards.
+/// Fork-join fan-out for Engine's batch analysis.  parallelFor starts
+/// its threads, hands out items through one atomic counter (dynamic
+/// load balancing), and joins every thread before returning, so the
+/// caller is free to merge results deterministically afterwards.  No
+/// thread outlives the call.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERFPLAY_SUPPORT_THREADPOOL_H
 #define PERFPLAY_SUPPORT_THREADPOOL_H
 
-#include "support/ThreadAnnotations.h"
-
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <thread>
-#include <vector>
 
 namespace perfplay {
 
-/// Fork-join pool.  Construction spawns size()-1 threads which idle
-/// until parallelFor is called; destruction joins them.  parallelFor
-/// calls must not be nested or issued concurrently from several threads.
-class ThreadPool {
-public:
-  /// A pool of \p NumThreads workers (including the calling thread).
-  /// 0 means one per hardware thread.
-  explicit ThreadPool(unsigned NumThreads);
-  ~ThreadPool();
+/// Resolves a user-facing thread-count knob: 0 = one per CPU this
+/// process may run on (its sched_getaffinity mask where available,
+/// else hardware_concurrency(); at least 1), capped at 256 (absurd
+/// requests must not spawn thousands of OS threads) and by
+/// \p NumItems so small inputs never spawn idle workers.
+unsigned resolveThreadCount(unsigned Requested, size_t NumItems);
 
-  ThreadPool(const ThreadPool &) = delete;
-  ThreadPool &operator=(const ThreadPool &) = delete;
-
-  /// Total workers, calling thread included.  Always >= 1.
-  unsigned size() const { return NumWorkers; }
-
-  /// Runs \p Fn(Index) for every Index in [0, NumItems), spread
-  /// dynamically over the pool plus the calling thread.  Returns when
-  /// all items finished.  EXCLUDES(Mu) makes calling this from inside
-  /// a job (which would self-deadlock on the pool lock) a compile
-  /// error in the clang -Wthread-safety lane.
-  void parallelFor(size_t NumItems, const std::function<void(size_t)> &Fn)
-      EXCLUDES(Mu);
-
-  /// Resolves a user-facing thread-count knob: 0 = one per hardware
-  /// thread (at least 1), capped at 256 (absurd requests must not
-  /// spawn thousands of OS threads) and by \p NumItems so small inputs
-  /// never spawn idle workers.
-  static unsigned resolveThreadCount(unsigned Requested, size_t NumItems);
-
-private:
-  void workerLoop() EXCLUDES(Mu);
-
-  std::vector<std::thread> Workers;
-  /// Guards every job-handoff field below; StartCv/DoneCv wait on it.
-  /// Leaf lock: nothing else is ever acquired while it is held.
-  Mutex Mu;
-  /// Signaled once per parallelFor call (and on shutdown) to wake idle
-  /// workers.
-  CondVar StartCv;
-  /// Signaled by the last worker finishing a job.
-  CondVar DoneCv;
-  /// Current job; valid while ActiveWorkers != 0.
-  const std::function<void(size_t)> *Job GUARDED_BY(Mu) = nullptr;
-  size_t JobItems GUARDED_BY(Mu) = 0;
-  /// Work-distribution counter: deliberately *not* guarded — workers
-  /// claim items with fetch_add outside the lock.
-  std::atomic<size_t> NextItem{0};
-  /// Incremented per parallelFor call; wakes idle workers exactly once
-  /// per job.
-  uint64_t Generation GUARDED_BY(Mu) = 0;
-  unsigned ActiveWorkers GUARDED_BY(Mu) = 0;
-  bool Stopping GUARDED_BY(Mu) = false;
-  unsigned NumWorkers = 1;
-};
+/// Runs \p Fn(Index) for every Index in [0, NumItems) on \p NumThreads
+/// workers: NumThreads - 1 new threads plus the calling thread, each
+/// claiming the next unclaimed item until none is left.  Returns once
+/// every item finished and every thread joined.  NumThreads is clamped
+/// to [1, NumItems]; 1 runs everything inline.
+void parallelFor(unsigned NumThreads, size_t NumItems,
+                 const std::function<void(size_t)> &Fn);
 
 } // namespace perfplay
 

@@ -2,8 +2,6 @@
 
 #include "trace/Trace.h"
 
-#include "support/ThreadPool.h"
-
 #include <cassert>
 #include <string>
 #include <vector>
@@ -79,116 +77,90 @@ CsRef Trace::csRefOf(uint32_t GlobalId) const {
   return CsRef();
 }
 
-/// The per-thread structural half of validate(): framing, LIFO lock
-/// nesting, and table references of one thread's stream.  Independent
-/// of every other thread, which is what lets validate(ThreadPool*)
-/// fan the walks out.  \p CsCount receives the thread's critical-
-/// section count (valid only when the walk passed).
-std::string Trace::validateThread(size_t T, uint32_t &OutCs) const {
-  auto err = [](const std::string &Msg) { return Msg; };
-  OutCs = 0;
-  const auto &Events = Threads[T].Events;
-  const std::string Where = "thread " + std::to_string(T) + ": ";
-  if (Events.empty())
-    return err(Where + "empty event stream");
-  if (Events.front().Kind != EventKind::ThreadStart)
-    return err(Where + "does not begin with ThreadStart");
-  if (Events.back().Kind != EventKind::ThreadEnd)
-    return err(Where + "does not end with ThreadEnd");
-
-  std::vector<LockId> HeldStack;
-  for (size_t I = 0; I != Events.size(); ++I) {
-    const Event &E = Events[I];
-    const std::string At = Where + "event " + std::to_string(I) + ": ";
-    switch (E.Kind) {
-    case EventKind::ThreadStart:
-      if (I != 0)
-        return err(At + "ThreadStart not first");
-      break;
-    case EventKind::ThreadEnd:
-      if (I + 1 != Events.size())
-        return err(At + "ThreadEnd not last");
-      if (!HeldStack.empty())
-        return err(At + "thread ends holding a lock");
-      break;
-    case EventKind::LockAcquire:
-    case EventKind::RwAcquireRead:
-    case EventKind::RwAcquireWrite:
-    case EventKind::TryAcquire:
-      if (E.Lock >= Locks.size())
-        return err(At + "acquire of unknown lock");
-      if (E.Site != InvalidId && E.Site >= Sites.size())
-        return err(At + "unknown code site");
-      if (E.Lockset != InvalidId && E.Lockset >= Locksets.size())
-        return err(At + "unknown lockset");
-      // A failed trylock opens nothing; every other acquire (and a
-      // successful try) opens a critical section.
-      if (isSectionOpen(E)) {
-        HeldStack.push_back(E.Lock);
-        ++OutCs;
-      }
-      break;
-    case EventKind::LockRelease:
-      if (E.Lock >= Locks.size())
-        return err(At + "release of unknown lock");
-      if (HeldStack.empty() || HeldStack.back() != E.Lock)
-        return err(At + "release does not match innermost held lock");
-      HeldStack.pop_back();
-      break;
-    case EventKind::CondWait:
-      if (E.Lock >= Locks.size())
-        return err(At + "wait on unknown condition variable");
-      if (E.Site != InvalidId && E.Site >= Sites.size())
-        return err(At + "unknown code site");
-      break;
-    case EventKind::CondSignal:
-    case EventKind::CondBroadcast:
-      if (E.Lock >= Locks.size())
-        return err(At + "signal of unknown condition variable");
-      break;
-    case EventKind::Read:
-    case EventKind::Write:
-    case EventKind::Compute:
-      break;
-    }
-  }
-  return std::string();
-}
-
-std::string Trace::validate() const { return validate(nullptr); }
-
-std::string Trace::validate(ThreadPool *Pool) const {
-  auto err = [](const std::string &Msg) { return Msg; };
-
+std::string Trace::validate() const {
   // Pooled-name integrity: a name handle is either the "unnamed"
   // sentinel or resolves inside this trace's pool.
   for (const LockInfo &L : Locks)
     if (L.Name != InvalidStringId && L.Name >= Names.size())
-      return err("lock name not in string pool");
+      return "lock name not in string pool";
   for (const CodeSite &S : Sites) {
     if (S.File != InvalidStringId && S.File >= Names.size())
-      return err("code site file not in string pool");
+      return "code site file not in string pool";
     if (S.Function != InvalidStringId && S.Function >= Names.size())
-      return err("code site function not in string pool");
+      return "code site function not in string pool";
   }
 
+  // Per thread: framing, LIFO lock nesting, and table references.  The
+  // diagnostic prefix is built only on a failure path, never per event.
   std::vector<uint32_t> CsPerThread(Threads.size(), 0);
-  if (Pool && Pool->size() > 1 && Threads.size() > 1) {
-    // Each walk touches only its own thread's slots, so no locking is
-    // needed; the serial scan below picks the lowest-numbered failing
-    // thread, matching the serial walk's first-error semantics.
-    std::vector<std::string> ThreadErrs(Threads.size());
-    Pool->parallelFor(Threads.size(), [&](size_t T) {
-      ThreadErrs[T] = validateThread(T, CsPerThread[T]);
-    });
-    for (const std::string &E : ThreadErrs)
-      if (!E.empty())
-        return E;
-  } else {
-    for (size_t T = 0; T != Threads.size(); ++T) {
-      std::string E = validateThread(T, CsPerThread[T]);
-      if (!E.empty())
-        return E;
+  std::vector<LockId> HeldStack;
+  for (size_t T = 0; T != Threads.size(); ++T) {
+    const auto &Events = Threads[T].Events;
+    auto where = [T] { return "thread " + std::to_string(T) + ": "; };
+    if (Events.empty())
+      return where() + "empty event stream";
+    if (Events.front().Kind != EventKind::ThreadStart)
+      return where() + "does not begin with ThreadStart";
+    if (Events.back().Kind != EventKind::ThreadEnd)
+      return where() + "does not end with ThreadEnd";
+
+    HeldStack.clear();
+    for (size_t I = 0; I != Events.size(); ++I) {
+      const Event &E = Events[I];
+      auto at = [&](const char *Msg) {
+        return where() + "event " + std::to_string(I) + ": " + Msg;
+      };
+      switch (E.Kind) {
+      case EventKind::ThreadStart:
+        if (I != 0)
+          return at("ThreadStart not first");
+        break;
+      case EventKind::ThreadEnd:
+        if (I + 1 != Events.size())
+          return at("ThreadEnd not last");
+        if (!HeldStack.empty())
+          return at("thread ends holding a lock");
+        break;
+      case EventKind::LockAcquire:
+      case EventKind::RwAcquireRead:
+      case EventKind::RwAcquireWrite:
+      case EventKind::TryAcquire:
+        if (E.Lock >= Locks.size())
+          return at("acquire of unknown lock");
+        if (E.Site != InvalidId && E.Site >= Sites.size())
+          return at("unknown code site");
+        if (E.Lockset != InvalidId && E.Lockset >= Locksets.size())
+          return at("unknown lockset");
+        // A failed trylock opens nothing; every other acquire (and a
+        // successful try) opens a critical section.
+        if (isSectionOpen(E)) {
+          HeldStack.push_back(E.Lock);
+          ++CsPerThread[T];
+        }
+        break;
+      case EventKind::LockRelease:
+        if (E.Lock >= Locks.size())
+          return at("release of unknown lock");
+        if (HeldStack.empty() || HeldStack.back() != E.Lock)
+          return at("release does not match innermost held lock");
+        HeldStack.pop_back();
+        break;
+      case EventKind::CondWait:
+        if (E.Lock >= Locks.size())
+          return at("wait on unknown condition variable");
+        if (E.Site != InvalidId && E.Site >= Sites.size())
+          return at("unknown code site");
+        break;
+      case EventKind::CondSignal:
+      case EventKind::CondBroadcast:
+        if (E.Lock >= Locks.size())
+          return at("signal of unknown condition variable");
+        break;
+      case EventKind::Read:
+      case EventKind::Write:
+      case EventKind::Compute:
+        break;
+      }
     }
   }
   size_t TotalCs = 0;
@@ -198,26 +170,26 @@ std::string Trace::validate(ThreadPool *Pool) const {
   for (const auto &LS : Locksets)
     for (const auto &Entry : LS.Entries) {
       if (Entry.Lock >= Locks.size())
-        return err("lockset references unknown lock");
+        return "lockset references unknown lock";
       if (Entry.SourceCs != InvalidId && Entry.SourceCs >= TotalCs)
-        return err("lockset references unknown source critical section");
+        return "lockset references unknown source critical section";
     }
 
   for (const auto &C : Constraints) {
     if (C.Before >= TotalCs || C.After >= TotalCs)
-      return err("constraint references unknown critical section");
+      return "constraint references unknown critical section";
     if (C.Before == C.After)
-      return err("constraint orders a critical section against itself");
+      return "constraint orders a critical section against itself";
   }
 
   if (!LockSchedule.empty() && LockSchedule.size() != Locks.size())
-    return err("lock schedule size does not match lock table");
+    return "lock schedule size does not match lock table";
   for (size_t L = 0; L != LockSchedule.size(); ++L)
     for (const CsRef &Ref : LockSchedule[L]) {
       if (Ref.Thread >= Threads.size())
-        return err("lock schedule references unknown thread");
+        return "lock schedule references unknown thread";
       if (Ref.Index >= CsPerThread[Ref.Thread])
-        return err("lock schedule references unknown critical section");
+        return "lock schedule references unknown critical section";
     }
 
   return std::string();

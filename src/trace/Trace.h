@@ -26,8 +26,6 @@
 
 namespace perfplay {
 
-class ThreadPool;
-
 /// Static source location of a critical section's code region.  Names
 /// are pooled: File/Function are handles into the owning
 /// Trace::Names interner (Trace::siteFile / Trace::siteFunction
@@ -170,10 +168,9 @@ public:
 
   /// Installs the per-thread CS counts backing globalCsId() from
   /// counts the caller already has, skipping buildCsIndex()'s
-  /// O(events) rescan.  The parallel v3 loader aggregates these from
-  /// the chunk directory's per-chunk acquire counts, each verified
-  /// against the decoded stream — so the index is exact, at O(threads)
-  /// cost.  \p CountPerThread must have one entry per thread.
+  /// O(events) rescan.  The v3 loader aggregates these from the chunk
+  /// directory's per-chunk acquire counts, each verified against the
+  /// decoded stream — so the index is exact, at O(threads) cost.  \p CountPerThread must have one entry per thread.
   void installCsIndex(std::vector<uint32_t> CountPerThread);
 
   /// Structural validation: every thread stream starts with ThreadStart,
@@ -184,18 +181,7 @@ public:
   /// \returns an empty string when valid, otherwise a diagnostic.
   std::string validate() const;
 
-  /// validate() with the independent per-thread structural walks spread
-  /// over \p Pool (cross-table checks stay serial).  The reported
-  /// diagnostic is deterministic — the lowest-numbered failing thread
-  /// wins, exactly as in the serial walk.  A null pool (or a pool of
-  /// one) degrades to validate().
-  std::string validate(ThreadPool *Pool) const;
-
 private:
-  /// Per-thread half of validate(); returns a diagnostic or "" and
-  /// reports the thread's critical-section count through \p OutCs.
-  std::string validateThread(size_t T, uint32_t &OutCs) const;
-
   /// numCriticalSections() by scanning every event.
   size_t countCriticalSections() const;
 

@@ -15,7 +15,7 @@
 // an allocation beyond the file's own size; varints are capped at 10 bytes, and the directory is
 // cross-checked against the decoded streams (event counts, acquire
 // counts, first/last timestamps), which is what makes it trustworthy
-// enough to drive the parallel loader's span layout and the O(threads)
+// enough to drive the full loader's span layout and the O(threads)
 // critical-section index installation.
 //
 //===----------------------------------------------------------------------===//
@@ -23,7 +23,6 @@
 #include "trace/TraceV3.h"
 
 #include "support/MappedFile.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -1087,11 +1086,11 @@ bool perfplay::saveTraceV3(const Trace &Tr, const std::string &Path,
 }
 
 //===----------------------------------------------------------------------===//
-// parseTraceV3 — parallel full load
+// parseTraceV3 — full load
 //===----------------------------------------------------------------------===//
 
 bool perfplay::parseTraceV3(const uint8_t *Data, size_t Size, Trace &Out,
-                            std::string &Err, const V3ParseOptions &Opts) {
+                            std::string &Err) {
   Out = Trace();
   auto fail = [&](std::string Msg) {
     Err = std::move(Msg);
@@ -1119,24 +1118,37 @@ bool perfplay::parseTraceV3(const uint8_t *Data, size_t Size, Trace &Out,
   Tables.LockDefined.assign(F.NumLocks, 0);
   Tables.SiteDefined.assign(F.NumSites, 0);
 
-  // Serial pre-pass: chunk headers and string-table deltas.  Bounded
-  // by header and name bytes, not event bytes — the (dominant) event
-  // streams are only located here and decoded in parallel below.
-  std::vector<V3ChunkHeader> Headers(Directory.size());
-  std::vector<uint64_t> EventsOffset(Directory.size(), 0);
+  // Each thread's event vector is sized exactly from the directory, and
+  // every chunk decodes into its own span of it.
+  Out.Threads.resize(F.NumThreads);
+  for (uint32_t T = 0; T != F.NumThreads; ++T)
+    Out.Threads[T].Events.resize(Stats.PerThreadEvents[T]);
+
+  // One pass over the chunks: header check, string-table deltas, then
+  // the event stream.
   for (size_t I = 0; I != Directory.size(); ++I) {
     const V3DirEntry &D = Directory[I];
-    std::string Where = "chunk " + std::to_string(I) + ": ";
+    auto chunkFail = [&] {
+      return fail("chunk " + std::to_string(I) + ": " + Err);
+    };
     V3Cursor C(Data + D.Offset, D.ByteSize);
-    if (!readChunkHeader(C, Headers[I], Err))
-      return fail(Where + Err);
-    if (!headerMatchesDirectory(Headers[I], D))
-      return fail(Where + "chunk header disagrees with directory");
-    if (!applyChunkDeltas(C, Headers[I], Tables, /*Apply=*/true, Err))
-      return fail(Where + Err);
-    if (C.remaining() != Headers[I].EventBytes)
-      return fail(Where + "chunk event stream size mismatch");
-    EventsOffset[I] = D.Offset + C.pos();
+    V3ChunkHeader H;
+    if (!readChunkHeader(C, H, Err))
+      return chunkFail();
+    if (!headerMatchesDirectory(H, D)) {
+      Err = "chunk header disagrees with directory";
+      return chunkFail();
+    }
+    if (!applyChunkDeltas(C, H, Tables, /*Apply=*/true, Err))
+      return chunkFail();
+    if (C.remaining() != H.EventBytes) {
+      Err = "chunk event stream size mismatch";
+      return chunkFail();
+    }
+    Event *Span = Out.Threads[D.Thread].Events.data() + Stats.SpanStart[I];
+    if (!decodeEventStream(Data + D.Offset + C.pos(), H.EventBytes, H,
+                           D.AcquireCount, F.Minor, Span, Err))
+      return chunkFail();
   }
 
   if (F.DirOff - F.SideOff > Size)
@@ -1163,49 +1175,11 @@ bool perfplay::parseTraceV3(const uint8_t *Data, size_t Size, Trace &Out,
   if (TotalAcquires > InvalidId)
     return fail("critical section count overflow");
 
-  Out.Threads.resize(F.NumThreads);
-
-  // Concurrent chunk decode into disjoint spans.  Each worker writes
-  // only Events[SpanStart, SpanStart + EventCount) of its chunk's
-  // thread and its own error slot, so no locking is needed; the
-  // per-thread vector fills (value-initialization is a real cost at
-  // scale) are spread over the same pool first.
-  const unsigned Workers =
-      ThreadPool::resolveThreadCount(Opts.NumThreads, Directory.size());
-  std::vector<std::string> ChunkErrs(Directory.size());
-  auto sizeThread = [&](size_t T) {
-    Out.Threads[T].Events.resize(Stats.PerThreadEvents[T]);
-  };
-  auto decodeChunk = [&](size_t I) {
-    const V3DirEntry &D = Directory[I];
-    Event *Span =
-        Out.Threads[D.Thread].Events.data() + Stats.SpanStart[I];
-    decodeEventStream(Data + EventsOffset[I], Headers[I].EventBytes,
-                      Headers[I], D.AcquireCount, F.Minor, Span,
-                      ChunkErrs[I]);
-  };
-
-  std::unique_ptr<ThreadPool> Pool;
-  if (Workers > 1)
-    Pool = std::make_unique<ThreadPool>(Workers);
-  if (Pool) {
-    Pool->parallelFor(F.NumThreads, sizeThread);
-    Pool->parallelFor(Directory.size(), decodeChunk);
-  } else {
-    for (uint32_t T = 0; T != F.NumThreads; ++T)
-      sizeThread(T);
-    for (size_t I = 0; I != Directory.size(); ++I)
-      decodeChunk(I);
-  }
-  for (size_t I = 0; I != ChunkErrs.size(); ++I)
-    if (!ChunkErrs[I].empty())
-      return fail("chunk " + std::to_string(I) + ": " + ChunkErrs[I]);
-
   // The directory's acquire counts were just verified against every
   // decoded stream, so the index installs in O(threads) instead of
   // buildCsIndex()'s O(events) rescan.
   Out.installCsIndex(std::move(CsPerThread));
-  std::string Invalid = Out.validate(Pool.get());
+  std::string Invalid = Out.validate();
   if (!Invalid.empty())
     return fail("parsed trace fails validation: " + Invalid);
   return true;

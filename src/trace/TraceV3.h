@@ -11,11 +11,11 @@
 /// a chunk directory in the footer so readers can seek without
 /// scanning.  The layout is modeled on T-espresso's slot-buffered
 /// tracefile (fixed-size slots, per-slot record counts, commit
-/// counters) and serves two consumers a flat encoding cannot:
+/// counters) and serves two consumers:
 ///
-///  - **parallel full load**: chunks decode concurrently on
-///    support/ThreadPool into disjoint per-thread event spans stitched
-///    in file order (parseTraceV3), and
+///  - **full load**: parseTraceV3 sizes every thread's event vector
+///    from the directory and decodes each chunk straight into its
+///    span, in file order, and
 ///  - **out-of-core streaming**: WindowedReader decodes one chunk at a
 ///    time through a reusable buffer, so resident memory is bounded by
 ///    the chunk size — not the trace size — while the accumulated
@@ -186,23 +186,16 @@ std::vector<uint8_t> writeTraceV3(const Trace &Tr,
                                   size_t TargetChunkBytes =
                                       DefaultV3ChunkBytes);
 
-/// Parallel-parse knobs for parseTraceV3.
-struct V3ParseOptions {
-  /// Workers decoding chunks concurrently; 0 = one per hardware
-  /// thread, 1 = fully serial (no pool constructed).
-  unsigned NumThreads = 0;
-};
-
-/// Parses a v3 byte image.  The footer directory drives a serial
-/// pre-pass (chunk headers, string-table deltas, side tables — all
-/// byte-budget validated before any allocation) that sizes every
-/// per-thread event vector exactly; chunks then decode concurrently
-/// into disjoint spans, and the critical-section index is installed
-/// from the directory's decode-verified per-chunk acquire counts
-/// instead of an O(events) rescan.  On failure returns false and sets
-/// \p Err.
+/// Parses a v3 byte image.  The footer directory sizes every
+/// per-thread event vector exactly (its counts are byte-budget
+/// validated before any allocation); one pass over the chunks then
+/// checks each header, applies its string-table deltas and decodes its
+/// events into the chunk's span, before the side tables are read.  The
+/// critical-section index is installed from the directory's
+/// decode-verified per-chunk acquire counts instead of an O(events)
+/// rescan.  On failure returns false and sets \p Err.
 bool parseTraceV3(const uint8_t *Data, size_t Size, Trace &Out,
-                  std::string &Err, const V3ParseOptions &Opts = {});
+                  std::string &Err);
 
 /// Out-of-core v3 reader: streams chunks in file order through one
 /// reusable buffer using plain stdio (never mmap), so peak resident

@@ -89,58 +89,26 @@ Trace tinyTrace(unsigned Salt) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// ThreadPool
+// parallelFor
 //===----------------------------------------------------------------------===//
 
-// Saturation: far more workers than cores, repeated jobs, every item
-// must run exactly once per job.  Exercises the generation handshake
-// (stale workers waking into a new job) and the dynamic item counter.
+// Saturation: far more workers than cores, repeated one-shot calls,
+// every item must run exactly once per call.  Exercises thread start
+// and join racing the shared item counter.
 TEST(ConcurrencyStressTest, ThreadPoolSaturation) {
   constexpr unsigned Workers = 8;
   constexpr size_t Items = 4096;
   constexpr int Jobs = 25;
-  ThreadPool Pool(Workers);
-  ASSERT_EQ(Pool.size(), Workers);
   std::vector<std::atomic<uint32_t>> Ran(Items);
   for (int J = 0; J != Jobs; ++J) {
     for (auto &Flag : Ran)
       Flag.store(0, std::memory_order_relaxed);
-    Pool.parallelFor(Items, [&](size_t I) {
+    parallelFor(Workers, Items, [&](size_t I) {
       Ran[I].fetch_add(1, std::memory_order_relaxed);
     });
     for (size_t I = 0; I != Items; ++I)
       ASSERT_EQ(Ran[I].load(std::memory_order_relaxed), 1u)
           << "job " << J << " item " << I;
-  }
-}
-
-// Single-item jobs make every worker wake, lose the race for the one
-// item, and go straight back to the generation wait — the tightest
-// loop over the condition-variable protocol.
-TEST(ConcurrencyStressTest, ThreadPoolThunderingHerd) {
-  ThreadPool Pool(8);
-  std::atomic<size_t> Total{0};
-  for (int J = 0; J != 200; ++J)
-    Pool.parallelFor(1, [&](size_t) {
-      Total.fetch_add(1, std::memory_order_relaxed);
-    });
-  EXPECT_EQ(Total.load(), 200u);
-}
-
-// Construct/run/destruct churn: the shutdown path (Stopping broadcast
-// + join) races against workers that may not have reached their first
-// wait yet, and against workers finishing their last items.
-TEST(ConcurrencyStressTest, ThreadPoolShutdownChurn) {
-  for (int Round = 0; Round != 50; ++Round) {
-    // Destruct with no job ever submitted.
-    { ThreadPool Idle(4); }
-    // Destruct immediately after a job.
-    ThreadPool Pool(4);
-    std::atomic<size_t> Count{0};
-    Pool.parallelFor(16, [&](size_t) {
-      Count.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(Count.load(), 16u);
   }
 }
 

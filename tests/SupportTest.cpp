@@ -17,6 +17,10 @@
 #include <random>
 #include <set>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 using namespace perfplay;
 
 //===----------------------------------------------------------------------===//
@@ -416,31 +420,47 @@ TEST(FlatMapTest, ClearKeepsCapacityForReuse) {
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPoolTest, ResolveThreadCount) {
-  EXPECT_EQ(ThreadPool::resolveThreadCount(4, 100), 4u);
-  EXPECT_EQ(ThreadPool::resolveThreadCount(4, 2), 2u);
-  EXPECT_EQ(ThreadPool::resolveThreadCount(4, 0), 1u);
-  EXPECT_GE(ThreadPool::resolveThreadCount(0, 100), 1u);
+  EXPECT_EQ(resolveThreadCount(4, 100), 4u);
+  EXPECT_EQ(resolveThreadCount(4, 2), 2u);
+  EXPECT_EQ(resolveThreadCount(4, 0), 1u);
+  EXPECT_EQ(resolveThreadCount(1000, 1000), 256u);
+  EXPECT_GE(resolveThreadCount(0, 100), 1u);
+}
+
+// The default budget is the process's affinity mask, so a process
+// pinned to one CPU (taskset -c N) fans out to one worker.
+TEST(ThreadPoolTest, ResolveThreadCountFollowsAffinity) {
+#ifdef __linux__
+  cpu_set_t Saved;
+  CPU_ZERO(&Saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Saved), &Saved), 0);
+  int First = 0;
+  while (!CPU_ISSET(First, &Saved))
+    ++First;
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(First, &One);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  const unsigned Pinned = resolveThreadCount(0, 100);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Saved), &Saved), 0);
+  EXPECT_EQ(Pinned, 1u);
+  EXPECT_EQ(resolveThreadCount(0, 100),
+            std::min<unsigned>(CPU_COUNT(&Saved), 100u));
+#else
+  GTEST_SKIP() << "no sched_getaffinity on this platform";
+#endif
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryItem) {
   for (unsigned Threads : {1u, 2u, 4u}) {
-    ThreadPool Pool(Threads);
     std::vector<std::atomic<int>> Hits(257);
-    Pool.parallelFor(Hits.size(),
-                     [&](size_t I) { Hits[I].fetch_add(1); });
+    parallelFor(Threads, Hits.size(),
+                [&](size_t I) { Hits[I].fetch_add(1); });
     for (const auto &H : Hits)
       EXPECT_EQ(H.load(), 1);
   }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossJobs) {
-  ThreadPool Pool(4);
-  std::atomic<int> Total{0};
-  for (int Round = 0; Round != 10; ++Round)
-    Pool.parallelFor(100, [&](size_t) { Total.fetch_add(1); });
-  EXPECT_EQ(Total.load(), 1000);
-  Pool.parallelFor(0, [&](size_t) { Total.fetch_add(1000); });
-  EXPECT_EQ(Total.load(), 1000);
+  // No items: Fn never runs and no thread starts.
+  parallelFor(4, 0, [](size_t) { ADD_FAILURE() << "ran an item"; });
 }
 
 //===----------------------------------------------------------------------===//

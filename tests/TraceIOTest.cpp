@@ -287,26 +287,6 @@ TEST(TraceIOTest, V3RoundTripManyChunks) {
   EXPECT_EQ(writeTraceV3(Back), writeTraceV3(Tr));
 }
 
-// Serial and parallel decode paths must produce identical traces.
-TEST(TraceIOTest, V3ParallelParseMatchesSerial) {
-  Trace Tr = makeBigTrace(/*NumThreads=*/4, /*SectionsPerThread=*/300);
-  std::vector<uint8_t> Bytes = writeTraceV3(Tr, /*TargetChunkBytes=*/2048);
-  std::string Err;
-  Trace Serial, Parallel;
-  V3ParseOptions SerialOpts;
-  SerialOpts.NumThreads = 1;
-  ASSERT_TRUE(parseTraceV3(Bytes.data(), Bytes.size(), Serial, Err,
-                           SerialOpts))
-      << Err;
-  V3ParseOptions ParallelOpts;
-  ParallelOpts.NumThreads = 4;
-  ASSERT_TRUE(parseTraceV3(Bytes.data(), Bytes.size(), Parallel, Err,
-                           ParallelOpts))
-      << Err;
-  expectTracesEqual(Serial, Parallel);
-  expectTracesEqual(Tr, Parallel);
-}
-
 TEST(TraceIOTest, V3FileSaveAndAutoDetectLoad) {
   Trace Tr = makeRichTrace();
   std::string Path = testing::TempDir() + "/perfplay_trace_io_test.v3trace";

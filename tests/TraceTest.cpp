@@ -99,7 +99,7 @@ TEST(TraceTest, NumCriticalSectionsPerThread) {
 TEST(TraceValidateTest, CatchesMissingThreadStart) {
   Trace Tr = makeSimpleTrace();
   Tr.Threads[0].Events.erase(Tr.Threads[0].Events.begin());
-  EXPECT_NE(Tr.validate(), "");
+  EXPECT_EQ(Tr.validate(), "thread 0: does not begin with ThreadStart");
 }
 
 TEST(TraceValidateTest, CatchesUnknownLock) {
@@ -122,7 +122,8 @@ TEST(TraceValidateTest, CatchesMismatchedRelease) {
   for (auto &E : Tr.Threads[0].Events)
     if (E.Kind == EventKind::LockRelease)
       E.Lock = Bk;
-  EXPECT_NE(Tr.validate(), "");
+  EXPECT_EQ(Tr.validate(),
+            "thread 0: event 2: release does not match innermost held lock");
 }
 
 TEST(TraceValidateTest, CatchesDanglingHold) {
