@@ -69,7 +69,13 @@ int main(int Argc, char **Argv) {
   for (auto &Th : Threads)
     Th.join();
 
-  Trace Tr = R.finish();
+  Expected<Trace> Recorded = R.finish();
+  if (!Recorded) {
+    std::fprintf(stderr, "recording failed: %s [%s]\n",
+                 Recorded.message().c_str(), errorCodeName(Recorded.code()));
+    return 1;
+  }
+  Trace Tr = std::move(*Recorded);
   std::string Err;
   const char *Path = "live_recording.trace";
   if (!saveTrace(Tr, Path, Err)) {

@@ -81,7 +81,7 @@ Expected<void> AnalysisSession::setup() {
   }
   SetupDone = true;
 
-  std::string Invalid = Tr.validate();
+  std::string Invalid = Validated ? std::string() : Tr.validate();
   if (!Invalid.empty()) {
     SetupError = PipelineError(ErrorCode::InvalidTrace,
                                "invalid input trace: " + Invalid);

@@ -183,11 +183,11 @@ public:
   /// position in a batch).
   void setTraceIndex(size_t Index) { TraceIndex = Index; }
 
-  /// Stage 1 (record): validates the trace, builds the global
-  /// critical-section numbering, and — when the trace has critical
-  /// sections but no grant schedule — runs one ORIG-S recording replay
-  /// to install Trace::LockSchedule.  Idempotent; the outcome
-  /// (including failure) is memoized.
+  /// Stage 1 (record): validates the trace (unless the file loader
+  /// already did), builds the global critical-section numbering, and —
+  /// when the trace has critical sections but no grant schedule — runs
+  /// one ORIG-S recording replay to install Trace::LockSchedule.
+  /// Idempotent; the outcome (including failure) is memoized.
   Expected<void> ensureRecorded();
 
   /// The ORIG-S recording run's result, when ensureRecorded() had to
@@ -261,6 +261,8 @@ public:
   size_t cachedReplayCount() const { return Replays.size(); }
 
 private:
+  friend class Engine;
+
   /// Replay-cache key: {transformed?, scheme, seed}.
   using ReplayKey = std::tuple<bool, ScheduleKind, uint64_t>;
 
@@ -291,7 +293,9 @@ private:
   ProgressCallback Progress;
   size_t TraceIndex = 0;
 
-  /// Stage 1 state.
+  /// Stage 1 state.  Engine sets Validated on a trace readTraceFile
+  /// just validated, so setup() skips the second walk.
+  bool Validated = false;
   bool SetupDone = false;
   PipelineError SetupError;
   std::optional<ReplayResult> RecordingRun;

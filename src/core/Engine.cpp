@@ -20,7 +20,9 @@ Engine::openSessionFromFile(const std::string &Path) const {
   Expected<Trace> Tr = readTraceFile(Path);
   if (!Tr)
     return Tr.error();
-  return openSession(std::move(*Tr));
+  AnalysisSession Session = openSession(std::move(*Tr));
+  Session.Validated = true;
+  return Session;
 }
 
 /// Every stage of \p Session, which its caller discards next: the
@@ -183,7 +185,9 @@ Engine::analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
         Expected<Trace> Tr = readTraceFile(Paths[I]);
         if (!Tr)
           return Tr.error();
-        return AnalysisSession(std::move(*Tr), Defaults, Progress);
+        AnalysisSession Session(std::move(*Tr), Defaults, Progress);
+        Session.Validated = true;
+        return Session;
       },
       Consumer);
 }

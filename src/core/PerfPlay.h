@@ -9,7 +9,7 @@
 /// The end-to-end PERFPLAY pipeline of Figure 5:
 ///
 ///   1. record   — a trace arrives from the live recorder
-///                 (runtime/Recorder.h) or a workload generator; if it
+///                 (runtime/Instrument.h) or a workload generator; if it
 ///                 lacks a grant schedule, one ORIG-S "recording" run
 ///                 installs it,
 ///   2. detect   — identify every ULCP (Algorithm 1 + reversed replay),

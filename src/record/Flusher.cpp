@@ -106,34 +106,21 @@ void describeReturnAddress(uintptr_t Addr, std::string &File,
   Function = hexAddr(Addr);
 }
 
-TraceFlusher::TraceFlusher(std::string Out, size_t ChunkBytes)
-    : OutPath(std::move(Out)), TmpPath(OutPath + ".tmp") {
-  File = std::fopen(TmpPath.c_str(), "wb");
-  if (!File) {
-    Err = "cannot open '" + TmpPath + "' for writing";
-    return;
-  }
-  Writer = std::make_unique<TraceV3Writer>(
-      [this](const void *Data, size_t Size) {
-        return Size == 0 || std::fwrite(Data, 1, Size, File) == Size;
-      },
-      ChunkBytes);
-}
-
-TraceFlusher::~TraceFlusher() {
-  if (File) {
-    std::fclose(File);
-    std::remove(TmpPath.c_str());
-  }
-}
+TraceFlusher::TraceFlusher(TraceV3Writer::Sink Out, size_t ChunkBytes)
+    : Writer(std::make_unique<TraceV3Writer>(std::move(Out), ChunkBytes)) {}
 
 void TraceFlusher::ensureLock(uint32_t Id, const AddrTable &Locks) {
   while (WriterLocks <= Id) {
     uintptr_t Addr = 0;
     uint8_t Tag = 0;
     Locks.entry(WriterLocks, Addr, Tag);
-    Writer->addLock(/*IsSpin=*/false,
-                    std::string(lockTagName(Tag)) + "@" + hexAddr(Addr));
+    if (Tag == LockTagNamed) {
+      const auto *Named = reinterpret_cast<const NamedLock *>(Addr);
+      Writer->addLock(Named->IsSpin, Named->Name);
+    } else {
+      Writer->addLock(/*IsSpin=*/false,
+                      std::string(lockTagName(Tag)) + "@" + hexAddr(Addr));
+    }
     ++WriterLocks;
   }
 }
@@ -143,9 +130,15 @@ void TraceFlusher::ensureSite(uint32_t Id, const AddrTable &Sites) {
     uintptr_t Addr = 0;
     uint8_t Tag = 0;
     Sites.entry(WriterSites, Addr, Tag);
-    std::string SiteFile, SiteFn;
-    describeReturnAddress(Addr, SiteFile, SiteFn);
-    Writer->addSite(/*BeginLine=*/0, /*EndLine=*/0, SiteFile, SiteFn);
+    if (Tag == SiteTagNamed) {
+      const auto *Named = reinterpret_cast<const NamedSite *>(Addr);
+      Writer->addSite(Named->BeginLine, Named->EndLine, Named->File,
+                      Named->Function);
+    } else {
+      std::string SiteFile, SiteFn;
+      describeReturnAddress(Addr, SiteFile, SiteFn);
+      Writer->addSite(/*BeginLine=*/0, /*EndLine=*/0, SiteFile, SiteFn);
+    }
     ++WriterSites;
   }
 }
@@ -243,12 +236,13 @@ void TraceFlusher::translate(EmitState &ES, const RawRecord &R,
     ++Stats.UnmatchedReleases;
     return;
   }
+  const bool Access = R.Op == RecOp::Read || R.Op == RecOp::Write;
   if (!ES.Started) {
     emit(Event::threadStart());
     ES.Started = true;
-    ES.LastTs = R.T0;
+    ES.LastTs = Access ? R.T1 : R.T0;
   }
-  if (R.Op != RecOp::ThreadEnd && R.Lock != InvalidRecId)
+  if (carriesLock(R.Op) && R.Lock != InvalidRecId)
     ensureLock(R.Lock, Locks);
 
   switch (R.Op) {
@@ -340,12 +334,23 @@ void TraceFlusher::translate(EmitState &ES, const RawRecord &R,
     charge(ES, R.T0);
     closeThread(ES);
     break;
+  case RecOp::ThreadStart:
+    break; // Framing is emitted above; LastTs now starts the clock.
+  case RecOp::Read:
+    charge(ES, R.T1);
+    emit(Event::read(accessAddr(R), R.T0));
+    break;
+  case RecOp::Write:
+    charge(ES, R.T1);
+    emit(Event::write(accessAddr(R), R.T0,
+                      static_cast<WriteOpKind>(R.Flags)));
+    break;
   }
 }
 
 void TraceFlusher::drain(ThreadState &TS, const AddrTable &Locks,
                          const AddrTable &Sites) {
-  if (!ok() || Finalized)
+  if (Finalized)
     return;
   if (PerThread.size() <= TS.Id)
     PerThread.resize(TS.Id + 1);
@@ -362,17 +367,11 @@ void TraceFlusher::drain(ThreadState &TS, const AddrTable &Locks,
 
 bool TraceFlusher::finalize(uint32_t NumThreads, const AddrTable &Locks,
                             const AddrTable &Sites, std::string &OutErr) {
-  (void)Locks;
-  (void)Sites;
-  if (Finalized) {
-    OutErr = Err;
-    return Err.empty();
-  }
   Finalized = true;
-  if (!ok()) {
-    OutErr = Err;
-    return false;
-  }
+  if (Locks.count() != 0)
+    ensureLock(Locks.count() - 1, Locks);
+  if (Sites.count() != 0)
+    ensureSite(Sites.count() - 1, Sites);
   if (PerThread.size() < NumThreads)
     PerThread.resize(NumThreads);
   for (uint32_t T = 0; T != PerThread.size(); ++T) {
@@ -383,28 +382,7 @@ bool TraceFlusher::finalize(uint32_t NumThreads, const AddrTable &Locks,
     closeThread(ES);
   }
   Writer->setNumThreads(static_cast<uint32_t>(PerThread.size()));
-  std::string WriterErr;
-  bool Ok = Writer->finish(WriterErr);
-  if (Ok && std::fclose(File) != 0) {
-    Ok = false;
-    WriterErr = "write to '" + TmpPath + "' failed on close";
-  } else if (!Ok) {
-    std::fclose(File);
-  }
-  File = nullptr;
-  if (!Ok) {
-    std::remove(TmpPath.c_str());
-    Err = WriterErr.empty() ? "v3 writer failed" : WriterErr;
-    OutErr = Err;
-    return false;
-  }
-  if (std::rename(TmpPath.c_str(), OutPath.c_str()) != 0) {
-    std::remove(TmpPath.c_str());
-    Err = "cannot rename '" + TmpPath + "' to '" + OutPath + "'";
-    OutErr = Err;
-    return false;
-  }
-  return true;
+  return Writer->finish(OutErr);
 }
 
 } // namespace record

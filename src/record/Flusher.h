@@ -6,12 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single-consumer half of the LD_PRELOAD recorder: translates the
+/// The single-consumer half of the recorder: translates the
 /// RawRecords drained from every thread's ring into structurally valid
 /// per-thread Event streams and feeds them straight into a streaming
-/// TraceV3Writer (v3.1 chunked format) — no in-memory Trace is ever
-/// materialized, so recording scales with the chunk size, not the
-/// trace size.
+/// TraceV3Writer (v3.1 chunked format) whose sink the runtime chooses —
+/// the shim's `<out>.tmp` file, or an in-memory buffer for the
+/// in-process recorder (runtime/Instrument.h).  No in-memory Trace is
+/// ever materialized here, so recording scales with the chunk size, not
+/// the trace size.  This is the only code that turns recorded
+/// operations into Events.
 ///
 /// The translator owns everything Trace::validate() demands that raw
 /// pthread streams do not guarantee:
@@ -26,9 +29,9 @@
 ///  * Releases of locks with no recorded open (taken before recording
 ///    started, or whose open record was dropped) are suppressed and
 ///    counted in UnmatchedReleases — never emitted, never deadlocked.
-///  * The cond-wait dance mirrors runtime/Instrument.h's
-///    RecordingCondition: CondWait inside the open section, then
-///    release, then re-acquire with no compute charged for the sleep.
+///  * The cond-wait dance (Appendix Case 1): CondWait inside the open
+///    section, then release, then re-acquire with no compute charged
+///    for the sleep.
 ///
 /// Threading: TraceFlusher itself takes no locks — RecordRuntime
 /// serializes every call (background drain loop and finalize) under
@@ -43,7 +46,7 @@
 #include "trace/TraceV3.h"
 
 #include <cstdint>
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,38 +69,45 @@ struct FlushStats {
   uint64_t UnmatchedReleases = 0;
 };
 
-/// Streams drained RawRecords into `<OutPath>.tmp` as chunked v3.1 and
-/// renames to OutPath on a successful finalize, so a killed recorder
-/// never leaves a truncated file at the advertised path (the .tmp
-/// corpse is the typed-failure fixture TraceIOCorruptTest loads).
+/// A lock or condvar registered by name.  The runtime interns the
+/// entry's address under LockTagNamed; ensureLock reads the name back.
+struct NamedLock {
+  std::string Name;
+  bool IsSpin = false;
+};
+
+/// A code site registered by name, interned under SiteTagNamed.
+struct NamedSite {
+  std::string File;
+  std::string Function;
+  uint32_t BeginLine = 0;
+  uint32_t EndLine = 0;
+};
+
+/// Streams drained RawRecords into a TraceV3Writer over \p Out.
 class TraceFlusher {
 public:
-  /// Opens the temporary output file; on failure ok() is false and
-  /// every later call is a no-op until finalize reports the error.
-  TraceFlusher(std::string OutPath, size_t ChunkBytes);
-  ~TraceFlusher();
+  TraceFlusher(TraceV3Writer::Sink Out, size_t ChunkBytes);
 
   TraceFlusher(const TraceFlusher &) = delete;
   TraceFlusher &operator=(const TraceFlusher &) = delete;
-
-  bool ok() const { return Err.empty(); }
 
   /// Drains \p TS's ring, translating every record.  \p Locks and
   /// \p Sites are the runtime's registries (new entries are registered
   /// with the writer on first reference).
   void drain(ThreadState &TS, const AddrTable &Locks, const AddrTable &Sites);
 
-  /// Closes every open section, frames every thread, writes the
-  /// footer and renames into place.  \p NumThreads is the registry's
-  /// final thread count (ids below it that never produced a record
-  /// still get an empty ThreadStart/ThreadEnd frame so the dense id
-  /// space survives the round trip).  Returns false with \p OutErr set
-  /// on any I/O or writer failure (the .tmp file is removed).
+  /// Registers every lock and site interned so far (named ones no
+  /// record referenced included), closes every open section, frames
+  /// every thread and writes the footer.  \p NumThreads is the
+  /// registry's final thread count (ids below it that never produced a
+  /// record still get an empty ThreadStart/ThreadEnd frame so the dense
+  /// id space survives the round trip).  Call once.  Returns false
+  /// with \p OutErr set when the writer's sink failed.
   bool finalize(uint32_t NumThreads, const AddrTable &Locks,
                 const AddrTable &Sites, std::string &OutErr);
 
   const FlushStats &stats() const { return Stats; }
-  const std::string &outPath() const { return OutPath; }
 
 private:
   /// One open critical section on a thread's translation stack.
@@ -136,11 +146,7 @@ private:
   /// registry overflowed).
   uint32_t siteOf(uint32_t Id, const AddrTable &Sites);
 
-  std::string OutPath;
-  std::string TmpPath;
-  std::FILE *File = nullptr;
   std::unique_ptr<TraceV3Writer> Writer;
-  std::string Err;
 
   std::vector<EmitState> PerThread;
   uint32_t WriterLocks = 0;

@@ -10,6 +10,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ctime>
+#include <sched.h>
 #include <unistd.h>
 
 namespace perfplay {
@@ -23,13 +24,49 @@ uint64_t RecordRuntime::nowNs() {
 }
 
 RecordRuntime::RecordRuntime(const RecordOptions &O)
+    : RecordRuntime(O, nullptr) {}
+
+RecordRuntime::RecordRuntime(const RecordOptions &O, TraceV3Writer::Sink Out)
     : Opts(O), Locks(O.LockTableCapacity), Sites(O.SiteTableCapacity) {
   pthread_key_create(&TlsKey, &RecordRuntime::tlsDestructor);
   {
     MutexLock L(FlushMu);
-    Flusher = std::make_unique<TraceFlusher>(Opts.OutPath, Opts.ChunkBytes);
+    openTrace(std::move(Out));
   }
   startFlusherThread();
+}
+
+void RecordRuntime::openTrace(TraceV3Writer::Sink Out) {
+  if (!Out) {
+    const std::string Tmp = Opts.OutPath + ".tmp";
+    TmpFile = std::fopen(Tmp.c_str(), "wb");
+    if (!TmpFile) {
+      Flusher.reset();
+      return;
+    }
+    Out = [F = TmpFile](const void *Data, size_t Size) {
+      return Size == 0 || std::fwrite(Data, 1, Size, F) == Size;
+    };
+  }
+  Flusher = std::make_unique<TraceFlusher>(std::move(Out), Opts.ChunkBytes);
+}
+
+bool RecordRuntime::closeTrace(bool Ok, std::string &Err) {
+  if (!TmpFile)
+    return Ok;
+  const std::string Tmp = Opts.OutPath + ".tmp";
+  if (std::fclose(TmpFile) != 0 && Ok) {
+    Ok = false;
+    Err = "write to '" + Tmp + "' failed on close";
+  }
+  TmpFile = nullptr;
+  if (Ok && std::rename(Tmp.c_str(), Opts.OutPath.c_str()) != 0) {
+    Ok = false;
+    Err = "cannot rename '" + Tmp + "' to '" + Opts.OutPath + "'";
+  }
+  if (!Ok)
+    std::remove(Tmp.c_str());
+  return Ok;
 }
 
 RecordRuntime::~RecordRuntime() {
@@ -92,11 +129,13 @@ ThreadState *RecordRuntime::self() {
   auto *TS = static_cast<ThreadState *>(pthread_getspecific(TlsKey));
   if (TS)
     return TS;
+  // Zeroing the ring is the slow part of registration: do it before
+  // taking the lock that other threads' registrations wait on.
+  auto Fresh = std::make_unique<ThreadState>(Opts.RingCapacity);
   MutexLock L(RegistryMu);
-  const uint32_t Id = static_cast<uint32_t>(Threads.size());
-  Threads.push_back(
-      std::make_unique<ThreadState>(Id, Opts.RingCapacity));
-  TS = Threads.back().get();
+  Fresh->Id = static_cast<uint32_t>(Threads.size());
+  TS = Fresh.get();
+  Threads.push_back(std::move(Fresh));
   pthread_setspecific(TlsKey, TS);
   return TS;
 }
@@ -194,6 +233,55 @@ void RecordRuntime::condSignaled(uintptr_t C, bool Broadcast, uint64_t Ts) {
   push(*TS, R);
 }
 
+uint32_t RecordRuntime::registerLock(std::string Name, bool IsSpin) {
+  MutexLock L(RegistryMu);
+  NamedLocks.push_back(NamedLock{std::move(Name), IsSpin});
+  return Locks.intern(reinterpret_cast<uintptr_t>(&NamedLocks.back()),
+                      LockTagNamed);
+}
+
+uint32_t RecordRuntime::registerSite(std::string File, std::string Function,
+                                     uint32_t BeginLine, uint32_t EndLine) {
+  MutexLock L(RegistryMu);
+  for (const NamedSite &S : NamedSites)
+    if (S.BeginLine == BeginLine && S.EndLine == EndLine &&
+        S.File == File && S.Function == Function)
+      return Sites.intern(reinterpret_cast<uintptr_t>(&S), SiteTagNamed);
+  NamedSites.push_back(
+      NamedSite{std::move(File), std::move(Function), BeginLine, EndLine});
+  return Sites.intern(reinterpret_cast<uintptr_t>(&NamedSites.back()),
+                      SiteTagNamed);
+}
+
+uint32_t RecordRuntime::registerThread() {
+  ThreadState *TS = self();
+  if (!TS)
+    return InvalidRecId;
+  RawRecord R;
+  R.Op = RecOp::ThreadStart;
+  R.T0 = R.T1 = nowNs();
+  pushRecord(R);
+  return TS->Id;
+}
+
+void RecordRuntime::pushRecord(const RawRecord &R) {
+  ThreadState *TS = self();
+  if (!TS)
+    return;
+  TS->Attempts.fetch_add(1, std::memory_order_relaxed);
+  bool Pushed = !(carriesLock(R.Op) && R.Lock == InvalidRecId);
+  while (Pushed && !TS->Ring.push(R)) {
+    // Lossless: the flusher drains within one interval.  After the
+    // final drain nothing will, so the record is dropped instead.
+    if (Finalized.load(std::memory_order_acquire))
+      Pushed = false;
+    else
+      sched_yield();
+  }
+  if (!Pushed)
+    TS->Drops.fetch_add(1, std::memory_order_relaxed);
+}
+
 namespace {
 
 void writeStatsFile(const std::string &Path, const RecordSummary &S) {
@@ -249,7 +337,10 @@ RecordSummary RecordRuntime::finalize() {
       }
     }
     std::string Err;
+    if (!Flusher)
+      Err = "cannot open '" + Opts.OutPath + ".tmp' for writing";
     S.Ok = Flusher && Flusher->finalize(S.Threads, Locks, Sites, Err);
+    S.Ok = closeTrace(S.Ok, Err);
     S.Error = Err;
     if (Flusher) {
       const FlushStats &FS = Flusher->stats();
@@ -283,7 +374,15 @@ void RecordRuntime::childAfterFork() {
   StopFlusher = false;
   Opts.OutPath += ".fork." + std::to_string(getpid());
   Opts.StatsPath.clear(); // Only the root process reports stats.
-  Flusher = std::make_unique<TraceFlusher>(Opts.OutPath, Opts.ChunkBytes);
+  if (TmpFile) {
+    // The parent's stream: drop this copy's buffered bytes (closing
+    // the descriptor first keeps fclose from flushing them into the
+    // parent's file) and leave its `.tmp` for the parent to finish.
+    close(fileno(TmpFile));
+    std::fclose(TmpFile);
+    TmpFile = nullptr;
+  }
+  openTrace(nullptr);
   // Retire the parent's thread states (only this thread exists now);
   // keeping them owned means teardown stays leak-free.
   for (auto &T : Threads)

@@ -14,19 +14,19 @@
 /// streaming v3.1 translator (record/Flusher.h).
 ///
 /// The class is instantiable: the preload shim owns one global
-/// instance configured from the environment, while the in-process
-/// differential and stress tests drive instances directly — same code
-/// path, no subprocess required — which is what lets the ring/flusher
-/// pipeline run under the plain/ASan/TSan ctest lanes where LD_PRELOAD
-/// interposition is unavailable (TSan's own interceptors shadow the
-/// shim).
+/// instance writing a file, runtime/Instrument.h's Recorder owns one
+/// streaming into memory, and the differential and stress tests drive
+/// instances directly — so the ring/flusher pipeline runs under the
+/// plain/ASan/TSan ctest lanes where LD_PRELOAD interposition is
+/// unavailable (TSan's own interceptors shadow the shim).
 ///
 /// Lock hierarchy (all annotated, see docs/ARCHITECTURE.md):
 ///   FlushMu — serializes the flusher (drain loop, finalize) and the
 ///             stop flag; acquired before RegistryMu when the drain
 ///             loop snapshots the thread list.
-///   RegistryMu — leaf; guards the thread-state list only.  Producer
-///             hooks take it exactly once per thread (registration).
+///   RegistryMu — leaf; guards the thread-state list and the named
+///             lock/site entries.  Producer hooks take it exactly once
+///             per thread (registration).
 /// The hook fast path takes no locks at all: TLS lookup, lock-free
 /// interning, SPSC push.
 ///
@@ -41,6 +41,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <pthread.h>
@@ -100,7 +102,11 @@ struct RecordSummary {
 /// after the final drain are lost with the process.
 class RecordRuntime {
 public:
+  /// Records into `<Opts.OutPath>.tmp`, renamed into place by a clean
+  /// finalize(), so a killed recorder never leaves a truncated file.
   explicit RecordRuntime(const RecordOptions &Opts);
+  /// Records into \p Out instead of a file (Opts.OutPath is unused).
+  RecordRuntime(const RecordOptions &Opts, TraceV3Writer::Sink Out);
   ~RecordRuntime();
 
   RecordRuntime(const RecordRuntime &) = delete;
@@ -120,6 +126,20 @@ public:
                   uint64_t T1);
   void condSignaled(uintptr_t C, bool Broadcast, uint64_t Ts);
 
+  // -- In-process recording (runtime/Instrument.h) -------------------
+  /// Register a lock/condvar or a (deduplicated) code site by name;
+  /// InvalidRecId when the table is full.
+  uint32_t registerLock(std::string Name, bool IsSpin) EXCLUDES(RegistryMu);
+  uint32_t registerSite(std::string File, std::string Function,
+                        uint32_t BeginLine, uint32_t EndLine)
+      EXCLUDES(RegistryMu);
+  /// Registers the calling thread, charging its compute from now.
+  uint32_t registerThread();
+  /// Pushes a record the caller built for the calling thread.  Unlike
+  /// the shim's hooks it waits for the flusher while the ring is full;
+  /// only an invalid lock id or a push after finalize() drops.
+  void pushRecord(const RawRecord &R);
+
   /// Stops the flusher, drains, frames threads, writes the footer and
   /// renames the trace into place.  Idempotent; later calls return the
   /// first result.  Also writes the stats sidecar when configured.
@@ -133,13 +153,17 @@ public:
   /// held across fork() surface as UnmatchedReleases in the child.
   void childAfterFork() RELEASE(FlushMu, RegistryMu);
 
-  const RecordOptions &options() const { return Opts; }
-
 private:
   /// The calling thread's state; registers on first use.  Null once
   /// finalized (hooks become no-ops).
   ThreadState *self() EXCLUDES(RegistryMu);
   void push(ThreadState &TS, const RawRecord &R);
+  /// Starts a trace into \p Out, or into `<OutPath>.tmp` when \p Out
+  /// is empty.
+  void openTrace(TraceV3Writer::Sink Out) REQUIRES(FlushMu);
+  /// Closes the `.tmp` file (if any): renamed into place when \p Ok,
+  /// removed otherwise.  Returns whether the trace is in place.
+  bool closeTrace(bool Ok, std::string &Err) REQUIRES(FlushMu);
   void startFlusherThread();
   void drainAllLocked() REQUIRES(FlushMu) EXCLUDES(RegistryMu);
   void flusherMain();
@@ -155,12 +179,19 @@ private:
   /// Pre-fork thread states of the parent, kept alive in the child so
   /// finalize's teardown stays leak-free under LeakSanitizer.
   std::vector<std::unique_ptr<ThreadState>> Graveyard GUARDED_BY(RegistryMu);
+  /// Named entries, interned in Locks/Sites by address (a deque never
+  /// moves one); immutable, so the flusher reads them unlocked.
+  std::deque<NamedLock> NamedLocks GUARDED_BY(RegistryMu);
+  std::deque<NamedSite> NamedSites GUARDED_BY(RegistryMu);
   pthread_key_t TlsKey;
 
   Mutex FlushMu;
   CondVar FlushCv;
   bool StopFlusher GUARDED_BY(FlushMu) = false;
   std::unique_ptr<TraceFlusher> Flusher GUARDED_BY(FlushMu);
+  /// The `.tmp` file of a file-backed recording (null for a caller's
+  /// sink, or when it could not be opened: Flusher is null then).
+  std::FILE *TmpFile GUARDED_BY(FlushMu) = nullptr;
 
   pthread_t FlushThread;
   bool FlushThreadRunning = false;

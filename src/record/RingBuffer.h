@@ -6,19 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The lock-free transport layer of the LD_PRELOAD recorder: the raw
-/// per-operation record, a bounded single-producer/single-consumer
-/// ring (one per recorded thread, drained by the background flusher),
-/// and a fixed-capacity address-interning table that maps pthread
-/// object addresses / call-site return addresses to the dense ids the
+/// The lock-free transport layer of the recorder (the LD_PRELOAD shim
+/// and runtime/Instrument.h): the raw per-operation record, a bounded
+/// single-producer/single-consumer ring (one per recorded thread,
+/// drained by the background flusher), and a fixed-capacity
+/// address-interning table that maps pthread object addresses /
+/// call-site return addresses (or named entries) to the dense ids the
 /// v3 writer wants.
 ///
 /// Everything here is wait-free on the producer fast path and must
 /// stay allocation-free after construction: the producers are
 /// interposed pthread calls, which may run inside malloc-hostile
 /// contexts (thread teardown, early process init).  A full ring or a
-/// full table never blocks — the record is counted as dropped and the
-/// program proceeds at native speed.
+/// full table never blocks the shim — the record is counted as dropped
+/// and the program proceeds at native speed.
 ///
 /// Memory-ordering contract: a producer publishes a record with a
 /// release store of Tail after all interning stores; the flusher's
@@ -71,7 +72,15 @@ enum class RecOp : uint8_t {
   CondBroadcast,
   /// The recorded thread is exiting (pushed by the TLS destructor).
   ThreadEnd,
+  /// The in-process recorder registered the thread at T0.
+  ThreadStart,
+  /// A SharedVar read or write, packed by accessRecord().
+  Read,
+  Write,
 };
+
+/// True for the ops whose Lock field is a lock-registry id.
+inline bool carriesLock(RecOp Op) { return Op < RecOp::ThreadEnd; }
 
 /// RawRecord::Flags bits.
 inline constexpr uint8_t RecFlagTrySucceeded = 1u << 0;
@@ -80,8 +89,8 @@ inline constexpr uint8_t RecFlagShared = 1u << 1;
 /// One recorded operation, sized for a cheap struct copy into the
 /// ring.  Timestamps are raw CLOCK_MONOTONIC nanoseconds; the flusher
 /// turns them into the Event clock's Compute deltas (wait time — the
-/// span T0..T1 of a blocking acquire — is excluded, exactly like
-/// runtime/Recorder's onAcquireStart/onAcquired split).
+/// span T0..T1 of a blocking acquire — is excluded).  Read/Write
+/// records reuse the fields: see accessRecord().
 struct RawRecord {
   RecOp Op = RecOp::Release;
   uint8_t Flags = 0;
@@ -96,6 +105,27 @@ struct RawRecord {
   /// Operation end (lock acquired / call returned).
   uint64_t T1 = 0;
 };
+static_assert(sizeof(RawRecord) == 32, "RawRecord must stay 32 bytes");
+
+/// Packs a Read/Write of \p Addr: the 64-bit address across Lock (low
+/// half) and Lock2 (high half), the value in T0, the timestamp in T1
+/// and the WriteOpKind in Flags.
+inline RawRecord accessRecord(RecOp Op, uint64_t Addr, uint64_t Value,
+                              uint8_t Kind, uint64_t Ts) {
+  RawRecord R;
+  R.Op = Op;
+  R.Flags = Kind;
+  R.Lock = static_cast<uint32_t>(Addr);
+  R.Lock2 = static_cast<uint32_t>(Addr >> 32);
+  R.T0 = Value;
+  R.T1 = Ts;
+  return R;
+}
+
+/// The address accessRecord() packed into \p R.
+inline uint64_t accessAddr(const RawRecord &R) {
+  return static_cast<uint64_t>(R.Lock2) << 32 | R.Lock;
+}
 
 /// Bounded single-producer/single-consumer ring of RawRecords.  The
 /// producer is the recorded thread, the consumer the flusher; both
@@ -132,8 +162,6 @@ public:
     Head.store(H, std::memory_order_release);
     return N;
   }
-
-  size_t capacity() const { return Slots.size(); }
 
 private:
   std::vector<RawRecord> Slots;
@@ -214,8 +242,6 @@ public:
     Tag = Meta[Id].Tag.load(std::memory_order_relaxed);
   }
 
-  size_t capacity() const { return Slots.size(); }
-
 private:
   struct Slot {
     std::atomic<uintptr_t> Key{0};
@@ -245,15 +271,21 @@ private:
 inline constexpr uint8_t LockTagMutex = 0;
 inline constexpr uint8_t LockTagRwlock = 1;
 inline constexpr uint8_t LockTagCond = 2;
+/// Entries registered by name: the interned address is a NamedLock
+/// (lock registry) or NamedSite (site registry, where return addresses
+/// carry tag 0); see record/Flusher.h.
+inline constexpr uint8_t LockTagNamed = 3;
+inline constexpr uint8_t SiteTagNamed = 1;
 
 /// Per-recorded-thread state: the ring plus the drop accounting the
 /// acceptance gates read back.  Owned by RecordRuntime; the ring is
 /// written only by the owning thread and drained only by the flusher.
 struct ThreadState {
-  ThreadState(uint32_t Id, size_t RingCapacity) : Id(Id), Ring(RingCapacity) {}
+  explicit ThreadState(size_t RingCapacity) : Ring(RingCapacity) {}
 
-  /// Dense trace thread id (registration order).
-  const uint32_t Id;
+  /// Dense trace thread id (registration order), set once when the
+  /// state joins the registry.
+  uint32_t Id = 0;
   SpscRing Ring;
   /// Hook invocations that tried to push a record.
   std::atomic<uint64_t> Attempts{0};

@@ -83,7 +83,12 @@ Expected<void> Server::start() {
 }
 
 void Server::stop() {
-  Stopping.store(true);
+  {
+    // Under QueueMu, or a worker between popConnection()'s check and
+    // its wait misses the notify and never wakes.
+    MutexLock Lock(QueueMu);
+    Stopping.store(true);
+  }
   QueueCv.notifyAll();
   joinAll();
   if (ListenFd >= 0) {
@@ -235,7 +240,10 @@ void Server::serveConnection(int Fd) {
       // Joining happens in stop()/wait() on the main thread.
       writeFrame(Fd, FrameType::StatsResponse, encodeServeStats(stats()),
                  Err);
-      Stopping.store(true);
+      {
+        MutexLock Lock(QueueMu); // See stop().
+        Stopping.store(true);
+      }
       QueueCv.notifyAll();
       return;
     default:

@@ -32,7 +32,8 @@ enum class ErrorCode : uint8_t {
   Success = 0,
   /// Trace::validate() rejected the input trace.
   InvalidTrace,
-  /// The ORIG-S recording run that installs the grant schedule failed.
+  /// The ORIG-S recording run that installs the grant schedule failed,
+  /// or an in-process recording (runtime/Instrument.h) lost a record.
   RecordingFailed,
   /// A timing replay of the original trace failed (e.g. an enforced-
   /// order deadlock).

@@ -19,15 +19,22 @@
 
 #include <cstddef>
 #include <functional>
+#include <string_view>
 
 namespace perfplay {
 
 /// Resolves a user-facing thread-count knob: 0 = one per CPU this
 /// process may run on (its sched_getaffinity mask where available,
-/// else hardware_concurrency(); at least 1), capped at 256 (absurd
+/// else hardware_concurrency(), further capped by the cgroup v2 CPU
+/// quota in /sys/fs/cgroup/cpu.max; at least 1), capped at 256 (absurd
 /// requests must not spawn thousands of OS threads) and by
 /// \p NumItems so small inputs never spawn idle workers.
 unsigned resolveThreadCount(unsigned Requested, size_t NumItems);
+
+/// Parses the text of a cgroup v2 `cpu.max` file, "<quota> <period>",
+/// into the CPUs the quota buys: ceil(quota / period).  Returns 0 (no
+/// cap) for "max <period>", an empty text or a malformed one.
+unsigned parseCpuMax(std::string_view Text);
 
 /// Runs \p Fn(Index) for every Index in [0, NumItems) on \p NumThreads
 /// workers: NumThreads - 1 new threads plus the calling thread, each

@@ -13,7 +13,6 @@
 #include "detect/Detector.h"
 #include "record/Preload.h"
 #include "runtime/Instrument.h"
-#include "runtime/Recorder.h"
 #include "sim/Replayer.h"
 #include "serve/Server.h"
 #include "serve/ResultCache.h"
@@ -68,6 +67,13 @@ Trace hotKeyTrace(unsigned NumThreads, unsigned Rounds) {
       B.endCs(Id);
     }
   return B.finish();
+}
+
+/// Finishes \p R, failing the test on a recording error.
+Trace finishOk(Recorder &R) {
+  Expected<Trace> Tr = R.finish();
+  EXPECT_TRUE(Tr.ok()) << Tr.message();
+  return Tr.ok() ? std::move(*Tr) : Trace();
 }
 
 /// A tiny two-thread trace for batch fan-out tests; \p Salt varies the
@@ -286,11 +292,10 @@ TEST(ConcurrencyStressTest, ConcurrentDetectMatchesSerial) {
 // Recorder
 //===----------------------------------------------------------------------===//
 
-// Regression stress for the ThreadLogs reallocation race: threads keep
-// registering (growing the registry vector) while already-registered
-// threads log events through it at full speed.  Pre-fix, the unlocked
-// ThreadLogs[T] index raced registerThread's push_back reallocation —
-// TSan flags it deterministically with this many registrations.
+// Threads keep registering (growing the runtime's thread registry)
+// while already-registered threads record through their rings at full
+// speed and append to the mutex's grant list; the grant schedule must
+// still hold every section exactly once.
 TEST(ConcurrencyStressTest, RecorderConcurrentRegistrationAndLogging) {
   constexpr unsigned NumThreads = 8;
   constexpr int EventsPerThread = 400;
@@ -314,7 +319,7 @@ TEST(ConcurrencyStressTest, RecorderConcurrentRegistrationAndLogging) {
   for (std::thread &Th : Threads)
     Th.join();
 
-  Trace Tr = R.finish();
+  Trace Tr = finishOk(R);
   ASSERT_EQ(Tr.Threads.size(), NumThreads);
   std::string Err = Tr.validate();
   EXPECT_TRUE(Err.empty()) << Err;
@@ -560,7 +565,7 @@ TEST(ConcurrencyStressTest, RecordedTraceAnalyzesCleanly) {
     Th.join();
 
   Engine E;
-  AnalysisSession Session = E.openSession(R.finish());
+  AnalysisSession Session = E.openSession(finishOk(R));
   Expected<const DetectResult &> Detected = Session.detect();
   ASSERT_TRUE(Detected.ok());
   EXPECT_GT(Detected->Counts.total(), 0u);
@@ -660,9 +665,9 @@ TEST(ConcurrencyStressTest, RecordRuntimeUndersizedRingCountsDrops) {
 }
 
 // Seeded random hook streams — arbitrarily broken nesting, unmatched
-// releases, interleaved cond traffic — must always translate into a
-// trace that loads and validates: the flusher owns structural
-// validity, whatever the producers feed it.
+// releases, interleaved cond traffic and shared accesses — must always
+// translate into a trace that loads and validates: the flusher owns
+// structural validity, whatever the producers feed it.
 TEST(ConcurrencyStressTest, RecordRuntimeRandomOpsAlwaysValid) {
   for (uint32_t Seed = 1; Seed <= 3; ++Seed) {
     const std::string Out = testing::TempDir() +
@@ -683,7 +688,7 @@ TEST(ConcurrencyStressTest, RecordRuntimeRandomOpsAlwaysValid) {
         for (unsigned I = 0; I != 2000; ++I) {
           const uintptr_t L = 0x1000 + (Rng() % 8) * 0x40;
           const uintptr_t C = 0x9000 + (Rng() % 2) * 0x40;
-          switch (Rng() % 8) {
+          switch (Rng() % 9) {
           case 0:
             RT.mutexAcquired(L, nullptr, Ts, Ts + 1);
             break;
@@ -701,9 +706,20 @@ TEST(ConcurrencyStressTest, RecordRuntimeRandomOpsAlwaysValid) {
           case 6:
             RT.condWaited(C, L, nullptr, Ts, Ts + 1);
             break;
-          default:
+          case 7:
             RT.condSignaled(C, (Rng() & 1) != 0, Ts);
             break;
+          default: {
+            // A Read, or a Write of any of the five WriteOpKinds, at a
+            // full 64-bit address.
+            const unsigned Kind = Rng() % 6;
+            const uint64_t Addr =
+                static_cast<uint64_t>(Rng()) << 32 | Rng();
+            RT.pushRecord(record::accessRecord(
+                Kind == 5 ? record::RecOp::Read : record::RecOp::Write,
+                Addr, Rng(), static_cast<uint8_t>(Kind % 5), Ts));
+            break;
+          }
           }
           Ts += 3;
         }

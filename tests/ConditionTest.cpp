@@ -22,6 +22,13 @@ using namespace perfplay;
 
 namespace {
 
+/// Finishes \p R, failing the test on a recording error.
+Trace finishOk(Recorder &R) {
+  Expected<Trace> Tr = R.finish();
+  EXPECT_TRUE(Tr.ok()) << Tr.message();
+  return Tr.ok() ? std::move(*Tr) : Trace();
+}
+
 /// One waiter parked on a condition; one setter flips the flag.  The
 /// waiter always registers first, so it is thread 0.
 Trace recordCondWait() {
@@ -52,11 +59,11 @@ Trace recordCondWait() {
     Flag.store(T, 1);
     Ready.store(true);
     Mu.unlock(T);
-    Cond.notifyAll();
+    Cond.notifyAll(T);
   });
   Waiter.join();
   Setter.join();
-  return R.finish();
+  return finishOk(R);
 }
 
 } // namespace
@@ -142,7 +149,7 @@ Trace recordNamedCondWait() {
   });
   Waiter.join();
   Setter.join();
-  return R.finish();
+  return finishOk(R);
 }
 
 } // namespace
@@ -174,7 +181,7 @@ TEST(ConditionTest, NotifyOneEmitsSignal) {
   RecordingCondition Cond(R, "cv");
   ThreadId T = R.registerThread();
   Cond.notifyOne(T);
-  Trace Tr = R.finish();
+  Trace Tr = finishOk(R);
   ASSERT_EQ(Tr.validate(), "");
   unsigned Signals = 0;
   for (const Event &E : Tr.Threads[0].Events)

@@ -20,7 +20,6 @@
 #include "detect/Detector.h"
 #include "record/Preload.h"
 #include "runtime/Instrument.h"
-#include "runtime/Recorder.h"
 #include "trace/Summary.h"
 #include "trace/TraceIO.h"
 #include "trace/TraceV3.h"
@@ -29,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <dirent.h>
 #include <cstdlib>
 #include <map>
 #include <semaphore.h>
@@ -248,7 +248,9 @@ Trace recordMirrorScripted() {
   });
   T1.join();
   T2.join();
-  return R.finish();
+  Expected<Trace> Tr = R.finish();
+  EXPECT_TRUE(Tr.ok()) << Tr.message();
+  return Tr.ok() ? std::move(*Tr) : Trace();
 }
 
 } // namespace
@@ -347,6 +349,37 @@ TEST(RecordPreloadTest, NoLockFixtureRoundTripsEmptyTrace) {
   // structurally valid and empty.
   Trace Tr = load(Out);
   EXPECT_EQ(summarizeTrace(Tr).NumCriticalSections, 0u);
+}
+
+// A recorded program that forks keeps its own trace: the child's copy
+// of the recorder must neither flush the parent's buffered bytes into
+// the shared `.tmp` nor remove it.
+TEST(RecordPreloadTest, ForkingProgramKeepsParentTrace) {
+#ifdef PERFPLAY_SANITIZER
+  GTEST_SKIP() << "LD_PRELOAD interposition unavailable under sanitizers";
+#endif
+  const std::string Out = tempPath("fork.v3");
+  const std::string Stats = Out + ".stats";
+  ASSERT_EQ(runUnderPreload(PERFPLAY_FIXTURE_FORK, Out, Stats), 0);
+  auto S = readStats(Stats);
+  EXPECT_EQ(S["ok"], 1u);
+  EXPECT_EQ(S["drops"], 0u);
+  EXPECT_EQ(S["sections"], 2010u);
+
+  Trace Tr = load(Out);
+  EXPECT_EQ(summarizeTrace(Tr).NumCriticalSections, 2010u);
+
+  // The child _exit()s unfinalized, leaving `<out>.fork.<pid>.tmp`.
+  std::remove(Out.c_str());
+  std::remove(Stats.c_str());
+  const std::string Dir = testing::TempDir();
+  const std::string Child = "perfplay_record_fork.v3.fork.";
+  if (DIR *D = opendir(Dir.c_str())) {
+    while (dirent *E = readdir(D))
+      if (std::string(E->d_name).rfind(Child, 0) == 0)
+        std::remove((Dir + E->d_name).c_str());
+    closedir(D);
+  }
 }
 
 // -- CLI wrapper ----------------------------------------------------------

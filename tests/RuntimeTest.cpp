@@ -1,7 +1,6 @@
 //===- tests/RuntimeTest.cpp - live recorder tests ---------------------------===//
 
 #include "runtime/Instrument.h"
-#include "runtime/Recorder.h"
 
 #include "core/PerfPlay.h"
 #include "detect/Detector.h"
@@ -12,6 +11,17 @@
 #include <vector>
 
 using namespace perfplay;
+
+namespace {
+
+/// Finishes \p R, failing the test on a recording error.
+Trace finishOk(Recorder &R) {
+  Expected<Trace> Tr = R.finish();
+  EXPECT_TRUE(Tr.ok()) << Tr.message();
+  return Tr.ok() ? std::move(*Tr) : Trace();
+}
+
+} // namespace
 
 TEST(RecorderTest, RegistersLocksAndSites) {
   Recorder R;
@@ -24,7 +34,7 @@ TEST(RecorderTest, RegistersLocksAndSites) {
   EXPECT_EQ(S1, S2);
   EXPECT_NE(S1, S3);
   R.registerThread();
-  Trace Tr = R.finish();
+  Trace Tr = finishOk(R);
   EXPECT_EQ(Tr.Locks.size(), 2u);
   EXPECT_TRUE(Tr.Locks[1].IsSpin);
   EXPECT_EQ(Tr.Sites.size(), 2u);
@@ -32,15 +42,16 @@ TEST(RecorderTest, RegistersLocksAndSites) {
 
 TEST(RecorderTest, SingleThreadEventSequence) {
   Recorder R;
-  LockId Mu = R.registerLock("mu");
+  RecordingMutex Mu(R, "mu");
+  SharedVar<uint64_t> Read(R, "read", 42);
+  SharedVar<uint64_t> Added(R, "added");
   CodeSiteId Site = R.registerSite("x.cc", "f", 5, 9);
   ThreadId T = R.registerThread();
-  R.onAcquireStart(T);
-  R.onAcquired(T, Mu, Site);
-  R.onRead(T, 7, 42);
-  R.onWrite(T, 8, 1, WriteOpKind::Add);
-  R.onRelease(T, Mu);
-  Trace Tr = R.finish();
+  Mu.lock(T, Site);
+  Read.load(T);
+  Added.fetchAdd(T, 1);
+  Mu.unlock(T);
+  Trace Tr = finishOk(R);
   ASSERT_EQ(Tr.validate(), "");
   // Kinds in order, ignoring interleaved Compute events.
   std::vector<EventKind> Kinds;
@@ -54,24 +65,60 @@ TEST(RecorderTest, SingleThreadEventSequence) {
   // Read/write payloads survive.
   for (const Event &E : Tr.Threads[0].Events) {
     if (E.Kind == EventKind::Read) {
-      EXPECT_EQ(E.Addr, 7u);
+      EXPECT_EQ(E.Addr, Read.addr());
       EXPECT_EQ(E.Value, 42u);
     }
-    if (E.Kind == EventKind::Write)
+    if (E.Kind == EventKind::Write) {
+      EXPECT_EQ(E.Addr, Added.addr());
       EXPECT_EQ(E.Op, WriteOpKind::Add);
+    }
+  }
+}
+
+// Read/Write records pack a 64-bit address across two 32-bit fields
+// and the WriteOpKind into the flags byte; all of it must survive the
+// ring and the flusher.
+TEST(RecorderTest, WideAccessesAndEveryWriteOpSurviveTheRing) {
+  const AddrId Addr = 0x123456789abcull;
+  const uint64_t Value = 0xfedcba9876543210ull;
+  const WriteOpKind Ops[] = {WriteOpKind::Store, WriteOpKind::Add,
+                             WriteOpKind::Or, WriteOpKind::And,
+                             WriteOpKind::Xor};
+  Recorder R;
+  R.registerThread();
+  R.access(record::RecOp::Read, Addr, Value);
+  for (WriteOpKind Op : Ops)
+    R.access(record::RecOp::Write, Addr + static_cast<AddrId>(Op),
+             Value - static_cast<uint64_t>(Op), Op);
+  Trace Tr = finishOk(R);
+  ASSERT_EQ(Tr.validate(), "");
+
+  std::vector<Event> Accesses;
+  for (const Event &E : Tr.Threads[0].Events)
+    if (E.Kind == EventKind::Read || E.Kind == EventKind::Write)
+      Accesses.push_back(E);
+  ASSERT_EQ(Accesses.size(), 6u);
+  EXPECT_EQ(Accesses[0].Kind, EventKind::Read);
+  EXPECT_EQ(Accesses[0].Addr, Addr);
+  EXPECT_EQ(Accesses[0].Value, Value);
+  for (size_t I = 0; I != 5; ++I) {
+    const Event &E = Accesses[I + 1];
+    EXPECT_EQ(E.Kind, EventKind::Write);
+    EXPECT_EQ(E.Op, Ops[I]);
+    EXPECT_EQ(E.Addr, Addr + I);
+    EXPECT_EQ(E.Value, Value - I);
   }
 }
 
 TEST(RecorderTest, GrantScheduleMatchesAcquisitionOrder) {
   Recorder R;
-  LockId Mu = R.registerLock("mu");
+  RecordingMutex Mu(R, "mu");
   ThreadId T = R.registerThread();
   for (int I = 0; I != 3; ++I) {
-    R.onAcquireStart(T);
-    R.onAcquired(T, Mu, InvalidId);
-    R.onRelease(T, Mu);
+    Mu.lock(T);
+    Mu.unlock(T);
   }
-  Trace Tr = R.finish();
+  Trace Tr = finishOk(R);
   ASSERT_EQ(Tr.LockSchedule.size(), 1u);
   ASSERT_EQ(Tr.LockSchedule[0].size(), 3u);
   for (uint32_t I = 0; I != 3; ++I) {
@@ -103,7 +150,7 @@ Trace recordLiveRun(unsigned NumThreads, unsigned Iters) {
     });
   for (auto &Th : Threads)
     Th.join();
-  return R.finish();
+  return finishOk(R);
 }
 
 } // namespace
@@ -133,16 +180,15 @@ TEST(RecorderTest, LiveTraceFeedsPipeline) {
 
 TEST(RecorderTest, ComputeCostsArePositive) {
   Recorder R;
-  LockId Mu = R.registerLock("mu");
+  RecordingMutex Mu(R, "mu");
   ThreadId T = R.registerThread();
   // Burn a little real time so selective recording captures it.
   volatile uint64_t Sink = 0;
   for (int I = 0; I != 100000; ++I)
     Sink += I;
-  R.onAcquireStart(T);
-  R.onAcquired(T, Mu, InvalidId);
-  R.onRelease(T, Mu);
-  Trace Tr = R.finish();
+  Mu.lock(T);
+  Mu.unlock(T);
+  Trace Tr = finishOk(R);
   TimeNs TotalCompute = 0;
   for (const Event &E : Tr.Threads[0].Events)
     if (E.Kind == EventKind::Compute)
@@ -159,7 +205,7 @@ TEST(SharedVarTest, LoadStoreRoundTrip) {
   EXPECT_EQ(V.load(T), 9u);
   EXPECT_EQ(V.fetchAdd(T, 3), 9u);
   EXPECT_EQ(V.load(T), 12u);
-  R.finish();
+  finishOk(R);
 }
 
 TEST(SharedVarTest, DistinctShadowAddresses) {
@@ -168,7 +214,7 @@ TEST(SharedVarTest, DistinctShadowAddresses) {
   SharedVar<uint64_t> B(R, "b");
   EXPECT_NE(A.addr(), B.addr());
   R.registerThread();
-  R.finish();
+  finishOk(R);
 }
 
 //===----------------------------------------------------------------------===//
@@ -187,7 +233,7 @@ TEST(RecorderTest, SharedMutexEventSequence) {
   EXPECT_TRUE(Ok);
   if (Ok)
     Rw.unlock(T);
-  Trace Tr = R.finish();
+  Trace Tr = finishOk(R);
   ASSERT_EQ(Tr.validate(), "");
 
   std::vector<EventKind> Kinds;
@@ -229,7 +275,7 @@ TEST(RecorderTest, FailedTryLockRecordedWithoutSection) {
   });
   Other.join();
   Rw.unlock(T0);
-  Trace Tr = R.finish();
+  Trace Tr = finishOk(R);
   ASSERT_EQ(Tr.validate(), "");
 
   unsigned Fails = 0;

@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <numeric>
 #include <random>
 #include <set>
+#include <string>
 
 #ifdef __linux__
 #include <sched.h>
@@ -444,11 +446,35 @@ TEST(ThreadPoolTest, ResolveThreadCountFollowsAffinity) {
   const unsigned Pinned = resolveThreadCount(0, 100);
   ASSERT_EQ(sched_setaffinity(0, sizeof(Saved), &Saved), 0);
   EXPECT_EQ(Pinned, 1u);
-  EXPECT_EQ(resolveThreadCount(0, 100),
-            std::min<unsigned>(CPU_COUNT(&Saved), 100u));
+  // Unpinned, the budget is the mask, or the cgroup quota if smaller.
+  unsigned Budget = std::min<unsigned>(CPU_COUNT(&Saved), 100u);
+  std::ifstream CpuMax("/sys/fs/cgroup/cpu.max");
+  std::string Text;
+  std::getline(CpuMax, Text);
+  if (unsigned Cap = parseCpuMax(Text); Cap != 0)
+    Budget = std::min(Budget, Cap);
+  EXPECT_EQ(resolveThreadCount(0, 100), Budget);
 #else
   GTEST_SKIP() << "no sched_getaffinity on this platform";
 #endif
+}
+
+// cgroup v2 cpu.max: "<quota> <period>" buys ceil(quota/period) CPUs;
+// "max", an empty file or a malformed one sets no cap.
+TEST(ThreadPoolTest, ParsesCgroupCpuMax) {
+  EXPECT_EQ(parseCpuMax("200000 100000\n"), 2u);
+  EXPECT_EQ(parseCpuMax("150000 100000"), 2u);
+  EXPECT_EQ(parseCpuMax("50000 100000\n"), 1u);
+  EXPECT_EQ(parseCpuMax("400000 100000\n"), 4u);
+  EXPECT_EQ(parseCpuMax("max 100000\n"), 0u);
+  EXPECT_EQ(parseCpuMax(""), 0u);
+  EXPECT_EQ(parseCpuMax("\n"), 0u);
+  EXPECT_EQ(parseCpuMax("200000"), 0u);
+  EXPECT_EQ(parseCpuMax("200000 0\n"), 0u);
+  EXPECT_EQ(parseCpuMax("0 100000\n"), 0u);
+  EXPECT_EQ(parseCpuMax("-5 100000\n"), 0u);
+  EXPECT_EQ(parseCpuMax("200000 100000 7\n"), 0u);
+  EXPECT_EQ(parseCpuMax("abc def"), 0u);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryItem) {
