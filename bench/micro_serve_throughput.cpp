@@ -12,8 +12,8 @@
 //    --requests mixed requests over the corpus; the run fails below
 //    --min-rps (default 100 req/sec) or on any failed response.
 //  * parity — every daemon verdict summary is compared field-for-field
-//    against Engine::analyzeTrace on the same file; any divergence is
-//    fatal.
+//    against an Engine session opened on the same file; any divergence
+//    is fatal.
 //
 // Emits BENCH_serve.json (schema in docs/PERFORMANCE.md).
 //
@@ -118,23 +118,27 @@ int main(int Argc, char **Argv) {
   std::vector<ResultSummary> Direct;
   Engine E;
   for (unsigned I = 0; I != NumTraces; ++I) {
-    Trace Tr = corpusTrace(I);
     std::string Path = Dir + "/pp_bench_serve_" +
                        std::to_string(::getpid()) + "_" +
                        std::to_string(I) + ".v3trace";
     std::string Err;
-    if (!saveTrace(Tr, Path, Err, TraceFormat::V3)) {
+    if (!saveTrace(corpusTrace(I), Path, Err, TraceFormat::V3)) {
       std::fprintf(stderr, "FATAL: cannot write corpus: %s\n", Err.c_str());
       return 1;
     }
     Paths.push_back(Path);
-    Expected<PipelineResult> R = E.analyzeTrace(std::move(Tr));
+    Expected<AnalysisSession> Session = E.openSessionFromFile(Path);
+    PipelineResult R;
+    if (Session)
+      R = Session->run();
+    else
+      R.Error = Session.message();
     if (!R.ok()) {
       std::fprintf(stderr, "FATAL: direct analysis failed: %s\n",
-                   R.message().c_str());
+                   R.Error.c_str());
       return 1;
     }
-    Direct.push_back(summarizeResult(*R));
+    Direct.push_back(summarizeResult(R));
   }
 
   // -- Daemon ---------------------------------------------------------------
@@ -181,7 +185,7 @@ int main(int Argc, char **Argv) {
         if (!Sum->sameVerdicts(Direct[I])) {
           std::fprintf(stderr,
                        "FATAL: daemon verdicts diverged from "
-                       "Engine::analyzeTrace on corpus entry %u\n",
+                       "the Engine session on corpus entry %u\n",
                        I);
           return 1;
         }

@@ -253,15 +253,6 @@ Expected<const std::vector<RaceReport> &> AnalysisSession::races() {
 }
 
 PipelineResult AnalysisSession::run(PipelineError *ErrOut) {
-  return runImpl(/*Consume=*/false, ErrOut);
-}
-
-PipelineResult AnalysisSession::takeRun(PipelineError *ErrOut) {
-  return runImpl(/*Consume=*/true, ErrOut);
-}
-
-PipelineResult AnalysisSession::runImpl(bool Consume,
-                                        PipelineError *ErrOut) {
   if (ErrOut)
     *ErrOut = PipelineError();
   PipelineResult Result;
@@ -272,16 +263,12 @@ PipelineResult AnalysisSession::runImpl(bool Consume,
       *ErrOut = Err;
     return Result;
   };
-  // In consume mode the stage caches move into the result (and reset)
-  // instead of being copied — run() stays repeatable, takeRun() spares
-  // a discarded session the deep copies.
-  auto Take = [Consume](auto &Cache, auto &Dest) {
-    if (Consume) {
-      Dest = std::move(*Cache);
-      Cache.reset();
-    } else {
-      Dest = *Cache;
-    }
+  // The stage results move into the result and leave the caches empty;
+  // the trace, index, solo arrivals and recording run stay, so a later
+  // stage call recomputes the same answer.
+  auto Take = [](auto &Cache, auto &Dest) {
+    Dest = std::move(*Cache);
+    Cache.reset();
   };
 
   if (Expected<void> Setup = setup(); !Setup)
@@ -298,13 +285,9 @@ PipelineResult AnalysisSession::runImpl(bool Consume,
   auto TakeReplay = [&](bool Transformed, ReplayResult &Dest) {
     auto It = Replays.find(
         ReplayKey{Transformed, Opts.Replay.Schedule, Opts.Replay.Seed});
-    if (Consume) {
-      Dest = std::move(It->second.Result);
-      LruOrder.erase(It->second.LruIt);
-      Replays.erase(It);
-    } else {
-      Dest = It->second.Result;
-    }
+    Dest = std::move(It->second.Result);
+    LruOrder.erase(It->second.LruIt);
+    Replays.erase(It);
   };
   // Legacy assembly keeps a failed replay's partial result in place,
   // exactly as the monolithic pipeline did.
@@ -349,8 +332,8 @@ PipelineResult AnalysisSession::runImpl(bool Consume,
     if (Expected<const std::vector<RaceReport> &> Rc = races(); !Rc)
       return Fail(Rc.error());
 
-  // Every stage is in cache; assemble (moving in consume mode) last so
-  // report()/races() above computed from intact caches.
+  // Every stage is in cache; move them out last so report()/races()
+  // above computed from intact caches.
   Take(Detection, Result.Detection);
   Take(Transformation, Result.Transformation);
   TakeReplay(/*Transformed=*/false, Result.Original);
@@ -359,13 +342,5 @@ PipelineResult AnalysisSession::runImpl(bool Consume,
     Take(Rpt, Result.Report);
   if (Opts.CheckRaces)
     Take(Races, Result.Races);
-  return Result;
-}
-
-Expected<PipelineResult> AnalysisSession::analyze() {
-  PipelineError Err;
-  PipelineResult Result = run(&Err);
-  if (!Err.isSuccess())
-    return Err;
   return Result;
 }

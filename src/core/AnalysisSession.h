@@ -29,8 +29,11 @@
 /// Every stage returns Expected<T> (support/Expected.h): a reference
 /// to the session-owned cached value, or a typed PipelineError.
 ///
-/// The legacy single-shot entry point runPerfPlay() (core/PerfPlay.h)
-/// is a thin wrapper over run() and produces identical results.
+/// run() finishes a session: it runs whatever stage is still missing
+/// and hands the stage results over to a PipelineResult by moving them
+/// out of the caches, so a stage reference stays valid until run() or
+/// a move of the session.  The legacy single-shot entry point
+/// runPerfPlay() (core/PerfPlay.h) is a thin wrapper over run().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,7 +155,8 @@ using ProgressCallback = std::function<void(const StageEvent &)>;
 /// session-owned object.
 ///
 /// Sessions are movable but not copyable; references returned by stage
-/// accessors are invalidated by moving the session.
+/// accessors are invalidated by run(), which hands the results over,
+/// and by moving the session.
 ///
 /// Threading model: a session is externally synchronized — it takes no
 /// locks of its own, and all of its cached intermediates (including
@@ -220,7 +224,7 @@ public:
   /// return the same object.  The cache holds at most
   /// ReplayOptions::ReplayCacheCapacity results (LRU eviction), so long
   /// seed sweeps run in bounded memory; a returned reference stays
-  /// valid until its entry is evicted.
+  /// valid until its entry is evicted or run() hands it over.
   Expected<const ReplayResult &> replay(ScheduleKind Kind,
                                         std::optional<uint64_t> Seed = {});
 
@@ -236,25 +240,18 @@ public:
   /// Theorem-1 race check over the transformed trace.
   Expected<const std::vector<RaceReport> &> races();
 
-  /// Runs every stage (plus races() when options().CheckRaces) and
-  /// assembles the legacy PipelineResult, reusing anything already
-  /// cached.  On failure the result carries the legacy Error string
-  /// and whatever stages completed; when \p ErrOut is non-null it
-  /// receives the typed error.  With DetectOptions::CountsOnly the
+  /// Finishes the session: runs every stage still missing (plus
+  /// races() when options().CheckRaces) and moves the cached stage
+  /// results into the returned PipelineResult, so references earlier
+  /// stage calls returned die here.  The trace, CsIndex, solo arrivals
+  /// and recording run stay; a later stage call or run() recomputes
+  /// the same answers.  On failure the result carries the legacy Error
+  /// string and whatever stages completed; when \p ErrOut is non-null
+  /// it receives the typed error.  With DetectOptions::CountsOnly the
   /// report stage — which needs the discarded pair list — is skipped
   /// and Result.Report stays default-constructed; all other stages
   /// run normally.
   PipelineResult run(PipelineError *ErrOut = nullptr);
-
-  /// Consuming run(): moves the cached intermediates into the result
-  /// instead of copying them, emptying the stage caches.  For
-  /// sessions about to be discarded (runPerfPlay uses this); prefer
-  /// run() when the session lives on.
-  PipelineResult takeRun(PipelineError *ErrOut = nullptr);
-
-  /// Typed-result variant of run(): the complete PipelineResult, or
-  /// the first stage failure as a PipelineError.
-  Expected<PipelineResult> analyze();
 
   /// Number of ReplayResults currently cached (bounded by the
   /// ReplayCacheCapacity budget).
@@ -277,9 +274,6 @@ private:
   /// not spam Record events for every dependency edge.
   Expected<void> setup();
 
-  /// Shared body of run()/takeRun(); \p Consume moves caches out.
-  PipelineResult runImpl(bool Consume, PipelineError *ErrOut);
-
   /// Runs (or fetches) the {Transformed, Kind, Seed} replay and
   /// returns the cache entry even when the replay failed — run()
   /// needs failed ReplayResults for legacy assembly.
@@ -293,7 +287,7 @@ private:
   ProgressCallback Progress;
   size_t TraceIndex = 0;
 
-  /// Stage 1 state.  Engine sets Validated on a trace readTraceFile
+  /// Stage 1 state.  Engine sets Validated on a trace parseTraceBuffer
   /// just validated, so setup() skips the second walk.
   bool Validated = false;
   bool SetupDone = false;
@@ -305,7 +299,7 @@ private:
   std::optional<DetectResult> Detection;
   std::optional<TransformResult> Transformation;
   /// std::map: node-stable, so handed-out references survive cache
-  /// growth (they die only with their entry's LRU eviction).
+  /// growth (they die only with their entry's LRU eviction or run()).
   std::map<ReplayKey, ReplayCacheEntry> Replays;
   /// LRU recency order over Replays' keys; front = most recent.
   std::list<ReplayKey> LruOrder;

@@ -8,6 +8,7 @@
 #include "trace/TraceV3.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace perfplay;
 
@@ -16,28 +17,27 @@ AnalysisSession Engine::openSession(Trace Tr) const {
 }
 
 Expected<AnalysisSession>
-Engine::openSessionFromFile(const std::string &Path) const {
-  Expected<Trace> Tr = readTraceFile(Path);
+Engine::openParsed(Expected<Trace> Tr, ProgressCallback SessionProgress) const {
   if (!Tr)
     return Tr.error();
-  AnalysisSession Session = openSession(std::move(*Tr));
+  AnalysisSession Session(std::move(*Tr), Defaults,
+                          std::move(SessionProgress));
   Session.Validated = true;
   return Session;
 }
 
-/// Every stage of \p Session, which its caller discards next: the
-/// caches move into the result instead of being copied (takeRun).
-static Expected<PipelineResult> consumeSession(AnalysisSession &Session) {
-  PipelineError Err;
-  PipelineResult R = Session.takeRun(&Err);
-  if (!Err.isSuccess())
-    return Err;
-  return R;
+Expected<AnalysisSession>
+Engine::openSessionFromFile(const std::string &Path) const {
+  return openParsed(readTraceFile(Path), Progress);
 }
 
-Expected<PipelineResult> Engine::analyzeTrace(Trace Tr) const {
-  AnalysisSession Session = openSession(std::move(Tr));
-  return consumeSession(Session);
+Expected<AnalysisSession> Engine::openSessionFromBuffer(const uint8_t *Data,
+                                                        size_t Size) const {
+  Trace Tr;
+  std::string Err;
+  if (!parseTraceBuffer(Data, Size, Tr, Err))
+    return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
+  return openParsed(std::move(Tr), Progress);
 }
 
 Expected<DetectResult>
@@ -99,8 +99,11 @@ void Engine::runBatch(
       if (!SessionOr)
         return SessionOr.error();
       SessionOr->setTraceIndex(I);
-      // The session dies with this iteration.
-      return consumeSession(*SessionOr);
+      PipelineError Err;
+      PipelineResult R = SessionOr->run(&Err);
+      if (!Err.isSuccess())
+        return Err;
+      return R;
     }();
     MutexLock Guard(BatchMu);
     Deliver(I, std::move(Item));
@@ -108,46 +111,21 @@ void Engine::runBatch(
   parallelFor(resolveThreadCount(NumThreads, NumItems), NumItems, analyzeOne);
 }
 
-AggregatedReport Engine::streamBatch(size_t NumItems, unsigned NumThreads,
-                                     const SessionSource &Open,
-                                     const BatchResultConsumer &Consumer)
-    const {
-  // Only the lightweight per-trace reports are retained for the
-  // aggregate; the full results stream through the consumer and die.
-  std::vector<PerfDebugReport> Reports(NumItems);
-  std::vector<uint8_t> Succeeded(NumItems, 0);
-  runBatch(NumItems, NumThreads, Open,
-           [&](size_t I, Expected<PipelineResult> &&Item) {
-             if (Item.ok()) {
-               Succeeded[I] = 1;
-               Reports[I] = Item->Report;
-             }
-             if (Consumer)
-               Consumer(I, std::move(Item));
-           });
-
-  // Aggregate in trace order — deterministic no matter which worker
-  // finished first, and identical to aggregateBatch(analyzeBatch()).
-  std::vector<PerfDebugReport> Ordered;
+/// The aggregate of a batch's per-item reports in item order; an item
+/// without a report (it failed) counts in NumFailed.
+static AggregatedReport
+aggregateInOrder(std::vector<std::optional<PerfDebugReport>> Items) {
+  std::vector<PerfDebugReport> Reports;
   unsigned NumFailed = 0;
-  for (size_t I = 0; I != NumItems; ++I) {
-    if (Succeeded[I])
-      Ordered.push_back(std::move(Reports[I]));
+  for (std::optional<PerfDebugReport> &Item : Items) {
+    if (Item)
+      Reports.push_back(std::move(*Item));
     else
       ++NumFailed;
   }
-  AggregatedReport Out = aggregateReports(Ordered);
+  AggregatedReport Out = aggregateReports(Reports);
   Out.NumFailed = NumFailed;
   return Out;
-}
-
-/// Session source over a pre-loaded trace vector.
-static auto traceSource(std::vector<Trace> &Traces,
-                        const PipelineOptions &Opts) {
-  return [&Traces, &Opts](size_t I, const ProgressCallback &Progress)
-             -> Expected<AnalysisSession> {
-    return AnalysisSession(std::move(Traces[I]), Opts, Progress);
-  };
 }
 
 std::vector<Expected<PipelineResult>>
@@ -157,52 +135,49 @@ Engine::analyzeBatch(std::vector<Trace> Traces, unsigned NumThreads) const {
   for (size_t I = 0; I != Traces.size(); ++I)
     Results.emplace_back(
         PipelineError(ErrorCode::BatchItemFailed, "not analyzed"));
-  runBatch(Traces.size(), NumThreads, traceSource(Traces, Defaults),
-           [&](size_t I, Expected<PipelineResult> &&Item) {
-             Results[I] = std::move(Item);
-           });
+  runBatch(
+      Traces.size(), NumThreads,
+      [&](size_t I,
+          const ProgressCallback &SharedProgress) -> Expected<AnalysisSession> {
+        return AnalysisSession(std::move(Traces[I]), Defaults, SharedProgress);
+      },
+      [&](size_t I, Expected<PipelineResult> &&Item) {
+        Results[I] = std::move(Item);
+      });
   return Results;
-}
-
-AggregatedReport
-Engine::analyzeBatchStreaming(std::vector<Trace> Traces,
-                              const BatchResultConsumer &Consumer,
-                              unsigned NumThreads) const {
-  return streamBatch(Traces.size(), NumThreads, traceSource(Traces, Defaults),
-                     Consumer);
 }
 
 AggregatedReport
 Engine::analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                                    const BatchResultConsumer &Consumer,
                                    unsigned NumThreads) const {
-  return streamBatch(
+  // Only the lightweight per-trace reports are retained for the
+  // aggregate; the full results stream through the consumer and die.
+  std::vector<std::optional<PerfDebugReport>> Reports(Paths.size());
+  runBatch(
       Paths.size(), NumThreads,
       [&](size_t I,
-          const ProgressCallback &Progress) -> Expected<AnalysisSession> {
+          const ProgressCallback &SharedProgress) -> Expected<AnalysisSession> {
         // Each worker loads its own file on demand — input memory is
         // one trace per worker, not the sum of the batch.
-        Expected<Trace> Tr = readTraceFile(Paths[I]);
-        if (!Tr)
-          return Tr.error();
-        AnalysisSession Session(std::move(*Tr), Defaults, Progress);
-        Session.Validated = true;
-        return Session;
+        return openParsed(readTraceFile(Paths[I]), SharedProgress);
       },
-      Consumer);
+      [&](size_t I, Expected<PipelineResult> &&Item) {
+        if (Item.ok())
+          Reports[I] = Item->Report;
+        if (Consumer)
+          Consumer(I, std::move(Item));
+      });
+  // Aggregate in trace order — deterministic no matter which worker
+  // finished first, and identical to aggregateBatch(analyzeBatch()).
+  return aggregateInOrder(std::move(Reports));
 }
 
 AggregatedReport perfplay::aggregateBatch(
     const std::vector<Expected<PipelineResult>> &Batch) {
-  std::vector<PerfDebugReport> Reports;
-  unsigned NumFailed = 0;
-  for (const Expected<PipelineResult> &Item : Batch) {
-    if (Item.ok())
-      Reports.push_back(Item->Report);
-    else
-      ++NumFailed;
-  }
-  AggregatedReport Out = aggregateReports(Reports);
-  Out.NumFailed = NumFailed;
-  return Out;
+  std::vector<std::optional<PerfDebugReport>> Reports(Batch.size());
+  for (size_t I = 0; I != Batch.size(); ++I)
+    if (Batch[I].ok())
+      Reports[I] = Batch[I]->Report;
+  return aggregateInOrder(std::move(Reports));
 }

@@ -54,13 +54,14 @@ public:
   /// back as ErrorCode::TraceIOFailed.
   Expected<AnalysisSession> openSessionFromFile(const std::string &Path) const;
 
-  /// Runs the full pipeline over an already-parsed \p Tr, for callers
-  /// that parse from somewhere other than a file path (the serve
-  /// daemon parses the bytes it mapped, then caches only the summary
-  /// of this result).  Equivalent to openSession(Tr).analyze() with
-  /// the engine's options, but the session is consumed (takeRun), so
-  /// its results move into the returned one instead of being copied.
-  Expected<PipelineResult> analyzeTrace(Trace Tr) const;
+  /// Opens a session over the trace encoded in \p Data[0, \p Size),
+  /// parsed by parseTraceBuffer (trace/TraceIO.h), for callers that
+  /// read the bytes themselves (the serve daemon parses the file it
+  /// mapped).  The session owns its trace; the buffer may go as soon
+  /// as this returns.  Parse failures come back as
+  /// ErrorCode::TraceIOFailed.
+  Expected<AnalysisSession> openSessionFromBuffer(const uint8_t *Data,
+                                                  size_t Size) const;
 
   /// Out-of-core detection over the chunked v3 trace at \p Path:
   /// streams chunks through a WindowedReader into a WindowedDetector
@@ -86,7 +87,7 @@ public:
   std::vector<Expected<PipelineResult>>
   analyzeBatch(std::vector<Trace> Traces, unsigned NumThreads = 0) const;
 
-  /// Streaming consumer for analyzeBatchStreaming: called once per
+  /// Streaming consumer for analyzeBatchFilesStreaming: called once per
   /// trace with its batch index and its finished result, in completion
   /// order (NOT trace order).  Invocations are serialized by the
   /// batch, so the consumer needs no locking of its own; the result is
@@ -101,38 +102,36 @@ public:
   using BatchResultConsumer =
       std::function<void(size_t TraceIndex, Expected<PipelineResult> Result)>;
 
-  /// Like analyzeBatch, but hands each Expected<PipelineResult> to
-  /// \p Consumer as it completes instead of materializing every result:
-  /// peak memory holds one in-flight result per worker plus the
-  /// lightweight per-trace reports the aggregate needs.  The returned
-  /// AggregatedReport is built from the per-trace reports in trace
-  /// order, so it is deterministic and identical to
-  /// aggregateBatch(analyzeBatch(...)) regardless of completion order.
-  AggregatedReport
-  analyzeBatchStreaming(std::vector<Trace> Traces,
-                        const BatchResultConsumer &Consumer,
-                        unsigned NumThreads = 0) const;
-
   /// Fully streaming batch over trace *files*: each worker loads its
-  /// trace on demand (openSessionFromFile semantics) and results
-  /// stream through \p Consumer, so peak memory holds one trace + one
-  /// result per worker no matter how large the batch is.
-  /// A file that fails to load or parse becomes that index's
-  /// ErrorCode::TraceIOFailed result; the rest of the batch is
-  /// unaffected.
+  /// trace on demand (openSessionFromFile semantics) and hands each
+  /// Expected<PipelineResult> to \p Consumer as it completes, so peak
+  /// memory holds one trace + one result per worker no matter how
+  /// large the batch is, plus the lightweight per-trace reports the
+  /// aggregate needs.  A file that fails to load or parse becomes that
+  /// index's ErrorCode::TraceIOFailed result; the rest of the batch is
+  /// unaffected.  The returned AggregatedReport is built from the
+  /// per-trace reports in trace order, so it is deterministic and
+  /// identical to aggregateBatch(analyzeBatch(...)) over the same
+  /// traces regardless of completion order.
   AggregatedReport
   analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                              const BatchResultConsumer &Consumer,
                              unsigned NumThreads = 0) const;
 
 private:
+  /// A session over \p Tr, which a loader has just parsed — and so
+  /// validated — unless it failed.  The only place that marks a
+  /// session Validated, so setup() skips its second walk.
+  Expected<AnalysisSession> openParsed(Expected<Trace> Tr,
+                                       ProgressCallback SessionProgress) const;
+
   /// Produces item \p Index's session for a batch run, built with the
   /// engine's options and the batch's shared progress callback — from
   /// a pre-loaded Trace or by loading a file on the worker.
   using SessionSource = std::function<Expected<AnalysisSession>(
       size_t Index, const ProgressCallback &SharedProgress)>;
 
-  /// Shared fan-out of every batch entry point: analyzes \p NumItems
+  /// Shared fan-out of every batch entry point: runs \p NumItems
   /// sessions from \p Open on the pool and hands each finished result
   /// to \p Deliver under the batch mutex (serialized, completion
   /// order).
@@ -140,12 +139,6 @@ private:
                 const SessionSource &Open,
                 const std::function<void(size_t, Expected<PipelineResult> &&)>
                     &Deliver) const;
-
-  /// Streaming core: runBatch + per-item Consumer + the deterministic
-  /// trace-ordered aggregate.
-  AggregatedReport streamBatch(size_t NumItems, unsigned NumThreads,
-                               const SessionSource &Open,
-                               const BatchResultConsumer &Consumer) const;
 
   PipelineOptions Defaults;
   ProgressCallback Progress;

@@ -5,7 +5,5 @@
 using namespace perfplay;
 
 PipelineResult perfplay::runPerfPlay(Trace Tr, const PipelineOptions &Opts) {
-  AnalysisSession Session(std::move(Tr), Opts);
-  // The session dies with this call: move the results out, don't copy.
-  return Session.takeRun();
+  return AnalysisSession(std::move(Tr), Opts).run();
 }

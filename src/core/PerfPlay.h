@@ -33,9 +33,10 @@
 
 namespace perfplay {
 
-/// Runs the full pipeline over \p Tr (copied; the recording step may
-/// install a grant schedule into the copy).  Equivalent to opening an
-/// AnalysisSession on \p Tr and calling run().
+/// Runs the full pipeline over \p Tr (taken by value; the recording
+/// step may install a grant schedule into it).  Equivalent to opening
+/// an AnalysisSession on \p Tr and calling run(), which moves the
+/// stage results into the returned PipelineResult.
 PipelineResult runPerfPlay(Trace Tr,
                            const PipelineOptions &Opts = PipelineOptions());
 

@@ -3,7 +3,6 @@
 #include "serve/Server.h"
 
 #include "support/MappedFile.h"
-#include "trace/TraceIO.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -263,20 +262,23 @@ Expected<ResultSummary> Server::handleAnalyze(const AnalyzeRequest &Req) {
   if (!File.open(Req.Path, Err))
     return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
 
-  // Parse the mapped bytes and run the pipeline; the trace dies with
-  // this call, only its summary is kept.
+  // Parse the mapped bytes (which validates them once) and run the
+  // pipeline; the trace dies with this call, only its summary is kept.
   auto Analyze = [&]() -> Expected<ResultSummary> {
-    Trace Tr;
-    if (!parseTraceBuffer(File.data(), File.size(), Tr, Err))
-      return PipelineError(ErrorCode::TraceIOFailed, Req.Path + ": " + Err);
     Engine E = Eng; // Cheap: options + callback.
     E.options().Detect.PairMode = Req.PairMode
                                       ? PairModeKind::AllCrossThread
                                       : PairModeKind::AdjacentCrossThread;
-    Expected<PipelineResult> ResultOr = E.analyzeTrace(std::move(Tr));
-    if (!ResultOr)
-      return ResultOr.error();
-    return summarizeResult(*ResultOr);
+    Expected<AnalysisSession> Session =
+        E.openSessionFromBuffer(File.data(), File.size());
+    if (!Session)
+      return PipelineError(ErrorCode::TraceIOFailed,
+                           Req.Path + ": " + Session.message());
+    PipelineError RunErr;
+    PipelineResult Result = Session->run(&RunErr);
+    if (!RunErr.isSuccess())
+      return RunErr;
+    return summarizeResult(Result);
   };
   if (Req.NoCache)
     return Analyze();

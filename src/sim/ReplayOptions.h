@@ -67,7 +67,8 @@ struct ReplayOptions {
   /// Sessions clamp the bound to >= 2 so one original + one
   /// transformed replay — what report() and run() revisit — always
   /// survive.  References returned by replay()/replayTransformed() are
-  /// valid until their entry is evicted.
+  /// valid until their entry is evicted or run() moves it into its
+  /// result.
   size_t ReplayCacheCapacity = 32;
 };
 

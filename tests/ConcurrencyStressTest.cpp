@@ -127,16 +127,22 @@ TEST(ConcurrencyStressTest, ThreadPoolSaturation) {
 // matches the non-streaming batch no matter the completion order.
 TEST(ConcurrencyStressTest, StreamingBatchConsumerSerialized) {
   constexpr size_t NumTraces = 24;
-  std::vector<Trace> Traces;
-  for (unsigned I = 0; I != NumTraces; ++I)
-    Traces.push_back(tinyTrace(I));
+  std::vector<std::string> Paths;
+  for (unsigned I = 0; I != NumTraces; ++I) {
+    Paths.push_back(testing::TempDir() + "pp_stress_stream_" +
+                    std::to_string(::getpid()) + "_" + std::to_string(I) +
+                    ".v3trace");
+    std::string Err;
+    ASSERT_TRUE(saveTrace(tinyTrace(I), Paths.back(), Err, TraceFormat::V3))
+        << Err;
+  }
 
   Engine E;
   std::atomic<int> InConsumer{0};
   std::atomic<int> MaxOverlap{0};
   std::vector<std::atomic<uint32_t>> Delivered(NumTraces);
-  AggregatedReport Streamed = E.analyzeBatchStreaming(
-      std::move(Traces),
+  AggregatedReport Streamed = E.analyzeBatchFilesStreaming(
+      Paths,
       [&](size_t Index, Expected<PipelineResult> Result) {
         int Nested = InConsumer.fetch_add(1) + 1;
         int Seen = MaxOverlap.load();
@@ -162,6 +168,8 @@ TEST(ConcurrencyStressTest, StreamingBatchConsumerSerialized) {
   EXPECT_EQ(Batch.NumFailed, Streamed.NumFailed);
   EXPECT_EQ(Batch.NumRuns, Streamed.NumRuns);
   EXPECT_EQ(Batch.Groups.size(), Streamed.Groups.size());
+  for (const std::string &Path : Paths)
+    std::remove(Path.c_str());
 }
 
 // Progress callbacks funnel through the same batch mutex as delivery;

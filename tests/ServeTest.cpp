@@ -3,7 +3,7 @@
 // End-to-end tests of the `perfplay serve` daemon (src/serve/): the
 // daemon runs in-process, real clients speak the wire protocol over a
 // unix-domain socket, and every assertion is on observable protocol
-// behavior — response parity with Engine::analyzeTrace, cache-hit
+// behavior — response parity with an Engine session, cache-hit
 // provenance, eviction under a tiny budget, concurrent clients sharing
 // one pipeline run, uncached errors, and the shutdown handshake.  Runs
 // under the plain, ASan, and TSan lanes.
@@ -73,6 +73,18 @@ void startOrFail(Server &S) {
   ASSERT_TRUE(Ok.ok()) << Ok.message();
 }
 
+/// The pipeline's answer for the trace at \p Path, straight from an
+/// Engine session — the reference the daemon must match.
+ResultSummary directSummary(const Engine &E, const std::string &Path) {
+  Expected<AnalysisSession> Session = E.openSessionFromFile(Path);
+  EXPECT_TRUE(Session.ok()) << Session.message();
+  if (!Session)
+    return ResultSummary();
+  PipelineResult R = Session->run();
+  EXPECT_TRUE(R.ok()) << R.Error;
+  return summarizeResult(R);
+}
+
 ServerOptions baseOptions(const std::string &Socket) {
   ServerOptions Opts;
   Opts.SocketPath = Socket;
@@ -83,7 +95,7 @@ ServerOptions baseOptions(const std::string &Socket) {
 } // namespace
 
 // A trace analyzed through the daemon must yield bit-identical
-// verdicts/counters to Engine::analyzeTrace on the same file — the
+// verdicts/counters to an Engine session over the same file — the
 // daemon adds caching and transport, never different answers.
 TEST(ServeTest, DaemonEngineParity) {
   std::string Path = writeTraceFile(saltedTrace(1), "parity");
@@ -99,12 +111,7 @@ TEST(ServeTest, DaemonEngineParity) {
 
   // The daemon's defaults: PipelineOptions with PairMode resolved from
   // the request (0 = adjacent, the session default).
-  Engine E;
-  Expected<Trace> TrOr = readTraceFile(Path);
-  ASSERT_TRUE(TrOr.ok());
-  Expected<PipelineResult> Direct = E.analyzeTrace(std::move(*TrOr));
-  ASSERT_TRUE(Direct.ok()) << Direct.message();
-  ResultSummary DirectSum = summarizeResult(*Direct);
+  ResultSummary DirectSum = directSummary(Engine(), Path);
 
   EXPECT_TRUE(DaemonSum->sameVerdicts(DirectSum));
   EXPECT_EQ(DaemonSum->FromResultCache, 0);
@@ -115,11 +122,7 @@ TEST(ServeTest, DaemonEngineParity) {
   ASSERT_TRUE(DaemonAll.ok());
   Engine EAll;
   EAll.options().Detect.PairMode = PairModeKind::AllCrossThread;
-  Expected<Trace> TrOr2 = readTraceFile(Path);
-  ASSERT_TRUE(TrOr2.ok());
-  Expected<PipelineResult> DirectAll = EAll.analyzeTrace(std::move(*TrOr2));
-  ASSERT_TRUE(DirectAll.ok());
-  EXPECT_TRUE(DaemonAll->sameVerdicts(summarizeResult(*DirectAll)));
+  EXPECT_TRUE(DaemonAll->sameVerdicts(directSummary(EAll, Path)));
   // The two modes differ on this trace, so parity is not vacuous.
   EXPECT_FALSE(DaemonAll->sameVerdicts(DirectSum));
 
@@ -245,12 +248,9 @@ TEST(ServeTest, ConcurrentClients) {
   std::vector<ResultSummary> Expected_;
   Engine E;
   for (unsigned I = 0; I != NumClients; ++I) {
-    Trace Tr = saltedTrace(10 + I);
-    Paths.push_back(
-        writeTraceFile(Tr, ("conc" + std::to_string(I)).c_str()));
-    Expected<PipelineResult> R = E.analyzeTrace(std::move(Tr));
-    ASSERT_TRUE(R.ok());
-    Expected_.push_back(summarizeResult(*R));
+    Paths.push_back(writeTraceFile(saltedTrace(10 + I),
+                                   ("conc" + std::to_string(I)).c_str()));
+    Expected_.push_back(directSummary(E, Paths.back()));
   }
 
   Server Daemon(baseOptions(socketPath("conc")));
@@ -372,6 +372,38 @@ TEST(ServeTest, CorruptTraceErrorsAreNotCached) {
   EXPECT_EQ(Stats->ResultCacheMisses, 2u);
   EXPECT_EQ(Stats->ResultCacheHits, 0u);
   EXPECT_EQ(Stats->RequestsFailed, 2u);
+
+  std::remove(Path.c_str());
+}
+
+// The daemon's parse is its only validation: a text trace whose thread
+// releases a lock it never acquired fails to load, with the parser's
+// diagnostic prefixed by the request's path.
+TEST(ServeTest, InvalidTraceFailsAtLoadWithPath) {
+  std::string Path = testing::TempDir() + "pp_serve_unmatched_" +
+                     std::to_string(::getpid()) + ".trace";
+  {
+    FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fputs("perfplay-trace-v1\nlocks 1\nlock 0 l\nsites 0\n"
+               "locksets 0\nconstraints 0\nschedule 0\nthreads 1\n"
+               "thread 3\nts\nrel 0\nte\nend\n",
+               F);
+    std::fclose(F);
+  }
+  Server Daemon(baseOptions(socketPath("unmatched")));
+  startOrFail(Daemon);
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect(Daemon.options().SocketPath).ok());
+  AnalyzeRequest Req;
+  Req.Path = Path;
+  Expected<ResultSummary> Sum = Client.analyze(Req);
+  ASSERT_FALSE(Sum.ok());
+  EXPECT_EQ(Sum.code(), ErrorCode::TraceIOFailed);
+  EXPECT_EQ(Sum.message(),
+            Path + ": parsed trace fails validation: thread 0: event 1: "
+                   "release does not match innermost held lock");
 
   std::remove(Path.c_str());
 }

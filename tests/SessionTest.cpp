@@ -49,6 +49,26 @@ Trace figure1Trace() {
   return B.finish();
 }
 
+/// Saves each of \p Traces to its own v3 temp file tagged \p Tag and
+/// returns the paths, in order.
+std::vector<std::string> saveTraces(const std::vector<Trace> &Traces,
+                                    const std::string &Tag) {
+  std::vector<std::string> Paths;
+  for (size_t I = 0; I != Traces.size(); ++I) {
+    Paths.push_back(testing::TempDir() + "perfplay_stream_" + Tag + "_" +
+                    std::to_string(I) + ".v3trace");
+    std::string Err;
+    EXPECT_TRUE(saveTrace(Traces[I], Paths.back(), Err, TraceFormat::V3))
+        << Err;
+  }
+  return Paths;
+}
+
+void removeAll(const std::vector<std::string> &Paths) {
+  for (const std::string &Path : Paths)
+    std::remove(Path.c_str());
+}
+
 /// A structurally invalid trace (missing ThreadEnd).
 Trace invalidTrace() {
   Trace Tr = figure1Trace();
@@ -71,16 +91,20 @@ void expectSameReplay(const ReplayResult &A, const ReplayResult &B) {
   }
 }
 
+void expectSameDetection(const DetectResult &A, const DetectResult &B) {
+  ASSERT_EQ(A.Pairs.size(), B.Pairs.size());
+  for (size_t I = 0; I != A.Pairs.size(); ++I) {
+    EXPECT_EQ(A.Pairs[I].First, B.Pairs[I].First);
+    EXPECT_EQ(A.Pairs[I].Second, B.Pairs[I].Second);
+    EXPECT_EQ(A.Pairs[I].Kind, B.Pairs[I].Kind);
+  }
+  EXPECT_EQ(A.Counts.total(), B.Counts.total());
+}
+
 /// Field-by-field equality of two pipeline outcomes.
 void expectSameResult(const PipelineResult &A, const PipelineResult &B) {
   EXPECT_EQ(A.Error, B.Error);
-  ASSERT_EQ(A.Detection.Pairs.size(), B.Detection.Pairs.size());
-  for (size_t I = 0; I != A.Detection.Pairs.size(); ++I) {
-    EXPECT_EQ(A.Detection.Pairs[I].First, B.Detection.Pairs[I].First);
-    EXPECT_EQ(A.Detection.Pairs[I].Second, B.Detection.Pairs[I].Second);
-    EXPECT_EQ(A.Detection.Pairs[I].Kind, B.Detection.Pairs[I].Kind);
-  }
-  EXPECT_EQ(A.Detection.Counts.total(), B.Detection.Counts.total());
+  expectSameDetection(A.Detection, B.Detection);
   EXPECT_EQ(A.Transformation.NumAuxLocks, B.Transformation.NumAuxLocks);
   EXPECT_EQ(A.Transformation.NumStandalone,
             B.Transformation.NumStandalone);
@@ -141,19 +165,40 @@ TEST(SessionTest, WorkloadParityAcrossSchemes) {
   expectSameResult(Mono, Staged);
 }
 
-TEST(SessionTest, TakeRunMatchesRun) {
-  AnalysisSession A{figure1Trace()};
-  PipelineResult Copied = A.run();
-  AnalysisSession B{figure1Trace()};
-  PipelineResult Moved = B.takeRun(); // runPerfPlay's consuming path.
-  ASSERT_TRUE(Copied.ok() && Moved.ok());
-  expectSameResult(Copied, Moved);
+// run() hands over the buffers the stages built instead of copying
+// them, and the session can still answer every stage afterwards.
+TEST(SessionTest, RunMovesStageResults) {
+  AnalysisSession Session{figure1Trace()};
+  ASSERT_TRUE(Session.report().ok());
+  ASSERT_TRUE(Session.races().ok());
+  Expected<const DetectResult &> Det = Session.detect();
+  Expected<const TransformResult &> Tx = Session.transform();
+  ASSERT_TRUE(Det.ok() && Tx.ok());
+  ASSERT_FALSE(Det->Pairs.empty());
+  const void *Pairs = Det->Pairs.data();
+  const void *Events = Tx->Transformed.Threads[0].Events.data();
+
+  PipelineResult First = Session.run();
+  ASSERT_TRUE(First.ok()) << First.Error;
+  EXPECT_EQ(First.Detection.Pairs.data(), Pairs);
+  EXPECT_EQ(First.Transformation.Transformed.Threads[0].Events.data(),
+            Events);
+
+  // Nothing the stages need went with the results: a second run() and
+  // a later stage call recompute the same answers.
+  PipelineResult Second = Session.run();
+  ASSERT_TRUE(Second.ok()) << Second.Error;
+  expectSameResult(First, Second);
+  Expected<const DetectResult &> Again = Session.detect();
+  ASSERT_TRUE(Again.ok());
+  expectSameDetection(*Again, First.Detection);
 }
 
 TEST(SessionTest, RepeatedRunsReturnIdenticalResults) {
   AnalysisSession Session{figure1Trace()};
   PipelineResult First = Session.run();
-  PipelineResult Second = Session.run(); // Fully served from cache.
+  // Recomputed: the first run() handed the stage results over.
+  PipelineResult Second = Session.run();
   ASSERT_TRUE(First.ok() && Second.ok());
   expectSameResult(First, Second);
 }
@@ -307,19 +352,14 @@ TEST(SessionTest, TypedErrorMatchesLegacyString) {
   EXPECT_EQ(Legacy.Error, Staged.Error);
   EXPECT_EQ(Err.Code, ErrorCode::InvalidTrace);
   EXPECT_EQ(Err.Message, Staged.Error);
-}
+  EXPECT_NE(Err.Message.find("invalid input trace"), std::string::npos);
 
-TEST(SessionTest, AnalyzeReturnsTypedError) {
+  // A successful run() resets the typed error it is handed.
   AnalysisSession Good{figure1Trace()};
-  Expected<PipelineResult> R = Good.analyze();
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_GT(R->Detection.Counts.ReadRead, 0u);
-
-  AnalysisSession Bad{invalidTrace()};
-  Expected<PipelineResult> E = Bad.analyze();
-  ASSERT_FALSE(E.ok());
-  EXPECT_EQ(E.code(), ErrorCode::InvalidTrace);
-  EXPECT_NE(E.message().find("invalid input trace"), std::string::npos);
+  PipelineResult R = Good.run(&Err);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_TRUE(Err.isSuccess());
+  EXPECT_GT(R.Detection.Counts.ReadRead, 0u);
 }
 
 TEST(SessionTest, ReplayDeadlockYieldsReplayErrorCode) {
@@ -401,7 +441,7 @@ TEST(SessionTest, ReportRejectsCountsOnlyDetection) {
 }
 
 TEST(SessionTest, CountsOnlyDetectionRunSkipsReportOnly) {
-  // run()/analyze()/analyzeBatch stay usable with CountsOnly detection:
+  // run() and analyzeBatch stay usable with CountsOnly detection:
   // every stage but the (impossible) report runs, and the counts match
   // a materialized run.
   PipelineResult Full = runPerfPlay(figure1Trace(), PipelineOptions());
@@ -523,12 +563,13 @@ TEST(SessionTest, StreamingBatchMatchesMaterializedBatch) {
   Engine Eng;
   std::vector<Expected<PipelineResult>> Batch =
       Eng.analyzeBatch(MakeTraces(), 3);
+  std::vector<std::string> Paths = saveTraces(MakeTraces(), "matches");
 
   // Each result streams through the consumer exactly once with the
   // right index, carrying the same values the materialized batch has.
   std::set<size_t> Delivered;
-  AggregatedReport Agg = Eng.analyzeBatchStreaming(
-      MakeTraces(),
+  AggregatedReport Agg = Eng.analyzeBatchFilesStreaming(
+      Paths,
       [&](size_t I, Expected<PipelineResult> Item) {
         EXPECT_TRUE(Delivered.insert(I).second) << "duplicate " << I;
         ASSERT_LT(I, Batch.size());
@@ -547,6 +588,7 @@ TEST(SessionTest, StreamingBatchMatchesMaterializedBatch) {
   EXPECT_DOUBLE_EQ(Agg.MeanDegradation, Materialized.MeanDegradation);
   EXPECT_EQ(renderAggregatedReport(Agg),
             renderAggregatedReport(Materialized));
+  removeAll(Paths);
 }
 
 TEST(SessionTest, StreamingBatchIsolatesFailures) {
@@ -554,15 +596,18 @@ TEST(SessionTest, StreamingBatchIsolatesFailures) {
   Traces.push_back(figure1Trace());
   Traces.push_back(invalidTrace());
   Traces.push_back(figure1Trace());
+  // The loader validates what it parses, so the invalid trace's file
+  // fails to load.
+  std::vector<std::string> Paths = saveTraces(Traces, "isolates");
 
   Engine Eng;
   unsigned NumOk = 0, NumFailed = 0;
-  AggregatedReport Agg = Eng.analyzeBatchStreaming(
-      std::move(Traces),
+  AggregatedReport Agg = Eng.analyzeBatchFilesStreaming(
+      Paths,
       [&](size_t I, Expected<PipelineResult> Item) {
         if (I == 1) {
           ASSERT_FALSE(Item.ok());
-          EXPECT_EQ(Item.code(), ErrorCode::InvalidTrace);
+          EXPECT_EQ(Item.code(), ErrorCode::TraceIOFailed);
           ++NumFailed;
         } else {
           EXPECT_TRUE(Item.ok()) << Item.message();
@@ -574,19 +619,22 @@ TEST(SessionTest, StreamingBatchIsolatesFailures) {
   EXPECT_EQ(NumFailed, 1u);
   EXPECT_EQ(Agg.NumRuns, 2u);
   EXPECT_EQ(Agg.NumFailed, 1u);
+  removeAll(Paths);
 }
 
 TEST(SessionTest, StreamingBatchToleratesNullConsumerAndEmptyBatch) {
   Engine Eng;
   AggregatedReport Empty =
-      Eng.analyzeBatchStreaming({}, Engine::BatchResultConsumer());
+      Eng.analyzeBatchFilesStreaming({}, Engine::BatchResultConsumer());
   EXPECT_EQ(Empty.NumRuns, 0u);
   std::vector<Trace> One;
   One.push_back(figure1Trace());
-  AggregatedReport Agg = Eng.analyzeBatchStreaming(
-      std::move(One), Engine::BatchResultConsumer(), 1);
+  std::vector<std::string> Paths = saveTraces(One, "null");
+  AggregatedReport Agg = Eng.analyzeBatchFilesStreaming(
+      Paths, Engine::BatchResultConsumer(), 1);
   EXPECT_EQ(Agg.NumRuns, 1u);
   EXPECT_EQ(Agg.NumFailed, 0u);
+  removeAll(Paths);
 }
 
 //===----------------------------------------------------------------------===//

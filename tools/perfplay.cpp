@@ -388,6 +388,19 @@ int cmdGenerate(ArgList &Args) {
   return 0;
 }
 
+/// Prints the `ULCPs: ... true contention: ...` line of `analyze` and
+/// `client analyze` (CI greps `^ULCPs:`); \p Suffix ends the line.
+void printCounts(const UlcpCounts &C, const char *Suffix = "") {
+  std::printf("ULCPs: %llu (NL=%llu RR=%llu DW=%llu benign=%llu), "
+              "true contention: %llu%s\n",
+              static_cast<unsigned long long>(C.totalUnnecessary()),
+              static_cast<unsigned long long>(C.NullLock),
+              static_cast<unsigned long long>(C.ReadRead),
+              static_cast<unsigned long long>(C.DisjointWrite),
+              static_cast<unsigned long long>(C.Benign),
+              static_cast<unsigned long long>(C.TrueContention), Suffix);
+}
+
 /// Batch mode of `perfplay analyze`: several traces analyzed
 /// concurrently via Engine::analyzeBatchFilesStreaming — each worker
 /// loads its own file on demand and each
@@ -513,15 +526,7 @@ int cmdAnalyze(ArgList &Args) {
                    errorCodeName(ROr.code()));
       return 1;
     }
-    const UlcpCounts &C = ROr->Counts;
-    std::printf("ULCPs: %llu (NL=%llu RR=%llu DW=%llu benign=%llu), "
-                "true contention: %llu\n",
-                static_cast<unsigned long long>(C.totalUnnecessary()),
-                static_cast<unsigned long long>(C.NullLock),
-                static_cast<unsigned long long>(C.ReadRead),
-                static_cast<unsigned long long>(C.DisjointWrite),
-                static_cast<unsigned long long>(C.Benign),
-                static_cast<unsigned long long>(C.TrueContention));
+    printCounts(ROr->Counts);
     return 0;
   }
 
@@ -542,24 +547,14 @@ int cmdAnalyze(ArgList &Args) {
   }
   AnalysisSession Session = std::move(*SessionOr);
   PipelineError TypedErr;
-  // The session is not read again: take its stage results instead of
-  // copying them.
-  PipelineResult R = Session.takeRun(&TypedErr);
+  PipelineResult R = Session.run(&TypedErr);
   if (!R.ok()) {
     std::fprintf(stderr, "error: %s [%s]\n", R.Error.c_str(),
                  errorCodeName(TypedErr.Code));
     return 1;
   }
 
-  const UlcpCounts &C = R.Detection.Counts;
-  std::printf("ULCPs: %llu (NL=%llu RR=%llu DW=%llu benign=%llu), "
-              "true contention: %llu\n",
-              static_cast<unsigned long long>(C.totalUnnecessary()),
-              static_cast<unsigned long long>(C.NullLock),
-              static_cast<unsigned long long>(C.ReadRead),
-              static_cast<unsigned long long>(C.DisjointWrite),
-              static_cast<unsigned long long>(C.Benign),
-              static_cast<unsigned long long>(C.TrueContention));
+  printCounts(R.Detection.Counts);
   std::printf("transform: %llu causal edges, %llu auxiliary locks, "
               "%llu standalone sections removed, %llu pairs classified\n",
               static_cast<unsigned long long>(
@@ -1219,15 +1214,8 @@ int cmdClient(ArgList &Args) {
       return 1;
     }
     const serve::ResultSummary &S = *SumOr;
-    uint64_t Total = S.NullLock + S.ReadRead + S.DisjointWrite + S.Benign;
-    std::printf("ULCPs: %llu (NL=%llu RR=%llu DW=%llu benign=%llu), "
-                "true contention: %llu%s\n",
-                static_cast<unsigned long long>(Total),
-                static_cast<unsigned long long>(S.NullLock),
-                static_cast<unsigned long long>(S.ReadRead),
-                static_cast<unsigned long long>(S.DisjointWrite),
-                static_cast<unsigned long long>(S.Benign),
-                static_cast<unsigned long long>(S.TrueContention),
+    printCounts({S.NullLock, S.ReadRead, S.DisjointWrite, S.Benign,
+                 S.TrueContention},
                 S.FromResultCache ? " [cached]" : "");
     std::printf("transform: %llu causal edges, %llu auxiliary locks, "
                 "%llu standalone sections removed\n",
