@@ -15,21 +15,40 @@
 /// The search is output-sensitive.  classifyPair can only return
 /// TrueContention for a pair linked by a condvar wait/signal or by a
 /// read/write, write/read or write/write address intersection, so for
-/// each lock buildTopology first posts every section, by lock-order
-/// position, under (thread, reads|writes, address) and (thread,
-/// waits|signals, condvar) lists.  For section A at position I and
-/// another thread U it merges U's lists that A could conflict with
-/// (writers of A's reads, readers and writers of A's writes, signalers
-/// of A's waits, waiters of A's signals) past I in ascending position
-/// and classifies only those candidates, stopping at U's first true
-/// contention.  Every section outside the lists would classify as a
-/// ULCP, so the edges equal those of the plain scan, in the same order.
+/// each lock buildTopology first posts every section, in one forward
+/// pass over the lock order, to linked lists keyed by (thread,
+/// reads|writes|waits|signals, id): each posting is a {position, next}
+/// link appended to its list, and each position records where its own
+/// links start.  A family is one (access, id)'s lists across threads,
+/// laid out ascending by thread; each family knows the (at most two)
+/// families its sections can truly contend with: writers for a read,
+/// readers and writers for a write, signalers for a wait, waiters for a
+/// signal.
 ///
-/// Cost per lock: sorting its P postings, O(P log P); then per section
-/// A and thread U, one binary search per query plus one heap step per
-/// candidate visited, O((|A| + candidates) log P), plus one
+/// The match walks the lock order forward.  Before matching the
+/// section A at position I, it moves the head of every list A posts in
+/// past A (A is that list's head: every earlier position moved its own
+/// lists past itself), so every list's head is its first posting after
+/// I.  Walking the families A's lists name, thread by thread, each other
+/// thread U's candidates are the heads of its lists: the least of them
+/// is U's first candidate, found without a sort or a binary search.
+/// Only when that candidate is not a true contention are U's lists
+/// merged on in ascending position through a heap, stopping at U's first
+/// true contention.  Every section outside the lists would classify as
+/// a ULCP, so the edges equal those of the plain scan, in the same
+/// order.  The walk stays forward, with threads in ascending id order,
+/// because the verdict memo below turns on at a lock's first verdict
+/// that is not TrueContention: another order would move that point and
+/// so the classification count.
+///
+/// Cost per lock of P postings: O(P) to post (two hash probes each)
+/// and to lay out the families; per section A querying W families, one
+/// head step per posting of A and O(W) array steps per thread holding
+/// a list in those families, so one probe per (query, thread) and no
+/// hash probe; a heap step per candidate only after a verdict other
+/// than TrueContention; plus one
 /// classifyPair (at most a reversed replay over the index's packed
-/// slots and programs) per candidate classified.
+/// slots and programs) per candidate classified.  Memory is O(P).
 /// Classifying every later section instead is quadratic in the lock's
 /// sections, since a thread that never matches is scanned to the end
 /// of the order.  The index lives for one lock.
@@ -47,6 +66,15 @@
 /// section-key pair.  A lock whose conflicts are all benign then costs
 /// one reversed replay per distinct key pair.  A key includes its lock,
 /// so the memo is emptied whenever the next lock turns it on.
+///
+/// With the memo on, the answer of each thread's search is kept too,
+/// per (section key, thread).  Equal keys post the same lists, and the
+/// earlier search left a verdict for every key pair it visited, so a
+/// later section of that key would walk a suffix of the same candidates
+/// through memo hits to the same answer while that answer still lies
+/// ahead of it.  It takes the answer instead, which turns the walk
+/// through a benign run, once per section, into one lookup; no
+/// classification is skipped that the walk would have counted.
 ///
 /// The graph is stored in compressed sparse row (CSR) form: the edges
 /// in insertion order, and each node's successors and predecessors as

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
+#include <charconv>
+#include <limits>
+#include <string_view>
 
 using namespace perfplay;
 
@@ -25,9 +27,15 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
     if (Topo.outDegree(Cs) == 0)
       continue;
     const CriticalSection &Section = Index.byGlobalId(Cs);
+    // "@L<thread>_<index>", formatted in place.
+    constexpr int Digits = std::numeric_limits<uint32_t>::digits10 + 1;
+    char Name[3 + 2 * Digits] = "@L";
+    char *End = std::to_chars(Name + 2, Name + 2 + Digits,
+                              Section.Ref.Thread).ptr;
+    *End++ = '_';
+    End = std::to_chars(End, End + Digits, Section.Ref.Index).ptr;
     LockInfo Aux;
-    Aux.Name = Out.intern("@L" + std::to_string(Section.Ref.Thread) + "_" +
-                          std::to_string(Section.Ref.Index));
+    Aux.Name = Out.intern(std::string_view(Name, End - Name));
     Aux.IsSpin = Tr.Locks[Section.Lock].IsSpin;
     Out.Locks.push_back(Aux);
     Result.AuxLockOfCs[Cs] = static_cast<LockId>(Out.Locks.size() - 1);
@@ -40,8 +48,11 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   // sets can never truly contend) get an empty lockset, i.e. their
   // lock/unlock pair is removed.
   std::vector<LocksetId> LocksetOfCs(NumCs, InvalidId);
+  Out.Locksets.reserve(Out.Locksets.size() + NumCs);
   for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
     Lockset LS;
+    LS.Entries.reserve((Result.AuxLockOfCs[Cs] != InvalidId) +
+                       Topo.inDegree(Cs));
     if (Result.AuxLockOfCs[Cs] != InvalidId)
       LS.Entries.push_back(LocksetEntry{Result.AuxLockOfCs[Cs], InvalidId});
     for (uint32_t Pred : Topo.predecessors(Cs)) {

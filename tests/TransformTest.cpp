@@ -5,7 +5,9 @@
 #include "core/Engine.h"
 #include "detect/Classify.h"
 #include "detect/Detector.h"
+#include "detect/SectionKey.h"
 #include "sim/Replayer.h"
+#include "support/FlatMap.h"
 #include "support/Rng.h"
 #include "trace/TraceBuilder.h"
 #include "transform/RaceCheck.h"
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 using namespace perfplay;
 
@@ -482,6 +485,341 @@ TEST(TopologyTest, AdjacencyKeepsEdgeInsertionOrder) {
   TopologyGraph Empty(0);
   EXPECT_EQ(Empty.numNodes(), 0u);
   EXPECT_EQ(Empty.numEdges(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// RULE 1: linked postings against the sorted posting index they replace
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The sorted-posting RULE 1 that linked postings replaced, kept as an
+/// oracle: per lock, every (thread, access, id, position) posting is
+/// sorted, each (query, thread) pair binary-searches its list's first
+/// posting past the section, and a heap merges the lists.  The verdict
+/// memo turns on at a lock's first verdict that is not TrueContention.
+class SortedPostingTopology {
+public:
+  SortedPostingTopology(const Trace &Tr, const CsIndex &Index)
+      : Tr(Tr), Index(Index) {
+    for (LockId L = 0; L != Index.numLocks(); ++L) {
+      const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
+      indexLock(Order);
+      MemoOn = false;
+      for (uint32_t I = 0; I != Order.size(); ++I)
+        matchSection(Order, I);
+    }
+  }
+
+  std::vector<TopologyEdge> Edges;
+  uint64_t NumClassified = 0;
+
+private:
+  enum class Access : uint8_t { Reads, Writes, WaitsOn, SignalsOn };
+  struct Posting {
+    ThreadId Thread;
+    Access Tag;
+    uint64_t Id;
+    uint32_t Pos;
+    bool operator<(const Posting &RHS) const {
+      return std::tie(Thread, Tag, Id, Pos) <
+             std::tie(RHS.Thread, RHS.Tag, RHS.Id, RHS.Pos);
+    }
+    bool sameList(const Posting &RHS) const {
+      return Thread == RHS.Thread && Tag == RHS.Tag && Id == RHS.Id;
+    }
+  };
+  struct Query {
+    Access Tag;
+    uint64_t Id;
+  };
+  struct Cursor {
+    uint32_t Pos;
+    size_t At;
+    bool operator<(const Cursor &RHS) const { return Pos > RHS.Pos; }
+  };
+
+  void indexLock(const std::vector<uint32_t> &Order) {
+    Postings.clear();
+    Threads.clear();
+    for (uint32_t Pos = 0; Pos != Order.size(); ++Pos) {
+      const CriticalSection &Cs = Index.byGlobalId(Order[Pos]);
+      ThreadId T = Cs.Ref.Thread;
+      Threads.push_back(T);
+      for (AddrId A : Index.reads(Cs))
+        Postings.push_back(Posting{T, Access::Reads, A, Pos});
+      for (AddrId A : Index.writes(Cs))
+        Postings.push_back(Posting{T, Access::Writes, A, Pos});
+      for (LockId C : Index.condWaits(Cs))
+        Postings.push_back(Posting{T, Access::WaitsOn, C, Pos});
+      for (LockId C : Index.condSignals(Cs))
+        Postings.push_back(Posting{T, Access::SignalsOn, C, Pos});
+    }
+    std::sort(Postings.begin(), Postings.end());
+    std::sort(Threads.begin(), Threads.end());
+    Threads.erase(std::unique(Threads.begin(), Threads.end()), Threads.end());
+  }
+
+  void matchSection(const std::vector<uint32_t> &Order, uint32_t I) {
+    const CriticalSection &A = Index.byGlobalId(Order[I]);
+    std::vector<Query> Queries;
+    for (AddrId Addr : Index.reads(A))
+      Queries.push_back(Query{Access::Writes, Addr});
+    for (AddrId Addr : Index.writes(A)) {
+      Queries.push_back(Query{Access::Reads, Addr});
+      Queries.push_back(Query{Access::Writes, Addr});
+    }
+    for (LockId C : Index.condWaits(A))
+      Queries.push_back(Query{Access::SignalsOn, C});
+    for (LockId C : Index.condSignals(A))
+      Queries.push_back(Query{Access::WaitsOn, C});
+    if (Queries.empty())
+      return;
+    std::vector<uint32_t> Matches;
+    for (ThreadId U : Threads) {
+      if (U == A.Ref.Thread)
+        continue;
+      uint32_t Pos = firstContender(Order, Queries, U, I);
+      if (Pos != InvalidId)
+        Matches.push_back(Pos);
+    }
+    std::sort(Matches.begin(), Matches.end());
+    for (uint32_t Pos : Matches)
+      Edges.push_back(TopologyEdge{A.GlobalId, Order[Pos]});
+  }
+
+  uint32_t firstContender(const std::vector<uint32_t> &Order,
+                          const std::vector<Query> &Queries, ThreadId U,
+                          uint32_t I) {
+    std::vector<Cursor> Heap;
+    for (const Query &Q : Queries) {
+      Posting Probe{U, Q.Tag, Q.Id, I + 1};
+      auto It = std::lower_bound(Postings.begin(), Postings.end(), Probe);
+      if (It != Postings.end() && It->sameList(Probe))
+        Heap.push_back(
+            Cursor{It->Pos, static_cast<size_t>(It - Postings.begin())});
+    }
+    std::make_heap(Heap.begin(), Heap.end());
+    while (!Heap.empty()) {
+      uint32_t Pos = Heap.front().Pos;
+      while (!Heap.empty() && Heap.front().Pos == Pos) {
+        std::pop_heap(Heap.begin(), Heap.end());
+        Cursor &C = Heap.back();
+        size_t Next = C.At + 1;
+        if (Next != Postings.size() &&
+            Postings[Next].sameList(Postings[C.At])) {
+          C = Cursor{Postings[Next].Pos, Next};
+          std::push_heap(Heap.begin(), Heap.end());
+        } else {
+          Heap.pop_back();
+        }
+      }
+      if (classify(Order, I, Pos) == UlcpKind::TrueContention)
+        return Pos;
+    }
+    return InvalidId;
+  }
+
+  UlcpKind classify(const std::vector<uint32_t> &Order, uint32_t I,
+                    uint32_t J) {
+    if (MemoOn)
+      if (const UlcpKind *Cached = Verdicts.find(memoKey(I, J)))
+        return *Cached;
+    UlcpKind Verdict = classifyPair(Index, Index.byGlobalId(Order[I]),
+                                    Index.byGlobalId(Order[J]));
+    ++NumClassified;
+    if (!MemoOn) {
+      if (Verdict == UlcpKind::TrueContention)
+        return Verdict;
+      SignatureInterner Interner;
+      KeyOfPos.clear();
+      for (uint32_t GlobalId : Order)
+        KeyOfPos.push_back(Interner.intern(Tr, Index.byGlobalId(GlobalId)));
+      Verdicts.clear();
+      MemoOn = true;
+    }
+    Verdicts.insert(memoKey(I, J), Verdict);
+    return Verdict;
+  }
+
+  uint64_t memoKey(uint32_t I, uint32_t J) const {
+    return SectionKeyTable::pairKey(KeyOfPos[I], KeyOfPos[J]);
+  }
+
+  const Trace &Tr;
+  const CsIndex &Index;
+  bool MemoOn = false;
+  std::vector<uint32_t> KeyOfPos;
+  FlatMap<uint64_t, UlcpKind> Verdicts;
+  std::vector<Posting> Postings;
+  std::vector<ThreadId> Threads;
+};
+
+/// A trace of two threads on one lock, granted in the order its
+/// sections are added.
+struct OneLockTrace {
+  TraceBuilder B;
+  LockId L = B.addLock("L");
+  CodeSiteId Site = B.addSite("rule1.cc", "f", 1, 2);
+  std::vector<ThreadId> Ids = {B.addThread(), B.addThread()};
+  std::vector<CsRef> Schedule;
+  std::vector<uint32_t> NextIndex = std::vector<uint32_t>(2, 0);
+
+  /// Adds a section of thread \p T whose body \p Body fills.
+  template <typename Fn> void section(unsigned T, Fn Body) {
+    B.beginCs(Ids[T], L, Site);
+    Body(B, Ids[T]);
+    B.endCs(Ids[T]);
+    Schedule.push_back(CsRef{Ids[T], NextIndex[T]++});
+  }
+
+  Trace finish() {
+    Trace Tr = B.finish();
+    Tr.LockSchedule.assign(Tr.Locks.size(), {});
+    Tr.LockSchedule[L] = Schedule;
+    return Tr;
+  }
+};
+
+} // namespace
+
+// Every app and synthetic app at 4 threads (scales 1 and 4) and at 16
+// and 64 threads (scale 1), two seeds each: the edges, in order, and
+// the classification count equal the sorted posting index's.
+TEST(TopologyTest, LinkedPostingsMatchSortedPostingIndex) {
+  std::vector<AppModel> Models = allApps();
+  Models.insert(Models.end(), syntheticApps().begin(),
+                syntheticApps().end());
+  Engine Eng;
+  const std::vector<std::pair<unsigned, double>> Shapes = {
+      {4, 1.0}, {4, 4.0}, {16, 1.0}, {64, 1.0}};
+  for (const AppModel &App : Models)
+    for (auto [Threads, Scale] : Shapes)
+      for (uint64_t Seed : {1, 2}) {
+        SCOPED_TRACE(App.Name + " threads " + std::to_string(Threads) +
+                     " scale " + std::to_string(Scale) + " seed " +
+                     std::to_string(Seed));
+        WorkloadSpec Spec = App.Factory(Threads, Scale);
+        Spec.Seed = Seed;
+        AnalysisSession Session = Eng.openSession(generateWorkload(Spec));
+        ASSERT_TRUE(Session.ensureRecorded().ok());
+        Expected<const CsIndex &> Index = Session.csIndex();
+        ASSERT_TRUE(Index.ok()) << Index.message();
+
+        SortedPostingTopology Want(Session.trace(), *Index);
+        uint64_t Classified = 0;
+        TopologyGraph Got = buildTopology(Session.trace(), *Index, &Classified);
+        EXPECT_EQ(Got.edges(), Want.Edges);
+        EXPECT_EQ(Classified, Want.NumClassified);
+      }
+}
+
+// Section 0 reads and writes x and waits on cv; section 1 of another
+// thread writes x and signals cv, so it heads three of the lists 0
+// queries (and one of them twice).  It is classified once and gets one
+// edge; thread 1's later writer is never reached.
+TEST(TopologyTest, SectionInSeveralListsClassifiedOnce) {
+  OneLockTrace T;
+  LockId Cv = T.B.addLock("cv");
+  T.section(0, [&](TraceBuilder &B, ThreadId Id) {
+    B.read(Id, 1, 0);
+    B.write(Id, 1, 4);
+    B.condWait(Id, Cv);
+  });
+  T.section(1, [&](TraceBuilder &B, ThreadId Id) {
+    B.write(Id, 1, 5);
+    B.condSignal(Id, Cv);
+  });
+  T.section(1, [](TraceBuilder &B, ThreadId Id) { B.write(Id, 1, 6); });
+  Trace Tr = T.finish();
+  CsIndex Index = CsIndex::build(Tr);
+  uint64_t Classified = 0;
+  TopologyGraph G = buildTopology(Tr, Index, &Classified);
+  EXPECT_EQ(edgeList(G),
+            (std::vector<std::pair<uint32_t, uint32_t>>{{0, 1}}));
+  EXPECT_EQ(Classified, 1u);
+}
+
+// Thread 1's first candidate for section 0 is a commuting add (benign)
+// and its second reads x (true contention): the edge skips to the
+// second, and the benign verdict turns the memo on, so every later
+// pair repeats a classified key pair and costs no classification.
+//   lock order: A0(t0) B0(t1) C0(t1) A1(t0) B1(t1) C1(t1)
+//   global ids: A0=0 A1=1 B0=2 C0=3 B1=4 C1=5
+TEST(TopologyTest, BenignFirstCandidateSearchesOnAndStartsMemo) {
+  OneLockTrace T;
+  auto add = [](TraceBuilder &B, ThreadId Id) {
+    B.write(Id, 1, 1, WriteOpKind::Add);
+  };
+  auto read = [](TraceBuilder &B, ThreadId Id) { B.read(Id, 1, 0); };
+  for (int Round = 0; Round != 2; ++Round) {
+    T.section(0, add);
+    T.section(1, add);
+    T.section(1, read);
+  }
+  Trace Tr = T.finish();
+  CsIndex Index = CsIndex::build(Tr);
+  uint64_t Classified = 0;
+  TopologyGraph G = buildTopology(Tr, Index, &Classified);
+  // A0 -> C0 past the benign B0; C0 -> A1; A1 -> C1 past B1.
+  EXPECT_EQ(edgeList(G), (std::vector<std::pair<uint32_t, uint32_t>>{
+                             {0, 3}, {3, 1}, {1, 5}}));
+  // A0:B0 (turns the memo on) and A0:C0; B0:A1, C0:A1, A1:B1 and
+  // A1:C1 repeat one of those two key pairs (a key pair is unordered)
+  // and hit the memo.
+  EXPECT_EQ(Classified, 2u);
+  SortedPostingTopology Want(Tr, Index);
+  EXPECT_EQ(G.edges(), Want.Edges);
+  EXPECT_EQ(Classified, Want.NumClassified);
+}
+
+// With the memo on, a section takes an equal-keyed section's search
+// answer only while that answer lies ahead of it: A1 reuses A0's C0,
+// A2 (past C0) searches again and finds C1.
+//   lock order: A0(t0) B0(t1) A1(t0) C0(t1) A2(t0) C1(t1)
+//   global ids: A0=0 A1=1 A2=2 B0=3 C0=4 C1=5
+TEST(TopologyTest, SearchAnswerReusedOnlyWhileAhead) {
+  OneLockTrace T;
+  auto add = [](TraceBuilder &B, ThreadId Id) {
+    B.write(Id, 1, 1, WriteOpKind::Add);
+  };
+  auto read = [](TraceBuilder &B, ThreadId Id) { B.read(Id, 1, 0); };
+  T.section(0, add);
+  T.section(1, add);
+  T.section(0, add);
+  T.section(1, read);
+  T.section(0, add);
+  T.section(1, read);
+  Trace Tr = T.finish();
+  CsIndex Index = CsIndex::build(Tr);
+  uint64_t Classified = 0;
+  TopologyGraph G = buildTopology(Tr, Index, &Classified);
+  EXPECT_EQ(edgeList(G), (std::vector<std::pair<uint32_t, uint32_t>>{
+                             {0, 4}, {1, 4}, {4, 2}, {2, 5}}));
+  // A0:B0 turns the memo on, A0:C0 truly contends; the rest are hits.
+  EXPECT_EQ(Classified, 2u);
+  SortedPostingTopology Want(Tr, Index);
+  EXPECT_EQ(G.edges(), Want.Edges);
+  EXPECT_EQ(Classified, Want.NumClassified);
+}
+
+// Thread 0's only conflicting section (0) precedes section 1 of thread
+// 1 in lock order, so 1 gets no edge back to it; thread 0's later
+// section touches another address.
+//   lock order: S0(t0, writes x) S1(t1, writes x) S2(t0, reads y)
+//   global ids: S0=0 S2=1 S1=2
+TEST(TopologyTest, ConflictBeforeInLockOrderGetsNoEdge) {
+  OneLockTrace T;
+  T.section(0, [](TraceBuilder &B, ThreadId Id) { B.write(Id, 1, 1); });
+  T.section(1, [](TraceBuilder &B, ThreadId Id) { B.write(Id, 1, 2); });
+  T.section(0, [](TraceBuilder &B, ThreadId Id) { B.read(Id, 2, 0); });
+  Trace Tr = T.finish();
+  CsIndex Index = CsIndex::build(Tr);
+  uint64_t Classified = 0;
+  TopologyGraph G = buildTopology(Tr, Index, &Classified);
+  EXPECT_EQ(edgeList(G),
+            (std::vector<std::pair<uint32_t, uint32_t>>{{0, 2}}));
+  EXPECT_EQ(Classified, 1u);
 }
 
 //===----------------------------------------------------------------------===//
