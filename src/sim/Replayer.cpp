@@ -59,18 +59,20 @@ private:
     std::vector<uint32_t> AwaitSuccessor;
   };
 
+  /// 32 bytes: a ULCP-free trace has one per auxiliary lock.
   struct LockState {
-    bool Held = false;
-    ThreadId Holder = InvalidId;
     TimeNs FreeAt = 0;
-    /// Current reader-side holders; an exclusive grant needs both
-    /// !Held and Shared == 0.
-    uint32_t Shared = 0;
     /// Latest reader-side release so far; the earliest instant a
     /// writer can be granted after readers drain.
     TimeNs SharedFreeAt = 0;
-    size_t Cursor = 0; // Into EnforcedOrder (granted entries skipped).
+    ThreadId Holder = InvalidId;
+    /// Current reader-side holders; an exclusive grant needs both
+    /// !Held and Shared == 0.
+    uint32_t Shared = 0;
+    uint32_t Cursor = 0; // Into EnforcedOrder (granted entries skipped).
+    bool Held = false;
   };
+  static_assert(sizeof(LockState) == 32, "LockState grew");
 
   /// A grant candidate found by the selection scan.
   struct Candidate {
@@ -87,11 +89,12 @@ private:
 
   std::vector<ThreadState> Threads;
   std::vector<LockState> Locks;
-  /// Per-lock enforced grant order (global CS ids); empty = none.
+  /// Per-lock enforced grant order (global CS ids); an empty order
+  /// enforces nothing.  Only sized when lockOrderEnforced(), so a
+  /// ULCP-free replay allocates none.  A CS's grant and release times
+  /// are Result.Sections[Cs].Granted / .Released (NeverNs until they
+  /// happen).
   std::vector<std::vector<uint32_t>> EnforcedOrder;
-  /// Per-CS grant / release times (NeverNs until they happen).
-  std::vector<TimeNs> GrantTime;
-  std::vector<TimeNs> ReleaseTime;
   /// What a granted CS holds until its release: the locks
   /// HeldLocks[Begin, Begin + Count), in Shared mode (rwlock reader)
   /// or exclusively.  Each CS is granted at most once, so HeldLocks
@@ -137,6 +140,10 @@ private:
   void grantMem(ThreadId T, TimeNs When);
   void pickMemHead();
   uint32_t orderHead(LockId L) const;
+
+  bool granted(uint32_t Cs) const {
+    return Result.Sections[Cs].Granted != NeverNs;
+  }
 };
 
 } // namespace
@@ -146,8 +153,6 @@ Engine::Engine(const Trace &Tr, const ReplayOptions &Opts)
   size_t NumCs = Tr.numCriticalSections();
   Threads.resize(Tr.numThreads());
   Locks.resize(Tr.Locks.size());
-  GrantTime.assign(NumCs, NeverNs);
-  ReleaseTime.assign(NumCs, NeverNs);
   Holdings.resize(NumCs);
   // RULE 2 predecessors as CSR, each list in constraint order.
   PredBegin.assign(NumCs + 1, 0);
@@ -166,8 +171,8 @@ Engine::Engine(const Trace &Tr, const ReplayOptions &Opts)
   Result.GrantSchedule.assign(Tr.Locks.size(), {});
 
   // Build the enforced per-lock order for the chosen scheme.
-  EnforcedOrder.assign(Tr.Locks.size(), {});
   if (lockOrderEnforced()) {
+    EnforcedOrder.assign(Tr.Locks.size(), {});
     if (Opts.Schedule == ScheduleKind::ElscS ||
         Opts.Schedule == ScheduleKind::MemS) {
       // ELSC: exactly the recorded schedule.  MEM-S piggybacks on it so
@@ -238,8 +243,8 @@ void Engine::refreshPendingLocks(ThreadState &TS) {
     // round: releases on other threads become known as the simulation
     // commits grants in virtual-time order.
     if (Opts.UseDynamicLocking && Entry.SourceCs != InvalidId &&
-        ReleaseTime[Entry.SourceCs] != NeverNs &&
-        ReleaseTime[Entry.SourceCs] <= TS.Arrival)
+        Result.Sections[Entry.SourceCs].Released != NeverNs &&
+        Result.Sections[Entry.SourceCs].Released <= TS.Arrival)
       continue;
     TS.PendingLocks.push_back(Entry.Lock);
   }
@@ -311,7 +316,6 @@ void Engine::advanceThread(ThreadId T) {
         flushSuccessors(TS, TS.Clock);
         Timing.Arrival = TS.Clock;
         Timing.Granted = TS.Clock;
-        GrantTime[Cs] = TS.Clock;
         TS.OpenCs.push_back(Cs);
         TS.LastSyncEnd = TS.Clock;
         ++TS.PC;
@@ -351,7 +355,6 @@ void Engine::advanceThread(ThreadId T) {
           LS.FreeAt = TS.Clock;
         }
       }
-      ReleaseTime[Cs] = TS.Clock;
       Result.Sections[Cs].Released = TS.Clock;
       TS.LastSyncEnd = TS.Clock;
       TS.AwaitSuccessor.push_back(Cs);
@@ -385,7 +388,7 @@ void Engine::advanceThread(ThreadId T) {
 uint32_t Engine::orderHead(LockId L) const {
   const auto &Order = EnforcedOrder[L];
   size_t Cursor = Locks[L].Cursor;
-  while (Cursor < Order.size() && GrantTime[Order[Cursor]] != NeverNs)
+  while (Cursor < Order.size() && granted(Order[Cursor]))
     ++Cursor;
   // Mutation-free scan; the cursor is advanced for real in grantAcquire.
   return Cursor < Order.size() ? Order[Cursor] : InvalidId;
@@ -410,7 +413,8 @@ Engine::Candidate Engine::scanAcquires(bool IgnoreOrder) const {
       When = std::max(When, Locks[L].FreeAt);
       if (!TS.PendingShared)
         When = std::max(When, Locks[L].SharedFreeAt);
-      if (!IgnoreOrder && !EnforcedOrder[L].empty()) {
+      if (!IgnoreOrder && !EnforcedOrder.empty() &&
+          !EnforcedOrder[L].empty()) {
         uint32_t Head = orderHead(L);
         if (Head != InvalidId && Head != TS.PendingCs) {
           Feasible = false;
@@ -422,12 +426,12 @@ Engine::Candidate Engine::scanAcquires(bool IgnoreOrder) const {
       continue;
     for (uint32_t P = PredBegin[TS.PendingCs];
          P != PredBegin[TS.PendingCs + 1]; ++P) {
-      uint32_t Pre = PredIds[P];
-      if (GrantTime[Pre] == NeverNs) {
+      TimeNs PreGranted = Result.Sections[PredIds[P]].Granted;
+      if (PreGranted == NeverNs) {
         Feasible = false;
         break;
       }
-      When = std::max(When, GrantTime[Pre]);
+      When = std::max(When, PreGranted);
     }
     if (!Feasible)
       continue;
@@ -490,12 +494,14 @@ void Engine::grantAcquire(ThreadId T, TimeNs When) {
       LS.Held = true;
       LS.Holder = T;
     }
+    Result.GrantSchedule[L].push_back(Tr.csRefOf(Cs));
+    if (EnforcedOrder.empty())
+      continue;
     // Advance the enforced-order cursor past this grant (and any
     // entries granted earlier through other paths).
     const auto &Order = EnforcedOrder[L];
-    Result.GrantSchedule[L].push_back(Tr.csRefOf(Cs));
     while (LS.Cursor < Order.size() &&
-           (Order[LS.Cursor] == Cs || GrantTime[Order[LS.Cursor]] != NeverNs))
+           (Order[LS.Cursor] == Cs || granted(Order[LS.Cursor])))
       ++LS.Cursor;
   }
   if (TS.PendingHasLockset) {
@@ -512,7 +518,6 @@ void Engine::grantAcquire(ThreadId T, TimeNs When) {
     Result.LocksetLocksAcquired += TS.PendingLocks.size();
   }
 
-  GrantTime[Cs] = When;
   Result.Sections[Cs].Granted = When;
   Holdings[Cs] = Holding{static_cast<uint32_t>(HeldLocks.size()),
                          static_cast<uint32_t>(TS.PendingLocks.size()),

@@ -19,14 +19,19 @@
 ///  - and name *storage* is one arena, freed wholesale with the pool.
 ///
 /// Interning is content-based: `intern()` returns the same id for equal
-/// strings, copying only the first occurrence.  The pool owns every
-/// byte it hands out, so the caller's input buffer (e.g. a trace file's
-/// mapping) may die as soon as `intern()` returns.  Handed-out
-/// `std::string_view`s point into heap chunks, so they remain valid
-/// when the pool — or a `Trace` owning it — is moved.
+/// strings, copying only the first occurrence.  The content -> id index
+/// is an open-addressing table of ids (power-of-two size, linear
+/// probing, grown at half load) keyed by the strings the ids name, so
+/// interning a new name is a hash, a probe and a store: no per-name
+/// node allocation.
+///
+/// The pool owns every byte it hands out, so the caller's input buffer
+/// (e.g. a trace file's mapping) may die as soon as `intern()` returns.
+/// Handed-out `std::string_view`s point into heap chunks, so they
+/// remain valid when the pool — or a `Trace` owning it — is moved.
 ///
 /// Copying a pool deep-copies every string into the copy's own arena,
-/// preserving ids.
+/// preserving ids; the index holds ids only, so it is copied as is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +42,6 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace perfplay {
@@ -61,7 +65,7 @@ public:
   // would take the "fits in current chunk" path and dereference
   // Chunks.back() on an empty vector.
   StringPool(StringPool &&Other) noexcept
-      : Strings(std::move(Other.Strings)), Index(std::move(Other.Index)),
+      : Strings(std::move(Other.Strings)), Slots(std::move(Other.Slots)),
         Chunks(std::move(Other.Chunks)), ChunkUsed(Other.ChunkUsed),
         ChunkCap(Other.ChunkCap) {
     Other.reset();
@@ -69,7 +73,7 @@ public:
   StringPool &operator=(StringPool &&Other) noexcept {
     if (this != &Other) {
       Strings = std::move(Other.Strings);
-      Index = std::move(Other.Index);
+      Slots = std::move(Other.Slots);
       Chunks = std::move(Other.Chunks);
       ChunkUsed = Other.ChunkUsed;
       ChunkCap = Other.ChunkCap;
@@ -109,7 +113,7 @@ private:
   /// source of a move so it remains safely usable).
   void reset() {
     Strings.clear();
-    Index.clear();
+    Slots.clear();
     Chunks.clear();
     ChunkUsed = 0;
     ChunkCap = 0;
@@ -118,12 +122,17 @@ private:
   /// Copies \p S into the arena and returns the stable view.
   std::string_view copyToArena(std::string_view S);
 
+  /// Doubles Slots (or creates it) and re-inserts every id.
+  void growIndex();
+
   void copyFrom(const StringPool &Other);
 
   /// Id-indexed views into Chunks.
   std::vector<std::string_view> Strings;
-  /// Content -> id; keys view the same storage as Strings.
-  std::unordered_map<std::string_view, StringId> Index;
+  /// Content -> id: open-addressing slots holding ids (InvalidStringId
+  /// = empty), keyed by Strings[id].  Size 0 or a power of two, at
+  /// most half full.
+  std::vector<StringId> Slots;
   /// Arena blocks.  unique_ptr-held so views stay valid across pool
   /// moves and vector growth.
   std::vector<std::unique_ptr<char[]>> Chunks;

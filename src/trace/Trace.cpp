@@ -167,13 +167,12 @@ std::string Trace::validate() const {
   for (uint32_t N : CsPerThread)
     TotalCs += N;
 
-  for (const auto &LS : Locksets)
-    for (const auto &Entry : LS.Entries) {
-      if (Entry.Lock >= Locks.size())
-        return "lockset references unknown lock";
-      if (Entry.SourceCs != InvalidId && Entry.SourceCs >= TotalCs)
-        return "lockset references unknown source critical section";
-    }
+  for (const LocksetEntry &Entry : Locksets.entries()) {
+    if (Entry.Lock >= Locks.size())
+      return "lockset references unknown lock";
+    if (Entry.SourceCs != InvalidId && Entry.SourceCs >= TotalCs)
+      return "lockset references unknown source critical section";
+  }
 
   for (const auto &C : Constraints) {
     if (C.Before >= TotalCs || C.After >= TotalCs)

@@ -17,9 +17,11 @@
 #ifndef PERFPLAY_TRACE_TRACE_H
 #define PERFPLAY_TRACE_TRACE_H
 
+#include "support/Span.h"
 #include "support/StringPool.h"
 #include "trace/Event.h"
 
+#include <cassert>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,14 +69,83 @@ struct LocksetEntry {
   /// Global id of the source critical section contributing this lock,
   /// or InvalidId for the node's own auxiliary lock.
   uint32_t SourceCs = InvalidId;
+
+  bool operator==(const LocksetEntry &RHS) const {
+    return Lock == RHS.Lock && SourceCs == RHS.SourceCs;
+  }
 };
 
 /// RULE 3 lockset: the set of locks a transformed critical section must
 /// hold.  Two transformed critical sections are mutually exclusive iff
 /// their locksets intersect (RULE 4).  An empty lockset encodes a
 /// removed lock/unlock pair (null-locks and standalone nodes).
+///
+/// This owning form is what callers build one lockset in; a Trace
+/// stores its locksets flat, in a LocksetTable.
 struct Lockset {
   std::vector<LocksetEntry> Entries;
+};
+
+/// Read view of one lockset inside a LocksetTable.  Valid while the
+/// table lives and is not appended to.
+struct LocksetView {
+  Span<LocksetEntry> Entries;
+};
+
+/// Every lockset of a trace in one entry array: lockset Id owns
+/// Entries[Ends[Id - 1], Ends[Id]) (from 0 for Id 0).  A ULCP-free
+/// trace has one lockset per critical section, so the table is two
+/// allocations, not one vector per section.
+class LocksetTable {
+public:
+  /// Number of locksets.
+  size_t size() const { return Ends.size(); }
+  bool empty() const { return Ends.empty(); }
+
+  LocksetView operator[](LocksetId Id) const {
+    assert(Id < Ends.size() && "lockset id out of range");
+    uint32_t Begin = Id == 0 ? 0 : Ends[Id - 1];
+    return LocksetView{Span<LocksetEntry>(Entries.data() + Begin,
+                                          Entries.data() + Ends[Id])};
+  }
+
+  /// Every entry of every lockset, in lockset order.
+  Span<LocksetEntry> entries() const {
+    return Span<LocksetEntry>(Entries.data(), Entries.size());
+  }
+
+  /// Room for \p NumLocksets locksets holding \p NumEntries entries
+  /// in all.
+  void reserve(size_t NumLocksets, size_t NumEntries) {
+    Ends.reserve(NumLocksets);
+    Entries.reserve(NumEntries);
+  }
+
+  /// Appends one entry to the lockset under construction; the lockset
+  /// is not visible until closeLockset().
+  void addEntry(LocksetEntry E) { Entries.push_back(E); }
+
+  /// Closes the lockset under construction (possibly empty) and
+  /// returns its id.
+  LocksetId closeLockset() {
+    Ends.push_back(static_cast<uint32_t>(Entries.size()));
+    return static_cast<LocksetId>(Ends.size() - 1);
+  }
+
+  /// Appends a copy of \p LS.
+  void push_back(const Lockset &LS) {
+    Entries.insert(Entries.end(), LS.Entries.begin(), LS.Entries.end());
+    closeLockset();
+  }
+
+  bool operator==(const LocksetTable &RHS) const {
+    return Ends == RHS.Ends && Entries == RHS.Entries;
+  }
+
+private:
+  std::vector<LocksetEntry> Entries;
+  /// One past each lockset's last entry in Entries.
+  std::vector<uint32_t> Ends;
 };
 
 /// RULE 2 constraint: the critical section \p Before must be granted its
@@ -130,7 +201,7 @@ public:
   }
 
   /// Transformed-trace side tables (empty in freshly recorded traces).
-  std::vector<Lockset> Locksets;
+  LocksetTable Locksets;
   std::vector<OrderConstraint> Constraints;
 
   /// Recorded grant schedule: for each lock, the order in which critical

@@ -85,9 +85,10 @@ std::string perfplay::writeTraceText(const Trace &Tr) {
        << escapeToken(Tr.Names.str(S.Function)) << "\n";
 
   OS << "locksets " << Tr.Locksets.size() << "\n";
-  for (const auto &LS : Tr.Locksets) {
-    OS << "lockset " << LS.Entries.size();
-    for (const auto &E : LS.Entries)
+  for (LocksetId I = 0; I != Tr.Locksets.size(); ++I) {
+    Span<LocksetEntry> Entries = Tr.Locksets[I].Entries;
+    OS << "lockset " << Entries.size();
+    for (const LocksetEntry &E : Entries)
       OS << " " << E.Lock << ":"
          << (E.SourceCs == InvalidId ? -1
                                      : static_cast<int64_t>(E.SourceCs));
@@ -343,14 +344,13 @@ bool perfplay::parseTraceText(const std::string &Text, Trace &Out,
     uint64_t K;
     if (!C.unsignedInt(K, Err))
       return false;
-    Lockset LS;
     for (uint64_t J = 0; J != K; ++J) {
       LocksetEntry E;
       if (!C.idPair(E.Lock, E.SourceCs, Err))
         return false;
-      LS.Entries.push_back(E);
+      Out.Locksets.addEntry(E);
     }
-    Out.Locksets.push_back(std::move(LS));
+    Out.Locksets.closeLockset();
   }
 
   // Constraints.

@@ -664,7 +664,7 @@ bool parseSideTables(V3Cursor &C, detail::V3TableState &Tables,
     Err = "lockset table count exceeds file size";
     return false;
   }
-  Tr.Locksets.reserve(N);
+  Tr.Locksets.reserve(N, 0);
   for (uint32_t I = 0; I != N; ++I) {
     uint32_t K;
     if (!C.u32(K)) {
@@ -675,17 +675,15 @@ bool parseSideTables(V3Cursor &C, detail::V3TableState &Tables,
       Err = "lockset entry count exceeds file size";
       return false;
     }
-    Lockset LS;
-    LS.Entries.reserve(K);
     for (uint32_t J = 0; J != K; ++J) {
       LocksetEntry E;
       if (!C.u32(E.Lock) || !C.u32(E.SourceCs)) {
         Err = "truncated lockset entry";
         return false;
       }
-      LS.Entries.push_back(E);
+      Tr.Locksets.addEntry(E);
     }
-    Tr.Locksets.push_back(std::move(LS));
+    Tr.Locksets.closeLockset();
   }
 
   if (!C.u32(N)) {
@@ -780,7 +778,7 @@ uint32_t TraceV3Writer::addSite(uint32_t BeginLine, uint32_t EndLine,
 }
 
 void TraceV3Writer::setSideTables(
-    const std::vector<Lockset> &TheLocksets,
+    const LocksetTable &TheLocksets,
     const std::vector<OrderConstraint> &TheConstraints,
     const std::vector<std::vector<CsRef>> &TheSchedule) {
   Locksets = TheLocksets;
@@ -978,9 +976,10 @@ bool TraceV3Writer::finish(std::string &Err) {
     putStr(Side, Sites[Id].Function);
   }
   putU32(Side, static_cast<uint32_t>(Locksets.size()));
-  for (const Lockset &LS : Locksets) {
-    putU32(Side, static_cast<uint32_t>(LS.Entries.size()));
-    for (const LocksetEntry &E : LS.Entries) {
+  for (LocksetId I = 0; I != Locksets.size(); ++I) {
+    Span<LocksetEntry> Entries = Locksets[I].Entries;
+    putU32(Side, static_cast<uint32_t>(Entries.size()));
+    for (const LocksetEntry &E : Entries) {
       putU32(Side, E.Lock);
       putU32(Side, E.SourceCs);
     }

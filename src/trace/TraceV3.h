@@ -97,7 +97,7 @@ public:
 
   /// Side tables of transformed traces; empty by default.  Must be set
   /// before finish().
-  void setSideTables(const std::vector<Lockset> &Locksets,
+  void setSideTables(const LocksetTable &Locksets,
                      const std::vector<OrderConstraint> &Constraints,
                      const std::vector<std::vector<CsRef>> &Schedule);
 
@@ -151,7 +151,7 @@ private:
 
   std::vector<PendingLock> Locks;
   std::vector<PendingSite> Sites;
-  std::vector<Lockset> Locksets;
+  LocksetTable Locksets;
   std::vector<OrderConstraint> Constraints;
   std::vector<std::vector<CsRef>> Schedule;
   std::vector<DirEntry> Directory;

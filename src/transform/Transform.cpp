@@ -22,6 +22,9 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   // RULE 3, part 1: a fresh auxiliary lock per node with outdegree.
   // Auxiliary locks inherit the spin-ness of the original lock so the
   // resource-wasting accounting stays comparable.
+  for (uint32_t Cs = 0; Cs != NumCs; ++Cs)
+    Result.NumAuxLocks += Topo.outDegree(Cs) != 0;
+  Out.Locks.reserve(Out.Locks.size() + Result.NumAuxLocks);
   Result.AuxLockOfCs.assign(NumCs, InvalidId);
   for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
     if (Topo.outDegree(Cs) == 0)
@@ -39,31 +42,29 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
     Aux.IsSpin = Tr.Locks[Section.Lock].IsSpin;
     Out.Locks.push_back(Aux);
     Result.AuxLockOfCs[Cs] = static_cast<LockId>(Out.Locks.size() - 1);
-    ++Result.NumAuxLocks;
   }
 
   // RULE 3, part 2: build each node's lockset — its own auxiliary lock
-  // plus the auxiliary lock of every causal source.  Standalone nodes
-  // (which subsumes all null-locks: a section with empty read/write
-  // sets can never truly contend) get an empty lockset, i.e. their
-  // lock/unlock pair is removed.
+  // plus the auxiliary lock of every causal source — straight into the
+  // flat table: one entry per auxiliary lock and one per edge.
+  // Standalone nodes (which subsumes all null-locks: a section with
+  // empty read/write sets can never truly contend) get an empty
+  // lockset, i.e. their lock/unlock pair is removed.
   std::vector<LocksetId> LocksetOfCs(NumCs, InvalidId);
-  Out.Locksets.reserve(Out.Locksets.size() + NumCs);
+  Out.Locksets.reserve(Out.Locksets.size() + NumCs,
+                       Out.Locksets.entries().size() + Result.NumAuxLocks +
+                           Topo.edges().size());
   for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
-    Lockset LS;
-    LS.Entries.reserve((Result.AuxLockOfCs[Cs] != InvalidId) +
-                       Topo.inDegree(Cs));
     if (Result.AuxLockOfCs[Cs] != InvalidId)
-      LS.Entries.push_back(LocksetEntry{Result.AuxLockOfCs[Cs], InvalidId});
+      Out.Locksets.addEntry(LocksetEntry{Result.AuxLockOfCs[Cs], InvalidId});
     for (uint32_t Pred : Topo.predecessors(Cs)) {
       assert(Result.AuxLockOfCs[Pred] != InvalidId &&
              "causal source must have an auxiliary lock");
-      LS.Entries.push_back(LocksetEntry{Result.AuxLockOfCs[Pred], Pred});
+      Out.Locksets.addEntry(LocksetEntry{Result.AuxLockOfCs[Pred], Pred});
     }
-    if (LS.Entries.empty())
+    if (Topo.isStandalone(Cs))
       ++Result.NumStandalone;
-    Out.Locksets.push_back(std::move(LS));
-    LocksetOfCs[Cs] = static_cast<LocksetId>(Out.Locksets.size() - 1);
+    LocksetOfCs[Cs] = Out.Locksets.closeLockset();
   }
 
   // Annotate every section-opening acquire (mutex, rwlock, successful
@@ -107,6 +108,6 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   if (!Out.LockSchedule.empty())
     Out.LockSchedule.resize(Out.Locks.size());
 
-  Out.buildCsIndex();
+  // RULE 3 adds no section, so the CS index copied from Tr stays exact.
   return Result;
 }

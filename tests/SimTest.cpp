@@ -389,7 +389,8 @@ TEST(ReplayerTest, DynamicLockingSkipsFinishedSources) {
   SourceSet.Entries.push_back(LocksetEntry{1, InvalidId});
   Lockset TargetSet; // Section 1: the source's lock.
   TargetSet.Entries.push_back(LocksetEntry{1, 0});
-  Tr.Locksets = {SourceSet, TargetSet};
+  Tr.Locksets.push_back(SourceSet);
+  Tr.Locksets.push_back(TargetSet);
   Tr.Threads[0].Events[1].Lockset = 0;
   Tr.Threads[1].Events[2].Lockset = 1;
   Tr.Constraints.push_back(OrderConstraint{0, 1});
@@ -431,7 +432,8 @@ TEST(ReplayerTest, DlsPreservesExclusionWhenSourceActive) {
   SourceSet.Entries.push_back(LocksetEntry{1, InvalidId});
   Lockset TargetSet;
   TargetSet.Entries.push_back(LocksetEntry{1, 0});
-  Tr.Locksets = {SourceSet, TargetSet};
+  Tr.Locksets.push_back(SourceSet);
+  Tr.Locksets.push_back(TargetSet);
   Tr.Threads[0].Events[1].Lockset = 0;
   Tr.Threads[1].Events[2].Lockset = 1;
   Tr.Constraints.push_back(OrderConstraint{0, 1});

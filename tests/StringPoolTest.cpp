@@ -161,3 +161,72 @@ TEST(StringPoolTest, ParsedTraceNamesOutliveTheInputBuffer) {
   EXPECT_EQ(Out.siteFile(0), "buffer.cc");
   EXPECT_EQ(Out.siteFunction(0), "resident");
 }
+
+namespace {
+
+std::string grownName(int I) {
+  return "@L" + std::to_string(I % 64) + "_" + std::to_string(I);
+}
+
+} // namespace
+
+// 100k names grow the index from 16 slots to 256k: ids stay dense in
+// first-intern order and every name keeps its id across the growths.
+TEST(StringPoolTest, IndexGrowthKeepsDenseIds) {
+  constexpr int N = 100000;
+  StringPool Pool;
+  for (int I = 0; I != N; ++I)
+    ASSERT_EQ(Pool.intern(grownName(I)), static_cast<StringId>(I));
+  EXPECT_EQ(Pool.size(), static_cast<uint32_t>(N));
+  for (int I = 0; I != N; ++I) {
+    ASSERT_EQ(Pool.intern(grownName(I)), static_cast<StringId>(I));
+    ASSERT_EQ(Pool.str(I), grownName(I));
+  }
+  EXPECT_EQ(Pool.size(), static_cast<uint32_t>(N));
+}
+
+// Interning new names into a copy extends only the copy.
+TEST(StringPoolTest, InterningIntoCopyLeavesSourceUnchanged) {
+  StringPool Source;
+  for (int I = 0; I != 1000; ++I)
+    Source.intern(grownName(I));
+  StringPool Copy = Source;
+  for (int I = 1000; I != 5000; ++I)
+    ASSERT_EQ(Copy.intern(grownName(I)), static_cast<StringId>(I));
+  EXPECT_EQ(Source.size(), 1000u);
+  EXPECT_EQ(Copy.size(), 5000u);
+  for (int I = 0; I != 1000; ++I)
+    ASSERT_EQ(Source.intern(grownName(I)), static_cast<StringId>(I));
+  // Names only the copy holds are new to the source.
+  EXPECT_EQ(Source.intern(grownName(4999)), 1000u);
+  EXPECT_EQ(Copy.intern(grownName(4999)), 4999u);
+}
+
+// Copies taken between growths (just before, at and after a doubling,
+// and in between) keep every id and lookup, and keep growing on their
+// own as their source does.
+TEST(StringPoolTest, CopyMadeMidGrowthKeepsEveryId) {
+  StringPool Pool;
+  std::vector<std::pair<int, StringPool>> Copies;
+  constexpr int N = 20000;
+  for (int I = 0; I != N; ++I) {
+    Pool.intern(grownName(I));
+    int Size = I + 1;
+    if (Size == 8 || Size == 9 || Size == 1023 || Size == 1024 ||
+        Size == 1025 || Size == 7777)
+      Copies.emplace_back(Size, Pool);
+  }
+  for (auto &[Size, Copy] : Copies) {
+    SCOPED_TRACE("copy at " + std::to_string(Size));
+    ASSERT_EQ(Copy.size(), static_cast<uint32_t>(Size));
+    for (int I = 0; I != Size; ++I) {
+      ASSERT_EQ(Copy.intern(grownName(I)), static_cast<StringId>(I));
+      ASSERT_EQ(Copy.str(I), grownName(I));
+    }
+    for (int I = Size; I != N; ++I)
+      ASSERT_EQ(Copy.intern(grownName(I)), static_cast<StringId>(I));
+    EXPECT_EQ(Copy.size(), static_cast<uint32_t>(N));
+  }
+  for (int I = 0; I != N; ++I)
+    ASSERT_EQ(Pool.intern(grownName(I)), static_cast<StringId>(I));
+}

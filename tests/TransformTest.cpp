@@ -10,6 +10,7 @@
 #include "support/FlatMap.h"
 #include "support/Rng.h"
 #include "trace/TraceBuilder.h"
+#include "trace/TraceV3.h"
 #include "transform/RaceCheck.h"
 #include "workloads/Apps.h"
 
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 
 using namespace perfplay;
@@ -185,9 +187,9 @@ RuleOutputs referenceRules(const Trace &Tr, const CsIndex &Index,
     if (Topo.outDegree(Cs) != 0)
       Out.AuxLockOfCs[Cs] =
           static_cast<LockId>(Tr.Locks.size() + Out.NumAuxLocks++);
-  for (const Lockset &LS : Tr.Locksets) {
+  for (LocksetId I = 0; I != Tr.Locksets.size(); ++I) {
     Out.Locksets.emplace_back();
-    for (const LocksetEntry &E : LS.Entries)
+    for (const LocksetEntry &E : Tr.Locksets[I].Entries)
       Out.Locksets.back().push_back({E.Lock, E.SourceCs});
   }
   for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
@@ -223,9 +225,10 @@ RuleOutputs referenceRules(const Trace &Tr, const CsIndex &Index,
 RuleOutputs rulesOf(const TransformResult &R) {
   RuleOutputs Out;
   Out.AuxLockOfCs = R.AuxLockOfCs;
-  for (const Lockset &LS : R.Transformed.Locksets) {
+  const LocksetTable &Locksets = R.Transformed.Locksets;
+  for (LocksetId I = 0; I != Locksets.size(); ++I) {
     Out.Locksets.emplace_back();
-    for (const LocksetEntry &E : LS.Entries)
+    for (const LocksetEntry &E : Locksets[I].Entries)
       Out.Locksets.back().push_back({E.Lock, E.SourceCs});
   }
   for (const OrderConstraint &C : R.Transformed.Constraints)
@@ -886,6 +889,131 @@ TEST(TransformTest, Figure8Locksets) {
   // Standalone nodes: empty lockset (lock removed).
   EXPECT_TRUE(locksetOf(R, Figure7::R2T1).empty());
   EXPECT_TRUE(locksetOf(R, Figure7::R2T2).empty());
+}
+
+namespace {
+
+/// RULE 2 and 3 as transformTrace built them before the flat lockset
+/// table: one std::string per auxiliary lock name and one heap
+/// std::vector per lockset.
+struct VectorRule3 {
+  std::vector<std::string> AuxNames;
+  std::vector<bool> AuxSpin;
+  std::vector<Lockset> Locksets;
+  uint64_t NumStandalone = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> Constraints;
+};
+
+VectorRule3 vectorRule3(const Trace &Tr, const CsIndex &Index,
+                        const TopologyGraph &Topo) {
+  VectorRule3 Out;
+  size_t NumCs = Index.size();
+  std::vector<LockId> AuxLockOfCs(NumCs, InvalidId);
+  for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
+    if (Topo.outDegree(Cs) == 0)
+      continue;
+    const CriticalSection &Section = Index.byGlobalId(Cs);
+    Out.AuxNames.push_back("@L" + std::to_string(Section.Ref.Thread) + "_" +
+                           std::to_string(Section.Ref.Index));
+    Out.AuxSpin.push_back(Tr.Locks[Section.Lock].IsSpin);
+    AuxLockOfCs[Cs] =
+        static_cast<LockId>(Tr.Locks.size() + Out.AuxNames.size() - 1);
+  }
+  for (LocksetId I = 0; I != Tr.Locksets.size(); ++I) {
+    Lockset LS;
+    for (const LocksetEntry &E : Tr.Locksets[I].Entries)
+      LS.Entries.push_back(E);
+    Out.Locksets.push_back(std::move(LS));
+  }
+  for (uint32_t Cs = 0; Cs != NumCs; ++Cs) {
+    Lockset LS;
+    if (AuxLockOfCs[Cs] != InvalidId)
+      LS.Entries.push_back(LocksetEntry{AuxLockOfCs[Cs], InvalidId});
+    for (uint32_t Pred : Topo.predecessors(Cs))
+      LS.Entries.push_back(LocksetEntry{AuxLockOfCs[Pred], Pred});
+    if (LS.Entries.empty())
+      ++Out.NumStandalone;
+    Out.Locksets.push_back(std::move(LS));
+  }
+  for (const TopologyEdge &E : Topo.edges())
+    Out.Constraints.push_back({E.From, E.To});
+  for (LockId L = 0; L != Index.numLocks(); ++L) {
+    uint32_t PrevCausal = InvalidId;
+    for (uint32_t Cs : Index.sectionsOfLock(L)) {
+      if (Topo.isStandalone(Cs))
+        continue;
+      if (PrevCausal != InvalidId) {
+        NodeList Succ = Topo.successors(PrevCausal);
+        if (std::find(Succ.begin(), Succ.end(), Cs) == Succ.end())
+          Out.Constraints.push_back({PrevCausal, Cs});
+      }
+      PrevCausal = Cs;
+    }
+  }
+  return Out;
+}
+
+} // namespace
+
+// Every app and synthetic app at 4 threads (scales 1 and 4) and at 16
+// and 64 threads (scale 1): the flat lockset table holds the vector
+// builder's locksets entry for entry, the auxiliary locks carry its
+// names and spin flags, and the table survives the text and v3 round
+// trips.
+TEST(TransformTest, FlatLocksetTableMatchesVectorBuilder) {
+  std::vector<AppModel> Models = allApps();
+  Models.insert(Models.end(), syntheticApps().begin(),
+                syntheticApps().end());
+  Engine Eng;
+  const std::vector<std::pair<unsigned, double>> Shapes = {
+      {4, 1.0}, {4, 4.0}, {16, 1.0}, {64, 1.0}};
+  for (const AppModel &App : Models)
+    for (auto [Threads, Scale] : Shapes) {
+      SCOPED_TRACE(App.Name + " threads " + std::to_string(Threads) +
+                   " scale " + std::to_string(Scale));
+      AnalysisSession Session =
+          Eng.openSession(generateWorkload(App.Factory(Threads, Scale)));
+      ASSERT_TRUE(Session.ensureRecorded().ok());
+      const Trace &Tr = Session.trace();
+      Expected<const CsIndex &> Index = Session.csIndex();
+      ASSERT_TRUE(Index.ok()) << Index.message();
+      Expected<const TransformResult &> Tx = Session.transform();
+      ASSERT_TRUE(Tx.ok()) << Tx.message();
+      const Trace &Out = Tx->Transformed;
+
+      VectorRule3 Want = vectorRule3(Tr, *Index, Tx->Topology);
+      ASSERT_EQ(Out.Locks.size(), Tr.Locks.size() + Want.AuxNames.size());
+      EXPECT_EQ(Tx->NumAuxLocks, Want.AuxNames.size());
+      for (size_t K = 0; K != Want.AuxNames.size(); ++K) {
+        LockId Aux = static_cast<LockId>(Tr.Locks.size() + K);
+        ASSERT_EQ(Out.lockName(Aux), Want.AuxNames[K]);
+        ASSERT_EQ(Out.Locks[Aux].IsSpin, Want.AuxSpin[K]);
+      }
+      ASSERT_EQ(Out.Locksets.size(), Want.Locksets.size());
+      for (LocksetId I = 0; I != Want.Locksets.size(); ++I) {
+        const std::vector<LocksetEntry> &WantEntries =
+            Want.Locksets[I].Entries;
+        Span<LocksetEntry> Got = Out.Locksets[I].Entries;
+        ASSERT_EQ(std::vector<LocksetEntry>(Got.begin(), Got.end()),
+                  WantEntries)
+            << "lockset " << I;
+      }
+      EXPECT_EQ(Tx->NumStandalone, Want.NumStandalone);
+      std::vector<std::pair<uint32_t, uint32_t>> Constraints;
+      for (const OrderConstraint &C : Out.Constraints)
+        Constraints.push_back({C.Before, C.After});
+      EXPECT_EQ(Constraints, Want.Constraints);
+
+      std::string Err;
+      Trace FromText;
+      ASSERT_TRUE(parseTraceText(writeTraceText(Out), FromText, Err)) << Err;
+      EXPECT_TRUE(FromText.Locksets == Out.Locksets);
+      std::vector<uint8_t> Bytes = writeTraceV3(Out);
+      Trace FromV3;
+      ASSERT_TRUE(parseTraceV3(Bytes.data(), Bytes.size(), FromV3, Err))
+          << Err;
+      EXPECT_TRUE(FromV3.Locksets == Out.Locksets);
+    }
 }
 
 TEST(TransformTest, Rule2ConstraintsPreservePartialOrder) {
