@@ -15,14 +15,14 @@ void SectionBody::add(const Event &E) {
   case EventKind::Read:
   case EventKind::Write:
     Accesses.push_back(
-        Access{E.Addr, E.Value, E.Op, E.Kind == EventKind::Write});
+        Access{E.addr(), E.value(), E.Op, E.Kind == EventKind::Write});
     break;
   case EventKind::CondWait:
-    CondWaits.push_back(E.Lock);
+    CondWaits.push_back(E.lock());
     break;
   case EventKind::CondSignal:
   case EventKind::CondBroadcast:
-    CondSignals.push_back(E.Lock);
+    CondSignals.push_back(E.lock());
     break;
   default:
     break;
@@ -117,7 +117,7 @@ CsIndex CsIndex::build(const Trace &Tr) {
         if (!isSectionOpen(E)) {
           // A failed trylock opens nothing but is a witnessed
           // contention edge on the lock.
-          ++Index.TryFailPerLock[E.Lock];
+          ++Index.TryFailPerLock[E.lock()];
           break;
         }
         CriticalSection Cs;
@@ -125,8 +125,8 @@ CsIndex CsIndex::build(const Trace &Tr) {
         Cs.GlobalId = static_cast<uint32_t>(Index.Sections.size());
         assert(Cs.GlobalId == Tr.globalCsId(Cs.Ref) &&
                "global-id enumeration mismatch");
-        Cs.Lock = E.Lock;
-        Cs.Site = E.Site;
+        Cs.Lock = E.lock();
+        Cs.Site = E.site();
         Cs.Mode = acquireModeOf(E);
         Cs.AcquireIdx = I;
         Cs.Depth = static_cast<unsigned>(OpenStack.size());
@@ -140,7 +140,7 @@ CsIndex CsIndex::build(const Trace &Tr) {
         assert(!OpenStack.empty() && "release without acquire; validate "
                                      "the trace first");
         CriticalSection &Cs = Index.Sections[OpenStack.back()];
-        assert(Cs.Lock == E.Lock && "mismatched release");
+        assert(Cs.Lock == E.lock() && "mismatched release");
         Cs.ReleaseIdx = I;
         Index.pack(OpenStack.back(), Bodies[Cs.Depth]);
         OpenStack.pop_back();
@@ -148,11 +148,11 @@ CsIndex CsIndex::build(const Trace &Tr) {
       }
       case EventKind::Compute:
         for (uint32_t Open : OpenStack)
-          Index.Sections[Open].InnerCost += E.Cost;
+          Index.Sections[Open].InnerCost += E.cost();
         break;
       case EventKind::Read:
       case EventKind::Write:
-        Initial.insert(E.Addr, E.Kind == EventKind::Read ? E.Value : 0);
+        Initial.insert(E.addr(), E.Kind == EventKind::Read ? E.value() : 0);
         [[fallthrough]];
       case EventKind::CondWait:
       case EventKind::CondSignal:

@@ -30,18 +30,18 @@ SignatureInterner::intern(LockId Lock, CodeSiteId Site, AcquireMode Mode,
   for (const Event *E = Begin; E != End; ++E) {
     if (E->Kind == EventKind::Read) {
       Words.push_back(1);
-      Words.push_back(E->Addr);
+      Words.push_back(E->addr());
     } else if (E->Kind == EventKind::Write) {
       Words.push_back(2 | (static_cast<uint64_t>(E->Op) << 8));
-      Words.push_back(E->Addr);
-      Words.push_back(E->Value);
+      Words.push_back(E->addr());
+      Words.push_back(E->value());
     } else if (E->Kind == EventKind::CondWait) {
       Words.push_back(3);
-      Words.push_back(E->Lock);
+      Words.push_back(E->lock());
     } else if (E->Kind == EventKind::CondSignal ||
                E->Kind == EventKind::CondBroadcast) {
       Words.push_back(4);
-      Words.push_back(E->Lock);
+      Words.push_back(E->lock());
     }
     // Nested acquire/release and Compute events are invisible to both
     // Algorithm 1 and the reversed replay.

@@ -43,14 +43,14 @@ void WindowedDetector::noteAccess(ThreadId T, const Event &E) {
   // same or a lower thread was recorded earlier in that thread's
   // program order and wins; a candidate from a higher thread loses to
   // this one regardless of arrival order.
-  const FirstAccess *Existing = First.find(E.Addr);
+  const FirstAccess *Existing = First.find(E.addr());
   if (Existing && Existing->Thread <= T)
     return;
   FirstAccess FA;
   FA.Thread = T;
   FA.IsRead = E.Kind == EventKind::Read ? 1 : 0;
-  FA.Value = E.Value;
-  First[E.Addr] = FA;
+  FA.Value = E.value();
+  First[E.addr()] = FA;
 }
 
 uint32_t WindowedDetector::closeSection(OpenSection &&Top) {
@@ -105,18 +105,18 @@ bool WindowedDetector::addEvents(ThreadId T, const Event *Events, size_t N,
     if (isSectionOpen(E)) {
       OpenSection Open;
       Open.PerThreadIdx = static_cast<uint32_t>(TS.Locks.size());
-      Open.Lock = E.Lock;
-      Open.Site = E.Site;
+      Open.Lock = E.lock();
+      Open.Site = E.site();
       Open.Mode = acquireModeOf(E);
       Open.Buf.push_back(E);
       ++OpenEvents;
       TS.Stack.push_back(std::move(Open));
-      TS.Locks.push_back(E.Lock);
+      TS.Locks.push_back(E.lock());
       TS.KeyIds.push_back(InvalidId);
     } else if (E.Kind == EventKind::TryAcquire) {
       // A failed trylock (isSectionOpen is false) opens nothing; fold
       // it into the per-lock failure counts finish() emits.
-      ++TryFails[E.Lock];
+      ++TryFails[E.lock()];
     } else if (E.Kind == EventKind::LockRelease) {
       if (TS.Stack.empty()) {
         StreamErr = "windowed detection: lock release without matching "
@@ -127,7 +127,7 @@ bool WindowedDetector::addEvents(ThreadId T, const Event *Events, size_t N,
       }
       OpenSection Top = std::move(TS.Stack.back());
       TS.Stack.pop_back();
-      if (Top.Lock != E.Lock) {
+      if (Top.Lock != E.lock()) {
         StreamErr = "windowed detection: mismatched lock release in "
                     "thread " +
                     std::to_string(T);

@@ -57,7 +57,7 @@ Expected<Trace> Recorder::finish() {
     uint32_t Index = 0;
     for (const Event &E : Tr.Threads[T].Events)
       if (isSectionOpen(E))
-        Sections[{E.Lock, T}].push_back(Index++);
+        Sections[{E.lock(), T}].push_back(Index++);
   }
   Tr.LockSchedule.assign(Tr.Locks.size(), {});
   MutexLock Guard(Mu);

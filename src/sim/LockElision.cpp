@@ -33,7 +33,7 @@ void soloSpeculate(const Trace &Tr, const CostModel &Costs,
     for (const Event &E : Tr.Threads[T].Events) {
       switch (E.Kind) {
       case EventKind::Compute:
-        Clock += E.Cost;
+        Clock += E.cost();
         break;
       case EventKind::Read:
       case EventKind::Write:

@@ -34,6 +34,9 @@ private:
     size_t PC = 0;
     TimeNs Clock = 0;
     StatusKind Status = StatusKind::Running;
+    /// Global id of this thread's first critical section; its next one
+    /// is CsBase + NextCsIndex.
+    uint32_t CsBase = 0;
     uint32_t NextCsIndex = 0;
     /// Open critical sections (global ids), innermost last.
     std::vector<uint32_t> OpenCs;
@@ -152,6 +155,8 @@ Engine::Engine(const Trace &Tr, const ReplayOptions &Opts)
     : Tr(Tr), Opts(Opts) {
   size_t NumCs = Tr.numCriticalSections();
   Threads.resize(Tr.numThreads());
+  for (ThreadId T = 0; T != Threads.size(); ++T)
+    Threads[T].CsBase = Tr.firstGlobalCsId(T);
   Locks.resize(Tr.Locks.size());
   Holdings.resize(NumCs);
   // RULE 2 predecessors as CSR, each list in constraint order.
@@ -183,28 +188,8 @@ Engine::Engine(const Trace &Tr, const ReplayOptions &Opts)
           EnforcedOrder[L].push_back(Tr.globalCsId(Ref));
     } else {
       assert(Opts.Schedule == ScheduleKind::SyncS && "covered above");
-      // SYNC-S: input-derived deterministic order — sort each lock's
-      // sections by their no-contention (solo) arrival time.
-      std::vector<TimeNs> Solo = computeSoloArrivals(Tr, Opts.Costs);
-      std::vector<std::vector<uint32_t>> ByLock(Tr.Locks.size());
-      for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
-        uint32_t Index = 0;
-        for (const Event &E : Tr.Threads[T].Events)
-          if (isSectionOpen(E)) {
-            uint32_t Id = Tr.globalCsId(CsRef{T, Index++});
-            ByLock[E.Lock].push_back(Id);
-          }
-      }
-      for (LockId L = 0; L != ByLock.size(); ++L) {
-        auto &Order = ByLock[L];
-        std::stable_sort(Order.begin(), Order.end(),
-                         [&](uint32_t A, uint32_t B) {
-                           if (Solo[A] != Solo[B])
-                             return Solo[A] < Solo[B];
-                           return A < B;
-                         });
-        EnforcedOrder[L] = std::move(Order);
-      }
+      // SYNC-S: input-derived deterministic order.
+      EnforcedOrder = computeSyncOrder(Tr, Opts.Costs);
     }
   }
 }
@@ -222,11 +207,11 @@ TimeNs Engine::jitteredCost(ThreadId T, size_t PC, TimeNs Cost) const {
 
 void Engine::resolvePendingLocks(ThreadState &TS, const Event &E,
                                  uint32_t Cs) {
-  TS.PendingHasLockset = E.Lockset != InvalidId;
-  TS.PendingLockset = E.Lockset;
+  TS.PendingHasLockset = E.lockset() != InvalidId;
+  TS.PendingLockset = E.lockset();
   TS.PendingCs = Cs;
-  if (E.Lockset == InvalidId) {
-    TS.PendingLocks.assign(1, E.Lock);
+  if (E.lockset() == InvalidId) {
+    TS.PendingLocks.assign(1, E.lock());
     return;
   }
   refreshPendingLocks(TS);
@@ -272,7 +257,7 @@ void Engine::advanceThread(ThreadId T) {
       continue;
 
     case EventKind::Compute:
-      TS.Clock += jitteredCost(T, TS.PC, E.Cost);
+      TS.Clock += jitteredCost(T, TS.PC, E.cost());
       ++TS.PC;
       continue;
 
@@ -301,7 +286,7 @@ void Engine::advanceThread(ThreadId T) {
         ++TS.PC;
         continue;
       }
-      uint32_t Cs = Tr.globalCsId(CsRef{T, TS.NextCsIndex});
+      uint32_t Cs = TS.CsBase + TS.NextCsIndex;
       ++TS.NextCsIndex;
       CsTiming &Timing = Result.Sections[Cs];
       Timing.PrecursorStart = TS.LastSyncEnd;
@@ -494,7 +479,7 @@ void Engine::grantAcquire(ThreadId T, TimeNs When) {
       LS.Held = true;
       LS.Holder = T;
     }
-    Result.GrantSchedule[L].push_back(Tr.csRefOf(Cs));
+    Result.GrantSchedule[L].push_back(CsRef{T, Cs - TS.CsBase});
     if (EnforcedOrder.empty())
       continue;
     // Advance the enforced-order cursor past this grant (and any
@@ -625,8 +610,11 @@ ReplayResult Engine::run() {
   return std::move(Result);
 }
 
-std::vector<TimeNs> perfplay::computeSoloArrivals(const Trace &Tr,
-                                                  const CostModel &Costs) {
+/// computeSoloArrivals(), also storing each section's lock into
+/// \p LockOf when it is non-null (sized to the section count).
+static std::vector<TimeNs> soloArrivals(const Trace &Tr,
+                                        const CostModel &Costs,
+                                        LockId *LockOf) {
   std::vector<TimeNs> Solo(Tr.numCriticalSections(), 0);
   for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
     TimeNs Clock = 0;
@@ -634,7 +622,7 @@ std::vector<TimeNs> perfplay::computeSoloArrivals(const Trace &Tr,
     for (const Event &E : Tr.Threads[T].Events) {
       switch (E.Kind) {
       case EventKind::Compute:
-        Clock += E.Cost;
+        Clock += E.cost();
         break;
       case EventKind::Read:
       case EventKind::Write:
@@ -645,7 +633,10 @@ std::vector<TimeNs> perfplay::computeSoloArrivals(const Trace &Tr,
       case EventKind::RwAcquireWrite:
       case EventKind::TryAcquire:
         if (isSectionOpen(E)) {
-          Solo[Tr.globalCsId(CsRef{T, Index++})] = Clock;
+          uint32_t Cs = Tr.firstGlobalCsId(T) + Index++;
+          Solo[Cs] = Clock;
+          if (LockOf)
+            LockOf[Cs] = E.lock();
           Clock += Costs.LockAcquire;
         } else {
           Clock += Costs.TryLockFail;
@@ -668,6 +659,59 @@ std::vector<TimeNs> perfplay::computeSoloArrivals(const Trace &Tr,
     }
   }
   return Solo;
+}
+
+std::vector<TimeNs> perfplay::computeSoloArrivals(const Trace &Tr,
+                                                  const CostModel &Costs) {
+  return soloArrivals(Tr, Costs, nullptr);
+}
+
+std::vector<std::vector<uint32_t>>
+perfplay::computeSyncOrder(const Trace &Tr, const CostModel &Costs) {
+  std::vector<LockId> LockOf(Tr.numCriticalSections());
+  std::vector<TimeNs> Solo = soloArrivals(Tr, Costs, LockOf.data());
+  std::vector<std::vector<uint32_t>> Order(Tr.Locks.size());
+  {
+    std::vector<uint32_t> PerLock(Tr.Locks.size(), 0);
+    for (LockId L : LockOf)
+      ++PerLock[L];
+    for (LockId L = 0; L != Order.size(); ++L)
+      Order[L].reserve(PerLock[L]);
+  }
+  // Within a thread, ids ascend and solo arrivals never decrease, so
+  // each thread's sections are already in (solo arrival, id) order:
+  // merging the threads through a heap of their next sections lists
+  // every section in that order, and each lock's list comes out
+  // sorted with no per-lock sort.
+  struct Head {
+    TimeNs Solo;
+    uint32_t Cs;
+    uint32_t End;
+  };
+  // std heaps keep the greatest on top, so "after" is the order.
+  auto After = [](const Head &A, const Head &B) {
+    return A.Solo != B.Solo ? A.Solo > B.Solo : A.Cs > B.Cs;
+  };
+  std::vector<Head> Heap;
+  for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
+    uint32_t Begin = Tr.firstGlobalCsId(T);
+    uint32_t End = Tr.firstGlobalCsId(T + 1);
+    if (Begin != End)
+      Heap.push_back(Head{Solo[Begin], Begin, End});
+  }
+  std::make_heap(Heap.begin(), Heap.end(), After);
+  while (!Heap.empty()) {
+    std::pop_heap(Heap.begin(), Heap.end(), After);
+    Head &Next = Heap.back();
+    Order[LockOf[Next.Cs]].push_back(Next.Cs);
+    if (++Next.Cs == Next.End) {
+      Heap.pop_back();
+      continue;
+    }
+    Next.Solo = Solo[Next.Cs];
+    std::push_heap(Heap.begin(), Heap.end(), After);
+  }
+  return Order;
 }
 
 ReplayResult perfplay::replayTrace(const Trace &Tr,

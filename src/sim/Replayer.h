@@ -66,6 +66,11 @@ ReplayResult replayTrace(const Trace &Tr,
 std::vector<TimeNs> computeSoloArrivals(const Trace &Tr,
                                         const CostModel &Costs);
 
+/// SYNC-S's enforced grant order: for each lock, its critical sections
+/// (global ids) by ascending (solo arrival, id).
+std::vector<std::vector<uint32_t>> computeSyncOrder(const Trace &Tr,
+                                                    const CostModel &Costs);
+
 /// "Recording" step for generated traces: replays \p Tr once under
 /// ORIG-S with \p Seed and installs the observed per-lock grant order
 /// as Tr.LockSchedule — the schedule ELSC-S will enforce on replays.

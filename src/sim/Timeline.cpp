@@ -81,7 +81,7 @@ std::string perfplay::renderTimeline(const Trace &Tr,
     for (const Event &E : Tr.Threads[Ref.Thread].Events)
       if (isSectionOpen(E)) {
         if (Index++ == Ref.Index) {
-          Spin = Tr.Locks[E.Lock].IsSpin;
+          Spin = Tr.Locks[E.lock()].IsSpin;
           break;
         }
       }

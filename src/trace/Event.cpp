@@ -4,114 +4,6 @@
 
 using namespace perfplay;
 
-Event Event::threadStart() {
-  Event E;
-  E.Kind = EventKind::ThreadStart;
-  return E;
-}
-
-Event Event::threadEnd() {
-  Event E;
-  E.Kind = EventKind::ThreadEnd;
-  return E;
-}
-
-Event Event::lockAcquire(LockId Lock, CodeSiteId Site, LocksetId Lockset) {
-  Event E;
-  E.Kind = EventKind::LockAcquire;
-  E.Lock = Lock;
-  E.Site = Site;
-  E.Lockset = Lockset;
-  return E;
-}
-
-Event Event::lockRelease(LockId Lock) {
-  Event E;
-  E.Kind = EventKind::LockRelease;
-  E.Lock = Lock;
-  return E;
-}
-
-Event Event::read(AddrId Addr, uint64_t Value) {
-  Event E;
-  E.Kind = EventKind::Read;
-  E.Addr = Addr;
-  E.Value = Value;
-  return E;
-}
-
-Event Event::write(AddrId Addr, uint64_t Value, WriteOpKind Op) {
-  Event E;
-  E.Kind = EventKind::Write;
-  E.Addr = Addr;
-  E.Value = Value;
-  E.Op = Op;
-  return E;
-}
-
-Event Event::compute(TimeNs Cost) {
-  Event E;
-  E.Kind = EventKind::Compute;
-  E.Cost = Cost;
-  return E;
-}
-
-Event Event::rwAcquireRead(LockId Lock, CodeSiteId Site,
-                           LocksetId Lockset) {
-  Event E;
-  E.Kind = EventKind::RwAcquireRead;
-  E.Mode = AcquireMode::Shared;
-  E.Lock = Lock;
-  E.Site = Site;
-  E.Lockset = Lockset;
-  return E;
-}
-
-Event Event::rwAcquireWrite(LockId Lock, CodeSiteId Site,
-                            LocksetId Lockset) {
-  Event E;
-  E.Kind = EventKind::RwAcquireWrite;
-  E.Mode = AcquireMode::Exclusive;
-  E.Lock = Lock;
-  E.Site = Site;
-  E.Lockset = Lockset;
-  return E;
-}
-
-Event Event::tryAcquire(LockId Lock, CodeSiteId Site, bool Succeeded,
-                        AcquireMode Mode, LocksetId Lockset) {
-  Event E;
-  E.Kind = EventKind::TryAcquire;
-  E.Mode = Mode;
-  E.TrySucceeded = Succeeded;
-  E.Lock = Lock;
-  E.Site = Site;
-  E.Lockset = Lockset;
-  return E;
-}
-
-Event Event::condWait(LockId Cond, CodeSiteId Site) {
-  Event E;
-  E.Kind = EventKind::CondWait;
-  E.Lock = Cond;
-  E.Site = Site;
-  return E;
-}
-
-Event Event::condSignal(LockId Cond) {
-  Event E;
-  E.Kind = EventKind::CondSignal;
-  E.Lock = Cond;
-  return E;
-}
-
-Event Event::condBroadcast(LockId Cond) {
-  Event E;
-  E.Kind = EventKind::CondBroadcast;
-  E.Lock = Cond;
-  return E;
-}
-
 // Exhaustive on purpose (no default): adding an EventKind without a
 // mnemonic must fail the -Werror build, not silently print "?".
 const char *perfplay::eventKindName(EventKind Kind) {

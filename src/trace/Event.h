@@ -18,6 +18,7 @@
 #ifndef PERFPLAY_TRACE_EVENT_H
 #define PERFPLAY_TRACE_EVENT_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -118,8 +119,43 @@ enum class WriteOpKind : uint8_t {
 /// Returns a short mnemonic ("store", "add", ...) for \p Op.
 const char *writeOpName(WriteOpKind Op);
 
-/// One recorded event.  Fields beyond Kind are meaningful only for the
-/// kinds documented on each member.
+/// True for the kinds whose payload is {Site, Lock, Lockset}: every
+/// mutex, rwlock, trylock and condition-variable event.
+constexpr bool carriesLockPayload(EventKind Kind) {
+  switch (Kind) {
+  case EventKind::LockAcquire:
+  case EventKind::LockRelease:
+  case EventKind::RwAcquireRead:
+  case EventKind::RwAcquireWrite:
+  case EventKind::TryAcquire:
+  case EventKind::CondWait:
+  case EventKind::CondSignal:
+  case EventKind::CondBroadcast:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// True for the kinds whose payload is {Addr, Value}: Read and Write.
+constexpr bool carriesAccessPayload(EventKind Kind) {
+  return Kind == EventKind::Read || Kind == EventKind::Write;
+}
+
+/// One recorded event: a 4-byte header, then a payload chosen by the
+/// kind:
+/// - mutex, rwlock, trylock and condvar kinds: {Site, Lock, Lockset};
+/// - Read and Write: {Addr, Value};
+/// - Compute: Cost;
+/// - ThreadStart and ThreadEnd: none.
+///
+/// The payload lives in three fixed words (no union, so no member is
+/// ever read other than as written) that only the named constructors
+/// and setLockset() write; every reader goes through the accessor of
+/// the field it wants, which asserts in Debug builds that the kind
+/// carries that field.  Two copies of every event are alive in an
+/// analysis session (the loaded trace and its ULCP-free transform), so
+/// the event stays 24 bytes.
 struct Event {
   EventKind Kind = EventKind::Compute;
   /// Write operator (Write only).
@@ -130,44 +166,124 @@ struct Event {
   AcquireMode Mode = AcquireMode::Exclusive;
   /// Whether a TryAcquire obtained the lock (TryAcquire only).
   bool TrySucceeded = false;
-  /// Code site opening the critical section (section-opening kinds and
-  /// CondWait).
-  CodeSiteId Site = InvalidId;
+
+  /// A zero-cost Compute event.
+  Event() = default;
+
   /// Lock operated on (acquire/release kinds), or the condvar id for
   /// CondWait / CondSignal / CondBroadcast (condvars live in the lock
   /// table).
-  LockId Lock = InvalidId;
+  LockId lock() const {
+    assert(carriesLockPayload(Kind) && "lock() of a non-lock event");
+    return Word0;
+  }
+  /// Code site opening the critical section (section-opening kinds and
+  /// CondWait); InvalidId on the other lock kinds.
+  CodeSiteId site() const {
+    assert(carriesLockPayload(Kind) && "site() of a non-lock event");
+    return static_cast<CodeSiteId>(Word1);
+  }
   /// Lockset id in transformed traces (section-opening kinds only);
-  /// InvalidId in recorded traces, meaning "acquire exactly {Lock}".
-  LocksetId Lockset = InvalidId;
+  /// InvalidId in recorded traces, meaning "acquire exactly {lock()}".
+  LocksetId lockset() const {
+    assert(carriesLockPayload(Kind) && "lockset() of a non-lock event");
+    return static_cast<LocksetId>(Word2);
+  }
   /// Accessed address (Read / Write).
-  AddrId Addr = 0;
+  AddrId addr() const {
+    assert(carriesAccessPayload(Kind) && "addr() of a non-access event");
+    return Word1;
+  }
   /// Write operand, or value observed by a Read in the recorded run.
-  uint64_t Value = 0;
+  uint64_t value() const {
+    assert(carriesAccessPayload(Kind) && "value() of a non-access event");
+    return Word2;
+  }
   /// Duration in virtual nanoseconds (Compute only).
-  TimeNs Cost = 0;
+  TimeNs cost() const {
+    assert(Kind == EventKind::Compute && "cost() of a non-compute event");
+    return Word1;
+  }
 
-  /// Convenience constructors for each kind.
-  static Event threadStart();
-  static Event threadEnd();
+  /// Rebinds a lock event to lockset \p Lockset (RULE 3's rewrite of
+  /// a section-opening event in the ULCP-free trace).
+  void setLockset(LocksetId Lockset) {
+    assert(carriesLockPayload(Kind) && "lockset of a non-lock event");
+    Word2 = Lockset;
+  }
+
+  /// Header and payload equality.
+  bool operator==(const Event &RHS) const {
+    return Kind == RHS.Kind && Op == RHS.Op && Mode == RHS.Mode &&
+           TrySucceeded == RHS.TrySucceeded && Word0 == RHS.Word0 &&
+           Word1 == RHS.Word1 && Word2 == RHS.Word2;
+  }
+
+  /// Convenience constructors for each kind; the only writers of the
+  /// payload besides setLockset().
+  static Event threadStart() { return Event(EventKind::ThreadStart); }
+  static Event threadEnd() { return Event(EventKind::ThreadEnd); }
   static Event lockAcquire(LockId Lock, CodeSiteId Site,
-                           LocksetId Lockset = InvalidId);
-  static Event lockRelease(LockId Lock);
-  static Event read(AddrId Addr, uint64_t Value = 0);
+                           LocksetId Lockset = InvalidId) {
+    return Event(EventKind::LockAcquire, Lock, Site, Lockset);
+  }
+  static Event lockRelease(LockId Lock) {
+    return Event(EventKind::LockRelease, Lock, InvalidId, InvalidId);
+  }
+  static Event read(AddrId Addr, uint64_t Value = 0) {
+    return Event(EventKind::Read, 0, Addr, Value);
+  }
   static Event write(AddrId Addr, uint64_t Value,
-                     WriteOpKind Op = WriteOpKind::Store);
-  static Event compute(TimeNs Cost);
+                     WriteOpKind Op = WriteOpKind::Store) {
+    Event E(EventKind::Write, 0, Addr, Value);
+    E.Op = Op;
+    return E;
+  }
+  static Event compute(TimeNs Cost) {
+    return Event(EventKind::Compute, 0, Cost, 0);
+  }
   static Event rwAcquireRead(LockId Lock, CodeSiteId Site,
-                             LocksetId Lockset = InvalidId);
+                             LocksetId Lockset = InvalidId) {
+    Event E(EventKind::RwAcquireRead, Lock, Site, Lockset);
+    E.Mode = AcquireMode::Shared;
+    return E;
+  }
   static Event rwAcquireWrite(LockId Lock, CodeSiteId Site,
-                              LocksetId Lockset = InvalidId);
+                              LocksetId Lockset = InvalidId) {
+    return Event(EventKind::RwAcquireWrite, Lock, Site, Lockset);
+  }
   static Event tryAcquire(LockId Lock, CodeSiteId Site, bool Succeeded,
                           AcquireMode Mode = AcquireMode::Exclusive,
-                          LocksetId Lockset = InvalidId);
-  static Event condWait(LockId Cond, CodeSiteId Site);
-  static Event condSignal(LockId Cond);
-  static Event condBroadcast(LockId Cond);
+                          LocksetId Lockset = InvalidId) {
+    Event E(EventKind::TryAcquire, Lock, Site, Lockset);
+    E.Mode = Mode;
+    E.TrySucceeded = Succeeded;
+    return E;
+  }
+  static Event condWait(LockId Cond, CodeSiteId Site) {
+    return Event(EventKind::CondWait, Cond, Site, InvalidId);
+  }
+  static Event condSignal(LockId Cond) {
+    return Event(EventKind::CondSignal, Cond, InvalidId, InvalidId);
+  }
+  static Event condBroadcast(LockId Cond) {
+    return Event(EventKind::CondBroadcast, Cond, InvalidId, InvalidId);
+  }
+
+private:
+  explicit Event(EventKind K, uint32_t W0 = 0, uint64_t W1 = 0,
+                 uint64_t W2 = 0)
+      : Kind(K), Word0(W0), Word1(W1), Word2(W2) {}
+
+  /// Lock.
+  uint32_t Word0 = 0;
+  /// Site, Addr or Cost.
+  uint64_t Word1 = 0;
+  /// Lockset or Value.
+  uint64_t Word2 = 0;
 };
+
+static_assert(sizeof(Event) == 24, "Event must stay 24 bytes");
 
 /// True iff \p E opens a critical section: a blocking acquire (mutex
 /// or either rwlock side) or a successful trylock.  Every consumer

@@ -26,16 +26,16 @@ TraceSummary perfplay::summarizeTrace(const Trace &Tr) {
       switch (E.Kind) {
       case EventKind::LockAcquire:
         ++S.NumCriticalSections;
-        ++Acquisitions[E.Lock];
-        Users[E.Lock].insert(T);
+        ++Acquisitions[E.lock()];
+        Users[E.lock()].insert(T);
         ++Depth;
         S.MaxNesting = std::max(S.MaxNesting, Depth);
         break;
       case EventKind::RwAcquireRead:
       case EventKind::RwAcquireWrite:
         ++S.NumCriticalSections;
-        ++Acquisitions[E.Lock];
-        Users[E.Lock].insert(T);
+        ++Acquisitions[E.lock()];
+        Users[E.lock()].insert(T);
         ++Depth;
         S.MaxNesting = std::max(S.MaxNesting, Depth);
         if (E.Kind == EventKind::RwAcquireRead)
@@ -47,8 +47,8 @@ TraceSummary perfplay::summarizeTrace(const Trace &Tr) {
         if (E.TrySucceeded) {
           ++S.TrySuccesses;
           ++S.NumCriticalSections;
-          ++Acquisitions[E.Lock];
-          Users[E.Lock].insert(T);
+          ++Acquisitions[E.lock()];
+          Users[E.lock()].insert(T);
           ++Depth;
           S.MaxNesting = std::max(S.MaxNesting, Depth);
         } else {
@@ -73,9 +73,9 @@ TraceSummary perfplay::summarizeTrace(const Trace &Tr) {
         break;
       case EventKind::Compute:
         ++S.NumComputeEvents;
-        S.TotalComputeNs += E.Cost;
+        S.TotalComputeNs += E.cost();
         if (Depth > 0)
-          S.InCsComputeNs += E.Cost;
+          S.InCsComputeNs += E.cost();
         break;
       case EventKind::ThreadStart:
       case EventKind::ThreadEnd:

@@ -125,35 +125,35 @@ std::string Trace::validate() const {
       case EventKind::RwAcquireRead:
       case EventKind::RwAcquireWrite:
       case EventKind::TryAcquire:
-        if (E.Lock >= Locks.size())
+        if (E.lock() >= Locks.size())
           return at("acquire of unknown lock");
-        if (E.Site != InvalidId && E.Site >= Sites.size())
+        if (E.site() != InvalidId && E.site() >= Sites.size())
           return at("unknown code site");
-        if (E.Lockset != InvalidId && E.Lockset >= Locksets.size())
+        if (E.lockset() != InvalidId && E.lockset() >= Locksets.size())
           return at("unknown lockset");
         // A failed trylock opens nothing; every other acquire (and a
         // successful try) opens a critical section.
         if (isSectionOpen(E)) {
-          HeldStack.push_back(E.Lock);
+          HeldStack.push_back(E.lock());
           ++CsPerThread[T];
         }
         break;
       case EventKind::LockRelease:
-        if (E.Lock >= Locks.size())
+        if (E.lock() >= Locks.size())
           return at("release of unknown lock");
-        if (HeldStack.empty() || HeldStack.back() != E.Lock)
+        if (HeldStack.empty() || HeldStack.back() != E.lock())
           return at("release does not match innermost held lock");
         HeldStack.pop_back();
         break;
       case EventKind::CondWait:
-        if (E.Lock >= Locks.size())
+        if (E.lock() >= Locks.size())
           return at("wait on unknown condition variable");
-        if (E.Site != InvalidId && E.Site >= Sites.size())
+        if (E.site() != InvalidId && E.site() >= Sites.size())
           return at("unknown code site");
         break;
       case EventKind::CondSignal:
       case EventKind::CondBroadcast:
-        if (E.Lock >= Locks.size())
+        if (E.lock() >= Locks.size())
           return at("signal of unknown condition variable");
         break;
       case EventKind::Read:

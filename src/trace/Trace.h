@@ -231,8 +231,16 @@ public:
   /// mutation of Threads.
   uint32_t globalCsId(CsRef Ref) const;
 
-  /// Inverse of globalCsId().
+  /// Inverse of globalCsId().  O(threads).
   CsRef csRefOf(uint32_t GlobalId) const;
+
+  /// Global id of thread \p T's first critical section: its sections
+  /// are [firstGlobalCsId(T), firstGlobalCsId(T + 1)) (see
+  /// globalCsId), and firstGlobalCsId(numThreads()) is the total.
+  uint32_t firstGlobalCsId(ThreadId T) const {
+    assert(T < CsPrefix.size() && "buildCsIndex() not called");
+    return CsPrefix[T];
+  }
 
   /// (Re)computes the per-thread CS counts backing globalCsId().
   void buildCsIndex();

@@ -119,55 +119,55 @@ std::string perfplay::writeTraceText(const Trace &Tr) {
         OS << "te\n";
         break;
       case EventKind::LockAcquire:
-        OS << "acq " << E.Lock << " "
-           << (E.Site == InvalidId ? -1 : static_cast<int64_t>(E.Site))
+        OS << "acq " << E.lock() << " "
+           << (E.site() == InvalidId ? -1 : static_cast<int64_t>(E.site()))
            << " "
-           << (E.Lockset == InvalidId ? -1
-                                      : static_cast<int64_t>(E.Lockset))
+           << (E.lockset() == InvalidId ? -1
+                                      : static_cast<int64_t>(E.lockset()))
            << "\n";
         break;
       case EventKind::LockRelease:
-        OS << "rel " << E.Lock << "\n";
+        OS << "rel " << E.lock() << "\n";
         break;
       case EventKind::Read:
-        OS << "rd " << E.Addr << " " << E.Value << "\n";
+        OS << "rd " << E.addr() << " " << E.value() << "\n";
         break;
       case EventKind::Write:
-        OS << "wr " << E.Addr << " " << E.Value << " "
+        OS << "wr " << E.addr() << " " << E.value() << " "
            << static_cast<unsigned>(E.Op) << "\n";
         break;
       case EventKind::Compute:
-        OS << "comp " << E.Cost << "\n";
+        OS << "comp " << E.cost() << "\n";
         break;
       case EventKind::RwAcquireRead:
       case EventKind::RwAcquireWrite:
         OS << (E.Kind == EventKind::RwAcquireRead ? "rwa " : "rww ")
-           << E.Lock << " "
-           << (E.Site == InvalidId ? -1 : static_cast<int64_t>(E.Site))
+           << E.lock() << " "
+           << (E.site() == InvalidId ? -1 : static_cast<int64_t>(E.site()))
            << " "
-           << (E.Lockset == InvalidId ? -1
-                                      : static_cast<int64_t>(E.Lockset))
+           << (E.lockset() == InvalidId ? -1
+                                      : static_cast<int64_t>(E.lockset()))
            << "\n";
         break;
       case EventKind::TryAcquire:
-        OS << "try " << E.Lock << " "
-           << (E.Site == InvalidId ? -1 : static_cast<int64_t>(E.Site))
+        OS << "try " << E.lock() << " "
+           << (E.site() == InvalidId ? -1 : static_cast<int64_t>(E.site()))
            << " "
-           << (E.Lockset == InvalidId ? -1
-                                      : static_cast<int64_t>(E.Lockset))
+           << (E.lockset() == InvalidId ? -1
+                                      : static_cast<int64_t>(E.lockset()))
            << " " << static_cast<unsigned>(E.Mode) << " "
            << (E.TrySucceeded ? 1 : 0) << "\n";
         break;
       case EventKind::CondWait:
-        OS << "cwait " << E.Lock << " "
-           << (E.Site == InvalidId ? -1 : static_cast<int64_t>(E.Site))
+        OS << "cwait " << E.lock() << " "
+           << (E.site() == InvalidId ? -1 : static_cast<int64_t>(E.site()))
            << "\n";
         break;
       case EventKind::CondSignal:
-        OS << "csig " << E.Lock << "\n";
+        OS << "csig " << E.lock() << "\n";
         break;
       case EventKind::CondBroadcast:
-        OS << "cbro " << E.Lock << "\n";
+        OS << "cbro " << E.lock() << "\n";
         break;
       }
     }

@@ -507,30 +507,38 @@ bool decodeEventStream(const uint8_t *Bytes, size_t Size,
       Err = "unknown event kind";
       return false;
     }
-    Event E;
-    E.Kind = static_cast<EventKind>(KindByte);
-    switch (E.Kind) {
+    // Each event is built by its kind's named constructor, which also
+    // fixes the header (a rwlock acquire's mode, a write's operator).
+    const EventKind Kind = static_cast<EventKind>(KindByte);
+    uint32_t Lock = InvalidId, Site = InvalidId, Lockset = InvalidId;
+    uint64_t Addr = 0, Value = 0;
+    switch (Kind) {
     case EventKind::ThreadStart:
+      Out[I] = Event::threadStart();
+      break;
     case EventKind::ThreadEnd:
+      Out[I] = Event::threadEnd();
       break;
     case EventKind::LockAcquire:
-      if (!eventId(E.Lock, "acquire") || !eventId(E.Site, "acquire") ||
-          !eventId(E.Lockset, "acquire"))
+      if (!eventId(Lock, "acquire") || !eventId(Site, "acquire") ||
+          !eventId(Lockset, "acquire"))
         return false;
+      Out[I] = Event::lockAcquire(Lock, Site, Lockset);
       ++Acquires;
       break;
     case EventKind::LockRelease:
-      if (!eventId(E.Lock, "release"))
+      if (!eventId(Lock, "release"))
         return false;
+      Out[I] = Event::lockRelease(Lock);
       break;
     case EventKind::Read:
-      if (!addr(E.Addr, "read") || !varint(E.Value, "read"))
+      if (!addr(Addr, "read") || !varint(Value, "read"))
         return false;
+      Out[I] = Event::read(Addr, Value);
       break;
     case EventKind::Write: {
       uint8_t Op;
-      if (!addr(E.Addr, "write") || !varint(E.Value, "write") ||
-          !C.u8(Op)) {
+      if (!addr(Addr, "write") || !varint(Value, "write") || !C.u8(Op)) {
         Err = "truncated write";
         return false;
       }
@@ -538,28 +546,32 @@ bool decodeEventStream(const uint8_t *Bytes, size_t Size,
         Err = "unknown write op";
         return false;
       }
-      E.Op = static_cast<WriteOpKind>(Op);
+      Out[I] = Event::write(Addr, Value, static_cast<WriteOpKind>(Op));
       break;
     }
-    case EventKind::Compute:
-      if (!varint(E.Cost, "compute"))
+    case EventKind::Compute: {
+      uint64_t Cost;
+      if (!varint(Cost, "compute"))
         return false;
-      Ts += E.Cost;
+      Ts += Cost;
+      Out[I] = Event::compute(Cost);
       break;
+    }
     case EventKind::RwAcquireRead:
     case EventKind::RwAcquireWrite:
-      if (!eventId(E.Lock, "rwlock acquire") ||
-          !eventId(E.Site, "rwlock acquire") ||
-          !eventId(E.Lockset, "rwlock acquire"))
+      if (!eventId(Lock, "rwlock acquire") ||
+          !eventId(Site, "rwlock acquire") ||
+          !eventId(Lockset, "rwlock acquire"))
         return false;
-      E.Mode = E.Kind == EventKind::RwAcquireRead ? AcquireMode::Shared
-                                                  : AcquireMode::Exclusive;
+      Out[I] = Kind == EventKind::RwAcquireRead
+                   ? Event::rwAcquireRead(Lock, Site, Lockset)
+                   : Event::rwAcquireWrite(Lock, Site, Lockset);
       ++Acquires;
       break;
     case EventKind::TryAcquire: {
       uint8_t Mode, Ok;
-      if (!eventId(E.Lock, "trylock") || !eventId(E.Site, "trylock") ||
-          !eventId(E.Lockset, "trylock"))
+      if (!eventId(Lock, "trylock") || !eventId(Site, "trylock") ||
+          !eventId(Lockset, "trylock"))
         return false;
       if (!C.u8(Mode) || !C.u8(Ok)) {
         Err = "truncated trylock";
@@ -573,26 +585,28 @@ bool decodeEventStream(const uint8_t *Bytes, size_t Size,
         Err = "bad trylock flag";
         return false;
       }
-      E.Mode = static_cast<AcquireMode>(Mode);
-      E.TrySucceeded = Ok != 0;
+      Out[I] = Event::tryAcquire(Lock, Site, Ok != 0,
+                                 static_cast<AcquireMode>(Mode), Lockset);
       // Only a successful try opens a critical section, so only it
       // participates in the directory's acquire accounting.
-      if (E.TrySucceeded)
+      if (Ok != 0)
         ++Acquires;
       break;
     }
     case EventKind::CondWait:
-      if (!eventId(E.Lock, "condition wait") ||
-          !eventId(E.Site, "condition wait"))
+      if (!eventId(Lock, "condition wait") ||
+          !eventId(Site, "condition wait"))
         return false;
+      Out[I] = Event::condWait(Lock, Site);
       break;
     case EventKind::CondSignal:
     case EventKind::CondBroadcast:
-      if (!eventId(E.Lock, "condition signal"))
+      if (!eventId(Lock, "condition signal"))
         return false;
+      Out[I] = Kind == EventKind::CondSignal ? Event::condSignal(Lock)
+                                             : Event::condBroadcast(Lock);
       break;
     }
-    Out[I] = E;
   }
   if (C.remaining() != 0) {
     Err = "chunk event stream size mismatch";
@@ -832,53 +846,53 @@ void TraceV3Writer::append(const Event &E) {
   case EventKind::ThreadEnd:
     break;
   case EventKind::LockAcquire:
-    referenceLock(E.Lock);
-    if (E.Site != InvalidId)
-      referenceSite(E.Site);
-    putUvarint(CurEvents, uid(E.Lock));
-    putUvarint(CurEvents, uid(E.Site));
-    putUvarint(CurEvents, uid(E.Lockset));
+    referenceLock(E.lock());
+    if (E.site() != InvalidId)
+      referenceSite(E.site());
+    putUvarint(CurEvents, uid(E.lock()));
+    putUvarint(CurEvents, uid(E.site()));
+    putUvarint(CurEvents, uid(E.lockset()));
     ++CurAcquireCount;
     break;
   case EventKind::LockRelease:
-    referenceLock(E.Lock);
-    putUvarint(CurEvents, uid(E.Lock));
+    referenceLock(E.lock());
+    putUvarint(CurEvents, uid(E.lock()));
     break;
   case EventKind::Read:
     putUvarint(CurEvents,
-               zigzagEncode(static_cast<int64_t>(E.Addr - PrevAddr)));
-    PrevAddr = E.Addr;
-    putUvarint(CurEvents, E.Value);
+               zigzagEncode(static_cast<int64_t>(E.addr() - PrevAddr)));
+    PrevAddr = E.addr();
+    putUvarint(CurEvents, E.value());
     break;
   case EventKind::Write:
     putUvarint(CurEvents,
-               zigzagEncode(static_cast<int64_t>(E.Addr - PrevAddr)));
-    PrevAddr = E.Addr;
-    putUvarint(CurEvents, E.Value);
+               zigzagEncode(static_cast<int64_t>(E.addr() - PrevAddr)));
+    PrevAddr = E.addr();
+    putUvarint(CurEvents, E.value());
     CurEvents.push_back(static_cast<uint8_t>(E.Op));
     break;
   case EventKind::Compute:
-    putUvarint(CurEvents, E.Cost);
-    ThreadTs[CurThread] += E.Cost;
+    putUvarint(CurEvents, E.cost());
+    ThreadTs[CurThread] += E.cost();
     break;
   case EventKind::RwAcquireRead:
   case EventKind::RwAcquireWrite:
-    referenceLock(E.Lock);
-    if (E.Site != InvalidId)
-      referenceSite(E.Site);
-    putUvarint(CurEvents, uid(E.Lock));
-    putUvarint(CurEvents, uid(E.Site));
-    putUvarint(CurEvents, uid(E.Lockset));
+    referenceLock(E.lock());
+    if (E.site() != InvalidId)
+      referenceSite(E.site());
+    putUvarint(CurEvents, uid(E.lock()));
+    putUvarint(CurEvents, uid(E.site()));
+    putUvarint(CurEvents, uid(E.lockset()));
     ++CurAcquireCount;
     SawExtended = true;
     break;
   case EventKind::TryAcquire:
-    referenceLock(E.Lock);
-    if (E.Site != InvalidId)
-      referenceSite(E.Site);
-    putUvarint(CurEvents, uid(E.Lock));
-    putUvarint(CurEvents, uid(E.Site));
-    putUvarint(CurEvents, uid(E.Lockset));
+    referenceLock(E.lock());
+    if (E.site() != InvalidId)
+      referenceSite(E.site());
+    putUvarint(CurEvents, uid(E.lock()));
+    putUvarint(CurEvents, uid(E.site()));
+    putUvarint(CurEvents, uid(E.lockset()));
     CurEvents.push_back(static_cast<uint8_t>(E.Mode));
     CurEvents.push_back(E.TrySucceeded ? 1 : 0);
     if (E.TrySucceeded)
@@ -886,17 +900,17 @@ void TraceV3Writer::append(const Event &E) {
     SawExtended = true;
     break;
   case EventKind::CondWait:
-    referenceLock(E.Lock);
-    if (E.Site != InvalidId)
-      referenceSite(E.Site);
-    putUvarint(CurEvents, uid(E.Lock));
-    putUvarint(CurEvents, uid(E.Site));
+    referenceLock(E.lock());
+    if (E.site() != InvalidId)
+      referenceSite(E.site());
+    putUvarint(CurEvents, uid(E.lock()));
+    putUvarint(CurEvents, uid(E.site()));
     SawExtended = true;
     break;
   case EventKind::CondSignal:
   case EventKind::CondBroadcast:
-    referenceLock(E.Lock);
-    putUvarint(CurEvents, uid(E.Lock));
+    referenceLock(E.lock());
+    putUvarint(CurEvents, uid(E.lock()));
     SawExtended = true;
     break;
   }

@@ -88,10 +88,10 @@ static std::vector<LockId> locksetLocks(const Trace &Tr, const CsIndex &Index,
   const CriticalSection &Section = Index.byGlobalId(Cs);
   const Event &E = Tr.Threads[Section.Ref.Thread].Events[Section.AcquireIdx];
   assert(isSectionOpen(E) && "section does not open at its acquire index");
-  if (E.Lockset == InvalidId) {
-    Out.push_back(E.Lock);
+  if (E.lockset() == InvalidId) {
+    Out.push_back(E.lock());
   } else {
-    for (const LocksetEntry &Entry : Tr.Locksets[E.Lockset].Entries)
+    for (const LocksetEntry &Entry : Tr.Locksets[E.lockset()].Entries)
       Out.push_back(Entry.Lock);
   }
   std::sort(Out.begin(), Out.end());
@@ -126,7 +126,7 @@ std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
       case EventKind::Read:
       case EventKind::Write:
         Accesses.push_back(
-            AccessRecord{T, E.Addr, E.Kind == EventKind::Write, Open});
+            AccessRecord{T, E.addr(), E.Kind == EventKind::Write, Open});
         break;
       default:
         break;

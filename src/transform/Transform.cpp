@@ -74,7 +74,7 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
     for (Event &E : Out.Threads[T].Events)
       if (isSectionOpen(E)) {
         uint32_t Cs = Tr.globalCsId(CsRef{T, NextIndex++});
-        E.Lockset = LocksetOfCs[Cs];
+        E.setLockset(LocksetOfCs[Cs]);
       }
   }
 

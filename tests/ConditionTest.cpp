@@ -94,7 +94,7 @@ TEST(ConditionTest, SleepNotChargedAsComputation) {
   TimeNs WaiterCompute = 0;
   for (const Event &E : Tr.Threads[0].Events)
     if (E.Kind == EventKind::Compute)
-      WaiterCompute += E.Cost;
+      WaiterCompute += E.cost();
   EXPECT_LT(WaiterCompute, 5000000u);
 }
 

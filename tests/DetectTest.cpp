@@ -746,8 +746,8 @@ Image initialOf(const Trace &Tr) {
   for (const auto &T : Tr.Threads)
     for (const Event &E : T.Events)
       if ((E.Kind == EventKind::Read || E.Kind == EventKind::Write) &&
-          Decided.insert(E.Addr).second && E.Kind == EventKind::Read)
-        Seeds[E.Addr] = E.Value;
+          Decided.insert(E.addr()).second && E.Kind == EventKind::Read)
+        Seeds[E.addr()] = E.value();
   return Seeds;
 }
 
@@ -771,14 +771,14 @@ Sets setsOf(const Trace &Tr, const CriticalSection &Cs) {
   for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
     const Event &E = Events[I];
     if (E.Kind == EventKind::Read)
-      S.Reads.push_back(E.Addr);
+      S.Reads.push_back(E.addr());
     else if (E.Kind == EventKind::Write)
-      S.Writes.push_back(E.Addr);
+      S.Writes.push_back(E.addr());
     else if (E.Kind == EventKind::CondWait)
-      S.CondWaits.push_back(E.Lock);
+      S.CondWaits.push_back(E.lock());
     else if (E.Kind == EventKind::CondSignal ||
              E.Kind == EventKind::CondBroadcast)
-      S.CondSignals.push_back(E.Lock);
+      S.CondSignals.push_back(E.lock());
   }
   sortUnique(S.Reads);
   sortUnique(S.Writes);
@@ -849,10 +849,10 @@ bool replay(const Trace &Tr, const CriticalSection &Cs,
     if (E.Kind != EventKind::Read && E.Kind != EventKind::Write)
       continue;
     uint64_t &Cell =
-        Values[std::lower_bound(Slots.begin(), Slots.end(), E.Addr) -
+        Values[std::lower_bound(Slots.begin(), Slots.end(), E.addr()) -
                Slots.begin()];
     if (E.Kind == EventKind::Write)
-      applyWrite(Cell, E.Value, E.Op);
+      applyWrite(Cell, E.value(), E.Op);
     else if (!OnRead(Cell))
       return false;
   }

@@ -257,7 +257,7 @@ TimeNs referenceBodyCost(const Trace &Tr, const CriticalSection &Cs,
   for (size_t I = Cs.AcquireIdx + 1; I != Cs.ReleaseIdx; ++I) {
     const Event &E = Events[I];
     if (E.Kind == EventKind::Compute)
-      Total += E.Cost;
+      Total += E.cost();
     else if (E.Kind == EventKind::Read || E.Kind == EventKind::Write)
       Total += Costs.MemAccess;
     else if (E.Kind == EventKind::TryAcquire && !E.TrySucceeded)
@@ -292,7 +292,7 @@ SpecResult referenceSpeculate(const Trace &Tr, const CsIndex &Index,
     std::vector<uint32_t> Open;
     for (const Event &E : Tr.Threads[T].Events) {
       if (E.Kind == EventKind::Compute)
-        Clock += E.Cost;
+        Clock += E.cost();
       else if (E.Kind == EventKind::Read || E.Kind == EventKind::Write)
         Clock += M.Costs.MemAccess;
       else if (E.Kind == EventKind::CondWait)

@@ -39,8 +39,8 @@ Image initialOf(const Trace &Tr) {
   for (const auto &T : Tr.Threads)
     for (const Event &E : T.Events)
       if ((E.Kind == EventKind::Read || E.Kind == EventKind::Write) &&
-          Decided.insert(E.Addr).second && E.Kind == EventKind::Read)
-        Seeds[E.Addr] = E.Value;
+          Decided.insert(E.addr()).second && E.Kind == EventKind::Read)
+        Seeds[E.addr()] = E.value();
   return Seeds;
 }
 
@@ -58,25 +58,25 @@ Outcome replaySections(const Trace &Tr, Image Initial,
     for (size_t I = Cs->AcquireIdx + 1; I != Cs->ReleaseIdx; ++I) {
       const Event &E = Events[I];
       if (E.Kind == EventKind::Read) {
-        auto It = Out.Final.find(E.Addr);
+        auto It = Out.Final.find(E.addr());
         Out.ReadValues.push_back(It == Out.Final.end() ? 0 : It->second);
       } else if (E.Kind == EventKind::Write) {
-        uint64_t &Cell = Out.Final[E.Addr];
+        uint64_t &Cell = Out.Final[E.addr()];
         switch (E.Op) {
         case WriteOpKind::Store:
-          Cell = E.Value;
+          Cell = E.value();
           break;
         case WriteOpKind::Add:
-          Cell += E.Value;
+          Cell += E.value();
           break;
         case WriteOpKind::Or:
-          Cell |= E.Value;
+          Cell |= E.value();
           break;
         case WriteOpKind::And:
-          Cell &= E.Value;
+          Cell &= E.value();
           break;
         case WriteOpKind::Xor:
-          Cell ^= E.Value;
+          Cell ^= E.value();
           break;
         }
       }

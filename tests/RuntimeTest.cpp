@@ -65,11 +65,11 @@ TEST(RecorderTest, SingleThreadEventSequence) {
   // Read/write payloads survive.
   for (const Event &E : Tr.Threads[0].Events) {
     if (E.Kind == EventKind::Read) {
-      EXPECT_EQ(E.Addr, Read.addr());
-      EXPECT_EQ(E.Value, 42u);
+      EXPECT_EQ(E.addr(), Read.addr());
+      EXPECT_EQ(E.value(), 42u);
     }
     if (E.Kind == EventKind::Write) {
-      EXPECT_EQ(E.Addr, Added.addr());
+      EXPECT_EQ(E.addr(), Added.addr());
       EXPECT_EQ(E.Op, WriteOpKind::Add);
     }
   }
@@ -99,14 +99,14 @@ TEST(RecorderTest, WideAccessesAndEveryWriteOpSurviveTheRing) {
       Accesses.push_back(E);
   ASSERT_EQ(Accesses.size(), 6u);
   EXPECT_EQ(Accesses[0].Kind, EventKind::Read);
-  EXPECT_EQ(Accesses[0].Addr, Addr);
-  EXPECT_EQ(Accesses[0].Value, Value);
+  EXPECT_EQ(Accesses[0].addr(), Addr);
+  EXPECT_EQ(Accesses[0].value(), Value);
   for (size_t I = 0; I != 5; ++I) {
     const Event &E = Accesses[I + 1];
     EXPECT_EQ(E.Kind, EventKind::Write);
     EXPECT_EQ(E.Op, Ops[I]);
-    EXPECT_EQ(E.Addr, Addr + I);
-    EXPECT_EQ(E.Value, Value - I);
+    EXPECT_EQ(E.addr(), Addr + I);
+    EXPECT_EQ(E.value(), Value - I);
   }
 }
 
@@ -192,7 +192,7 @@ TEST(RecorderTest, ComputeCostsArePositive) {
   TimeNs TotalCompute = 0;
   for (const Event &E : Tr.Threads[0].Events)
     if (E.Kind == EventKind::Compute)
-      TotalCompute += E.Cost;
+      TotalCompute += E.cost();
   EXPECT_GT(TotalCompute, 0u);
 }
 

@@ -244,6 +244,51 @@ TEST(ReplayerTest, SoloArrivalsIgnoreContention) {
   EXPECT_EQ(Solo[1], 2000u);
 }
 
+namespace {
+
+/// The SYNC-S order as the replayer built it before the merge: each
+/// lock's sections, gathered thread-major, stable-sorted by (solo
+/// arrival, id).  Oracle for computeSyncOrder.
+std::vector<std::vector<uint32_t>> sortedSyncOrder(const Trace &Tr,
+                                                   const CostModel &Costs) {
+  std::vector<TimeNs> Solo = computeSoloArrivals(Tr, Costs);
+  std::vector<std::vector<uint32_t>> ByLock(Tr.Locks.size());
+  for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
+    uint32_t Index = 0;
+    for (const Event &E : Tr.Threads[T].Events)
+      if (isSectionOpen(E))
+        ByLock[E.lock()].push_back(Tr.globalCsId(CsRef{T, Index++}));
+  }
+  for (std::vector<uint32_t> &Order : ByLock)
+    std::stable_sort(Order.begin(), Order.end(),
+                     [&](uint32_t A, uint32_t B) {
+                       if (Solo[A] != Solo[B])
+                         return Solo[A] < Solo[B];
+                       return A < B;
+                     });
+  return ByLock;
+}
+
+} // namespace
+
+// Default costs, and free costs, under which many sections of
+// different threads tie on solo arrival and the id must break the tie.
+TEST(ReplayerTest, SyncOrderMergeMatchesStableSort) {
+  size_t Checked = 0;
+  for (const auto *Apps : {&allApps(), &syntheticApps()})
+    for (const AppModel &M : *Apps)
+      for (unsigned Threads : {4u, 8u})
+        for (double Scale : {1.0, 4.0}) {
+          Trace Tr = generateWorkload(M.Factory(Threads, Scale));
+          for (const CostModel &Costs : {CostModel(), freeCosts()})
+            EXPECT_EQ(computeSyncOrder(Tr, Costs),
+                      sortedSyncOrder(Tr, Costs))
+                << M.Name << " threads=" << Threads << " scale=" << Scale;
+          ++Checked;
+        }
+  EXPECT_EQ(Checked, 4 * (allApps().size() + syntheticApps().size()));
+}
+
 //===----------------------------------------------------------------------===//
 // Spin accounting
 //===----------------------------------------------------------------------===//
@@ -313,7 +358,7 @@ Trace parallelizedTrace(bool WithConstraint) {
   for (auto &Thread : Tr.Threads)
     for (auto &E : Thread.Events)
       if (E.Kind == EventKind::LockAcquire)
-        E.Lockset = 0;
+        E.setLockset(0);
   if (WithConstraint)
     Tr.Constraints.push_back(OrderConstraint{0, 1});
   return Tr;
@@ -360,7 +405,7 @@ TEST(ReplayerTest, IntersectingLocksetsExclude) {
   for (auto &Thread : Tr.Threads)
     for (auto &E : Thread.Events)
       if (E.Kind == EventKind::LockAcquire)
-        E.Lockset = 0;
+        E.setLockset(0);
   ReplayResult R = replayTrace(Tr, optionsFor(ScheduleKind::ElscS));
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_EQ(R.TotalTime, 1000u); // Serialized.
@@ -391,8 +436,8 @@ TEST(ReplayerTest, DynamicLockingSkipsFinishedSources) {
   TargetSet.Entries.push_back(LocksetEntry{1, 0});
   Tr.Locksets.push_back(SourceSet);
   Tr.Locksets.push_back(TargetSet);
-  Tr.Threads[0].Events[1].Lockset = 0;
-  Tr.Threads[1].Events[2].Lockset = 1;
+  Tr.Threads[0].Events[1].setLockset(0);
+  Tr.Threads[1].Events[2].setLockset(1);
   Tr.Constraints.push_back(OrderConstraint{0, 1});
 
   CostModel Costs = freeCosts();
@@ -434,8 +479,8 @@ TEST(ReplayerTest, DlsPreservesExclusionWhenSourceActive) {
   TargetSet.Entries.push_back(LocksetEntry{1, 0});
   Tr.Locksets.push_back(SourceSet);
   Tr.Locksets.push_back(TargetSet);
-  Tr.Threads[0].Events[1].Lockset = 0;
-  Tr.Threads[1].Events[2].Lockset = 1;
+  Tr.Threads[0].Events[1].setLockset(0);
+  Tr.Threads[1].Events[2].setLockset(1);
   Tr.Constraints.push_back(OrderConstraint{0, 1});
 
   ReplayOptions Opts = optionsFor(ScheduleKind::ElscS);

@@ -1,13 +1,18 @@
 //===- tests/TraceIOTest.cpp - trace serialization tests --------------------===//
 
+#include "detect/CriticalSection.h"
 #include "support/MappedFile.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 #include "trace/TraceV3.h"
+#include "transform/Transform.h"
+#include "workloads/Apps.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 using namespace perfplay;
 
@@ -122,15 +127,7 @@ void expectTracesEqual(const Trace &A, const Trace &B) {
     ASSERT_EQ(EA.size(), EB.size()) << "thread " << T;
     for (size_t I = 0; I != EA.size(); ++I) {
       EXPECT_EQ(EA[I].Kind, EB[I].Kind) << "thread " << T << " ev " << I;
-      EXPECT_EQ(EA[I].Op, EB[I].Op);
-      EXPECT_EQ(EA[I].Site, EB[I].Site);
-      EXPECT_EQ(EA[I].Lock, EB[I].Lock);
-      EXPECT_EQ(EA[I].Lockset, EB[I].Lockset);
-      EXPECT_EQ(EA[I].Addr, EB[I].Addr);
-      EXPECT_EQ(EA[I].Value, EB[I].Value);
-      EXPECT_EQ(EA[I].Cost, EB[I].Cost);
-      EXPECT_EQ(EA[I].Mode, EB[I].Mode);
-      EXPECT_EQ(EA[I].TrySucceeded, EB[I].TrySucceeded);
+      EXPECT_TRUE(EA[I] == EB[I]) << "thread " << T << " ev " << I;
     }
   }
   // Names are pooled; compare resolved content, not ids (two pools may
@@ -261,6 +258,102 @@ TEST(TraceIOTest, GoldenRoundTripAllFormats) {
     EXPECT_EQ(writeTraceText(Back), writeTraceText(Tr));
     std::remove(Path.c_str());
   }
+}
+
+namespace {
+
+/// FNV-1a over \p Bytes.
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// FNV-1a digests of saveTrace's bytes for every app model at 4
+/// threads, scale 1, seed 1: the recorded trace in text and v3, and
+/// its ULCP-free transform in v3 (locksets and constraint tables).
+/// They were taken with the 40-byte event, so they pin
+/// docs/TRACE_FORMAT.md across changes to the in-memory event layout:
+/// any byte a writer moves changes a digest.
+struct PinnedSave {
+  const char *App;
+  uint64_t Text;
+  uint64_t V3;
+  uint64_t UlcpFreeV3;
+};
+
+const PinnedSave PinnedSaves[] = {
+    {"openldap", 0xae43833b1da15e61, 0x9123cfd4dc3d2757,
+     0x2389c18d840f1670},
+    {"mysql", 0xb71a4fc7de227eb8, 0x72a5679292f3a414,
+     0xa5e7a61f33506e6d},
+    {"pbzip2", 0x752a2aa693b428f6, 0xb8a058c32b1e851b,
+     0x72a62251b78b9e9f},
+    {"transmissionBT", 0xbb80b4bc2b7c7450, 0x6a55e35844b857f5,
+     0x83092d0001097407},
+    {"handbrake", 0x51437e8c9c2f5c9d, 0x700cbfe3a8ecd94d,
+     0x7b81e36105e110b0},
+    {"blackscholes", 0x2b915def5d6b801, 0x37a1d1ded4362288,
+     0x37a1d1ded4362288},
+    {"bodytrack", 0x755c14c688aa51a0, 0x63b5ee42d63755bc,
+     0x1019e5ab1c0ee75f},
+    {"canneal", 0x5302b17ce7ad4f81, 0x61d9ce7362cc05f7,
+     0xbf7f05da06a8091e},
+    {"dedup", 0x59f30f6b01e791a7, 0xf8f81df5d1263060,
+     0x4199e30dc2ecb99e},
+    {"facesim", 0x7aecb0db528e3d63, 0x5bdb63193955216c,
+     0xc0a8b846505d3cf4},
+    {"ferret", 0x21ce94a3ab2c49fe, 0xd7c43690c91dcb59,
+     0xbd1ec0d0e4432a59},
+    {"fluidanimate", 0x95238489295d0c3f, 0xf7bd6356e5ef300c,
+     0x67564e4e4efb3ac1},
+    {"streamcluster", 0xe09c0b60d03b6aec, 0x37a7f03e0ee97b0a,
+     0xefecd86e4f2290a8},
+    {"swaptions", 0x64acfde610d44e4, 0x42a92d34d00d2cfd,
+     0x60c94af04a21dd14},
+    {"vips", 0x3e9058ba56bcaf0a, 0xb6c998b7ee95640e,
+     0x854398c789845439},
+    {"x264", 0x9060fc333a3400d5, 0x306c509727cf70d8,
+     0x64b8342a19ce2e5b},
+    {"rwmix", 0xf12c936d0955a848, 0xfe8247608bd99f80,
+     0xd8ca337c4795fc92},
+};
+
+} // namespace
+
+TEST(TraceIOTest, SavedBytesMatchPinnedDigests) {
+  std::vector<const AppModel *> Models;
+  for (const auto *Apps : {&allApps(), &syntheticApps()})
+    for (const AppModel &M : *Apps)
+      Models.push_back(&M);
+  ASSERT_EQ(Models.size(), std::size(PinnedSaves));
+  std::string Path = testing::TempDir() + "/perfplay_pinned_save.trace";
+  auto SavedDigest = [&](const Trace &Tr, TraceFormat Format) {
+    std::string Err;
+    EXPECT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
+    std::ifstream In(Path, std::ios::binary);
+    return fnv1a(std::string(std::istreambuf_iterator<char>(In),
+                             std::istreambuf_iterator<char>()));
+  };
+  for (size_t I = 0; I != Models.size(); ++I) {
+    const PinnedSave &P = PinnedSaves[I];
+    ASSERT_EQ(Models[I]->Name, P.App);
+    WorkloadSpec Spec = Models[I]->Factory(4, 1.0);
+    Spec.Seed = 1;
+    Trace Tr = generateWorkload(Spec);
+    Trace Free = transformTrace(Tr, CsIndex::build(Tr)).Transformed;
+    uint64_t Text = SavedDigest(Tr, TraceFormat::Text);
+    uint64_t V3 = SavedDigest(Tr, TraceFormat::V3);
+    uint64_t FreeV3 = SavedDigest(Free, TraceFormat::V3);
+    EXPECT_EQ(Text, P.Text) << P.App << " text: 0x" << std::hex << Text;
+    EXPECT_EQ(V3, P.V3) << P.App << " v3: 0x" << std::hex << V3;
+    EXPECT_EQ(FreeV3, P.UlcpFreeV3)
+        << P.App << " ulcp-free v3: 0x" << std::hex << FreeV3;
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(TraceIOTest, V3RoundTrip) {

@@ -61,8 +61,8 @@ TEST(TraceBuilderTest, NestedSectionsSupported) {
   const auto &Events = Tr.Threads[0].Events;
   ASSERT_EQ(Events.size(), 6u);
   EXPECT_EQ(Events[3].Kind, EventKind::LockRelease);
-  EXPECT_EQ(Events[3].Lock, Inner);
-  EXPECT_EQ(Events[4].Lock, Outer);
+  EXPECT_EQ(Events[3].lock(), Inner);
+  EXPECT_EQ(Events[4].lock(), Outer);
 }
 
 TEST(TraceTest, GlobalCsIdRoundTrips) {
@@ -106,7 +106,7 @@ TEST(TraceValidateTest, CatchesUnknownLock) {
   Trace Tr = makeSimpleTrace();
   for (auto &E : Tr.Threads[0].Events)
     if (E.Kind == EventKind::LockAcquire)
-      E.Lock = 99;
+      E = Event::lockAcquire(99, E.site());
   EXPECT_NE(Tr.validate(), "");
 }
 
@@ -121,7 +121,7 @@ TEST(TraceValidateTest, CatchesMismatchedRelease) {
   // Corrupt the release to name the wrong lock.
   for (auto &E : Tr.Threads[0].Events)
     if (E.Kind == EventKind::LockRelease)
-      E.Lock = Bk;
+      E = Event::lockRelease(Bk);
   EXPECT_EQ(Tr.validate(),
             "thread 0: event 2: release does not match innermost held lock");
 }
@@ -169,6 +169,119 @@ TEST(EventTest, ConstructorsSetKinds) {
   EXPECT_EQ(Event::read(3, 4).Kind, EventKind::Read);
   EXPECT_EQ(Event::write(3, 4).Kind, EventKind::Write);
   EXPECT_EQ(Event::compute(5).Kind, EventKind::Compute);
+}
+
+TEST(EventTest, EventIs24Bytes) { EXPECT_EQ(sizeof(Event), 24u); }
+
+// Every named constructor's fields read back through the accessors,
+// at the extremes of each field's range.
+TEST(EventTest, ConstructorsRoundTripThroughAccessors) {
+  constexpr uint64_t Max64 = UINT64_MAX;
+  constexpr uint32_t Big = InvalidId - 1;
+
+  Event Acq = Event::lockAcquire(Big, Big, InvalidId);
+  EXPECT_EQ(Acq.Kind, EventKind::LockAcquire);
+  EXPECT_EQ(Acq.lock(), Big);
+  EXPECT_EQ(Acq.site(), Big);
+  EXPECT_EQ(Acq.lockset(), InvalidId);
+  EXPECT_EQ(Acq.Mode, AcquireMode::Exclusive);
+  EXPECT_EQ(Event::lockAcquire(0, InvalidId, Big).lockset(), Big);
+  EXPECT_EQ(Event::lockAcquire(0, InvalidId).site(), InvalidId);
+
+  Event Rel = Event::lockRelease(Big);
+  EXPECT_EQ(Rel.Kind, EventKind::LockRelease);
+  EXPECT_EQ(Rel.lock(), Big);
+  EXPECT_EQ(Rel.site(), InvalidId);
+  EXPECT_EQ(Rel.lockset(), InvalidId);
+
+  Event Rd = Event::read(Max64, Max64);
+  EXPECT_EQ(Rd.Kind, EventKind::Read);
+  EXPECT_EQ(Rd.addr(), Max64);
+  EXPECT_EQ(Rd.value(), Max64);
+  EXPECT_EQ(Event::read(7).value(), 0u);
+
+  for (WriteOpKind Op : {WriteOpKind::Store, WriteOpKind::Add,
+                         WriteOpKind::Or, WriteOpKind::And,
+                         WriteOpKind::Xor}) {
+    Event Wr = Event::write(Max64, Max64 - 1, Op);
+    EXPECT_EQ(Wr.Kind, EventKind::Write);
+    EXPECT_EQ(Wr.Op, Op);
+    EXPECT_EQ(Wr.addr(), Max64);
+    EXPECT_EQ(Wr.value(), Max64 - 1);
+  }
+  EXPECT_EQ(Event::write(1, 2).Op, WriteOpKind::Store);
+
+  Event Comp = Event::compute(Max64);
+  EXPECT_EQ(Comp.Kind, EventKind::Compute);
+  EXPECT_EQ(Comp.cost(), Max64);
+  EXPECT_EQ(Event().Kind, EventKind::Compute);
+  EXPECT_EQ(Event().cost(), 0u);
+
+  Event RwR = Event::rwAcquireRead(Big, 3, InvalidId);
+  EXPECT_EQ(RwR.Kind, EventKind::RwAcquireRead);
+  EXPECT_EQ(RwR.Mode, AcquireMode::Shared);
+  EXPECT_EQ(RwR.lock(), Big);
+  EXPECT_EQ(RwR.site(), 3u);
+  EXPECT_EQ(RwR.lockset(), InvalidId);
+  Event RwW = Event::rwAcquireWrite(1, Big, Big);
+  EXPECT_EQ(RwW.Kind, EventKind::RwAcquireWrite);
+  EXPECT_EQ(RwW.Mode, AcquireMode::Exclusive);
+  EXPECT_EQ(RwW.lock(), 1u);
+  EXPECT_EQ(RwW.site(), Big);
+  EXPECT_EQ(RwW.lockset(), Big);
+
+  for (AcquireMode Mode : {AcquireMode::Exclusive, AcquireMode::Shared})
+    for (bool Ok : {false, true}) {
+      Event Try = Event::tryAcquire(Big, Big, Ok, Mode, InvalidId);
+      EXPECT_EQ(Try.Kind, EventKind::TryAcquire);
+      EXPECT_EQ(Try.Mode, Mode);
+      EXPECT_EQ(Try.TrySucceeded, Ok);
+      EXPECT_EQ(Try.lock(), Big);
+      EXPECT_EQ(Try.site(), Big);
+      EXPECT_EQ(Try.lockset(), InvalidId);
+      EXPECT_EQ(isSectionOpen(Try), Ok);
+      EXPECT_EQ(acquireModeOf(Try), Mode);
+    }
+
+  Event Wait = Event::condWait(Big, Big);
+  EXPECT_EQ(Wait.Kind, EventKind::CondWait);
+  EXPECT_EQ(Wait.lock(), Big);
+  EXPECT_EQ(Wait.site(), Big);
+  EXPECT_EQ(Wait.lockset(), InvalidId);
+  Event Sig = Event::condSignal(Big);
+  EXPECT_EQ(Sig.Kind, EventKind::CondSignal);
+  EXPECT_EQ(Sig.lock(), Big);
+  EXPECT_EQ(Sig.site(), InvalidId);
+  Event Bro = Event::condBroadcast(Big);
+  EXPECT_EQ(Bro.Kind, EventKind::CondBroadcast);
+  EXPECT_EQ(Bro.lock(), Big);
+  EXPECT_EQ(Bro.site(), InvalidId);
+}
+
+TEST(EventTest, SetLocksetRebindsOnlyTheLockset) {
+  Event E = Event::tryAcquire(4, 5, true, AcquireMode::Shared);
+  E.setLockset(InvalidId - 1);
+  EXPECT_EQ(E.lockset(), InvalidId - 1);
+  EXPECT_EQ(E.lock(), 4u);
+  EXPECT_EQ(E.site(), 5u);
+  EXPECT_EQ(E.Mode, AcquireMode::Shared);
+  EXPECT_TRUE(E.TrySucceeded);
+  E.setLockset(InvalidId);
+  EXPECT_TRUE(E == Event::tryAcquire(4, 5, true, AcquireMode::Shared));
+}
+
+// Reading a field the event's kind does not carry is a program bug;
+// Debug builds assert on it.
+TEST(EventDeathTest, AccessorsAssertTheKind) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "kind asserts are compiled out under NDEBUG";
+#endif
+  EXPECT_DEBUG_DEATH((void)Event::compute(5).addr(), "addr");
+  EXPECT_DEBUG_DEATH((void)Event::read(1, 2).cost(), "cost");
+  EXPECT_DEBUG_DEATH((void)Event::write(1, 2).lock(), "lock");
+  EXPECT_DEBUG_DEATH((void)Event::lockRelease(1).value(), "value");
+  EXPECT_DEBUG_DEATH((void)Event::threadStart().site(), "site");
+  EXPECT_DEBUG_DEATH(Event::compute(1).setLockset(0), "lockset");
 }
 
 TEST(EventTest, Names) {

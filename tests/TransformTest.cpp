@@ -840,8 +840,8 @@ std::set<LockId> locksetOf(const TransformResult &R, uint32_t Cs) {
     if (E.Kind == EventKind::LockAcquire) {
       if (Index++ != Ref.Index)
         continue;
-      if (E.Lockset != InvalidId)
-        for (const LocksetEntry &Entry : Tr.Locksets[E.Lockset].Entries)
+      if (E.lockset() != InvalidId)
+        for (const LocksetEntry &Entry : Tr.Locksets[E.lockset()].Entries)
           Out.insert(Entry.Lock);
       break;
     }
@@ -1214,7 +1214,7 @@ TEST(RaceCheckTest, ExposedConflictIsReported) {
   for (auto &Thread : Tr.Threads)
     for (auto &E : Thread.Events)
       if (E.Kind == EventKind::LockAcquire)
-        E.Lockset = 0;
+        E.setLockset(0);
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph EmptyTopo(Tr.numCriticalSections());
   std::vector<RaceReport> Races = checkRaces(Tr, Index, EmptyTopo);
@@ -1267,7 +1267,7 @@ TEST(RaceCheckTest, MultiLockLocksetsProtectIffTheyShareALock) {
     Tr.Locksets.push_back(Set);
     for (Event &E : Tr.Threads[Ids[T]].Events)
       if (E.Kind == EventKind::LockAcquire)
-        E.Lockset = T;
+        E.setLockset(T);
   }
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph EmptyTopo(Tr.numCriticalSections());
