@@ -113,18 +113,6 @@ std::vector<FusedUlcp> UlcpSeeds::fuse() const {
   return Groups;
 }
 
-std::vector<FusedUlcp>
-perfplay::fuseUlcps(const Trace &Tr, const CsIndex &Index,
-                    const std::vector<UlcpPair> &Pairs,
-                    const std::vector<int64_t> &Deltas) {
-  assert(Pairs.size() == Deltas.size() &&
-         "one improvement per pair expected");
-  UlcpSeeds Seeds(Tr, Index);
-  for (size_t I = 0; I != Pairs.size(); ++I)
-    Seeds.add(Pairs[I], Deltas[I]);
-  return Seeds.fuse();
-}
-
 void perfplay::rankUlcpGroups(std::vector<FusedUlcp> &Groups) {
   int64_t Total = 0;
   for (const FusedUlcp &G : Groups)

@@ -120,14 +120,6 @@ private:
   std::vector<Seed> Seeds;
 };
 
-/// Fuses the given pairs (with their per-pair improvements) to a
-/// fixpoint: in the returned vector no two groups can be fused further.
-/// Every pair is fused whatever its kind; buildReport skips the
-/// TrueContention ones.
-std::vector<FusedUlcp> fuseUlcps(const Trace &Tr, const CsIndex &Index,
-                                 const std::vector<UlcpPair> &Pairs,
-                                 const std::vector<int64_t> &Deltas);
-
 /// Equation 2: fills each group's P = dT / sum(dT) and sorts groups by
 /// P descending (ties by PairCount, then region).  With a zero total
 /// every P is 0 and the order is by PairCount.

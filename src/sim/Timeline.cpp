@@ -70,26 +70,26 @@ std::string perfplay::renderTimeline(const Trace &Tr,
   for (ThreadId T = 0; T != Tr.numThreads(); ++T)
     paint(T, 0, R.ThreadFinish[T], LaneState::Compute);
 
-  for (uint32_t Cs = 0; Cs != R.Sections.size(); ++Cs) {
-    const CsTiming &S = R.Sections[Cs];
-    if (S.Granted == NeverNs)
-      continue;
-    CsRef Ref = Tr.csRefOf(Cs);
-    bool Spin = false;
-    // Waiting style follows the section's lock (spin locks burn CPU).
-    uint32_t Index = 0;
-    for (const Event &E : Tr.Threads[Ref.Thread].Events)
-      if (isSectionOpen(E)) {
-        if (Index++ == Ref.Index) {
-          Spin = Tr.Locks[E.lock()].IsSpin;
-          break;
-        }
-      }
-    if (S.Arrival != NeverNs)
-      paint(Ref.Thread, S.Arrival, S.Granted,
-            Spin ? LaneState::SpinWait : LaneState::IdleWait);
-    if (S.Released != NeverNs)
-      paint(Ref.Thread, S.Granted, S.Released, LaneState::Critical);
+  // A thread's sections have consecutive global ids in program order,
+  // so one walk over its events pairs each section with its lock.
+  for (ThreadId T = 0; T != Tr.numThreads(); ++T) {
+    uint32_t Cs = Tr.firstGlobalCsId(T);
+    for (const Event &E : Tr.Threads[T].Events) {
+      if (!isSectionOpen(E))
+        continue;
+      if (Cs >= R.Sections.size())
+        break;
+      const CsTiming &S = R.Sections[Cs++];
+      if (S.Granted == NeverNs)
+        continue;
+      // Waiting style follows the section's lock (spin locks burn CPU).
+      bool Spin = Tr.Locks[E.lock()].IsSpin;
+      if (S.Arrival != NeverNs)
+        paint(T, S.Arrival, S.Granted,
+              Spin ? LaneState::SpinWait : LaneState::IdleWait);
+      if (S.Released != NeverNs)
+        paint(T, S.Granted, S.Released, LaneState::Critical);
+    }
   }
 
   for (ThreadId T = 0; T != Tr.numThreads(); ++T) {

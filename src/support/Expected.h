@@ -18,9 +18,9 @@
 #define PERFPLAY_SUPPORT_EXPECTED_H
 
 #include <cassert>
+#include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 
 namespace perfplay {
 
@@ -88,23 +88,23 @@ struct PipelineError {
 template <typename T> class Expected {
 public:
   /// Success: wraps the computed value.
-  Expected(T Value) : Storage(std::move(Value)) {}
+  Expected(T Value) : Value(std::move(Value)) {}
   /// Failure: wraps the error (which must carry a non-Success code).
-  Expected(PipelineError Err) : Storage(std::move(Err)) {
-    assert(!error().isSuccess() && "error-state Expected needs a code");
+  Expected(PipelineError Err) : Err(std::move(Err)) {
+    assert(!this->Err.isSuccess() && "error-state Expected needs a code");
   }
 
   /// True when a value is present.
-  bool ok() const { return std::holds_alternative<T>(Storage); }
+  bool ok() const { return Value.has_value(); }
   explicit operator bool() const { return ok(); }
 
   T &operator*() {
     assert(ok());
-    return std::get<T>(Storage);
+    return *Value;
   }
   const T &operator*() const {
     assert(ok());
-    return std::get<T>(Storage);
+    return *Value;
   }
   T *operator->() { return &**this; }
   const T *operator->() const { return &**this; }
@@ -112,13 +112,19 @@ public:
 
   const PipelineError &error() const {
     assert(!ok());
-    return std::get<PipelineError>(Storage);
+    return Err;
   }
-  ErrorCode code() const { return ok() ? ErrorCode::Success : error().Code; }
+  ErrorCode code() const { return Err.Code; }
   const std::string &message() const { return error().Message; }
 
 private:
-  std::variant<T, PipelineError> Storage;
+  // The error is a member of its own, as in the other two
+  // specializations, not a std::variant alternative: GCC's
+  // -Wmaybe-uninitialized cannot follow a variant's move through
+  // std::function's invoker and flags code() as reading an
+  // uninitialized alternative.
+  std::optional<T> Value;
+  PipelineError Err;
 };
 
 /// Reference specialization: stage accessors hand out references to

@@ -161,6 +161,17 @@ FusedUlcp fused(CodeRegion CR1, CodeRegion CR2, int64_t Delta) {
   return F;
 }
 
+/// Algorithm 2 over (pair, improvement) lists, through the same
+/// UlcpSeeds aggregation buildReport uses.
+std::vector<FusedUlcp> fuseUlcps(const Trace &Tr, const CsIndex &Index,
+                                 const std::vector<UlcpPair> &Pairs,
+                                 const std::vector<int64_t> &Deltas) {
+  UlcpSeeds Seeds(Tr, Index);
+  for (size_t I = 0; I != Pairs.size(); ++I)
+    Seeds.add(Pairs[I], Deltas.at(I));
+  return Seeds.fuse();
+}
+
 } // namespace
 
 TEST(FusionTest, RegionOverlapRules) {

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Engine.h"
+#include "serve/ResultCache.h"
 #include "serve/Server.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
@@ -93,6 +94,57 @@ ServerOptions baseOptions(const std::string &Socket) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The result-cache content key: XXH64, seed 0
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t hashOf(const std::string &S) {
+  return hashBytes(reinterpret_cast<const uint8_t *>(S.data()), S.size());
+}
+
+} // namespace
+
+// Published XXH64 seed-0 digests.  The last (python-xxhash's example)
+// is 39 bytes: one stripe, then the 4-byte and 1-byte tail steps.
+TEST(ServeHashTest, PublishedVectors) {
+  EXPECT_EQ(hashBytes(nullptr, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(hashOf("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(hashOf("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(hashOf("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+}
+
+// Inputs of 32 bytes or more run the four-lane stripe loop and the
+// lane merge before the tail.
+TEST(ServeHashTest, StripePathRegressionValues) {
+  EXPECT_EQ(hashOf("abcdefghijklmnopqrstuvwxyz"), 0xCFE1F278FA89835Cull);
+  std::string Digits;
+  for (int I = 0; I != 8; ++I)
+    Digits += "1234567890";
+  EXPECT_EQ(hashOf(Digits), 0xE04A477F19EE145Dull);
+}
+
+// Every length from 1 to 100 covers the lanes (>= 32 bytes) and each
+// 8-, 4- and 1-byte tail step; no single-bit flip in any position may
+// leave the digest unchanged.
+TEST(ServeHashTest, EveryBitFlipChangesDigest) {
+  for (size_t Len = 1; Len <= 100; ++Len) {
+    std::vector<uint8_t> Buf(Len);
+    for (size_t I = 0; I != Len; ++I)
+      Buf[I] = static_cast<uint8_t>(I * 131 + Len);
+    uint64_t Base = hashBytes(Buf.data(), Len);
+    for (size_t Pos = 0; Pos != Len; ++Pos)
+      for (unsigned Bit = 0; Bit != 8; ++Bit) {
+        Buf[Pos] ^= static_cast<uint8_t>(1u << Bit);
+        EXPECT_NE(hashBytes(Buf.data(), Len), Base)
+            << "len " << Len << " byte " << Pos << " bit " << Bit;
+        Buf[Pos] ^= static_cast<uint8_t>(1u << Bit);
+      }
+  }
+}
 
 // A trace analyzed through the daemon must yield bit-identical
 // verdicts/counters to an Engine session over the same file — the
